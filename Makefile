@@ -7,9 +7,9 @@ GO ?= go
 # lower-variance trajectory points.
 BENCHTIME ?= 100ms
 
-.PHONY: all build build-cross test test-race race vet fmt fmt-check lint lint-timing lint-json bench bench-quick bench-json bench-obs bench-trace bench-compare bench-compare-query bench-compare-algo bench-compare-shard bench-startup bench-shard fuzz fuzz-smoke experiments clean
+.PHONY: all build build-cross test test-race race vet fmt fmt-check lint lint-timing lint-json bench-test bench bench-quick bench-json bench-obs bench-trace bench-compare bench-compare-query bench-compare-algo bench-compare-shard bench-startup bench-shard fuzz fuzz-smoke experiments clean
 
-all: build vet lint test test-race
+all: build vet lint test test-race bench-test
 
 build:
 	$(GO) build ./...
@@ -66,6 +66,13 @@ lint-timing:
 # uploads this next to the benchmark snapshots.
 lint-json:
 	$(GO) run ./lint/cmd/csrlint -json ./... > csrlint.json || test -s csrlint.json
+
+# The benchmark is a module of its own (bench/go.mod), so the root
+# module's build, vet and test never compile it. This target does: csrload's
+# layers.go calls into internal/server, internal/shard and internal/query,
+# and a signature it uses must not move without this failing.
+bench-test:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 # Full benchmark run (same command EXPERIMENTS.md references).
 bench:
@@ -174,6 +181,7 @@ fuzz:
 	$(GO) test -fuzz FuzzReadPacked -fuzztime $(FUZZTIME) ./internal/tcsr/
 	$(GO) test -fuzz FuzzParseContainer -fuzztime $(FUZZTIME) ./internal/mgraph/
 	$(GO) test -fuzz FuzzEdgeMap -fuzztime $(FUZZTIME) ./internal/frontier/
+	$(GO) test -fuzz FuzzParseBatch -fuzztime $(FUZZTIME) ./internal/server/
 
 # CI's bounded fuzz gate: every target for 10s.
 fuzz-smoke:

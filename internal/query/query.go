@@ -42,9 +42,21 @@ type Source interface {
 	Row(dst []uint32, u edgelist.NodeID) []uint32
 }
 
+// StableRower is a Source whose Row never decodes into dst: every row it
+// returns is a shared, immutable slice that stays valid for as long as the
+// source does. Batch results hand such rows up as they are, so callers must
+// not write to them. The shard engines' row table declares it; csr.Matrix
+// and CachedSource could and do not, because the library's NeighborsBatch
+// promises caller-owned rows.
+type StableRower interface {
+	StableRows() bool
+}
+
 // NeighborsBatch answers an array of neighborhood queries with p
-// processors. Result i holds the neighbors of uNodes[i]. Rows are copied
-// into fresh slices so results remain valid independently of the source.
+// processors. Result i holds the neighbors of uNodes[i]. Rows decoded into
+// per-worker buffers are copied into fresh slices so results remain valid
+// independently of the source; a StableRower's rows are returned as they
+// are, shared and read-only.
 //
 // Scheduling is work-stealing (parallel.ForDynamic) with a degree-aware
 // grain: under power-law degree skew a static p-way split collapses when
@@ -64,18 +76,28 @@ func NeighborsBatchTraced(g Source, uNodes []edgelist.NodeID, p int, tr *trace.T
 	results := make([][]uint32, len(uNodes))
 	p = clampProcs(p, len(uNodes))
 	grain := dynamicGrain(g, len(uNodes), p)
-	bufs := make([][]uint32, p)
+	var body func(w int, r parallel.Range)
+	if st, ok := g.(StableRower); ok && st.StableRows() {
+		body = func(_ int, r parallel.Range) {
+			for i := r.Start; i < r.End; i++ {
+				results[i] = g.Row(nil, uNodes[i])
+			}
+		}
+	} else {
+		bufs := make([][]uint32, p)
+		body = func(w int, r parallel.Range) {
+			for i := r.Start; i < r.End; i++ {
+				buf := g.Row(bufs[w], uNodes[i])
+				bufs[w] = buf
+				row := make([]uint32, len(buf))
+				copy(row, buf)
+				results[i] = row
+			}
+		}
+	}
 	tr.Span(trace.StageSchedule, len(uNodes), ts)
 	td := tr.Now()
-	parallel.ForDynamic(len(uNodes), p, grain, func(w int, r parallel.Range) {
-		for i := r.Start; i < r.End; i++ {
-			buf := g.Row(bufs[w], uNodes[i])
-			bufs[w] = buf
-			row := make([]uint32, len(buf))
-			copy(row, buf)
-			results[i] = row
-		}
-	})
+	parallel.ForDynamic(len(uNodes), p, grain, body)
 	tr.Span(trace.StageDecode, len(uNodes), td)
 	neighborsBatchSize.Observe(int64(len(uNodes)))
 	obs.Tick(neighborsBatchSeconds, start)

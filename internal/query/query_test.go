@@ -60,6 +60,28 @@ func TestNeighborsBatchResultsAreIndependentCopies(t *testing.T) {
 	}
 }
 
+// stableMatrix is a plain CSR declaring its rows stable, as the shard
+// engines' row table does.
+type stableMatrix struct{ *csr.Matrix }
+
+func (stableMatrix) StableRows() bool { return true }
+
+// TestNeighborsBatchStableRowsAreNotCopied checks the StableRower contract
+// from the batch side: the rows handed up are the source's own slices.
+func TestNeighborsBatchStableRowsAreNotCopied(t *testing.T) {
+	_, m, _ := buildTestGraphs(2000, 100, 3)
+	queries := []edgelist.NodeID{1, 1, 2, 99, 0}
+	for _, p := range []int{1, 4} {
+		got := NeighborsBatch(stableMatrix{m}, queries, p)
+		for i, u := range queries {
+			want := m.Neighbors(u)
+			if len(got[i]) != len(want) || (len(want) > 0 && &got[i][0] != &want[0]) {
+				t.Fatalf("p=%d: row %d (node %d) is not the source's own slice", p, i, u)
+			}
+		}
+	}
+}
+
 func TestEdgesExistBatch(t *testing.T) {
 	l, m, pk := buildTestGraphs(4000, 150, 4)
 	rng := rand.New(rand.NewSource(5))

@@ -21,8 +21,7 @@ import (
 	"fmt"
 	"log/slog"
 	"net/http"
-	"strconv"
-	"strings"
+	"slices"
 	"time"
 
 	"csrgraph/internal/algo"
@@ -149,71 +148,85 @@ func (h *Handler) stats(w http.ResponseWriter, r *http.Request) {
 	h.writeJSON(w, out)
 }
 
+// The three batch endpoints share one shape, each stage on pooled memory
+// (wire.go): scan the query string, ask the backend, encode, write once.
+
 func (h *Handler) neighbors(w http.ResponseWriter, r *http.Request) {
 	tr := trace.FromContext(r.Context())
+	sc := wirePool.Get().(*wireScratch)
+	defer wirePool.Put(sc)
 	p := tr.Now()
-	nodes, err := h.parseNodes(r.URL.Query().Get("nodes"))
-	tr.Span(trace.StageParse, len(nodes), p)
+	var err error
+	sc.nodes, err = parseBatch(sc.nodes, r.URL.RawQuery, &nodeGrammar, h.b.numNodes())
+	tr.Span(trace.StageParse, len(sc.nodes), p)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, err)
 		return
 	}
-	results, err := h.b.neighbors(nodes, tr)
+	rows, err := h.b.neighbors(sc.nodes, tr)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, err)
 		return
 	}
-	out := make([]map[string]any, len(nodes))
-	for i, u := range nodes {
-		row := results[i]
-		if row == nil {
-			row = []uint32{}
-		}
-		out[i] = map[string]any{"node": u, "neighbors": row}
+	e := tr.Now()
+	size := 2 + neighborItemMax*len(rows)
+	for _, row := range rows {
+		size += neighborMax * len(row)
 	}
-	h.writeJSON(w, out)
+	b := slices.Grow(sc.buf[:0], size)[:size]
+	sc.buf = b[:encodeNeighbors(b, sc.nodes, rows)]
+	tr.Span(trace.StageEncode, len(rows), e)
+	h.writeBody(w, sc, tr)
 }
 
 func (h *Handler) degree(w http.ResponseWriter, r *http.Request) {
 	tr := trace.FromContext(r.Context())
+	sc := wirePool.Get().(*wireScratch)
+	defer wirePool.Put(sc)
 	p := tr.Now()
-	nodes, err := h.parseNodes(r.URL.Query().Get("nodes"))
-	tr.Span(trace.StageParse, len(nodes), p)
+	var err error
+	sc.nodes, err = parseBatch(sc.nodes, r.URL.RawQuery, &nodeGrammar, h.b.numNodes())
+	tr.Span(trace.StageParse, len(sc.nodes), p)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, err)
 		return
 	}
-	results, err := h.b.degrees(nodes, tr)
+	degrees, err := h.b.degrees(sc.nodes, tr)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, err)
 		return
 	}
-	out := make([]map[string]any, len(nodes))
-	for i, u := range nodes {
-		out[i] = map[string]any{"node": u, "degree": results[i]}
-	}
-	h.writeJSON(w, out)
+	e := tr.Now()
+	size := 2 + degreeItemMax*len(degrees)
+	b := slices.Grow(sc.buf[:0], size)[:size]
+	sc.buf = b[:encodeDegrees(b, sc.nodes, degrees)]
+	tr.Span(trace.StageEncode, len(degrees), e)
+	h.writeBody(w, sc, tr)
 }
 
 func (h *Handler) exists(w http.ResponseWriter, r *http.Request) {
 	tr := trace.FromContext(r.Context())
+	sc := wirePool.Get().(*wireScratch)
+	defer wirePool.Put(sc)
 	p := tr.Now()
-	edges, err := h.parseEdges(r.URL.Query().Get("edges"))
-	tr.Span(trace.StageParse, len(edges), p)
+	var err error
+	sc.edges, err = parseBatch(sc.edges, r.URL.RawQuery, &edgeGrammar, h.b.numNodes())
+	tr.Span(trace.StageParse, len(sc.edges), p)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, err)
 		return
 	}
-	results, err := h.b.edgesExist(edges, tr)
+	exists, err := h.b.edgesExist(sc.edges, tr)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, err)
 		return
 	}
-	out := make([]map[string]any, len(edges))
-	for i, e := range edges {
-		out[i] = map[string]any{"u": e.U, "v": e.V, "exists": results[i]}
-	}
-	h.writeJSON(w, out)
+	e := tr.Now()
+	size := 2 + existsItemMax*len(exists)
+	b := slices.Grow(sc.buf[:0], size)[:size]
+	sc.buf = b[:encodeExists(b, sc.edges, exists)]
+	tr.Span(trace.StageEncode, len(exists), e)
+	h.writeBody(w, sc, tr)
 }
 
 func (h *Handler) bfs(w http.ResponseWriter, r *http.Request) {
@@ -312,56 +325,11 @@ func (h *Handler) bfsResult(src edgelist.NodeID, tr *trace.Trace) (map[string]an
 	return out, nil
 }
 
+// parseNodes decodes an already-unescaped node list for the traversal
+// endpoints, which take a handful of sources and keep url.Values.
 func (h *Handler) parseNodes(s string) ([]edgelist.NodeID, error) {
-	if s == "" {
-		return nil, fmt.Errorf("missing nodes parameter")
-	}
-	parts := strings.Split(s, ",")
-	if len(parts) > maxBatch {
-		return nil, fmt.Errorf("batch of %d exceeds limit %d", len(parts), maxBatch)
-	}
-	out := make([]edgelist.NodeID, len(parts))
-	for i, part := range parts {
-		v, err := strconv.ParseUint(strings.TrimSpace(part), 10, 32)
-		if err != nil {
-			return nil, fmt.Errorf("bad node id %q", part)
-		}
-		if int(v) >= h.b.numNodes() {
-			return nil, fmt.Errorf("node %d out of range [0,%d)", v, h.b.numNodes())
-		}
-		out[i] = uint32(v)
-	}
-	return out, nil
-}
-
-func (h *Handler) parseEdges(s string) ([]edgelist.Edge, error) {
-	if s == "" {
-		return nil, fmt.Errorf("missing edges parameter")
-	}
-	parts := strings.Split(s, ",")
-	if len(parts) > maxBatch {
-		return nil, fmt.Errorf("batch of %d exceeds limit %d", len(parts), maxBatch)
-	}
-	out := make([]edgelist.Edge, len(parts))
-	for i, part := range parts {
-		uv := strings.SplitN(strings.TrimSpace(part), ":", 2)
-		if len(uv) != 2 {
-			return nil, fmt.Errorf("bad edge %q, want u:v", part)
-		}
-		u, err := strconv.ParseUint(uv[0], 10, 32)
-		if err != nil {
-			return nil, fmt.Errorf("bad edge %q", part)
-		}
-		v, err := strconv.ParseUint(uv[1], 10, 32)
-		if err != nil {
-			return nil, fmt.Errorf("bad edge %q", part)
-		}
-		if int(u) >= h.b.numNodes() || int(v) >= h.b.numNodes() {
-			return nil, fmt.Errorf("edge %q out of range [0,%d)", part, h.b.numNodes())
-		}
-		out[i] = edgelist.Edge{U: uint32(u), V: uint32(v)}
-	}
-	return out, nil
+	nodes, _, err := parseList(nil, s, &nodeGrammar, h.b.numNodes(), false)
+	return nodes, err
 }
 
 // writeJSON encodes v as the response body. Headers are already sent by the

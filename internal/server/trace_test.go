@@ -107,7 +107,7 @@ func TestForcedTraceUnsharded(t *testing.T) {
 	for _, sp := range tj.Spans {
 		stages[sp.Stage] = true
 	}
-	for _, want := range []trace.Stage{trace.StageParse, trace.StageSchedule, trace.StageSearch} {
+	for _, want := range []trace.Stage{trace.StageParse, trace.StageSchedule, trace.StageSearch, trace.StageEncode, trace.StageWrite} {
 		if !stages[want] {
 			t.Fatalf("missing stage %v in %+v", want, tj.Spans)
 		}
@@ -155,9 +155,16 @@ func TestForcedTraceSharded(t *testing.T) {
 	if len(stages) < 5 {
 		t.Fatalf("only %d distinct stages: %+v", len(stages), tj.Spans)
 	}
-	for _, want := range []trace.Stage{trace.StageParse, trace.StageGroup, trace.StageQueueWait, trace.StageExec, trace.StageMerge} {
+	for _, want := range []trace.Stage{trace.StageParse, trace.StageGroup, trace.StageQueueWait, trace.StageExec, trace.StageMerge, trace.StageEncode, trace.StageWrite} {
 		if !stages[want] {
 			t.Fatalf("missing stage %v", want)
+		}
+	}
+	// The write span counts the body's bytes, so a trace says how large the
+	// reply it timed was.
+	for _, sp := range tj.Spans {
+		if sp.Stage == trace.StageWrite && int(sp.Items) != r.Body.Len() {
+			t.Fatalf("write span covers %d bytes, body has %d", sp.Items, r.Body.Len())
 		}
 	}
 	if len(shardsSeen) != 8 {

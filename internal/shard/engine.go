@@ -166,7 +166,8 @@ func (e *Engine) SourceEdges() (int, bool) {
 	return 0, false
 }
 
-// Neighbors answers a batch of row decodes for local ids.
+// Neighbors answers a batch of row decodes for local ids. With a row table
+// the rows are the table's own (query.StableRower): shared, read-only.
 func (e *Engine) Neighbors(locals []edgelist.NodeID) [][]uint32 {
 	return query.NeighborsBatch(e.rows, locals, e.procs)
 }

@@ -13,7 +13,7 @@ import (
 // testMatrix builds a CSR from random edges with a mild power-law skew: a
 // few hub rows plus uniform noise, so edge-balanced cuts differ visibly
 // from vertex-balanced ones.
-func testMatrix(t *testing.T, n, m int, seed int64) *csr.Matrix {
+func testMatrix(t testing.TB, n, m int, seed int64) *csr.Matrix {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	edges := make([]edgelist.Edge, 0, m)

@@ -158,25 +158,60 @@ type leg struct {
 	lo, hi int
 }
 
+// legHandoff is the largest leg, in items, the caller still runs itself.
+// Handing a leg to another goroutine costs a goroutine start, a WaitGroup
+// slot and a wake-up on another core: about 3 µs per leg measured through
+// the router on two vCPUs (0.7 µs on one), against about 40 ns for a warm
+// probe — 75 items to break even. The constant sits a few times above
+// that, so a leg that is handed off repays the hand-off several times over
+// (DESIGN.md, "Wire path"; BenchmarkLegHandoff re-measures both sides).
+const legHandoff = 256
+
+// large reports whether l is worth a goroutine of its own.
+func (l leg) large() bool { return l.hi-l.lo > legHandoff }
+
 // runLegs executes every leg, bounded by each shard's admission semaphore,
-// and returns when all have merged. A single leg runs inline on the caller
-// — the common all-in-one-shard case pays no goroutine hop. tr (nil when
-// the request is untraced) receives one queue_wait span per leg.
+// and returns when all have merged. Legs of at most legHandoff items run on
+// the caller in shard order; larger ones go to goroutines of their own,
+// except the last, which the caller keeps instead of idling in Wait. tr
+// (nil when the request is untraced) receives one queue_wait span per leg.
 func (r *Router) runLegs(legs []leg, tr *trace.Trace, exec func(l leg)) {
 	fanoutLegs.Observe(int64(len(legs)))
-	if len(legs) == 1 {
-		runLeg(legs[0], tr, exec)
+	keep, large := -1, 0
+	for i := range legs {
+		if legs[i].large() {
+			keep = i
+			large++
+		}
+	}
+	if large < 2 {
+		runInline(legs, keep, tr, exec)
 		return
 	}
 	var wg sync.WaitGroup
-	wg.Add(len(legs))
-	for _, l := range legs {
-		go func(l leg) {
-			defer wg.Done()
-			runLeg(l, tr, exec)
-		}(l)
+	wg.Add(large - 1)
+	for _, l := range legs[:keep] {
+		if l.large() {
+			go func(l leg) {
+				defer wg.Done()
+				runLeg(l, tr, exec)
+			}(l)
+		}
 	}
+	runInline(legs, keep, tr, exec)
 	wg.Wait()
+}
+
+// runInline runs the caller's share of a batch: every leg of at most
+// legHandoff items, plus leg keep.
+//
+//csr:hotpath
+func runInline(legs []leg, keep int, tr *trace.Trace, exec func(l leg)) {
+	for i := range legs {
+		if i == keep || !legs[i].large() {
+			runLeg(legs[i], tr, exec)
+		}
+	}
 }
 
 func runLeg(l leg, tr *trace.Trace, exec func(l leg)) {
@@ -194,12 +229,13 @@ func runLeg(l leg, tr *trace.Trace, exec func(l leg)) {
 	st.depth.Set(float64(st.queued.Add(-1)))
 }
 
-// makeLegs cuts the shard-grouped positions [offs[s], offs[s+1]) into legs
-// of at most MaxLeg items. Empty shards contribute no legs.
-func (r *Router) makeLegs(offs []int32) []leg {
-	var legs []leg
+// makeLegs cuts sc's shard-grouped positions [offs[s], offs[s+1]) into legs
+// of at most MaxLeg items, in sc's own leg list. Empty shards contribute no
+// legs.
+func (r *Router) makeLegs(sc *groupScratch) []leg {
+	legs := sc.legs[:0]
 	for s := range r.shards {
-		lo, hi := int(offs[s]), int(offs[s+1])
+		lo, hi := int(sc.offs[s]), int(sc.offs[s+1])
 		for lo < hi {
 			end := lo + r.cfg.MaxLeg
 			if end > hi {
@@ -209,6 +245,7 @@ func (r *Router) makeLegs(offs []int32) []leg {
 			lo = end
 		}
 	}
+	sc.legs = legs
 	return legs
 }
 
@@ -223,6 +260,7 @@ type groupScratch struct {
 	orig   []int32 // original index per grouped position
 	locals []edgelist.NodeID
 	edges  []edgelist.Edge
+	legs   []leg
 }
 
 func (r *Router) getScratch() *groupScratch {
@@ -347,6 +385,8 @@ func scatterBools(out []bool, orig []int32, vals []bool) {
 // NeighborsBatch answers adjacency decodes for global ids, preserving
 // input order. Rows come back in global id space (shards store global
 // neighbor values) so no reverse translation happens on the merge path.
+// A row served from an engine's row table is the table's own slice, shared
+// with every other request: read-only.
 func (r *Router) NeighborsBatch(ids []edgelist.NodeID) ([][]uint32, error) {
 	return r.NeighborsBatchTraced(ids, nil)
 }
@@ -367,7 +407,7 @@ func (r *Router) NeighborsBatchTraced(ids []edgelist.NodeID, tr *trace.Trace) ([
 	}
 	tr.Span(trace.StageGroup, len(ids), g)
 	routedNeighbors.Add(int64(len(ids)))
-	r.runLegs(r.makeLegs(sc.offs), tr, func(l leg) {
+	r.runLegs(r.makeLegs(sc), tr, func(l leg) {
 		e := l.st.pick()
 		e.enter()
 		x := tr.Now()
@@ -403,7 +443,7 @@ func (r *Router) DegreeBatchTraced(ids []edgelist.NodeID, tr *trace.Trace) ([]in
 	}
 	tr.Span(trace.StageGroup, len(ids), g)
 	routedDegrees.Add(int64(len(ids)))
-	r.runLegs(r.makeLegs(sc.offs), tr, func(l leg) {
+	r.runLegs(r.makeLegs(sc), tr, func(l leg) {
 		e := l.st.pick()
 		e.enter()
 		x := tr.Now()
@@ -441,7 +481,7 @@ func (r *Router) EdgesExistBatchTraced(edges []edgelist.Edge, tr *trace.Trace) (
 	}
 	tr.Span(trace.StageGroup, len(edges), g)
 	routedExists.Add(int64(len(edges)))
-	r.runLegs(r.makeLegs(sc.offs), tr, func(l leg) {
+	r.runLegs(r.makeLegs(sc), tr, func(l leg) {
 		e := l.st.pick()
 		e.enter()
 		x := tr.Now()

@@ -3,6 +3,7 @@ package shard
 import (
 	"math/rand"
 	"reflect"
+	"sync"
 	"testing"
 	"time"
 
@@ -144,7 +145,9 @@ func TestRouterOrderingUnderSlowShard(t *testing.T) {
 		}
 		engines[s] = []*Engine{NewEngine(s, 0, src, EngineConfig{})}
 	}
-	rt, err := NewRouter(part, engines, RouterConfig{MaxLeg: 16})
+	// Legs of 300: above legHandoff, so every shard's first leg runs on a
+	// goroutine of its own beside the caller's.
+	rt, err := NewRouter(part, engines, RouterConfig{MaxLeg: 300})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +156,7 @@ func TestRouterOrderingUnderSlowShard(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
 	// Interleave ids so every leg's results land scattered through the
 	// output, with plenty aimed at the slow shard.
-	ids := make([]edgelist.NodeID, 500)
+	ids := make([]edgelist.NodeID, 1600)
 	for i := range ids {
 		ids[i] = rng.Uint32() % uint32(m.NumNodes())
 	}
@@ -164,13 +167,67 @@ func TestRouterOrderingUnderSlowShard(t *testing.T) {
 	if want := query.NeighborsBatch(refPk, ids, 1); !reflect.DeepEqual(got, want) {
 		t.Fatal("slow shard broke merge ordering for NeighborsBatch")
 	}
-	probes, wantExists := testProbes(t, m, 600, 15)
+	probes, wantExists := testProbes(t, m, 1600, 15)
 	gotExists, err := rt.EdgesExistBatch(probes)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(gotExists, wantExists) {
 		t.Fatal("slow shard broke merge ordering for EdgesExistBatch")
+	}
+}
+
+// TestRouterLegHandoff routes batches whose legs fall on both sides of
+// legHandoff — two shards drawing several large legs each, two drawing a
+// handful of items — so one request runs small legs on the caller, large
+// ones on goroutines, and the last large one on the caller again. Under
+// -race this is the test that watches the mixed merge.
+func TestRouterLegHandoff(t *testing.T) {
+	m := testMatrix(t, 400, 6000, 19)
+	pk := csr.PackMatrix(m, 1)
+	rt := buildRouter(t, m, 4, 2, 1<<20)
+	rt.cfg.MaxLeg = 2 * legHandoff
+	rng := rand.New(rand.NewSource(20))
+	ids := make([]edgelist.NodeID, 0, 3000)
+	for s, count := range []int{1400, 7, 1200, 3} {
+		lo, hi := rt.Partition().Bounds(s)
+		for i := 0; i < count; i++ {
+			ids = append(ids, lo+rng.Uint32()%(hi-lo))
+		}
+	}
+	rng.Shuffle(len(ids), func(i, j int) { ids[i], ids[j] = ids[j], ids[i] })
+	probes := make([]edgelist.Edge, len(ids))
+	for i, u := range ids {
+		probes[i] = edgelist.Edge{U: u, V: rng.Uint32() % uint32(m.NumNodes())}
+	}
+	large := 0
+	sc := rt.getScratch()
+	if err := rt.groupIDs(ids, sc); err != nil {
+		t.Fatal(err)
+	}
+	legs := len(rt.makeLegs(sc))
+	for _, l := range sc.legs {
+		if l.large() {
+			large++
+		}
+	}
+	rt.putScratch(sc)
+	if large < 3 || large == legs {
+		t.Fatalf("%d large legs of %d: the batch does not mix both kinds", large, legs)
+	}
+	for pass := 0; pass < 3; pass++ {
+		rows, err := rt.NeighborsBatch(ids)
+		if err != nil || !reflect.DeepEqual(rows, query.NeighborsBatch(pk, ids, 1)) {
+			t.Fatalf("pass %d: NeighborsBatch differs (%v)", pass, err)
+		}
+		degs, err := rt.DegreeBatch(ids)
+		if err != nil || !reflect.DeepEqual(degs, query.CountBatch(pk, ids, 1)) {
+			t.Fatalf("pass %d: DegreeBatch differs (%v)", pass, err)
+		}
+		exists, err := rt.EdgesExistBatch(probes)
+		if err != nil || !reflect.DeepEqual(exists, query.EdgesExistBatch(pk, probes, 1)) {
+			t.Fatalf("pass %d: EdgesExistBatch differs (%v)", pass, err)
+		}
 	}
 }
 
@@ -374,4 +431,58 @@ func TestNewRouterValidation(t *testing.T) {
 	}, RouterConfig{}); err == nil && part.ShardNodes(0) != part.ShardNodes(1) {
 		t.Fatal("row-count mismatch accepted")
 	}
+}
+
+// BenchmarkLegHandoff measures both sides of legHandoff. "inline" and
+// "handoff" run the same two empty legs, the second either on the caller or
+// on a goroutine it then waits for: the difference is what a hand-off
+// costs. "probe" is one warm existence probe on an engine, the work a
+// hand-off has to be set against.
+func BenchmarkLegHandoff(b *testing.B) {
+	m := testMatrix(b, 4000, 120000, 21)
+	part, pks, err := PartitionSource(csr.PackMatrix(m, 1), 2, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	engines := make([][]*Engine, 2)
+	for s, pk := range pks {
+		engines[s] = NewReplicas(s, 1, pk, EngineConfig{CacheBytes: 32 << 20})
+	}
+	rt, err := NewRouter(part, engines, RouterConfig{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	legs := []leg{{st: rt.shards[0], shard: 0, hi: 1}, {st: rt.shards[1], shard: 1, hi: 1}}
+	exec := func(leg) {}
+	b.Run("inline", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			runInline(legs, -1, nil, exec)
+		}
+	})
+	b.Run("handoff", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			var wg sync.WaitGroup
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				runLeg(legs[0], nil, exec)
+			}()
+			runLeg(legs[1], nil, exec)
+			wg.Wait()
+		}
+	})
+	b.Run("probe", func(b *testing.B) {
+		lo, hi := part.Bounds(0)
+		rng := rand.New(rand.NewSource(22))
+		probes := make([]edgelist.Edge, 256)
+		for i := range probes {
+			probes[i] = edgelist.Edge{U: rng.Uint32() % (hi - lo), V: rng.Uint32() % uint32(m.NumNodes())}
+		}
+		e := engines[0][0]
+		e.EdgesExist(probes) // fill the row table
+		b.ResetTimer()
+		for i := 0; i < b.N; i += len(probes) {
+			e.EdgesExist(probes)
+		}
+	})
 }

@@ -276,6 +276,11 @@ func (ts *tableSource) Row(dst []uint32, u edgelist.NodeID) []uint32 {
 	return row
 }
 
+// StableRows marks Row's results as shared and immutable
+// (query.StableRower): table entries on a hit, fresh decodes the table
+// takes over on a miss.
+func (ts *tableSource) StableRows() bool { return true }
+
 // AvgDegreeHint forwards the engine wrapper's precomputed estimate
 // (query.AvgDegreeHinter), so batch grain sizing through the table never
 // re-probes the shard.

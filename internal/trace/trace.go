@@ -63,13 +63,18 @@ const (
 	StageDecode
 	// StageAbsorb is one distributed-BFS round's frontier absorb phase.
 	StageAbsorb
+	// StageEncode is a batch endpoint appending its JSON body into the
+	// pooled response buffer.
+	StageEncode
+	// StageWrite is that body's single Write to the connection.
+	StageWrite
 
 	numStages
 )
 
 var stageNames = [numStages]string{
 	"parse", "group", "queue_wait", "exec", "merge",
-	"schedule", "search", "decode", "absorb",
+	"schedule", "search", "decode", "absorb", "encode", "write",
 }
 
 // String returns the stage's wire name.

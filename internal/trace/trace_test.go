@@ -14,6 +14,16 @@ func TestStageAndOpNames(t *testing.T) {
 	if got, _ := StageExec.MarshalJSON(); string(got) != `"exec"` {
 		t.Fatalf("stage json = %s", got)
 	}
+	// The name table and the enum move together: every stage has a name,
+	// and the wire-path stages sit at the end.
+	for _, st := range Stages() {
+		if st.String() == "" {
+			t.Fatalf("stage %d has no name", st)
+		}
+	}
+	if StageEncode.String() != "encode" || StageWrite.String() != "write" {
+		t.Fatalf("stage names: %s %s", StageEncode, StageWrite)
+	}
 	for op := Op(0); op < NumOps; op++ {
 		if ParseOp(op.String()) != op {
 			t.Fatalf("ParseOp(%q) != %v", op.String(), op)

@@ -29,6 +29,9 @@ var (
 	traceDepthMax = obs.GetGauge(`csrgraph_shard_queue_depth_max{shard="0"}`)
 )
 
+// The wire path's one series: a counter, so _total.
+var respDropped = obs.GetCounter("csrgraph_http_resp_buffers_dropped_total")
+
 func register(path string, r *obs.Registry) {
 	obs.GetCounter("hits_total")             // want `name family "hits_total" must match`
 	obs.GetCounter("csrgraph_Hits_total")    // want `must match`
