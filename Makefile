@@ -7,9 +7,9 @@ GO ?= go
 # lower-variance trajectory points.
 BENCHTIME ?= 100ms
 
-.PHONY: all build build-cross test test-race race vet fmt fmt-check lint lint-timing lint-json bench-test bench bench-quick bench-json bench-obs bench-trace bench-compare bench-compare-query bench-compare-algo bench-compare-shard bench-startup bench-shard fuzz fuzz-smoke experiments clean
+.PHONY: all build build-cross generate generate-check test test-race race vet fmt fmt-check lint lint-timing lint-json bench-test bench bench-quick bench-json bench-obs bench-trace bench-compare bench-compare-query bench-compare-algo bench-compare-shard bench-startup bench-shard fuzz fuzz-smoke experiments clean
 
-all: build vet lint test test-race bench-test
+all: build generate-check vet lint test test-race bench-test
 
 build:
 	$(GO) build ./...
@@ -21,14 +21,28 @@ build-cross:
 	GOOS=darwin $(GO) build ./...
 	GOOS=windows $(GO) build ./...
 
+# Rewrite the generated width kernels of internal/bitarray (gen_kernels.go).
+generate:
+	$(GO) generate ./internal/bitarray
+
+# Fail when the committed kernels are not what the generator emits:
+# regenerate into a temporary directory and diff.
+generate-check:
+	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
+		$(GO) run internal/bitarray/gen_kernels.go -dir "$$tmp" && \
+		for f in "$$tmp"/*.go; do \
+			diff -u internal/bitarray/$$(basename $$f) $$f || { \
+				echo "generated kernels drifted: run 'make generate'"; exit 1; }; \
+		done
+
 test:
 	$(GO) test ./...
 
 # Race-detect the concurrency hot spots on every verify pass: the parallel
-# worker pool, the batched query dispatch, PackDirect's atomic-OR merge,
-# the radix sort's chunked histogram/scatter passes, and the parallel
-# construction/stream paths behind csr and tcsr are exactly the code the
-# detector should be watching. `race` below covers the whole tree but is
+# worker pool, the batched query dispatch, Pack's processors writing
+# word-aligned chunks of one shared array, the radix sort's chunked
+# histogram/scatter passes, and the parallel construction/stream paths
+# behind csr and tcsr are exactly the code the detector should be watching. `race` below covers the whole tree but is
 # too slow for the default loop.
 test-race:
 	$(GO) test -race ./internal/parallel/... ./internal/query/... ./internal/bitpack/... ./internal/radix/... ./internal/edgelist/... ./internal/obs/... ./internal/server/... ./internal/tcsr/... ./internal/csr/... ./internal/stream/... ./internal/mgraph/... ./internal/frontier/... ./internal/algo/... ./internal/shard/... ./internal/trace/...

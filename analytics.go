@@ -2,6 +2,7 @@ package csrgraph
 
 import (
 	"csrgraph/internal/algo"
+	"csrgraph/internal/csr"
 	"csrgraph/internal/spmatrix"
 )
 
@@ -23,6 +24,16 @@ func (g *Graph) BFS(src NodeID, procs int) []int32 {
 	return algo.BFSFrontier(g.m, nil, src, orDefault(procs, g.procs))
 }
 
+// transpose returns the matrix whose rows are g's in-edges. A graph built
+// WithSymmetrize has a symmetric adjacency matrix with sorted rows, which
+// is its own transpose; anything else pays a parallel counting sort.
+func (g *Graph) transpose(p int) *csr.Matrix {
+	if g.symmetric {
+		return g.m
+	}
+	return spmatrix.Transpose(g.m, p)
+}
+
 // BFSHybrid is the direction-optimizing (push/pull) BFS: identical output
 // to BFS, but large frontiers switch to scanning in-edges of undiscovered
 // nodes, which is faster on low-diameter social graphs. Runs on the
@@ -31,23 +42,25 @@ func (g *Graph) BFS(src NodeID, procs int) []int32 {
 // with WithSymmetrize the graph is its own transpose and none is built.
 func (g *Graph) BFSHybrid(src NodeID, procs int) []int32 {
 	p := orDefault(procs, g.procs)
-	return algo.BFSFrontier(g.m, spmatrix.Transpose(g.m, p), src, p)
+	return algo.BFSFrontier(g.m, g.transpose(p), src, p)
 }
 
 // ConnectedComponents labels every node with the smallest node id in its
 // weakly-connected component via frontier-based min-label propagation:
-// only nodes whose label changed last round propagate in the next.
+// only nodes whose label changed last round propagate in the next. Labels
+// travel against edges too, over the transpose (see BFSHybrid).
 func (g *Graph) ConnectedComponents(procs int) []uint32 {
 	p := orDefault(procs, g.procs)
-	return algo.ConnectedComponentsFrontier(g.m, spmatrix.Transpose(g.m, p), p)
+	return algo.ConnectedComponentsFrontier(g.m, g.transpose(p), p)
 }
 
 // StronglyConnectedComponents labels every node with the smallest node id
 // in its strongly connected component (parallel forward-backward
-// algorithm; the transpose it needs is built internally).
+// algorithm; the transpose it needs is built internally unless the graph
+// is its own, see BFSHybrid).
 func (g *Graph) StronglyConnectedComponents(procs int) []uint32 {
 	p := orDefault(procs, g.procs)
-	return algo.StronglyConnectedComponents(g.m, spmatrix.Transpose(g.m, p), p)
+	return algo.StronglyConnectedComponents(g.m, g.transpose(p), p)
 }
 
 // PageRank computes damped PageRank with parallel power iteration.
@@ -97,10 +110,11 @@ func (g *Graph) MaximalIndependentSet(procs int) []bool {
 }
 
 // HITS computes Kleinberg's hub and authority scores (the transpose
-// needed for the authority step is built internally).
+// needed for the authority step is built internally unless the graph is its
+// own, see BFSHybrid).
 func (g *Graph) HITS(maxIter int, tol float64, procs int) (hubs, authorities []float64) {
 	p := orDefault(procs, g.procs)
-	return algo.HITS(g.m, spmatrix.Transpose(g.m, p), maxIter, tol, p)
+	return algo.HITS(g.m, g.transpose(p), maxIter, tol, p)
 }
 
 // Closeness computes closeness centrality for every node (one frontier

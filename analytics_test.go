@@ -3,6 +3,7 @@ package csrgraph
 import (
 	"math"
 	"reflect"
+	"runtime"
 	"testing"
 )
 
@@ -44,6 +45,77 @@ func TestBFSHybridPublic(t *testing.T) {
 	}
 	if !reflect.DeepEqual(dg.BFSHybrid(0, 2), dg.BFS(0, 2)) {
 		t.Fatal("directed hybrid BFS diverges")
+	}
+}
+
+// allocatedBytes reports the heap bytes f allocates.
+func allocatedBytes(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// TestSymmetrizedGraphIsItsOwnTranspose pins the promise on BFSHybrid: a
+// graph built WithSymmetrize answers the four transpose-using analytics
+// exactly as the same edge set built without the option (which transposes
+// on every call), and allocates nothing the size of the edge array doing
+// it. Derived graphs never carry the flag.
+func TestSymmetrizedGraphIsItsOwnTranspose(t *testing.T) {
+	raw, err := GenerateRMAT(8, 30000, 5, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sym, err := Build(raw, WithSymmetrize())
+	if err != nil {
+		t.Fatal(err)
+	}
+	plain, err := Build(sym.Edges()) // the same matrix, no promise recorded
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !sym.symmetric || plain.symmetric {
+		t.Fatalf("symmetric flag: WithSymmetrize %v, plain %v", sym.symmetric, plain.symmetric)
+	}
+	sub, _, err := sym.Subgraph([]NodeID{0, 1, 2, 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, g := range map[string]*Graph{
+		"Reverse": sym.Reverse(1), "Union": sym.Union(plain), "Subgraph": sub, "Decompress": sym.Compress().Decompress(),
+	} {
+		if g.symmetric {
+			t.Errorf("%s of a symmetrized graph carries the symmetric flag", name)
+		}
+	}
+
+	edgeArray := uint64(4 * sym.NumEdges()) // the transpose's Cols alone
+	if edgeArray < 16*uint64(8*sym.NumNodes()) {
+		t.Fatalf("fixture too sparse to tell an O(m) array from O(n) state: n=%d m=%d", sym.NumNodes(), sym.NumEdges())
+	}
+	type call struct {
+		name string
+		run  func(g *Graph) any
+	}
+	for _, c := range []call{
+		{"BFSHybrid", func(g *Graph) any { return g.BFSHybrid(0, 1) }},
+		{"ConnectedComponents", func(g *Graph) any { return g.ConnectedComponents(1) }},
+		{"StronglyConnectedComponents", func(g *Graph) any { return g.StronglyConnectedComponents(1) }},
+		{"HITS", func(g *Graph) any { h, a := g.HITS(5, 0, 1); return [][]float64{h, a} }},
+	} {
+		var got, want any
+		symBytes := allocatedBytes(func() { got = c.run(sym) })
+		plainBytes := allocatedBytes(func() { want = c.run(plain) })
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: symmetrized graph disagrees with the transposed path", c.name)
+		}
+		if plainBytes < edgeArray {
+			t.Errorf("%s: transposed path allocated %d B, expected at least the %d B edge array", c.name, plainBytes, edgeArray)
+		}
+		if symBytes >= edgeArray {
+			t.Errorf("%s: symmetrized call allocated %d B, an edge array is %d B", c.name, symBytes, edgeArray)
+		}
 	}
 }
 

@@ -63,6 +63,11 @@ func buildConfig(opts []Option) config {
 type Graph struct {
 	m     *csr.Matrix
 	procs int
+	// symmetric records that Build added every edge's reverse, so m is its
+	// own transpose. Only Build sets it: a graph derived from this one
+	// (Reverse, Union, Subgraph, a relabeling, Decompress) makes no such
+	// promise and transposes when it needs in-edges.
+	symmetric bool
 }
 
 // Build constructs a Graph from an edge list. The input is copied, sorted
@@ -81,7 +86,7 @@ func Build(edges []Edge, opts ...Option) (*Graph, error) {
 		}
 		numNodes = c.numNodes
 	}
-	return &Graph{m: csr.Build(l, numNodes, c.procs), procs: c.procs}, nil
+	return &Graph{m: csr.Build(l, numNodes, c.procs), procs: c.procs, symmetric: c.symmetrize}, nil
 }
 
 // ReadEdgeList builds a Graph from a SNAP-format text edge list ("u v" per

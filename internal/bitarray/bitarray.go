@@ -184,6 +184,23 @@ func (a *Array) UintAligned(pos, width int) uint64 {
 	return (a.words[pos>>6] >> (wordBits - width - (pos & 63))) & maskFor(width)
 }
 
+// UintPair reads the two consecutive width-bit values starting at bit pos
+// (width in [1,32], so the pair spans at most 64 bits): one position
+// split, one two-word window and one straddle branch for both, where two
+// Uint calls pay each twice. Like UintAligned it is an internal fast path
+// for checked callers: [pos, pos+2*width) must lie inside the array.
+//
+//csr:hotpath
+func (a *Array) UintPair(pos, width int) (first, second uint32) {
+	w, off := pos>>6, pos&63
+	x := a.words[w] << off
+	if off+2*width > wordBits {
+		x |= a.words[w+1] >> (wordBits - off)
+	}
+	x >>= wordBits - 2*width
+	return uint32(x >> width), uint32(x & maskFor(width))
+}
+
 func maskFor(width int) uint64 {
 	if width >= 64 {
 		return ^uint64(0)

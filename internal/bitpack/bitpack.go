@@ -8,7 +8,9 @@
 // Algorithm 4 parallelizes the encoding: the value array is split into p
 // chunks, each processor packs its chunk into a private bit array, and the
 // per-chunk bit arrays are concatenated. Because the width is global, the
-// concatenation is bit-identical to a sequential pack.
+// concatenation is bit-identical to a sequential pack — and because the
+// width is global every chunk's final bit offset is known up front, so Pack
+// cuts the chunks on word boundaries and writes them in place instead.
 //
 // The package also provides byte-aligned varint and Elias-gamma codecs used
 // as ablation baselines (they compress skewed data better but forfeit O(1)
@@ -20,7 +22,6 @@ import (
 	"errors"
 	"fmt"
 	"math/bits"
-	"sync/atomic"
 
 	"csrgraph/internal/bitarray"
 	"csrgraph/internal/parallel"
@@ -96,91 +97,27 @@ func View(width, n int, words []uint64) (*Packed, error) {
 }
 
 // Pack encodes vals using p processors per Algorithm 4: compute the global
-// width, pack chunks independently, and merge the per-chunk bit arrays.
+// width, then pack chunks independently. Chunks are cut at multiples of 64
+// values — 64 values of any width fill a whole number of words — so every
+// chunk starts on a word boundary of the shared output and its processor
+// packs it straight into its final place (bitarray.PackUints) without
+// touching another's words. This stands in for the paper's per-chunk bit
+// arrays and serial merge, bit for bit; the tests keep that formulation as
+// the reference.
 func Pack(vals []uint32, p int) *Packed {
 	width := WidthFor(MaxValue(vals, p))
-	chunks := parallel.Chunks(len(vals), p)
-	if len(chunks) <= 1 {
-		return packWithWidth(vals, width)
-	}
-	parts := make([]*bitarray.Array, len(chunks))
-	parallel.For(len(vals), len(chunks), func(c int, r parallel.Range) {
-		a := bitarray.New(r.Len() * width)
-		for _, v := range vals[r.Start:r.End] {
-			a.AppendBits(uint64(v), width)
-		}
-		parts[c] = a
+	words := make([]uint64, (len(vals)*width+63)/64)
+	parallel.For((len(vals)+63)/64, p, func(_ int, r parallel.Range) {
+		lo, hi := r.Start*64, min(r.End*64, len(vals))
+		bitarray.PackUints(words[r.Start*width:], vals[lo:hi], width)
 	})
-	// Merge all per-chunk bit arrays from their "global location".
-	merged := bitarray.New(len(vals) * width)
-	for _, part := range parts {
-		merged.AppendArray(part)
-	}
-	return newPacked(width, len(vals), merged)
+	return newPacked(width, len(vals), bitarray.FromWords(words, len(vals)*width))
 }
 
-// PackSequential encodes vals on one processor; the reference for Pack.
+// PackSequential encodes vals value by value on one processor; the
+// reference for Pack.
 func PackSequential(vals []uint32) *Packed {
-	return packWithWidth(vals, WidthFor(MaxValue(vals, 1)))
-}
-
-// PackDirect is the merge-free alternative to Pack (ablation of
-// Algorithm 4's "merge all bitArrays" step): because the width is global,
-// element i's bit offset i*width is known up front, so every processor
-// writes its chunk straight into the shared output word array. Interior
-// words of a chunk are touched by that chunk alone; the single word
-// straddling each chunk boundary is shared by two processors, which
-// contribute disjoint bits — atomic OR makes those concurrent writes safe
-// and order-independent, so the result is bit-identical to Pack.
-func PackDirect(vals []uint32, p int) *Packed {
-	width := WidthFor(MaxValue(vals, p))
-	chunks := parallel.Chunks(len(vals), p)
-	if len(chunks) <= 1 {
-		return packWithWidth(vals, width)
-	}
-	totalBits := len(vals) * width
-	words := make([]atomic.Uint64, (totalBits+63)/64)
-	parallel.For(len(vals), len(chunks), func(c int, r parallel.Range) {
-		// Words wholly inside this chunk's bit range see only this
-		// goroutine; the first and last may be shared with neighbours.
-		firstWord := r.Start * width / 64
-		lastWord := (r.End*width - 1) / 64
-		or := func(w int, bits uint64) {
-			if w == firstWord || w == lastWord {
-				words[w].Or(bits)
-			} else {
-				// Interior: plain read-modify-write through the atomic's
-				// value is unnecessary; Store suffices because no other
-				// goroutine touches this word during the parallel phase.
-				words[w].Store(words[w].Load() | bits)
-			}
-		}
-		for i := r.Start; i < r.End; i++ {
-			v := uint64(vals[i])
-			if width < 64 {
-				v &= (1 << width) - 1
-			}
-			pos := i * width
-			w, off := pos/64, pos%64
-			room := 64 - off
-			if width <= room {
-				or(w, v<<(room-width))
-			} else {
-				rest := width - room
-				or(w, v>>rest)
-				or(w+1, v<<(64-rest))
-			}
-		}
-	})
-	plain := make([]uint64, len(words))
-	for i := range words {
-		plain[i] = words[i].Load()
-	}
-	a := bitarray.FromWords(plain, totalBits)
-	return newPacked(width, len(vals), a)
-}
-
-func packWithWidth(vals []uint32, width int) *Packed {
+	width := WidthFor(MaxValue(vals, 1))
 	a := bitarray.New(len(vals) * width)
 	for _, v := range vals {
 		a.AppendBits(uint64(v), width)
@@ -221,6 +158,19 @@ func (pk *Packed) get(i int) uint32 {
 		return uint32(pk.bits.UintAligned(i*pk.width, pk.width))
 	}
 	return uint32(pk.bits.Uint(i*pk.width, pk.width))
+}
+
+// Pair returns elements i and i+1 from one bounds check and one two-value
+// read (bitarray.UintPair) — a CSR row's [start, end) offsets are exactly
+// such a pair, and two Gets would compute the position, check the bounds
+// and test for a word straddle twice.
+//
+//csr:hotpath
+func (pk *Packed) Pair(i int) (uint32, uint32) {
+	if i < 0 || i+1 >= pk.n {
+		panic(fmt.Sprintf("bitpack: pair [%d,%d] out of range [0,%d)", i, i+1, pk.n))
+	}
+	return pk.bits.UintPair(i*pk.width, pk.width)
 }
 
 //csr:hotpath

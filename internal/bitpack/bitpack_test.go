@@ -7,6 +7,9 @@ import (
 	"sort"
 	"testing"
 	"testing/quick"
+
+	"csrgraph/internal/bitarray"
+	"csrgraph/internal/parallel"
 )
 
 func randVals(n int, max uint32, seed int64) []uint32 {
@@ -63,23 +66,61 @@ func TestParallelPackMatchesSequential(t *testing.T) {
 	}
 }
 
-func TestPackDirectMatchesPack(t *testing.T) {
-	for _, n := range []int{0, 1, 2, 63, 64, 65, 1000, 4097} {
-		vals := randVals(n, 1<<19, int64(n)+100)
-		want := PackSequential(vals)
-		for _, p := range []int{1, 2, 3, 7, 16, 64} {
-			got := PackDirect(vals, p)
-			if !got.Equal(want) {
-				t.Fatalf("n=%d p=%d: direct pack not bit-identical", n, p)
+// packChunkMerge is Algorithm 4 as the paper states it, kept as the
+// reference Pack is checked against: split the values into p chunks
+// wherever they fall, pack each into a private bit array, and merge the
+// per-chunk arrays serially from their global location.
+func packChunkMerge(vals []uint32, p int) *Packed {
+	width := WidthFor(MaxValue(vals, p))
+	chunks := parallel.Chunks(len(vals), p)
+	parts := make([]*bitarray.Array, len(chunks))
+	parallel.For(len(vals), len(chunks), func(c int, r parallel.Range) {
+		a := bitarray.New(r.Len() * width)
+		for _, v := range vals[r.Start:r.End] {
+			a.AppendBits(uint64(v), width)
+		}
+		parts[c] = a
+	})
+	merged := bitarray.New(len(vals) * width)
+	for _, part := range parts {
+		merged.AppendArray(part)
+	}
+	return newPacked(width, len(vals), merged)
+}
+
+// TestPackMatchesSequential checks Pack bit for bit against the
+// value-by-value reference and the paper's chunk merge, for every width,
+// with lengths on both sides of the 64-value chunk cut and of each width's
+// period, so every processor count leaves some chunk a whole number of
+// blocks, some a partial one, and some empty.
+func TestPackMatchesSequential(t *testing.T) {
+	for width := 1; width <= 32; width++ {
+		max := uint32(uint64(1)<<width - 1)
+		for _, n := range []int{0, 1, 31, 63, 64, 65, 127, 128, 129, 191, 192, 193, 517, 1024} {
+			vals := randVals(n, max, int64(width*1000+n))
+			if n > 0 {
+				vals[n/2] = max // pin the width
+			}
+			want := PackSequential(vals)
+			if n > 0 && want.Width() != width {
+				t.Fatalf("width %d: reference packed to %d", width, want.Width())
+			}
+			for _, p := range []int{1, 2, 3, 8} {
+				if got := Pack(vals, p); !got.Equal(want) {
+					t.Fatalf("width=%d n=%d p=%d: Pack not bit-identical to the sequential pack", width, n, p)
+				}
+				if got := packChunkMerge(vals, p); !got.Equal(want) {
+					t.Fatalf("width=%d n=%d p=%d: chunk merge not bit-identical to the sequential pack", width, n, p)
+				}
 			}
 		}
 	}
 }
 
-// Property: merge-based and direct packing agree for arbitrary input.
-func TestQuickPackDirect(t *testing.T) {
+// Property: Pack agrees with the paper's chunk merge for arbitrary input.
+func TestQuickPackMatchesChunkMerge(t *testing.T) {
 	f := func(vals []uint32, p uint8) bool {
-		return PackDirect(vals, int(p)).Equal(Pack(vals, int(p)))
+		return Pack(vals, int(p)).Equal(packChunkMerge(vals, int(p)))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
@@ -119,11 +160,33 @@ func TestSlice(t *testing.T) {
 	}
 }
 
+// TestPairMatchesGet checks the two-value read against two Gets at every
+// index of every width, the last pair included (its second value ends on
+// the array's final bit).
+func TestPairMatchesGet(t *testing.T) {
+	for width := 1; width <= 32; width++ {
+		max := uint32(uint64(1)<<width - 1)
+		for _, n := range []int{2, 3, 64, 65, 203} {
+			vals := randVals(n, max, int64(width*77+n))
+			vals[0] = max
+			pk := Pack(vals, 2)
+			for i := 0; i+1 < n; i++ {
+				a, b := pk.Pair(i)
+				if a != pk.Get(i) || b != pk.Get(i+1) {
+					t.Fatalf("width=%d n=%d: Pair(%d) = (%d,%d), want (%d,%d)", width, n, i, a, b, pk.Get(i), pk.Get(i+1))
+				}
+			}
+		}
+	}
+}
+
 func TestPackedBoundsPanics(t *testing.T) {
 	pk := Pack([]uint32{1, 2, 3}, 1)
 	for name, fn := range map[string]func(){
 		"Get negative":   func() { pk.Get(-1) },
 		"Get past end":   func() { pk.Get(3) },
+		"Pair negative":  func() { pk.Pair(-1) },
+		"Pair past end":  func() { pk.Pair(2) },
 		"Slice past end": func() { pk.Slice(nil, 2, 2) },
 	} {
 		func() {
@@ -289,19 +352,20 @@ func BenchmarkSliceDecode(b *testing.B) {
 	})
 }
 
-// BenchmarkPackMergeVsDirect ablates Algorithm 4's serial merge against
-// the offset-precomputed direct write (DESIGN.md §5).
+// BenchmarkPackMergeVsDirect ablates Algorithm 4's per-chunk arrays and
+// serial merge (the test reference) against Pack's word-aligned chunks
+// written in place (DESIGN.md §5).
 func BenchmarkPackMergeVsDirect(b *testing.B) {
 	vals := randVals(1<<20, 1<<20, 78)
 	for _, p := range []int{1, 4, 16} {
 		b.Run(fmt.Sprintf("merge/p=%d", p), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				Pack(vals, p)
+				packChunkMerge(vals, p)
 			}
 		})
 		b.Run(fmt.Sprintf("direct/p=%d", p), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				PackDirect(vals, p)
+				Pack(vals, p)
 			}
 		})
 	}

@@ -84,9 +84,13 @@ func (pk *Packed) NumBits() int { return pk.cols.Width() }
 func (pk *Packed) OffsetBits() int { return pk.off.Width() }
 
 // RowBounds returns the [start, end) range of u's row in the packed jA
-// array (u's startingIndex and startingIndex+degree in the paper's terms).
+// array (u's startingIndex and startingIndex+degree in the paper's terms),
+// both offsets from one packed read.
+//
+//csr:hotpath
 func (pk *Packed) RowBounds(u edgelist.NodeID) (start, end int) {
-	return int(pk.off.Get(int(u))), int(pk.off.Get(int(u) + 1))
+	s, e := pk.off.Pair(int(u))
+	return int(s), int(e)
 }
 
 // Degree returns the out-degree of u.

@@ -53,23 +53,26 @@ type StableRower interface {
 }
 
 // NeighborsBatch answers an array of neighborhood queries with p
-// processors. Result i holds the neighbors of uNodes[i]. Rows decoded into
-// per-worker buffers are copied into fresh slices so results remain valid
-// independently of the source; a StableRower's rows are returned as they
-// are, shared and read-only.
+// processors. Result i holds the neighbors of uNodes[i]. Rows are caller-
+// owned: each is written once, straight into its own window of a slab
+// allocated per scheduling grab, with its capacity clipped to its length so
+// an append on one row cannot reach the next, and a zero-degree row is
+// empty, not nil. (Rows of one grab share the slab's memory: holding one
+// keeps its neighbours' allocated.) A source whose Row hands out shared
+// memory instead of decoding into dst has the row copied into the window.
+// A StableRower's rows are returned as they are, shared and read-only.
 //
 // Scheduling is work-stealing (parallel.ForDynamic) with a degree-aware
 // grain: under power-law degree skew a static p-way split collapses when
 // one chunk draws the hub nodes, so participants instead grab small index
-// ranges sized to roughly constant decode work. Decode buffers are
-// per-worker and reused across grabs.
+// ranges sized to roughly constant decode work.
 func NeighborsBatch(g Source, uNodes []edgelist.NodeID, p int) [][]uint32 {
 	return NeighborsBatchTraced(g, uNodes, p, nil)
 }
 
 // NeighborsBatchTraced is NeighborsBatch stamping spans into tr (nil means
-// untraced): a schedule span for proc clamping, grain sizing, and scratch
-// allocation, then a decode span covering the parallel row-decoding body.
+// untraced): a schedule span for proc clamping and grain sizing, then a
+// decode span covering the parallel row-decoding body.
 func NeighborsBatchTraced(g Source, uNodes []edgelist.NodeID, p int, tr *trace.Trace) [][]uint32 {
 	start := obs.Now()
 	ts := tr.Now()
@@ -84,14 +87,24 @@ func NeighborsBatchTraced(g Source, uNodes []edgelist.NodeID, p int, tr *trace.T
 			}
 		}
 	} else {
-		bufs := make([][]uint32, p)
-		body = func(w int, r parallel.Range) {
-			for i := r.Start; i < r.End; i++ {
-				buf := g.Row(bufs[w], uNodes[i])
-				bufs[w] = buf
-				row := make([]uint32, len(buf))
-				copy(row, buf)
-				results[i] = row
+		body = func(_ int, r parallel.Range) {
+			nodes := uNodes[r.Start:r.End]
+			degs := make([]int, len(nodes))
+			total := 0
+			for i, u := range nodes {
+				degs[i] = g.Degree(u)
+				total += degs[i]
+			}
+			slab := make([]uint32, total)
+			lo := 0
+			for i, u := range nodes {
+				hi := lo + degs[i]
+				win := slab[lo:hi:hi]
+				if row := g.Row(win, u); len(row) != len(win) || (len(row) > 0 && &row[0] != &win[0]) {
+					win = append(win[:0], row...) // shared memory: copy it in
+				}
+				results[r.Start+i] = win
+				lo = hi
 			}
 		}
 	}

@@ -3,8 +3,11 @@ package query
 import (
 	"math/rand"
 	"reflect"
+	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"csrgraph/internal/csr"
 	"csrgraph/internal/edgelist"
@@ -56,6 +59,73 @@ func TestNeighborsBatchResultsAreIndependentCopies(t *testing.T) {
 		got[0][0] = 0xFFFF
 		if got[1][0] == 0xFFFF {
 			t.Fatal("batch results alias each other")
+		}
+	}
+}
+
+// TestNeighborsBatchRowsAreCallerOwned pins the ownership contract of the
+// slab-per-grab layout on a decoding source (packed CSR) and on one whose
+// Row hands out shared memory (plain CSR): rows of one call never overlap
+// and are clipped to their length, so appending to or overwriting row i
+// leaves row i+1, the source and a second call's answer intact, and a
+// zero-degree row is empty rather than nil.
+func TestNeighborsBatchRowsAreCallerOwned(t *testing.T) {
+	_, m, pk := buildTestGraphs(400, 150, 11) // sparse: some nodes have no out-edges
+	queries := make([]edgelist.NodeID, 0, 400)
+	rng := rand.New(rand.NewSource(12))
+	for u := uint32(0); u < 150; u++ {
+		queries = append(queries, u)
+	}
+	for len(queries) < cap(queries) {
+		queries = append(queries, rng.Uint32()%150) // repeats
+	}
+	for _, p := range []int{1, 2, 8} {
+		for name, g := range map[string]Source{"matrix": m, "packed": pk} {
+			rows := NeighborsBatch(g, queries, p)
+			again := NeighborsBatch(g, queries, p)
+			type span struct{ lo, hi uintptr }
+			var spans []span
+			empty := 0
+			for i, row := range rows {
+				if row == nil {
+					t.Fatalf("p=%d %s: row %d (node %d) is nil", p, name, i, queries[i])
+				}
+				if cap(row) != len(row) {
+					t.Fatalf("p=%d %s: row %d has cap %d, len %d", p, name, i, cap(row), len(row))
+				}
+				if len(row) == 0 {
+					empty++
+					continue
+				}
+				lo := uintptr(unsafe.Pointer(&row[0]))
+				spans = append(spans, span{lo, lo + 4*uintptr(len(row))})
+			}
+			if empty == 0 {
+				t.Fatal("test graph has no zero-degree node")
+			}
+			sort.Slice(spans, func(i, j int) bool { return spans[i].lo < spans[j].lo })
+			for i := 1; i < len(spans); i++ {
+				if spans[i].lo < spans[i-1].hi {
+					t.Fatalf("p=%d %s: two rows of one call overlap", p, name)
+				}
+			}
+			// Scribble over and grow every even row; every odd row, the
+			// source and the second call must not notice.
+			for i := 0; i < len(rows); i += 2 {
+				for j := range rows[i] {
+					rows[i][j] = 0xFFFFFFFF
+				}
+				rows[i] = append(rows[i], 0xFFFFFFFF, 0xFFFFFFFF)
+			}
+			for i, u := range queries {
+				want := m.Neighbors(u)
+				if i%2 == 1 && !slices.Equal(rows[i], want) {
+					t.Fatalf("p=%d %s: row %d changed when its neighbour was written", p, name, i)
+				}
+				if !slices.Equal(again[i], want) {
+					t.Fatalf("p=%d %s: second call's row %d changed", p, name, i)
+				}
+			}
 		}
 	}
 }

@@ -123,9 +123,9 @@ func runAtomicField(pass *analysis.Pass) (any, error) {
 
 // addressedVar resolves &target to the variable being addressed: a struct
 // field for s.f (possibly through indexes), or a non-field variable for a
-// plain identifier. Slice/array elements resolve to nothing — element
-// aliasing is the PackDirect merge pattern, where post-barrier plain
-// reads are intended.
+// plain identifier. Slice/array elements resolve to nothing — atomic
+// writes to shared elements followed by plain reads after the barrier is
+// an intended merge pattern.
 func addressedVar(info *types.Info, target ast.Expr) *types.Var {
 	switch t := ast.Unparen(target).(type) {
 	case *ast.SelectorExpr:

@@ -1,7 +1,7 @@
 // Package atomicfix exercises the atomicfield analyzer: once a field or
 // package-level variable is touched through sync/atomic's function API,
 // every plain access to it in the package is a finding; slice elements
-// (the PackDirect merge pattern) are exempt.
+// (atomic merge, plain reads after the barrier) are exempt.
 package atomicfix
 
 import "sync/atomic"
@@ -43,7 +43,7 @@ func snapshot() int64 {
 }
 
 // sliceElemOK: atomic ops on slice elements don't taint post-barrier plain
-// reads of the same elements — the PackDirect merge pattern.
+// reads of the same elements — the atomic-merge pattern.
 func sliceElemOK(words []int64) int64 {
 	atomic.AddInt64(&words[0], 1)
 	return words[0]
