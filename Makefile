@@ -196,6 +196,7 @@ fuzz:
 	$(GO) test -fuzz FuzzParseContainer -fuzztime $(FUZZTIME) ./internal/mgraph/
 	$(GO) test -fuzz FuzzEdgeMap -fuzztime $(FUZZTIME) ./internal/frontier/
 	$(GO) test -fuzz FuzzParseBatch -fuzztime $(FUZZTIME) ./internal/server/
+	$(GO) test -fuzz FuzzPutRow -fuzztime $(FUZZTIME) ./internal/server/
 
 # CI's bounded fuzz gate: every target for 10s.
 fuzz-smoke:

@@ -36,6 +36,13 @@ import (
 // monopolizing the process.
 const maxBatch = 100_000
 
+// maxReplyNeighbors bounds one /neighbors answer. maxBatch bounds the ids
+// asked for, not the rows they name: a batch that repeats a hub can ask for
+// gigabytes. The response buffer is reserved at neighborMax bytes per
+// neighbour before encoding, so this keeps the reservation at 22 MB; a
+// larger answer is refused before any of it is reserved.
+const maxReplyNeighbors = 2_000_000
+
 // maxBFSNodes bounds the graph size for the BFS endpoint, whose response
 // is O(nodes).
 const maxBFSNodes = 50_000_000
@@ -169,10 +176,16 @@ func (h *Handler) neighbors(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	e := tr.Now()
-	size := 2 + neighborItemMax*len(rows)
+	total := 0
 	for _, row := range rows {
-		size += neighborMax * len(row)
+		total += len(row)
 	}
+	if total > maxReplyNeighbors {
+		httpError(w, http.StatusRequestEntityTooLarge,
+			fmt.Errorf("reply of %d neighbours exceeds limit %d", total, maxReplyNeighbors))
+		return
+	}
+	size := 2 + neighborItemMax*len(rows) + neighborMax*total + wireSlack
 	b := slices.Grow(sc.buf[:0], size)[:size]
 	sc.buf = b[:encodeNeighbors(b, sc.nodes, rows)]
 	tr.Span(trace.StageEncode, len(rows), e)
@@ -197,7 +210,7 @@ func (h *Handler) degree(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	e := tr.Now()
-	size := 2 + degreeItemMax*len(degrees)
+	size := 2 + degreeItemMax*len(degrees) + wireSlack
 	b := slices.Grow(sc.buf[:0], size)[:size]
 	sc.buf = b[:encodeDegrees(b, sc.nodes, degrees)]
 	tr.Span(trace.StageEncode, len(degrees), e)
@@ -222,7 +235,7 @@ func (h *Handler) exists(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	e := tr.Now()
-	size := 2 + existsItemMax*len(exists)
+	size := 2 + existsItemMax*len(exists) + wireSlack
 	b := slices.Grow(sc.buf[:0], size)[:size]
 	sc.buf = b[:encodeExists(b, sc.edges, exists)]
 	tr.Span(trace.StageEncode, len(exists), e)

@@ -21,6 +21,12 @@ func shardedPair(t *testing.T, n, m, k int, opts ...Option) (single, sharded *Ha
 	for i := range l {
 		l[i] = edgelist.Edge{U: rng.Uint32() % uint32(n), V: rng.Uint32() % uint32(n)}
 	}
+	return handlerPair(t, l, n, k, opts...)
+}
+
+// handlerPair is shardedPair over the given edges, in any order.
+func handlerPair(t *testing.T, l edgelist.List, n, k int, opts ...Option) (single, sharded *Handler) {
+	t.Helper()
 	l.SortByUV(1)
 	pk := csr.BuildPacked(l.Dedup(), n, 2)
 	part, pks, err := shard.PartitionSource(pk, k, 2)

@@ -9,9 +9,11 @@
 package server
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 	"net/http"
 	"net/url"
 	"strconv"
@@ -30,6 +32,7 @@ type wireScratch struct {
 	nodes []edgelist.NodeID
 	edges []edgelist.Edge
 	buf   []byte
+	clen  [1]string // the Content-Length header's value slice
 }
 
 var wirePool = sync.Pool{New: func() any { return new(wireScratch) }}
@@ -39,6 +42,10 @@ var wirePool = sync.Pool{New: func() any { return new(wireScratch) }}
 // grow with the largest reply ever sent. (The item slices are bounded by
 // maxBatch: 800 KB of edges.)
 const maxPooledBuf = 1 << 20
+
+// jsonContentType is the Content-Type value of every batch reply, shared:
+// net/http reads header values, never writes them.
+var jsonContentType = []string{"application/json"}
 
 var respBuffersDropped = obs.GetCounter("csrgraph_http_resp_buffers_dropped_total")
 
@@ -265,59 +272,109 @@ const (
 	neighborMax     = len(`4294967295,`)
 )
 
-const digitPairs = "00010203040506070809" +
-	"10111213141516171819" +
-	"20212223242526272829" +
-	"30313233343536373839" +
-	"40414243444546474849" +
-	"50515253545556575859" +
-	"60616263646566676869" +
-	"70717273747576777879" +
-	"80818283848586878889" +
-	"90919293949596979899"
+// digitQuads[v] is v in four ASCII digits, leading zeros kept, the first
+// digit in the low byte: what a little-endian store puts down in reading
+// order. 40 KB, built once.
+var digitQuads [1e4]uint32
+
+func init() {
+	for v := range digitQuads {
+		digitQuads[v] = uint32('0'+v/1000) | uint32('0'+v/100%10)<<8 |
+			uint32('0'+v/10%10)<<16 | uint32('0'+v%10)<<24
+	}
+}
+
+// wireSlack is the room every kernel below needs in b after the last byte
+// of text it is asked to write: they put digits down eight bytes at a
+// store, whatever the number's length.
+const wireSlack = 8
 
 // putUint32 writes v in decimal at b[i:] and returns the index after its
-// last digit. It is strconv.AppendUint cut down to this data: one width,
-// base ten, the digit count taken first so the digits land in place, two
-// per table lookup.
+// last digit. Below 1e8 the number is eight digits from two table lookups
+// in one word, the leading zeros counted and shifted out, one store; from
+// 1e8 the one or two digits above the low eight go first.
 //
 //csr:hotpath
 func putUint32(b []byte, i int, v uint32) int {
-	n := 1
-	switch {
-	case v >= 1e9:
-		n = 10
-	case v >= 1e8:
-		n = 9
-	case v >= 1e7:
-		n = 8
-	case v >= 1e6:
-		n = 7
-	case v >= 1e5:
-		n = 6
-	case v >= 1e4:
-		n = 5
-	case v >= 1e3:
-		n = 4
-	case v >= 100:
-		n = 3
-	case v >= 10:
-		n = 2
+	if v >= 1e8 {
+		top := v / 1e8
+		v -= top * 1e8
+		if top >= 10 {
+			b[i] = byte('0' + top/10)
+			i++
+		}
+		b[i] = byte('0' + top%10)
+		binary.LittleEndian.PutUint64(b[i+1:], uint64(digitQuads[v/1e4])|uint64(digitQuads[v%1e4])<<32)
+		return i + 9
 	}
-	end := i + n
-	b = b[i:end]
-	for n >= 2 {
-		q := v / 100
-		r := (v - q*100) * 2
-		v = q
-		b[n-1] = digitPairs[r+1]
-		b[n-2] = digitPairs[r]
-		n -= 2
+	d := uint64(digitQuads[v/1e4]) | uint64(digitQuads[v%1e4])<<32
+	// A '0' byte is zero after the xor; bit 56 keeps the last digit of 0.
+	skip := bits.TrailingZeros64(d^0x3030303030303030|1<<56) &^ 7
+	binary.LittleEndian.PutUint64(b[i:], d>>skip)
+	return i + 8 - skip/8
+}
+
+// putRow writes row in decimal at b[i:], comma-separated, and returns the
+// index after the last digit. A CSR row is ascending, so the digit count
+// changes at most nine times along it: each length from five to eight
+// digits has a loop of its own in which every shift is a constant and a
+// value and its comma are one store. A loop ends at the first value
+// outside its class, so any order is encoded correctly and a sorted one
+// with predictable branches. Shorter and longer values go through
+// putUint32.
+//
+//csr:hotpath
+func putRow(b []byte, i int, row []uint32) int {
+	if len(row) == 0 {
+		return i
 	}
-	if n == 1 {
-		b[0] = byte('0' + v)
+	for k := 0; k < len(row); {
+		switch v := row[k]; {
+		case v < 1e4 || v >= 1e8:
+			i = putUint32(b, i, v)
+			b[i] = ','
+			i++
+			k++
+		case v < 1e5:
+			for ; k < len(row); k++ {
+				v := row[k]
+				if v < 1e4 || v >= 1e5 {
+					break
+				}
+				binary.LittleEndian.PutUint64(b[i:], uint64('0'+v/1e4)|uint64(digitQuads[v%1e4])<<8|','<<40)
+				i += 6
+			}
+		case v < 1e6:
+			for ; k < len(row); k++ {
+				v := row[k]
+				if v < 1e5 || v >= 1e6 {
+					break
+				}
+				binary.LittleEndian.PutUint64(b[i:], uint64(digitQuads[v/1e4]>>16)|uint64(digitQuads[v%1e4])<<16|','<<48)
+				i += 7
+			}
+		case v < 1e7:
+			for ; k < len(row); k++ {
+				v := row[k]
+				if v < 1e6 || v >= 1e7 {
+					break
+				}
+				binary.LittleEndian.PutUint64(b[i:], uint64(digitQuads[v/1e4]>>8)|uint64(digitQuads[v%1e4])<<24|','<<56)
+				i += 8
+			}
+		default:
+			for ; k < len(row); k++ {
+				v := row[k]
+				if v < 1e7 || v >= 1e8 {
+					break
+				}
+				binary.LittleEndian.PutUint64(b[i:], uint64(digitQuads[v/1e4])|uint64(digitQuads[v%1e4])<<32)
+				b[i+8] = ','
+				i += 9
+			}
+		}
 	}
-	return end
+	return i - 1 // the last comma
 }
 
 // putUint64 is putUint32 for a degree, the one number on the wire that is
@@ -338,7 +395,8 @@ func putUint64(b []byte, i int, v uint64) int {
 }
 
 // encodeExists writes the /exists body into b, which must have room for
-// existsItemMax bytes per edge plus 2, and returns its length.
+// existsItemMax bytes per edge plus 2 plus wireSlack, and returns its
+// length.
 //
 //csr:hotpath
 func encodeExists(b []byte, edges []edgelist.Edge, exists []bool) int {
@@ -359,7 +417,8 @@ func encodeExists(b []byte, edges []edgelist.Edge, exists []bool) int {
 }
 
 // encodeDegrees writes the /degree body into b, which must have room for
-// degreeItemMax bytes per node plus 2, and returns its length.
+// degreeItemMax bytes per node plus 2 plus wireSlack, and returns its
+// length.
 //
 //csr:hotpath
 func encodeDegrees(b []byte, nodes []edgelist.NodeID, degrees []int) int {
@@ -376,9 +435,9 @@ func encodeDegrees(b []byte, nodes []edgelist.NodeID, degrees []int) int {
 }
 
 // encodeNeighbors writes the /neighbors body into b, which must have room
-// for neighborItemMax bytes per node, neighborMax per neighbor and 2, and
-// returns its length. Rows are read, never kept or written: they may be
-// the backend's shared ones.
+// for neighborItemMax bytes per node, neighborMax per neighbor, 2 and
+// wireSlack, and returns its length. Rows are read, never kept or written:
+// they may be the backend's shared ones.
 //
 //csr:hotpath
 func encodeNeighbors(b []byte, nodes []edgelist.NodeID, rows [][]uint32) int {
@@ -386,14 +445,7 @@ func encodeNeighbors(b []byte, nodes []edgelist.NodeID, rows [][]uint32) int {
 	i := 1
 	for k, u := range nodes {
 		i += copy(b[i:], `{"neighbors":[`)
-		for _, v := range rows[k] {
-			i = putUint32(b, i, v)
-			b[i] = ','
-			i++
-		}
-		if len(rows[k]) > 0 {
-			i-- // the row's last comma
-		}
+		i = putRow(b, i, rows[k])
 		i += copy(b[i:], `],"node":`)
 		i = putUint32(b, i, u)
 		i += copy(b[i:], `},`)
@@ -415,9 +467,14 @@ func closeArray(b []byte, i int) int {
 // one Write, so net/http neither sniffs nor chunks.
 func (h *Handler) writeBody(w http.ResponseWriter, sc *wireScratch, tr *trace.Trace) {
 	ws := tr.Now()
+	// Canonical keys and ready-made value slices: what Header.Set would
+	// check and allocate per reply. net/http clones the header map in
+	// WriteHeader, which Write calls, so sc.clen is free again by the time
+	// the scratch is.
 	hdr := w.Header()
-	hdr.Set("Content-Type", "application/json")
-	hdr.Set("Content-Length", strconv.Itoa(len(sc.buf)))
+	hdr["Content-Type"] = jsonContentType
+	sc.clen[0] = strconv.Itoa(len(sc.buf))
+	hdr["Content-Length"] = sc.clen[:]
 	if _, err := w.Write(sc.buf); err != nil {
 		jsonEncodeErrors.Inc()
 		h.o.errLog().Warn("response write failed", "err", err)

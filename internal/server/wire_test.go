@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"math"
@@ -10,6 +11,7 @@ import (
 	"net/http/httptest"
 	"net/url"
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -194,20 +196,55 @@ func wireBackends(t *testing.T) (names []string, hs []*Handler, n int) {
 		[]*Handler{single, cached, one, four}, nodes
 }
 
-func TestWireBodiesMatchReference(t *testing.T) {
-	names, hs, n := wireBackends(t)
-	rng := rand.New(rand.NewSource(7))
-	id := func() uint32 {
-		switch rng.Intn(8) {
-		case 0:
-			return 0
-		case 1:
-			return uint32(n - 1)
-		}
-		return uint32(rng.Intn(n))
+// Wide graph of wideBackends: a node space of seven digits, and a hub whose
+// row runs through every digit count from one to seven.
+const (
+	wideNodes  = 1 << 20
+	wideHub    = 654321
+	wideDegree = 3000
+)
+
+// wideID draws an id of the wide graph with every digit count about
+// equally likely.
+func wideID(rng *rand.Rand) uint32 {
+	hi := uint32(10)
+	for d := rng.Intn(7); d > 0; d-- {
+		hi *= 10
 	}
-	for round := 0; round < 60; round++ {
-		items := 1 + rng.Intn(300)
+	lo := hi / 10
+	if lo == 1 {
+		lo = 0
+	}
+	return lo + uint32(rng.Int63n(int64(min(hi, wideNodes)-lo)))
+}
+
+// wideBackends is wireBackends over the wide graph: ids the 300-node graph
+// never shows the encoders, and a reply too large to go back to the pool.
+func wideBackends(t *testing.T) (names []string, hs []*Handler) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(17))
+	l := edgelist.List{{U: wideHub, V: 0}, {U: wideHub, V: wideNodes - 1}}
+	for seen := map[uint32]bool{0: true, wideNodes - 1: true}; len(seen) < wideDegree; {
+		if v := wideID(rng); !seen[v] {
+			seen[v] = true
+			l = append(l, edgelist.Edge{U: wideHub, V: v})
+		}
+	}
+	for i := 0; i < 4000; i++ {
+		l = append(l, edgelist.Edge{U: wideID(rng), V: wideID(rng)})
+	}
+	single, one := handlerPair(t, l, wideNodes, 1)
+	cached, four := handlerPair(t, l, wideNodes, 4, WithRowCache(1<<20))
+	return []string{"wide-single", "wide-single+rowcache", "wide-sharded-1", "wide-sharded-4"},
+		[]*Handler{single, cached, one, four}
+}
+
+// checkBodies holds random batches of the three endpoints, ids drawn from
+// id, against the reference on every handler.
+func checkBodies(t *testing.T, names []string, hs []*Handler, rounds, maxItems int, rng *rand.Rand, id func() uint32) {
+	t.Helper()
+	for round := 0; round < rounds; round++ {
+		items := 1 + rng.Intn(maxItems)
 		var nodes, edges []string
 		for i := 0; i < items; i++ {
 			u := id()
@@ -229,6 +266,30 @@ func TestWireBodiesMatchReference(t *testing.T) {
 			}
 		}
 	}
+}
+
+func TestWireBodiesMatchReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	names, hs, n := wireBackends(t)
+	checkBodies(t, names, hs, 60, 300, rng, func() uint32 {
+		switch rng.Intn(8) {
+		case 0:
+			return 0
+		case 1:
+			return uint32(n - 1)
+		}
+		return uint32(rng.Intn(n))
+	})
+	names, hs = wideBackends(t)
+	checkBodies(t, names, hs, 10, 100, rng, func() uint32 {
+		switch rng.Intn(16) {
+		case 0:
+			return wideHub
+		case 1:
+			return wideNodes - 1
+		}
+		return wideID(rng)
+	})
 }
 
 // TestWireGrammarMatchesReference walks the corners of what
@@ -347,6 +408,57 @@ func TestOversizedBatchIsRefusedCheaply(t *testing.T) {
 	}
 }
 
+// TestOversizedReplyIsRefusedCheaply is the regression test for the
+// /neighbors answer nothing bounded: a batch inside maxBatch that repeats a
+// hub asked for 11 bytes of buffer per neighbour of the sum. It is refused
+// with 413 before the buffer is reserved, on rows the row table shares, so
+// the refusal allocates nothing in proportion to the answer.
+func TestOversizedReplyIsRefusedCheaply(t *testing.T) {
+	const degree = 2500
+	l := make(edgelist.List, degree)
+	for v := range l {
+		l[v] = edgelist.Edge{U: 0, V: uint32(v + 1)}
+	}
+	single, router := handlerPair(t, l, degree+1, 1)
+	batch := func(repeats int) string { return "nodes=" + strings.Repeat("0,", repeats-1) + "0" }
+
+	const over = maxReplyNeighbors/degree + 1
+	want := fmt.Sprintf("{\"error\":\"reply of %d neighbours exceeds limit %d\"}\n", over*degree, maxReplyNeighbors)
+	for _, h := range []*Handler{single, router} {
+		rec := serve(h, "/neighbors", batch(over))
+		if rec.Code != http.StatusRequestEntityTooLarge || rec.Body.String() != want {
+			t.Fatalf("status %d body %.200q, want 413 %q", rec.Code, rec.Body.String(), want)
+		}
+	}
+
+	w := &nullWriter{h: make(http.Header)}
+	run := func(repeats, wantCode int) {
+		req := httptest.NewRequest("GET", "/neighbors", nil)
+		req.URL.RawQuery = batch(repeats)
+		clear(w.h)
+		w.code = http.StatusOK
+		router.ServeHTTP(w, req)
+		if w.code != wantCode {
+			t.Fatalf("%d neighbours: status %d, want %d", repeats*degree, w.code, wantCode)
+		}
+	}
+	run(over-1, http.StatusOK) // exactly the limit is served
+	if raceEnabled {
+		return
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	const runs = 10
+	for i := 0; i < runs; i++ {
+		run(over, http.StatusRequestEntityTooLarge)
+	}
+	runtime.ReadMemStats(&after)
+	// 801 row headers and the request, against 22 MB of buffer.
+	if per := (after.TotalAlloc - before.TotalAlloc) / runs; per > 128<<10 {
+		t.Errorf("refusing a reply of %d neighbours allocates %d bytes, want <= 128 KiB", over*degree, per)
+	}
+}
+
 // TestWarmExistsAllocs bounds what a warm 256-probe /exists costs through
 // the sharded backend: a constant handful of allocations, not a dozen per
 // probe.
@@ -437,6 +549,98 @@ func TestPutUintMatchesStrconv(t *testing.T) {
 	check(1000000000000000000)
 	check(math.MaxInt64)
 	check(math.MaxUint64)
+}
+
+// checkPutRow holds putRow to strconv.AppendUint on one row, in a buffer of
+// exactly the size the kernels are promised: the text plus wireSlack. What
+// lies before and behind it must not change.
+func checkPutRow(t testing.TB, row []uint32) {
+	t.Helper()
+	want := []byte("xx")
+	for k, v := range row {
+		if k > 0 {
+			want = append(want, ',')
+		}
+		want = strconv.AppendUint(want, uint64(v), 10)
+	}
+	const canary = 0xA5
+	room := len(want) + wireSlack
+	full := bytes.Repeat([]byte{canary}, room+16)
+	copy(full, "xx")
+	end := putRow(full[:room], 2, row)
+	if end != len(want) || string(full[:end]) != string(want) {
+		t.Fatalf("row %v encodes as %.200q (end %d), want %.200q (end %d)", row, full[:max(end, 0)], end, want, len(want))
+	}
+	for _, c := range full[room:] {
+		if c != canary {
+			t.Fatalf("row %v: putRow wrote past the %d bytes of slack", row, wireSlack)
+		}
+	}
+}
+
+func TestPutRowMatchesStrconv(t *testing.T) {
+	// The powers of ten and their neighbours: every first and last value
+	// of every digit class.
+	var edges []uint32
+	for p := uint64(1); p <= math.MaxUint32; p *= 10 {
+		edges = append(edges, uint32(p-1), uint32(p), uint32(p+1))
+	}
+	edges = append(edges, math.MaxUint32-1, math.MaxUint32)
+	checkPutRow(t, nil)
+	checkPutRow(t, []uint32{})
+	for _, v := range edges {
+		checkPutRow(t, []uint32{v})
+		checkPutRow(t, []uint32{v, v})
+	}
+	checkPutRow(t, edges) // ascending through every boundary, one value a side
+	down := slices.Clone(edges)
+	slices.Reverse(down)
+	checkPutRow(t, down)
+
+	rng := rand.New(rand.NewSource(13))
+	anyDigits := func() uint32 { // every digit count about equally likely
+		return uint32(rng.Int63n(1<<33) >> rng.Intn(33))
+	}
+	for round := 0; round < 300; round++ {
+		row := make([]uint32, 1+rng.Intn(400))
+		for k := range row {
+			row[k] = anyDigits()
+		}
+		checkPutRow(t, row) // bouncing between classes at every step
+		slices.Sort(row)
+		checkPutRow(t, row) // a CSR row: long runs, every boundary crossed once
+	}
+	// Long runs inside one class, left by a value of every other class.
+	for _, lo := range []uint32{1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9} {
+		for _, out := range edges {
+			row := make([]uint32, 40)
+			for k := range row {
+				row[k] = lo + uint32(rng.Intn(int(lo)))
+			}
+			row[rng.Intn(len(row))] = out
+			row[len(row)-1-rng.Intn(2)] = out
+			checkPutRow(t, row)
+		}
+	}
+}
+
+// FuzzPutRow holds the row kernel to strconv on arbitrary rows — data read
+// as little-endian values, as they come and sorted.
+func FuzzPutRow(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{7, 0, 0, 0})
+	f.Add(binary.LittleEndian.AppendUint32(binary.LittleEndian.AppendUint32(nil, 99999), 100000))
+	f.Add(bytes.Repeat([]byte{0xff, 0xe0, 0xf5, 0x05, 0x00, 0xe1, 0xf5, 0x05}, 9)) // 99999999, 100000000, …
+	f.Add([]byte("0123456789abcdefghijklmnopqrstuvwxyz"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		row := make([]uint32, len(data)/4)
+		for k := range row {
+			row[k] = binary.LittleEndian.Uint32(data[4*k:])
+		}
+		checkPutRow(t, row)
+		slices.Sort(row)
+		checkPutRow(t, row)
+	})
 }
 
 // FuzzParseBatch holds the scanner against the reference on arbitrary
