@@ -192,6 +192,7 @@ fuzz:
 	$(GO) test -fuzz FuzzDecodeEliasGamma -fuzztime $(FUZZTIME) ./internal/bitpack/
 	$(GO) test -fuzz FuzzPackedUnmarshal -fuzztime $(FUZZTIME) ./internal/bitpack/
 	$(GO) test -fuzz FuzzReadPacked -fuzztime $(FUZZTIME) ./internal/csr/
+	$(GO) test -fuzz FuzzSearchBatch -fuzztime $(FUZZTIME) ./internal/csr/
 	$(GO) test -fuzz FuzzReadPacked -fuzztime $(FUZZTIME) ./internal/tcsr/
 	$(GO) test -fuzz FuzzParseContainer -fuzztime $(FUZZTIME) ./internal/mgraph/
 	$(GO) test -fuzz FuzzEdgeMap -fuzztime $(FUZZTIME) ./internal/frontier/

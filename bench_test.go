@@ -235,7 +235,7 @@ func BenchmarkEdgeExistenceAblation(b *testing.B) {
 	})
 	b.Run("binary", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			pk.HasEdgeBinary(hub, target)
+			pk.SearchRow(hub, target)
 		}
 	})
 	b.Run("split/p=4", func(b *testing.B) {

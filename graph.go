@@ -352,7 +352,7 @@ func (cg *CompressedGraph) Neighbors(u NodeID) []uint32 {
 }
 
 // HasEdge reports whether (u, v) exists by searching the packed row in
-// place — binary lower bound, switching to galloping on hub rows — without
+// place — a branch-free lower bound over the packed bits — without
 // decoding any part of it.
 func (cg *CompressedGraph) HasEdge(u, v NodeID) bool { return cg.pk.SearchRow(u, v) }
 

@@ -59,7 +59,7 @@ func FromWords(words []uint64, nbits int) *Array {
 // since mapped input is untrusted file content rather than a programming
 // mistake. The Array aliases words for its whole lifetime: the caller must
 // keep the backing memory mapped, and when the mapping is read-only only
-// the read-side methods (Bit, Uint, UintAligned, the unpack kernels) may be
+// the read-side methods (Bit, Uint, UintWindow, the unpack kernels) may be
 // used — a SetBit or append would fault or silently detach from the file.
 func View(words []uint64, nbits int) (*Array, error) {
 	if nbits < 0 || len(words) != (nbits+wordBits-1)/wordBits {
@@ -171,34 +171,46 @@ func (a *Array) Uint(pos, width int) uint64 {
 	return hi<<rest | lo
 }
 
-// UintAligned reads `width` bits at position pos like Uint, but requires
-// that the value not straddle a word boundary — guaranteed whenever
-// 64%width == 0 and pos%width == 0, the invariant on the packed-CSR
-// random-access path. It skips Uint's range check and two-word branch; an
-// out-of-bounds word index still panics, but a caller violating the
-// no-straddle precondition gets garbage bits, so this is strictly an
-// internal fast path for checked callers.
+// UintWindow reads the width-bit value (width in [1,32]) at bit pos
+// straight from the two-word window that holds it: always
+// w[k]<<off | w[k+1]>>(64-off), with no test for whether the value
+// straddles a word boundary, which at a width not dividing 64 is a coin
+// flip the branch predictor loses. The second index is clamped to the last
+// word by a sign mask rather than a branch, so a value ending in the final
+// word never reads past the array — mapped views may end on the last
+// readable page. Like Uint without its checks it is an internal fast path
+// for checked callers: [pos, pos+width) must lie inside the array.
 //
 //csr:hotpath
-func (a *Array) UintAligned(pos, width int) uint64 {
-	return (a.words[pos>>6] >> (wordBits - width - (pos & 63))) & maskFor(width)
+func (a *Array) UintWindow(pos, width int) uint32 {
+	return uint32(a.window(pos) >> ((wordBits - width) & 63))
 }
 
 // UintPair reads the two consecutive width-bit values starting at bit pos
-// (width in [1,32], so the pair spans at most 64 bits): one position
-// split, one two-word window and one straddle branch for both, where two
-// Uint calls pay each twice. Like UintAligned it is an internal fast path
-// for checked callers: [pos, pos+2*width) must lie inside the array.
+// (width in [1,32], so the pair spans at most 64 bits) from one window —
+// a CSR row's [start, end) offsets, where two UintWindow calls would split
+// the position twice. [pos, pos+2*width) must lie inside the array.
 //
 //csr:hotpath
 func (a *Array) UintPair(pos, width int) (first, second uint32) {
-	w, off := pos>>6, pos&63
-	x := a.words[w] << off
-	if off+2*width > wordBits {
-		x |= a.words[w+1] >> (wordBits - off)
-	}
-	x >>= wordBits - 2*width
-	return uint32(x >> width), uint32(x & maskFor(width))
+	x, sh := a.window(pos), uint(wordBits-width)&63
+	return uint32(x >> sh), uint32(x << (width & 63) >> sh)
+}
+
+// window returns the 64 bits starting at bit pos. The low word's index is
+// k+1 clamped to the last word: (last-k-1)>>63 is -1 exactly when k is the
+// last word, an arithmetic select (the compiler emits a branch for min or
+// an if here). In the last word the low half therefore re-reads that word,
+// so bits past the end of the array are garbage, never a fault; callers
+// keep only bits inside it. The low word is pre-shifted by one and then by
+// 63-off, so off == 0 shifts it out entirely instead of shifting by 64.
+//
+//csr:hotpath
+func (a *Array) window(pos int) uint64 {
+	w := a.words
+	k, off := pos>>6, uint(pos&63)
+	next := k + 1 + (len(w)-2-k)>>63
+	return w[k]<<off | (w[next]>>1)>>((63-off)&63)
 }
 
 func maskFor(width int) uint64 {

@@ -67,15 +67,6 @@ type Packed struct {
 	width int
 	n     int
 	bits  *bitarray.Array
-	// aligned records 64%width == 0: element i at bit i*width can never
-	// straddle a word boundary, so Get may use the single-word fast path.
-	aligned bool
-}
-
-// newPacked wraps a finished bit array, deriving the alignment flag; every
-// constructor and the deserializer funnel through it.
-func newPacked(width, n int, bits *bitarray.Array) *Packed {
-	return &Packed{width: width, n: n, bits: bits, aligned: 64%width == 0}
 }
 
 // View wraps an externally owned word slice — a mapped container section —
@@ -93,7 +84,7 @@ func View(width, n int, words []uint64) (*Packed, error) {
 	if err != nil {
 		return nil, err
 	}
-	return newPacked(width, n, bits), nil
+	return &Packed{width: width, n: n, bits: bits}, nil
 }
 
 // Pack encodes vals using p processors per Algorithm 4: compute the global
@@ -111,7 +102,7 @@ func Pack(vals []uint32, p int) *Packed {
 		lo, hi := r.Start*64, min(r.End*64, len(vals))
 		bitarray.PackUints(words[r.Start*width:], vals[lo:hi], width)
 	})
-	return newPacked(width, len(vals), bitarray.FromWords(words, len(vals)*width))
+	return &Packed{width: width, n: len(vals), bits: bitarray.FromWords(words, len(vals)*width)}
 }
 
 // PackSequential encodes vals value by value on one processor; the
@@ -122,7 +113,7 @@ func PackSequential(vals []uint32) *Packed {
 	for _, v := range vals {
 		a.AppendBits(uint64(v), width)
 	}
-	return newPacked(width, len(vals), a)
+	return &Packed{width: width, n: len(vals), bits: a}
 }
 
 // Len returns the number of packed values.
@@ -137,33 +128,21 @@ func (pk *Packed) Bits() *bitarray.Array { return pk.bits }
 // SizeBytes returns the payload footprint in bytes.
 func (pk *Packed) SizeBytes() int64 { return int64(pk.bits.SizeBytes()) }
 
-// Get returns element i. When the width divides 64 the value cannot
-// straddle a word boundary and the read is a single load-shift-mask
-// (bitarray.UintAligned) instead of Uint's two-word branch.
+// Get returns element i: one two-word window read (bitarray.UintWindow),
+// with no branch on whether the value straddles a word boundary.
 //
 //csr:hotpath
 func (pk *Packed) Get(i int) uint32 {
 	if i < 0 || i >= pk.n {
 		panic(fmt.Sprintf("bitpack: index %d out of range [0,%d)", i, pk.n))
 	}
-	return pk.get(i)
-}
-
-// get is Get without the bounds check, for the search loops below whose
-// probe indices are validated once up front.
-//
-//csr:hotpath
-func (pk *Packed) get(i int) uint32 {
-	if pk.aligned {
-		return uint32(pk.bits.UintAligned(i*pk.width, pk.width))
-	}
-	return uint32(pk.bits.Uint(i*pk.width, pk.width))
+	return pk.bits.UintWindow(i*pk.width, pk.width)
 }
 
 // Pair returns elements i and i+1 from one bounds check and one two-value
 // read (bitarray.UintPair) — a CSR row's [start, end) offsets are exactly
-// such a pair, and two Gets would compute the position, check the bounds
-// and test for a word straddle twice.
+// such a pair, and two Gets would compute the position and check the
+// bounds twice.
 //
 //csr:hotpath
 func (pk *Packed) Pair(i int) (uint32, uint32) {
@@ -173,59 +152,30 @@ func (pk *Packed) Pair(i int) (uint32, uint32) {
 	return pk.bits.UintPair(i*pk.width, pk.width)
 }
 
-//csr:hotpath
-func (pk *Packed) checkRange(lo, hi int) {
-	if lo < 0 || hi > pk.n || lo > hi {
-		panic(fmt.Sprintf("bitpack: range [%d,%d) out of range [0,%d)", lo, hi, pk.n))
-	}
-}
-
 // LowerBound returns the smallest index i in [lo, hi) with Get(i) >= v, or
 // hi when every element is below v. The elements in [lo, hi) must be
 // sorted ascending. Each probe is a single packed random access, so a
 // sorted run — a CSR neighbor row — is searched without decoding it: the
 // zero-decode primitive behind csr.Packed.SearchRow.
 //
-//csr:hotpath
-func (pk *Packed) LowerBound(lo, hi int, v uint32) int {
-	pk.checkRange(lo, hi)
-	return pk.lowerBound(lo, hi, v)
-}
-
-//csr:hotpath
-func (pk *Packed) lowerBound(lo, hi int, v uint32) int {
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if pk.get(mid) < v {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo
-}
-
-// GallopLowerBound is LowerBound with a galloping (exponential) first
-// phase: probe lo+1, lo+2, lo+4, ... until the value meets v, then binary
-// search the bracketed run. Cost is O(log(i-lo)) in the answer's offset
-// rather than O(log(hi-lo)), which wins on hub rows when queries skew
-// toward small neighbor ids (degree-ordered graphs give hubs small ids),
-// and keeps early probes within a few cache lines of the row start
-// instead of striding across the whole packed row.
+// The search is branch-free: each level compares the middle of [base,
+// base+n) and advances base by the upper part's length under a sign mask
+// (the compiler keeps an if-advance as a branch, a coin flip on a long
+// row). The trip count depends only on hi-lo; an empty range reads nothing.
 //
 //csr:hotpath
-func (pk *Packed) GallopLowerBound(lo, hi int, v uint32) int {
-	pk.checkRange(lo, hi)
-	if lo == hi || pk.get(lo) >= v {
-		return lo
+func (pk *Packed) LowerBound(lo, hi int, v uint32) int {
+	if lo < 0 || hi > pk.n || lo > hi {
+		panic(fmt.Sprintf("bitpack: range [%d,%d) out of range [0,%d)", lo, hi, pk.n))
 	}
-	// Invariant: get(lo+prev) < v.
-	prev, step := 0, 1
-	for lo+step < hi && pk.get(lo+step) < v {
-		prev = step
-		step <<= 1
+	base, n := lo, hi-lo
+	for n > 0 {
+		half := n >> 1
+		x := pk.bits.UintWindow((base+half)*pk.width, pk.width)
+		base += (n - half) & int((int64(x)-int64(v))>>63) // n-half when x < v
+		n = half
 	}
-	return pk.lowerBound(lo+prev+1, min(hi, lo+step), v)
+	return base
 }
 
 // Slice decodes count elements starting at element start into dst, which is
@@ -290,6 +240,6 @@ func (pk *Packed) UnmarshalBinary(data []byte) error {
 	if a.Len() != width*n {
 		return fmt.Errorf("bitpack: payload %d bits, want %d", a.Len(), width*n)
 	}
-	*pk = *newPacked(width, n, &a)
+	*pk = Packed{width: width, n: n, bits: &a}
 	return nil
 }

@@ -85,7 +85,7 @@ func packChunkMerge(vals []uint32, p int) *Packed {
 	for _, part := range parts {
 		merged.AppendArray(part)
 	}
-	return newPacked(width, len(vals), merged)
+	return &Packed{width: width, n: len(vals), bits: merged}
 }
 
 // TestPackMatchesSequential checks Pack bit for bit against the
@@ -371,7 +371,7 @@ func BenchmarkPackMergeVsDirect(b *testing.B) {
 	}
 }
 
-// TestLowerBoundDifferential checks the packed lower-bound searches against
+// TestLowerBoundDifferential checks the packed lower-bound search against
 // sort.Search on the decoded values, including empty ranges, heads, tails,
 // and out-of-range probes, for a spread of widths.
 func TestLowerBoundDifferential(t *testing.T) {
@@ -404,10 +404,64 @@ func TestLowerBoundDifferential(t *testing.T) {
 				if got := pk.LowerBound(lo, hi, v); got != want {
 					t.Fatalf("width %d: LowerBound([%d,%d), %d) = %d, want %d", width, lo, hi, v, got, want)
 				}
-				if got := pk.GallopLowerBound(lo, hi, v); got != want {
-					t.Fatalf("width %d: GallopLowerBound([%d,%d), %d) = %d, want %d", width, lo, hi, v, got, want)
-				}
 			}
 		}
+	}
+}
+
+// benchWidths are the widths the random-access benchmarks run at: the two
+// that divide 64 (a value never straddles a word) and two that do not
+// (21 is the neighbor width of a scale-18..21 graph).
+var benchWidths = []int{16, 18, 21, 32}
+
+// benchPacked packs n sorted values spread over [0, 2^width), pinning the
+// width.
+func benchPacked(width, n int) *Packed {
+	vals := make([]uint32, n)
+	step := (uint64(1) << width) / uint64(n)
+	for i := range vals {
+		vals[i] = uint32(uint64(i) * step)
+	}
+	vals[n-1] = uint32(uint64(1)<<width - 1)
+	return Pack(vals, 1)
+}
+
+// BenchmarkGet measures one random packed read (ns/op is per Get) at
+// scattered indices, the access the existence search is made of.
+func BenchmarkGet(b *testing.B) {
+	const n = 1 << 20
+	for _, width := range benchWidths {
+		pk := benchPacked(width, n)
+		b.Run(fmt.Sprintf("w=%d", width), func(b *testing.B) {
+			var sink uint32
+			idx := uint32(1)
+			for i := 0; i < b.N; i++ {
+				idx = idx*1664525 + 1013904223
+				sink += pk.Get(int(idx % n))
+			}
+			_ = sink
+		})
+	}
+}
+
+// BenchmarkLowerBound measures one LowerBound over a 4096-value sorted run
+// (a hub row) at a random place in the array, for a random probe value
+// inside the run's range, half of them present: ns/op is per search.
+func BenchmarkLowerBound(b *testing.B) {
+	const n, row = 1 << 20, 4096
+	for _, width := range benchWidths {
+		pk := benchPacked(width, n)
+		step := (uint64(1) << width) / n
+		b.Run(fmt.Sprintf("w=%d", width), func(b *testing.B) {
+			sink := 0
+			x := uint64(7)
+			for i := 0; i < b.N; i++ {
+				x = x*6364136223846793005 + 1442695040888963407
+				lo := int(x>>40) % (n - row)
+				v := uint64(lo+int(x>>20)%row)*step + x>>63
+				sink += pk.LowerBound(lo, lo+row, uint32(v))
+			}
+			_ = sink
+		})
 	}
 }

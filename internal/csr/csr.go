@@ -174,6 +174,17 @@ func (m *Matrix) SearchRow(u, v edgelist.NodeID) bool {
 	return m.SearchRange(int(m.RowOffsets[u]), int(m.RowOffsets[u+1]), v)
 }
 
+// SearchBatch answers out[i] = SearchRow(edges[i].U, edges[i].V) for every
+// probe; out must be at least as long as edges.
+//
+//csr:hotpath
+func (m *Matrix) SearchBatch(edges []edgelist.Edge, out []bool) {
+	out = out[:len(edges)]
+	for i, e := range edges {
+		out[i] = m.SearchRow(e.U, e.V)
+	}
+}
+
 // SearchRange reports whether v occurs in the sorted Cols run [start, end)
 // — one row or any subrange of it (Algorithm 8's per-processor unit).
 //

@@ -221,6 +221,17 @@ func (dp *DeltaPacked) SearchRow(u, v edgelist.NodeID) bool {
 	return dp.HasEdge(u, v)
 }
 
+// SearchBatch answers out[i] = SearchRow(edges[i].U, edges[i].V) for every
+// probe; out must be at least as long as edges.
+//
+//csr:hotpath
+func (dp *DeltaPacked) SearchBatch(edges []edgelist.Edge, out []bool) {
+	out = out[:len(edges)]
+	for i, e := range edges {
+		out[i] = dp.SearchRow(e.U, e.V)
+	}
+}
+
 // Unpack expands back to a plain Matrix.
 func (dp *DeltaPacked) Unpack() *Matrix {
 	off := make([]uint32, dp.n+1)

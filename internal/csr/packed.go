@@ -110,9 +110,8 @@ func (pk *Packed) Row(dst []uint32, u edgelist.NodeID) []uint32 {
 	return pk.cols.Slice(dst, start, end-start)
 }
 
-// Neighbor returns the i-th neighbor of u without decoding the whole row.
-// For widths dividing 64 the read is a single aligned word access (see
-// bitpack.Packed.Get).
+// Neighbor returns the i-th neighbor of u without decoding the whole row:
+// one bitpack random access (bitpack.Packed.Get).
 func (pk *Packed) Neighbor(u edgelist.NodeID, i int) uint32 {
 	start, end := pk.RowBounds(u)
 	if i < 0 || start+i >= end {
@@ -133,43 +132,18 @@ func (pk *Packed) HasEdge(u, v edgelist.NodeID) bool {
 	return false
 }
 
-// HasEdgeBinary reports edge existence by binary search over the packed
-// row, using O(log d) random accesses instead of decoding d values — the
-// speed-up Section V-B mentions as an extension.
-func (pk *Packed) HasEdgeBinary(u, v edgelist.NodeID) bool {
-	start, end := pk.RowBounds(u)
-	lo, hi := start, end
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if pk.cols.Get(mid) < v {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo < end && pk.cols.Get(lo) == v
-}
-
 // ColAt returns the neighbor stored at position i of the packed jA array —
-// one bitpack random access (a single aligned word load for widths dividing
-// 64). It is the O(1) column access the frontier core's dense (pull) mode
-// probes rows through (frontier.IndexedRows) without materializing them.
+// one bitpack random access (a two-word window read). It is the O(1)
+// column access the frontier core's dense (pull) mode probes rows through
+// (frontier.IndexedRows) without materializing them.
 //
 //csr:hotpath
 func (pk *Packed) ColAt(i int) uint32 { return pk.cols.Get(i) }
 
-// gallopMinDegree is the row length above which SearchRange switches from
-// plain binary search to the galloping variant. Short rows fit in a cache
-// line or two of packed bits, where binary search's fewer probes win; on
-// hub rows galloping keeps early probes local to the row start and costs
-// O(log answer-offset) when queries skew toward small neighbor ids.
-const gallopMinDegree = 128
-
 // SearchRow reports whether (u, v) exists by searching u's packed row in
 // place — the query engine's zero-decode existence primitive. Every probe
-// is one bitpack random access (single aligned word load for widths
-// dividing 64), so no part of the row is ever materialized; hub rows use
-// the galloping variant.
+// is one two-word window read into the packed bits, so no part of the row
+// is ever materialized.
 //
 //csr:hotpath
 func (pk *Packed) SearchRow(u, v edgelist.NodeID) bool {
@@ -180,17 +154,66 @@ func (pk *Packed) SearchRow(u, v edgelist.NodeID) bool {
 // SearchRange reports whether v occurs among the packed neighbors in
 // positions [start, end) of jA, which must be a sorted run (any subrange
 // of one row is). It is the split unit of Algorithm 8: EdgeExistsSplit
-// hands each processor one subrange to search without decoding.
+// hands each processor one subrange to search without decoding. It is
+// LowerBound plus the equality check, on the bound clamped to end-1 by a
+// sign mask; an empty range reads nothing from jA.
 //
 //csr:hotpath
 func (pk *Packed) SearchRange(start, end int, v edgelist.NodeID) bool {
-	var i int
-	if end-start >= gallopMinDegree {
-		i = pk.cols.GallopLowerBound(start, end, v)
-	} else {
-		i = pk.cols.LowerBound(start, end, v)
+	i := pk.cols.LowerBound(start, end, v)
+	return start < end && pk.cols.Get(i+(end-1-i)>>63) == v
+}
+
+// searchGroup is how many probes SearchBatch reads the row bounds of before
+// searching any of them.
+const searchGroup = 16
+
+// SearchBatch answers out[i] = SearchRow(edges[i].U, edges[i].V) for every
+// probe; out must be at least as long as edges. Probes go in groups of
+// searchGroup: the group's row bounds are read first, independent loads
+// whose cache misses overlap, and then each probe is searched. An empty
+// row — on uniform node ids, most probes of a power-law graph — answers
+// false without touching jA; any other runs query.SearchSorted's halving
+// loop with LowerBound's sign-mask advance. Both reads are inlined over
+// the raw windows behind one range check each, so a probe makes no call:
+// on uniform keys the calls cost 15-20% of a probe.
+//
+//csr:hotpath
+func (pk *Packed) SearchBatch(edges []edgelist.Edge, out []bool) {
+	out = out[:len(edges)]
+	offs, ow, nodes := pk.off.Bits(), pk.off.Width(), pk.NumNodes()
+	bits, w, n := pk.cols.Bits(), pk.cols.Width(), pk.cols.Len()
+	var bounds [searchGroup][2]int
+	for len(edges) > 0 {
+		group := edges[:min(searchGroup, len(edges))]
+		for j, e := range group {
+			if int(e.U) >= nodes {
+				panic(fmt.Sprintf("csr: node %d out of range [0,%d)", e.U, nodes))
+			}
+			start, end := offs.UintPair(int(e.U)*ow, ow)
+			bounds[j][0], bounds[j][1] = int(start), int(end)
+		}
+		for j, e := range group {
+			start, end := bounds[j][0], bounds[j][1]
+			if start == end {
+				out[j] = false
+				continue
+			}
+			if start > end || end > n {
+				panic(fmt.Sprintf("csr: row %d spans [%d,%d) outside jA [0,%d)", e.U, start, end, n))
+			}
+			base, m := start, end-start
+			for m > 1 {
+				half := m >> 1
+				x := bits.UintWindow((base+half-1)*w, w)
+				base += half & int((int64(x)-int64(e.V))>>63) // half when x < v
+				m -= half
+			}
+			// The loop ends on the only position that can hold v.
+			out[j] = bits.UintWindow(base*w, w) == e.V
+		}
+		edges, out = edges[len(group):], out[len(group):]
 	}
-	return i < end && pk.cols.Get(i) == v
 }
 
 // Unpack expands the packed CSR back into a plain Matrix.

@@ -76,7 +76,7 @@ func TestPackedHasEdgeAgree(t *testing.T) {
 	for i := 0; i < 3000; i++ {
 		u, v := rng.Uint32()%200, rng.Uint32()%200
 		want := m.HasEdge(u, v)
-		if pk.HasEdge(u, v) != want || pk.HasEdgeBinary(u, v) != want {
+		if pk.HasEdge(u, v) != want || pk.SearchRow(u, v) != want {
 			t.Fatalf("packed HasEdge(%d,%d) disagrees with matrix", u, v)
 		}
 	}

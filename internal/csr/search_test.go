@@ -5,6 +5,7 @@ import (
 	"sort"
 	"testing"
 
+	"csrgraph/internal/bitpack"
 	"csrgraph/internal/edgelist"
 )
 
@@ -36,6 +37,10 @@ func searchTestMatrix(width int, rows, maxDeg int, rng *rand.Rand) *Matrix {
 	return &Matrix{RowOffsets: off, Cols: cols}
 }
 
+// testHubDegree is the length of the long rows the search tests build:
+// several levels past a cache line of packed bits at every width.
+const testHubDegree = 512
+
 // dedupSorted compacts a sorted row to strictly ascending, the CSR row
 // invariant.
 func dedupSorted(row []uint32) []uint32 {
@@ -51,18 +56,21 @@ func dedupSorted(row []uint32) []uint32 {
 // TestSearchRowDifferentialAcrossWidths quick-checks the zero-decode
 // packed search against sort.Search over the decoded row for every packed
 // width 1..32, probing present values, absent values, values below the
-// first and above the last neighbor, and empty rows.
+// first and above the last neighbor, and empty rows, one probe at a time
+// (SearchRow) and all at once (SearchBatch).
 func TestSearchRowDifferentialAcrossWidths(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for width := 1; width <= 32; width++ {
-		// A mix of short rows and one hub row past the gallop threshold.
+		// A mix of short rows and one hub row.
 		m := searchTestMatrix(width, 8, 24, rng)
-		hub := searchTestMatrix(width, 1, 4*gallopMinDegree, rng)
+		hub := searchTestMatrix(width, 1, testHubDegree, rng)
 		for _, mat := range []*Matrix{m, hub} {
 			pk := PackMatrix(mat, 2)
 			if got := pk.NumBits(); got != width && mat.NumEdges() > 0 {
 				t.Fatalf("width %d: packed to %d bits", width, got)
 			}
+			var batch []edgelist.Edge
+			var wants []bool
 			for u := 0; u < mat.NumNodes(); u++ {
 				row := mat.Neighbors(uint32(u))
 				var probes []uint32
@@ -91,13 +99,46 @@ func TestSearchRowDifferentialAcrossWidths(t *testing.T) {
 					if got := mat.SearchRow(uint32(u), v); got != want {
 						t.Fatalf("width %d: matrix SearchRow(%d, %d) = %v, want %v", width, u, v, got, want)
 					}
-					if got := pk.HasEdgeBinary(uint32(u), v); got != want {
-						t.Fatalf("width %d: HasEdgeBinary(%d, %d) = %v, want %v", width, u, v, got, want)
-					}
+					batch = append(batch, edgelist.Edge{U: uint32(u), V: v})
+					wants = append(wants, want)
 				}
 			}
+			checkSearchBatch(t, pk, batch, wants)
+			checkSearchBatch(t, mat, batch, wants)
 		}
 	}
+}
+
+// checkSearchBatch runs one SearchBatch over all probes and compares every
+// answer; the output slice is longer than the batch and its tail must stay
+// untouched.
+func checkSearchBatch(t *testing.T, s interface {
+	SearchBatch([]edgelist.Edge, []bool)
+}, batch []edgelist.Edge, wants []bool) {
+	t.Helper()
+	out := make([]bool, len(batch)+1)
+	out[len(batch)] = true
+	s.SearchBatch(batch, out)
+	for i, want := range wants {
+		if out[i] != want {
+			t.Fatalf("%T SearchBatch probe %d %v = %v, want %v", s, i, batch[i], out[i], want)
+		}
+	}
+	if !out[len(batch)] {
+		t.Fatalf("%T SearchBatch wrote past the batch", s)
+	}
+}
+
+// TestSearchBatchNodeOutOfRange checks that the inlined row-bounds read
+// keeps RowBounds' range check: a source id past the last node panics.
+func TestSearchBatchNodeOutOfRange(t *testing.T) {
+	pk := PackMatrix(Build(edgelist.List{{U: 0, V: 1}, {U: 1, V: 0}}, 2, 1), 1)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("SearchBatch with node 2 of 2 did not panic")
+		}
+	}()
+	pk.SearchBatch([]edgelist.Edge{{U: 0, V: 1}, {U: 2, V: 0}}, make([]bool, 2))
 }
 
 // TestSearchRangeSubranges checks the Algorithm 8 split unit: searching any
@@ -105,7 +146,7 @@ func TestSearchRowDifferentialAcrossWidths(t *testing.T) {
 // packed and plain forms.
 func TestSearchRangeSubranges(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	m := searchTestMatrix(20, 4, 3*gallopMinDegree, rng)
+	m := searchTestMatrix(20, 4, testHubDegree, rng)
 	pk := PackMatrix(m, 1)
 	for u := 0; u < m.NumNodes(); u++ {
 		start, end := m.RowBounds(uint32(u))
@@ -156,9 +197,105 @@ func TestDeltaSearchRow(t *testing.T) {
 		{1, 0, false}, // empty row
 		{2, 0, true}, {2, 1, false},
 	}
-	for _, c := range cases {
+	batch := make([]edgelist.Edge, len(cases))
+	wants := make([]bool, len(cases))
+	for i, c := range cases {
 		if got := dp.SearchRow(c.u, c.v); got != c.want {
 			t.Fatalf("delta SearchRow(%d, %d) = %v, want %v", c.u, c.v, got, c.want)
+		}
+		batch[i], wants[i] = edgelist.Edge{U: c.u, V: c.v}, c.want
+	}
+	checkSearchBatch(t, dp, batch, wants)
+}
+
+// guardedPacked serves pk's two arrays from guarded mappings (guardedWords)
+// through bitpack.View, as a mapped container would.
+func guardedPacked(t *testing.T, pk *Packed) *Packed {
+	t.Helper()
+	view := func(p *bitpack.Packed) *bitpack.Packed {
+		v, err := bitpack.View(p.Width(), p.Len(), guardedWords(t, p.Bits().Words()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return v
+	}
+	g, err := AssemblePacked(view(pk.off), view(pk.cols))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
+}
+
+// TestSearchGuardedViewsAcrossWidths checks the packed search at the ends
+// of its arrays, where the window read's clamp is all that keeps it inside
+// them: for every neighbor width 1..32 and a sweep of row counts, a last
+// row that ends on the last value of jA, an empty last row whose start
+// equals len(jA), and (somewhere in the sweep) an iA whose final offset
+// pair straddles its last word boundary. Both arrays are bitpack views
+// ending flush against an inaccessible page, so a read past either faults.
+func TestSearchGuardedViewsAcrossWidths(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for width := 1; width <= 32; width++ {
+		limit := uint64(1) << width
+		straddles := 0
+		for rows := 1; rows <= 40; rows++ {
+			for _, lastEmpty := range []bool{false, true} {
+				off := []uint32{0}
+				var cols []uint32
+				for r := 0; r < rows; r++ {
+					row := make([]uint32, rng.Intn(5))
+					if r == rows-1 && lastEmpty {
+						row = row[:0]
+					}
+					for i := range row {
+						row[i] = uint32(rng.Uint64() % limit)
+					}
+					// Pin the width in the last non-empty row, so a full
+					// last row ends on the largest value.
+					if r == rows-1 && !lastEmpty || r == rows-2 && lastEmpty {
+						row = append(row, uint32(limit-1))
+					}
+					sort.Slice(row, func(i, j int) bool { return row[i] < row[j] })
+					cols = append(cols, dedupSorted(row)...)
+					off = append(off, uint32(len(cols)))
+				}
+				m := &Matrix{RowOffsets: off, Cols: cols}
+				pk := guardedPacked(t, PackMatrix(m, 1))
+				if len(cols) > 0 && pk.NumBits() != width {
+					t.Fatalf("width %d: packed to %d bits", width, pk.NumBits())
+				}
+				if ow := pk.OffsetBits(); (rows-1)*ow/64 != ((rows+1)*ow-1)/64 {
+					straddles++
+				}
+				var batch []edgelist.Edge
+				var wants []bool
+				for u := 0; u < rows; u++ {
+					row := m.Neighbors(uint32(u))
+					if start, end := pk.RowBounds(uint32(u)); start != int(off[u]) || end != int(off[u+1]) {
+						t.Fatalf("width %d rows %d: RowBounds(%d) = [%d,%d), want [%d,%d)", width, rows, u, start, end, off[u], off[u+1])
+					}
+					probes := []uint32{0, uint32(limit - 1), uint32(rng.Uint64() % limit)}
+					for _, v := range row {
+						probes = append(probes, v, v+1, v-1)
+					}
+					for _, v := range probes {
+						i := sort.Search(len(row), func(i int) bool { return row[i] >= v })
+						want := i < len(row) && row[i] == v
+						if got := pk.SearchRow(uint32(u), v); got != want {
+							t.Fatalf("width %d rows %d: SearchRow(%d, %d) = %v, want %v (row %v)", width, rows, u, v, got, want, row)
+						}
+						if got := pk.cols.LowerBound(int(off[u]), int(off[u+1]), v); got != int(off[u])+i {
+							t.Fatalf("width %d rows %d: LowerBound row %d, %d = %d, want %d", width, rows, u, v, got, int(off[u])+i)
+						}
+						batch = append(batch, edgelist.Edge{U: uint32(u), V: v})
+						wants = append(wants, want)
+					}
+				}
+				checkSearchBatch(t, pk, batch, wants)
+			}
+		}
+		if straddles == 0 {
+			t.Fatalf("width %d: no row count put the final offset pair across a word boundary", width)
 		}
 	}
 }

@@ -275,14 +275,28 @@ func (cs *CachedSource) SearchRow(u, v edgelist.NodeID) bool {
 	return SearchSorted(cs.Row(nil, u), v)
 }
 
+// SearchBatch answers a run of existence probes: one forward when the
+// underlying source searches rows in place, otherwise a binary search of
+// each probe's (cached) decoded row, as SearchRow does.
+func (cs *CachedSource) SearchBatch(edges []edgelist.Edge, out []bool) {
+	if s, ok := cs.src.(Searcher); ok {
+		s.SearchBatch(edges, out)
+		return
+	}
+	out = out[:len(edges)]
+	for i, e := range edges {
+		out[i] = SearchSorted(cs.Row(nil, e.U), e.V)
+	}
+}
+
 // Stats reports the wrapped cache's counters.
 func (cs *CachedSource) Stats() CacheStats { return cs.cache.Stats() }
 
-// SearchSorted binary-searches a sorted decoded row for v. The search is
-// branch-free: the conditional advance is a data move the compiler turns
-// into a conditional select, so a probe never pays a branch-mispredict
-// per level — on hub rows the comparison outcome is a coin flip, and the
-// ~15 mispredicts of a branchy search cost more than the loads.
+// SearchSorted binary-searches a sorted decoded row for v with the halving
+// loop: the answer stays in [base, base+n] and the trip count depends only
+// on len(row). The conditional advance is written as a data move, but Go
+// 1.24 compiles it to a branch, not a conditional select; the packed
+// search (bitpack.Packed.LowerBound) uses a sign mask instead.
 //
 //csr:hotpath
 func SearchSorted(row []uint32, v edgelist.NodeID) bool {
@@ -301,9 +315,11 @@ func SearchSorted(row []uint32, v edgelist.NodeID) bool {
 // its row to be decoded into the cache. Short rows are cheap to search in
 // place and would only churn the budget; long (hub) rows are exactly where
 // a decoded, contiguous row beats O(log d) random accesses into the packed
-// bits — and power-law traffic re-probes those few rows constantly. The
-// threshold matches the degree where the packed search switches to
-// galloping.
+// bits — and power-law traffic re-probes those few rows constantly. 128 is
+// a cache-budget choice: a 128-value packed row spans several cache lines
+// (336 bytes at 21 bits), so each of its ~7 search levels can miss, while
+// its decode is one bulk kernel pass that repeat probes amortize; the
+// power-law tail keeps rows that long a small share of the nodes.
 const existsAdmitDegree = 128
 
 // EdgesExistBatchCached is EdgesExistBatchSearch with a hot-row cache on

@@ -295,3 +295,28 @@ func TestAvgDegreeHint(t *testing.T) {
 		t.Fatalf("avgDegreeOf(plain) = %d, want default 8", got)
 	}
 }
+
+// TestCachedSourceSearchBatch pins the batched search through the cache
+// wrapper: forwarded to a source that searches in place, answered from
+// (cached) decoded rows otherwise, and through the engine's dispatch.
+func TestCachedSourceSearchBatch(t *testing.T) {
+	l, m, pk := buildTestGraphs(4000, 300, 5)
+	rng := rand.New(rand.NewSource(6))
+	queries := make([]edgelist.Edge, 0, 600)
+	for i := 0; i < 300; i++ {
+		queries = append(queries, l[rng.Intn(len(l))])
+		queries = append(queries, edgelist.Edge{U: rng.Uint32() % 300, V: rng.Uint32() % 300})
+	}
+	want := EdgesExistBatch(m, queries, 1)
+	for name, src := range map[string]Source{"packed": pk, "plain": plainSource{m}} {
+		cs := Cached(src, NewRowCache(1<<20)).(*CachedSource)
+		got := make([]bool, len(queries))
+		cs.SearchBatch(queries, got)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: CachedSource.SearchBatch disagrees with baseline", name)
+		}
+		if got := EdgesExistBatchSearch(cs, queries, 2); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: EdgesExistBatchSearch through the cache disagrees with baseline", name)
+		}
+	}
+}

@@ -5,9 +5,10 @@
 // engine the public API routes through instead:
 //
 //   - Existence queries go zero-decode: sources that can search their own
-//     rows in place (Searcher — bit-packed CSR binary/galloping search,
-//     plain CSR early-exit binary search, delta CSR early-exit sequential
-//     decode) are probed without ever materializing a row.
+//     rows in place (Searcher — bit-packed CSR branch-free search, plain CSR
+//     early-exit binary search, delta CSR early-exit sequential decode) are
+//     probed without ever materializing a row, one SearchBatch call per
+//     work-stealing grab.
 //   - Batches are scheduled with parallel.ForDynamic's work-stealing grabs
 //     instead of static chunks, with a degree-aware grain so hub-heavy
 //     batches stay balanced.
@@ -25,11 +26,16 @@ import (
 )
 
 // Searcher is a Source that can answer an existence query by searching a
-// row in place, without materializing it. csr.Packed (binary/galloping
-// search over the packed bits), csr.Matrix (early-exit binary search) and
-// csr.DeltaPacked (early-exit sequential decode) all qualify.
+// row in place, without materializing it. csr.Packed (branch-free search
+// over the packed bits), csr.Matrix (early-exit binary search) and
+// csr.DeltaPacked (early-exit sequential decode) all qualify. SearchBatch
+// answers out[i] = SearchRow(edges[i].U, edges[i].V) for a run of probes
+// (out at least as long as edges): one interface call per run instead of
+// one per probe, and room for the source to order its own loads —
+// csr.Packed reads a group's row bounds before searching any of them.
 type Searcher interface {
 	SearchRow(u, v edgelist.NodeID) bool
+	SearchBatch(edges []edgelist.Edge, out []bool)
 }
 
 // RangeSearcher is a Source whose rows live in one indexable column array
@@ -134,9 +140,7 @@ func EdgesExistBatchSearchTraced(g Source, edges []edgelist.Edge, p int, tr *tra
 		tr.Span(trace.StageSchedule, len(edges), ts)
 		tx := tr.Now()
 		parallel.ForDynamic(len(edges), p, searchGrain, func(_ int, r parallel.Range) {
-			for i := r.Start; i < r.End; i++ {
-				results[i] = s.SearchRow(edges[i].U, edges[i].V)
-			}
+			s.SearchBatch(edges[r.Start:r.End], results[r.Start:r.End])
 		})
 		tr.Span(trace.StageSearch, len(edges), tx)
 		existsBatchSize.Observe(int64(len(edges)))

@@ -85,6 +85,9 @@ type searchHinted struct {
 // SearchRow forwards the zero-decode in-place search.
 func (h *searchHinted) SearchRow(u, v edgelist.NodeID) bool { return h.s.SearchRow(u, v) }
 
+// SearchBatch forwards the batched in-place search.
+func (h *searchHinted) SearchBatch(edges []edgelist.Edge, out []bool) { h.s.SearchBatch(edges, out) }
+
 // engineSource picks the interface view the query engine should see:
 // sources that can search rows in place keep that ability through the hint
 // wrapper, others only gain the hint.

@@ -48,7 +48,7 @@ func (pt *Packed) Active(u, v edgelist.NodeID, t int) bool {
 	}
 	count := 0
 	for i := 0; i <= t; i++ {
-		if int(u) < pt.frames[i].NumNodes() && pt.frames[i].HasEdgeBinary(u, v) {
+		if int(u) < pt.frames[i].NumNodes() && pt.frames[i].SearchRow(u, v) {
 			count++
 		}
 	}

@@ -5,9 +5,12 @@
 //	BenchmarkEdgesExistBatch — existence probes on a 10M-edge packed CSR,
 //	    algo=linear (decode + early-exit scan, the pre-engine baseline),
 //	    algo=binary (decode + binary search), algo=search (zero-decode
-//	    packed search with galloping on hub rows). Probe sources are
-//	    degree-biased (sampled from edge endpoints), matching the
-//	    traffic-follows-hubs skew of social-network workloads.
+//	    branch-free packed search). Probe sources are degree-biased
+//	    (sampled from edge endpoints), matching the traffic-follows-hubs
+//	    skew of social-network workloads. The dist=rmat variants run the
+//	    zero-decode search alone on a scale-18 R-MAT graph in 16384-probe
+//	    batches: keys=edge draws sources from edges, keys=node draws uniform
+//	    node ids, so that most probes land on empty rows.
 //	BenchmarkNeighborsBatch — batched row decodes, cache=cold (straight
 //	    packed decode) vs cache=warm (hot-row cache, pre-warmed), on a
 //	    hub-heavy batch and a uniform batch.
@@ -107,35 +110,103 @@ func queryBenchProbes(g *queryBenchGraph, nq int) []edgelist.Edge {
 
 // BenchmarkEdgesExistBatch is the engine's acceptance benchmark: the
 // zero-decode search path against the decode-and-scan baselines on the
-// 10M-edge graphs.
+// 10M-edge graphs, and the search alone on the R-MAT graph under both key
+// distributions.
 func BenchmarkEdgesExistBatch(b *testing.B) {
-	graphs := queryBenchSetup(b)
+	b.Run("dist=rmat", benchExistsRMAT)
 	const nq = 4096
 	for _, dist := range []string{"uniform", "powerlaw"} {
-		g := graphs[dist]
-		probes := queryBenchProbes(g, nq)
-		algos := []struct {
-			name string
-			fn   func(query.Source, []edgelist.Edge, int) []bool
-		}{
-			{"linear", query.EdgesExistBatch},
-			{"binary", query.EdgesExistBatchBinary},
-			{"search", query.EdgesExistBatchSearch},
-		}
-		// The regression gate for the mmap path: the zero-decode search on
-		// the mapped container must match algo=search on the heap arrays.
-		b.Run(fmt.Sprintf("dist=%s/edges=%d/algo=search-mmap", dist, queryBenchEdges), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				query.EdgesExistBatchSearch(g.mpk, probes, 4)
+		b.Run("dist="+dist, func(b *testing.B) {
+			g := queryBenchSetup(b)[dist]
+			probes := queryBenchProbes(g, nq)
+			algos := []struct {
+				name string
+				fn   func(query.Source, []edgelist.Edge, int) []bool
+			}{
+				{"linear", query.EdgesExistBatch},
+				{"binary", query.EdgesExistBatchBinary},
+				{"search", query.EdgesExistBatchSearch},
 			}
-			b.ReportMetric(float64(nq)*float64(b.N)/b.Elapsed().Seconds(), "queries/s")
-		})
-		for _, algo := range algos {
-			b.Run(fmt.Sprintf("dist=%s/edges=%d/algo=%s", dist, queryBenchEdges, algo.name), func(b *testing.B) {
+			// The regression gate for the mmap path: the zero-decode search
+			// on the mapped container must match algo=search on the heap
+			// arrays.
+			b.Run(fmt.Sprintf("edges=%d/algo=search-mmap", queryBenchEdges), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					algo.fn(g.pk, probes, 4)
+					query.EdgesExistBatchSearch(g.mpk, probes, 4)
 				}
 				b.ReportMetric(float64(nq)*float64(b.N)/b.Elapsed().Seconds(), "queries/s")
+			})
+			for _, algo := range algos {
+				b.Run(fmt.Sprintf("edges=%d/algo=%s", queryBenchEdges, algo.name), func(b *testing.B) {
+					for i := 0; i < b.N; i++ {
+						algo.fn(g.pk, probes, 4)
+					}
+					b.ReportMetric(float64(nq)*float64(b.N)/b.Elapsed().Seconds(), "queries/s")
+				})
+			}
+		})
+	}
+}
+
+// rmatBenchScale and rmatBenchEdges size the R-MAT graph of the dist=rmat
+// variants: the node space and edge count of csrload's default profile
+// (bench/workloads.json).
+const (
+	rmatBenchScale = 18
+	rmatBenchEdges = 2_000_000
+)
+
+var (
+	rmatBenchOnce sync.Once
+	rmatBench     *queryBenchGraph
+)
+
+// rmatBenchProbes builds nq probes on g: keys=node takes uniform node ids
+// as sources, keys=edge the source of a random edge; half the targets of
+// non-empty rows are true neighbours, the rest uniform node ids.
+func rmatBenchProbes(g *queryBenchGraph, keys string, nq int) []edgelist.Edge {
+	next := benchRNG(31)
+	n := uint32(g.pk.NumNodes())
+	probes := make([]edgelist.Edge, nq)
+	var row []uint32
+	for i := range probes {
+		u := next() % n
+		if keys == "edge" {
+			u = g.edges[next()%uint32(len(g.edges))].U
+		}
+		v := next() % n
+		if row = g.pk.Row(row, u); len(row) > 0 && next()&1 == 0 {
+			v = row[next()%uint32(len(row))]
+		}
+		probes[i] = edgelist.Edge{U: u, V: v}
+	}
+	return probes
+}
+
+// benchExistsRMAT runs the zero-decode search in 16384-probe batches on the
+// R-MAT graph, for both key distributions at p=1 and p=2. ns/probe is the
+// per-probe cost across all processors.
+func benchExistsRMAT(b *testing.B) {
+	rmatBenchOnce.Do(func() {
+		edges, err := GenerateRMAT(rmatBenchScale, rmatBenchEdges, 42, 4)
+		if err != nil {
+			panic(err)
+		}
+		g, err := Build(edges, WithProcs(4))
+		if err != nil {
+			panic(err)
+		}
+		rmatBench = &queryBenchGraph{pk: csr.PackMatrix(g.m, 4), edges: edges}
+	})
+	const nq = 16384
+	for _, keys := range []string{"node", "edge"} {
+		probes := rmatBenchProbes(rmatBench, keys, nq)
+		for _, p := range []int{1, 2} {
+			b.Run(fmt.Sprintf("edges=%d/keys=%s/p=%d", rmatBenchEdges, keys, p), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					query.EdgesExistBatchSearch(rmatBench.pk, probes, p)
+				}
+				b.ReportMetric(b.Elapsed().Seconds()*1e9/(float64(nq)*float64(b.N)), "ns/probe")
 			})
 		}
 	}
