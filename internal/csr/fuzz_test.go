@@ -48,13 +48,20 @@ func FuzzReadPacked(f *testing.F) {
 
 // FuzzSearchBatch checks the grouped packed search against sort.Search:
 // the fuzzer picks the neighbor width, each byte of degs is one row (its
-// degree, 0 included, so empty rows are common), and seed drives the row
-// values and the probes — members, their neighbors, and random values.
+// degree mod 65, 0 included, so empty rows are common; a byte from 240 up is
+// a hub of (b-239)*520 values, past one cache line of bits at every width
+// and so many levels deeper than the short rows, whose values may repeat), and seed drives the row values and the probes —
+// members, their neighbors, and random values.
 func FuzzSearchBatch(f *testing.F) {
 	f.Add(uint8(21), []byte{0, 3, 0, 0, 7, 1, 0, 40}, uint64(1))
 	f.Add(uint8(1), []byte{2, 0, 1}, uint64(2))
 	f.Add(uint8(32), []byte{0, 0, 0, 5}, uint64(3))
 	f.Add(uint8(16), []byte{64, 0, 17, 33, 0}, uint64(4))
+	// Mixed groups: hubs beside empty, one-line and just-past-a-line rows.
+	f.Add(uint8(17), []byte{0, 241, 3, 0, 30, 31, 32, 250, 1, 0, 2, 245, 0, 9, 0, 0, 60, 255}, uint64(5))
+	f.Add(uint8(0), []byte{240, 0, 1, 2, 240, 0}, uint64(6))
+	f.Add(uint8(31), []byte{242, 16, 17, 0, 15, 242, 0, 0, 18, 1}, uint64(7))
+	f.Add(uint8(8), []byte{64, 63, 62, 0, 243, 0, 65, 0, 0, 1, 244, 7}, uint64(8))
 	f.Fuzz(func(t *testing.T, w uint8, degs []byte, seed uint64) {
 		width := int(w)%32 + 1
 		if len(degs) > 512 {
@@ -71,12 +78,20 @@ func FuzzSearchBatch(f *testing.F) {
 		off := []uint32{0}
 		var cols []uint32
 		for _, d := range degs {
-			row := make([]uint32, int(d)%65)
+			hub := d >= 240 && len(cols) < 1<<16
+			deg := int(d) % 65
+			if hub {
+				deg = (int(d) - 239) * 520
+			}
+			row := make([]uint32, deg)
 			for i := range row {
 				row[i] = uint32(next() % limit)
 			}
 			sort.Slice(row, func(i, j int) bool { return row[i] < row[j] })
-			cols = append(cols, dedupSorted(row)...)
+			if !hub {
+				row = dedupSorted(row)
+			}
+			cols = append(cols, row...)
 			off = append(off, uint32(len(cols)))
 		}
 		m := &Matrix{RowOffsets: off, Cols: cols}

@@ -165,18 +165,29 @@ func (pk *Packed) SearchRange(start, end int, v edgelist.NodeID) bool {
 }
 
 // searchGroup is how many probes SearchBatch reads the row bounds of before
-// searching any of them.
+// searching any of them, and how many it interleaves.
 const searchGroup = 16
 
 // SearchBatch answers out[i] = SearchRow(edges[i].U, edges[i].V) for every
-// probe; out must be at least as long as edges. Probes go in groups of
-// searchGroup: the group's row bounds are read first, independent loads
-// whose cache misses overlap, and then each probe is searched. An empty
-// row — on uniform node ids, most probes of a power-law graph — answers
-// false without touching jA; any other runs query.SearchSorted's halving
-// loop with LowerBound's sign-mask advance. Both reads are inlined over
-// the raw windows behind one range check each, so a probe makes no call:
-// on uniform keys the calls cost 15-20% of a probe.
+// probe; out must be at least as long as edges. It is a level-interleaved
+// group search: probes go in groups of searchGroup, in three passes over
+// the group.
+//
+//  1. Read the row bounds, independent loads whose cache misses overlap.
+//  2. Answer an empty row false without touching jA, and put every row of
+//     two or more values on the live list; a one-value row waits for the
+//     final compares.
+//  3. Advance every live probe by one level of query.SearchSorted's
+//     halving loop per sweep, with LowerBound's sign-mask advance. The
+//     window reads of one sweep are independent of each other, so the
+//     cache misses of one hub row's levels overlap with the other rows'
+//     instead of forming one serial chain per probe. A probe leaves the
+//     list when its range is one value wide, which is the only position
+//     that can hold v, so the final compares need no clamp.
+//
+// The list is compacted without a branch, and all reads are inlined over
+// the raw windows behind one range check per row: a probe makes no call,
+// and every read stays inside its row.
 //
 //csr:hotpath
 func (pk *Packed) SearchBatch(edges []edgelist.Edge, out []bool) {
@@ -184,6 +195,12 @@ func (pk *Packed) SearchBatch(edges []edgelist.Edge, out []bool) {
 	offs, ow, nodes := pk.off.Bits(), pk.off.Width(), pk.NumNodes()
 	bits, w, n := pk.cols.Bits(), pk.cols.Width(), pk.cols.Len()
 	var bounds [searchGroup][2]int
+	// The search state of the group's non-empty rows, in their order in the
+	// group: the probe (slot, val) has its candidate range at
+	// [base, base+cnt).
+	var base, cnt, slot [searchGroup]int
+	var val [searchGroup]uint32
+	var live [searchGroup]int // the rows still halving
 	for len(edges) > 0 {
 		group := edges[:min(searchGroup, len(edges))]
 		for j, e := range group {
@@ -193,6 +210,7 @@ func (pk *Packed) SearchBatch(edges []edgelist.Edge, out []bool) {
 			start, end := offs.UintPair(int(e.U)*ow, ow)
 			bounds[j][0], bounds[j][1] = int(start), int(end)
 		}
+		nl, k := 0, 0
 		for j, e := range group {
 			start, end := bounds[j][0], bounds[j][1]
 			if start == end {
@@ -202,15 +220,28 @@ func (pk *Packed) SearchBatch(edges []edgelist.Edge, out []bool) {
 			if start > end || end > n {
 				panic(fmt.Sprintf("csr: row %d spans [%d,%d) outside jA [0,%d)", e.U, start, end, n))
 			}
-			base, m := start, end-start
-			for m > 1 {
-				half := m >> 1
-				x := bits.UintWindow((base+half-1)*w, w)
-				base += half & int((int64(x)-int64(e.V))>>63) // half when x < v
-				m -= half
+			q := nl & (searchGroup - 1)
+			base[q], cnt[q], val[q], slot[q] = start, end-start, e.V, j
+			nl++
+			live[k&(searchGroup-1)] = q
+			k += int(uint(1-cnt[q]) >> 63) // a one-value row needs no level
+		}
+		for k > 0 {
+			kept := 0
+			for i := 0; i < k; i++ {
+				q := live[i&(searchGroup-1)] & (searchGroup - 1)
+				half := cnt[q] >> 1
+				x := bits.UintWindow((base[q]+half-1)*w, w)
+				base[q] += half & int((int64(x)-int64(val[q]))>>63) // half when x < v
+				cnt[q] -= half
+				live[kept&(searchGroup-1)] = q
+				kept += int(uint(1-cnt[q]) >> 63) // 1 while cnt[q] > 1
 			}
-			// The loop ends on the only position that can hold v.
-			out[j] = bits.UintWindow(base*w, w) == e.V
+			k = kept
+		}
+		for i := 0; i < nl; i++ {
+			q := i & (searchGroup - 1)
+			out[slot[q]] = bits.UintWindow(base[q]*w, w) == val[q]
 		}
 		edges, out = edges[len(group):], out[len(group):]
 	}

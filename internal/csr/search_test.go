@@ -41,6 +41,11 @@ func searchTestMatrix(width int, rows, maxDeg int, rng *rand.Rand) *Matrix {
 // several levels past a cache line of packed bits at every width.
 const testHubDegree = 512
 
+// testLineBits is one cache line of packed bits. The batch-search tests
+// build rows just inside and just past it, whose searches end a level or
+// two apart, beside hub rows that take many more levels.
+const testLineBits = 512
+
 // dedupSorted compacts a sorted row to strictly ascending, the CSR row
 // invariant.
 func dedupSorted(row []uint32) []uint32 {
@@ -126,6 +131,111 @@ func checkSearchBatch(t *testing.T, s interface {
 	}
 	if !out[len(batch)] {
 		t.Fatalf("%T SearchBatch wrote past the batch", s)
+	}
+}
+
+// mixedRow returns a sorted row of exactly deg values below limit, for the
+// level-interleaved search tests. It is strictly ascending when the width
+// allows deg distinct values; at narrower widths the values repeat, which
+// the lower-bound search answers the same way, so that rows past one cache
+// line of bits exist at every width.
+func mixedRow(deg int, limit uint64, rng *rand.Rand) []uint32 {
+	row := make([]uint32, 0, deg)
+	switch {
+	case uint64(deg) > limit:
+		for len(row) < deg {
+			row = append(row, uint32(rng.Uint64()%limit))
+		}
+	case limit <= 1<<16:
+		for _, v := range rng.Perm(int(limit))[:deg] {
+			row = append(row, uint32(v))
+		}
+	default:
+		seen := map[uint32]bool{}
+		for len(row) < deg {
+			if v := uint32(rng.Uint64() % limit); !seen[v] {
+				seen[v] = true
+				row = append(row, v)
+			}
+		}
+	}
+	sort.Slice(row, func(i, j int) bool { return row[i] < row[j] })
+	return row
+}
+
+// mixedProbe draws a probe target for row: a member, a value next to one,
+// or any value below limit.
+func mixedProbe(row []uint32, limit uint64, rng *rand.Rand) uint32 {
+	if len(row) == 0 || rng.Intn(3) == 0 {
+		return uint32(rng.Uint64() % limit)
+	}
+	v := row[rng.Intn(len(row))]
+	switch rng.Intn(3) {
+	case 0:
+		return v - 1
+	case 1:
+		return v + 1
+	}
+	return v
+}
+
+// TestSearchBatchMixedGroups checks the level-interleaved batch search on
+// groups that mix rows of every length it must handle together: empty
+// rows (answered without a search), rows inside one cache line of packed
+// bits, rows just past it, and hub rows, so that probes leave the live
+// list at different sweeps. At every width 1..32 each long row goes in
+// every slot of a 16-probe group, once beside rows of every kind and once
+// as the group's only row past a line, and the batch is cut at lengths
+// and offsets that are not multiples of the group size.
+func TestSearchBatchMixedGroups(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	for width := 1; width <= 32; width++ {
+		limit := uint64(1) << width
+		line := testLineBits / width
+		degs := []int{0, 1, 2, line - 1, line, line + 1, line + 2, testHubDegree, 4096 + 37}
+		const firstLong = 5 // degs[5:] are past one line
+		off := []uint32{0}
+		var cols []uint32
+		for _, d := range degs {
+			cols = append(cols, mixedRow(d, limit, rng)...)
+			off = append(off, uint32(len(cols)))
+		}
+		cols = append(cols, uint32(limit-1)) // a last row pins the width
+		off = append(off, uint32(len(cols)))
+		m := &Matrix{RowOffsets: off, Cols: cols}
+		pk := PackMatrix(m, 1)
+		if pk.NumBits() != width {
+			t.Fatalf("width %d: packed to %d bits", width, pk.NumBits())
+		}
+		var batch []edgelist.Edge
+		probe := func(u uint32) {
+			batch = append(batch, edgelist.Edge{U: u, V: mixedProbe(m.Neighbors(u), limit, rng)})
+		}
+		for long := firstLong; long < len(degs); long++ {
+			for slot := 0; slot < searchGroup; slot++ {
+				for _, others := range []int{len(degs), firstLong} {
+					for j := 0; j < searchGroup; j++ {
+						if j == slot {
+							probe(uint32(long))
+						} else {
+							probe(uint32(rng.Intn(others)))
+						}
+					}
+				}
+			}
+		}
+		for i := 0; i < searchGroup+5; i++ { // a group of long rows alone, then a short tail
+			probe(uint32(firstLong + i%(len(degs)-firstLong)))
+		}
+		wants := make([]bool, len(batch))
+		for i, e := range batch {
+			row := m.Neighbors(e.U)
+			k := sort.Search(len(row), func(k int) bool { return row[k] >= e.V })
+			wants[i] = k < len(row) && row[k] == e.V
+		}
+		for _, cut := range [][2]int{{0, len(batch)}, {3, len(batch)}, {0, len(batch) - 7}, {5, 5 + searchGroup - 1}, {1, 2}} {
+			checkSearchBatch(t, pk, batch[cut[0]:cut[1]], wants[cut[0]:cut[1]])
+		}
 	}
 }
 
@@ -233,6 +343,8 @@ func guardedPacked(t *testing.T, pk *Packed) *Packed {
 // equals len(jA), and (somewhere in the sweep) an iA whose final offset
 // pair straddles its last word boundary. Both arrays are bitpack views
 // ending flush against an inaccessible page, so a read past either faults.
+// At each width, wide rows at both ends of jA are also searched in mixed
+// groups (checkGuardedMixedGroups).
 func TestSearchGuardedViewsAcrossWidths(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for width := 1; width <= 32; width++ {
@@ -297,5 +409,56 @@ func TestSearchGuardedViewsAcrossWidths(t *testing.T) {
 		if straddles == 0 {
 			t.Fatalf("width %d: no row count put the final offset pair across a word boundary", width)
 		}
+		checkGuardedMixedGroups(t, width, rng)
 	}
+}
+
+// checkGuardedMixedGroups searches a wide row at each end of a guarded jA
+// inside mixed groups: the first row starts at position 0, so a level read
+// before its start leaves the array, and the last ends flush on the guard
+// page, so a read past its end faults. Both are past one cache line of
+// bits, and they share groups with empty and short rows.
+func checkGuardedMixedGroups(t *testing.T, width int, rng *rand.Rand) {
+	t.Helper()
+	limit := uint64(1) << width
+	line := testLineBits / width
+	wide := line + 1 + rng.Intn(600)
+	rows := [][]uint32{
+		mixedRow(wide, limit, rng),
+		nil,
+		mixedRow(3, limit, rng),
+		mixedRow(line, limit, rng),
+		append(mixedRow(wide-1, limit-1, rng), uint32(limit-1)), // ends on the largest value
+	}
+	off := []uint32{0}
+	var cols []uint32
+	for _, row := range rows {
+		cols = append(cols, row...)
+		off = append(off, uint32(len(cols)))
+	}
+	m := &Matrix{RowOffsets: off, Cols: cols}
+	pk := guardedPacked(t, PackMatrix(m, 1))
+	if pk.NumBits() != width {
+		t.Fatalf("width %d: packed to %d bits", width, pk.NumBits())
+	}
+	var batch []edgelist.Edge
+	for slot := 0; slot < 2*searchGroup; slot++ {
+		for j := 0; j < searchGroup; j++ {
+			u := uint32(rng.Intn(len(rows)))
+			if j == slot%searchGroup {
+				u = uint32(slot / searchGroup * (len(rows) - 1)) // first, then last row
+			}
+			batch = append(batch, edgelist.Edge{U: u, V: mixedProbe(rows[u], limit, rng)})
+		}
+	}
+	last := uint32(len(rows) - 1)
+	batch = append(batch, edgelist.Edge{U: last, V: uint32(limit - 1)}, edgelist.Edge{U: 0, V: 0}, edgelist.Edge{U: last, V: 0})
+	wants := make([]bool, len(batch))
+	for i, e := range batch {
+		row := rows[e.U]
+		k := sort.Search(len(row), func(k int) bool { return row[k] >= e.V })
+		wants[i] = k < len(row) && row[k] == e.V
+	}
+	checkSearchBatch(t, pk, batch, wants)
+	checkSearchBatch(t, pk, batch[searchGroup/2:], wants[searchGroup/2:])
 }

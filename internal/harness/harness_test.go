@@ -131,7 +131,10 @@ func TestMedianOf(t *testing.T) {
 
 func TestRunConstructionModelMode(t *testing.T) {
 	g, _ := Find("WebNotreDame")
-	inst, err := g.Generate(64, 2)
+	// Scale 16, not 64: the model charges ~2.5 µs of spawns per processor,
+	// so p=8 beats p=4 only when the calibrated p=1 build takes over
+	// ~80 µs, which the 64x-reduced graph missed on fast hosts.
+	inst, err := g.Generate(16, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

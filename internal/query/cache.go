@@ -6,9 +6,6 @@ import (
 	"sync/atomic"
 
 	"csrgraph/internal/edgelist"
-	"csrgraph/internal/obs"
-	"csrgraph/internal/parallel"
-	"csrgraph/internal/trace"
 )
 
 // RowCache is a sharded, byte-budgeted LRU of decoded neighbor rows keyed
@@ -309,79 +306,4 @@ func SearchSorted(row []uint32, v edgelist.NodeID) bool {
 		n -= half
 	}
 	return n == 1 && row[base] == v
-}
-
-// existsAdmitDegree is the minimum degree an existence miss must have for
-// its row to be decoded into the cache. Short rows are cheap to search in
-// place and would only churn the budget; long (hub) rows are exactly where
-// a decoded, contiguous row beats O(log d) random accesses into the packed
-// bits — and power-law traffic re-probes those few rows constantly. 128 is
-// a cache-budget choice: a 128-value packed row spans several cache lines
-// (336 bytes at 21 bits), so each of its ~7 search levels can miss, while
-// its decode is one bulk kernel pass that repeat probes amortize; the
-// power-law tail keeps rows that long a small share of the nodes.
-const existsAdmitDegree = 128
-
-// EdgesExistBatchCached is EdgesExistBatchSearch with a hot-row cache on
-// the probe path: probes whose source row is cached binary-search the
-// decoded row (contiguous, cache-resident for repeated hubs) instead of
-// random-accessing the packed bits, and misses on hub-sized rows
-// (degree >= existsAdmitDegree) decode the row into the cache so the next
-// probe on the same hub is fast. Cold or short-row probes fall through to
-// the zero-decode packed search. A nil cache is exactly
-// EdgesExistBatchSearch.
-//
-// This is the per-shard engine's existence path: each shard's cache holds
-// only that shard's hubs, so one shard's churn never evicts another's.
-func EdgesExistBatchCached(g Source, cache *RowCache, edges []edgelist.Edge, p int) []bool {
-	return EdgesExistBatchCachedTraced(g, cache, edges, p, nil)
-}
-
-// EdgesExistBatchCachedTraced is EdgesExistBatchCached stamping spans into
-// tr: a schedule span, then a search span over the cache-fronted probe body.
-func EdgesExistBatchCachedTraced(g Source, cache *RowCache, edges []edgelist.Edge, p int, tr *trace.Trace) []bool {
-	if cache == nil {
-		return EdgesExistBatchSearchTraced(g, edges, p, tr)
-	}
-	start := obs.Now()
-	ts := tr.Now()
-	results := make([]bool, len(edges))
-	p = clampProcs(p, len(edges))
-	s, searchable := g.(Searcher)
-	if searchable {
-		dispatchCached.Inc()
-	} else {
-		dispatchDecode.Inc()
-	}
-	bufs := make([][]uint32, p)
-	tr.Span(trace.StageSchedule, len(edges), ts)
-	tx := tr.Now()
-	parallel.ForDynamic(len(edges), p, searchGrain, func(w int, r parallel.Range) {
-		for i := r.Start; i < r.End; i++ {
-			e := edges[i]
-			if row, ok := cache.Get(e.U); ok {
-				results[i] = SearchSorted(row, e.V)
-				continue
-			}
-			if g.Degree(e.U) >= existsAdmitDegree {
-				// Decode once into a fresh slice the cache takes ownership
-				// of; the probe is answered from the decoded row.
-				row := g.Row(nil, e.U)
-				cache.Put(e.U, row)
-				results[i] = SearchSorted(row, e.V)
-				continue
-			}
-			if searchable {
-				results[i] = s.SearchRow(e.U, e.V)
-				continue
-			}
-			buf := g.Row(bufs[w], e.U)
-			bufs[w] = buf
-			results[i] = SearchSorted(buf, e.V)
-		}
-	})
-	tr.Span(trace.StageSearch, len(edges), tx)
-	existsBatchSize.Observe(int64(len(edges)))
-	obs.Tick(existsBatchSeconds, start)
-	return results
 }

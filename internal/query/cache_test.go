@@ -207,56 +207,6 @@ func TestRowCacheConcurrentMixedBatches(t *testing.T) {
 	wg.Wait()
 }
 
-// TestEdgesExistBatchCachedDifferential pins the cache-aware existence
-// path against the decode-and-scan baseline: hits served from decoded
-// rows, hub misses admitted to the cache, short rows searched in place,
-// and the non-Searcher fallback all must agree, across processor counts.
-func TestEdgesExistBatchCachedDifferential(t *testing.T) {
-	rng := rand.New(rand.NewSource(17))
-	const numNodes = 400
-	var l edgelist.List
-	// A hub well above existsAdmitDegree, plus a sparse tail.
-	for v := uint32(0); v < 300; v += 2 {
-		l = append(l, edgelist.Edge{U: 9, V: v})
-	}
-	for i := 0; i < 3000; i++ {
-		l = append(l, edgelist.Edge{U: rng.Uint32() % numNodes, V: rng.Uint32() % numNodes})
-	}
-	l.SortByUV(1)
-	l = l.Dedup()
-	m := csr.Build(l, numNodes, 2)
-	pk := csr.PackMatrix(m, 2)
-	queries := make([]edgelist.Edge, 0, 800)
-	for i := 0; i < 300; i++ {
-		queries = append(queries, l[rng.Intn(len(l))])
-		queries = append(queries, edgelist.Edge{U: 9, V: rng.Uint32() % 320}) // hammer the hub
-		queries = append(queries, edgelist.Edge{U: rng.Uint32() % numNodes, V: rng.Uint32() % numNodes})
-	}
-	want := EdgesExistBatch(m, queries, 1)
-	for _, p := range []int{1, 2, 8} {
-		for name, g := range map[string]Source{"packed": pk, "matrix": m, "plain": plainSource{m}} {
-			c := NewRowCacheShards(1<<20, 4)
-			if got := EdgesExistBatchCached(g, c, queries, p); !reflect.DeepEqual(got, want) {
-				t.Fatalf("p=%d %s: cached exists path disagrees with baseline", p, name)
-			}
-			if _, ok := c.Get(9); !ok {
-				t.Fatalf("p=%d %s: hub row was not admitted to the cache", p, name)
-			}
-			if st := c.Stats(); st.Hits == 0 {
-				t.Fatalf("p=%d %s: repeated hub probes produced no cache hits", p, name)
-			}
-			// Second pass over a warm cache must still agree.
-			if got := EdgesExistBatchCached(g, c, queries, p); !reflect.DeepEqual(got, want) {
-				t.Fatalf("p=%d %s: warm cached exists path disagrees with baseline", p, name)
-			}
-		}
-	}
-	// A nil cache is exactly the zero-decode search path.
-	if got := EdgesExistBatchCached(pk, nil, queries, 2); !reflect.DeepEqual(got, want) {
-		t.Fatal("nil-cache path disagrees with baseline")
-	}
-}
-
 // hintedFake is a Source carrying a precomputed average-degree hint.
 type hintedFake struct {
 	Source

@@ -17,5 +17,4 @@ var (
 
 	dispatchSearch = obs.GetCounter(`csrgraph_query_dispatch_total{path="search"}`)
 	dispatchDecode = obs.GetCounter(`csrgraph_query_dispatch_total{path="decode"}`)
-	dispatchCached = obs.GetCounter(`csrgraph_query_dispatch_total{path="cached"}`)
 )

@@ -10,27 +10,53 @@ import (
 )
 
 // TestEdgesExistBatchSearchDifferential checks the zero-decode engine
-// against the decode-and-scan baseline on packed, plain, and delta
-// sources, across processor counts.
+// against the decode-and-scan baseline on packed, plain, delta and
+// cache-fronted sources, across processor counts: on a uniform graph, and
+// on one whose hub row is past a cache line of packed bits, hammered by a
+// third of the probes so that work-stealing grabs mix it with short rows.
 func TestEdgesExistBatchSearchDifferential(t *testing.T) {
 	l, m, pk := buildTestGraphs(6000, 250, 31)
-	dp := csr.PackDelta(m, 2)
 	rng := rand.New(rand.NewSource(32))
 	queries := make([]edgelist.Edge, 0, 600)
 	for i := 0; i < 300; i++ {
 		queries = append(queries, l[rng.Intn(len(l))])
 		queries = append(queries, edgelist.Edge{U: rng.Uint32() % 250, V: rng.Uint32() % 250})
 	}
+	checkExistsDifferential(t, "uniform", m, pk, queries)
+
+	const numNodes = 400
+	hl := edgelist.List{}
+	for v := uint32(0); v < 300; v += 2 {
+		hl = append(hl, edgelist.Edge{U: 9, V: v})
+	}
+	for i := 0; i < 3000; i++ {
+		hl = append(hl, edgelist.Edge{U: rng.Uint32() % numNodes, V: rng.Uint32() % numNodes})
+	}
+	hl.SortByUV(1)
+	hl = hl.Dedup()
+	hm := csr.Build(hl, numNodes, 2)
+	queries = queries[:0]
+	for i := 0; i < 300; i++ {
+		queries = append(queries, hl[rng.Intn(len(hl))])
+		queries = append(queries, edgelist.Edge{U: 9, V: rng.Uint32() % 320})
+		queries = append(queries, edgelist.Edge{U: rng.Uint32() % numNodes, V: rng.Uint32() % numNodes})
+	}
+	checkExistsDifferential(t, "hub", hm, csr.PackMatrix(hm, 2), queries)
+}
+
+func checkExistsDifferential(t *testing.T, graph string, m *csr.Matrix, pk *csr.Packed, queries []edgelist.Edge) {
+	t.Helper()
 	want := EdgesExistBatch(m, queries, 1)
+	sources := map[string]Source{
+		"matrix": m, "packed": pk, "delta": csr.PackDelta(m, 2),
+		"cached": Cached(pk, NewRowCache(1<<20)),
+		"plain":  plainSource{m}, // the decoded fallback path
+	}
 	for _, p := range []int{1, 2, 4, 16, 64} {
-		for name, g := range map[string]Source{"matrix": m, "packed": pk, "delta": dp} {
+		for name, g := range sources {
 			if got := EdgesExistBatchSearch(g, queries, p); !reflect.DeepEqual(got, want) {
-				t.Fatalf("p=%d %s: search engine disagrees with linear baseline", p, name)
+				t.Fatalf("%s p=%d %s: search engine disagrees with linear baseline", graph, p, name)
 			}
-		}
-		// Non-searcher source exercises the decoded fallback path.
-		if got := EdgesExistBatchSearch(plainSource{m}, queries, p); !reflect.DeepEqual(got, want) {
-			t.Fatalf("p=%d: decoded fallback disagrees with baseline", p)
 		}
 	}
 }

@@ -44,10 +44,11 @@ type bfsTraversal struct {
 }
 
 // singleBackend serves from one in-process engine: the pre-sharding data
-// path, unchanged — plus the cache-aware existence probes.
+// path. The hot-row cache fronts /neighbors only; existence probes search
+// the rows in place.
 type singleBackend struct {
 	g     query.Source // raw source: BFS, degrees, existence probes
-	rows  query.Source // g, fronted by the hot-row cache when enabled
+	rows  query.Source // g, fronted by the hot-row cache for /neighbors
 	cache *query.RowCache
 	procs int
 }
@@ -69,7 +70,7 @@ func (b *singleBackend) degrees(ids []edgelist.NodeID, tr *trace.Trace) ([]int, 
 }
 
 func (b *singleBackend) edgesExist(edges []edgelist.Edge, tr *trace.Trace) ([]bool, error) {
-	return query.EdgesExistBatchCachedTraced(b.g, b.cache, edges, b.procs, tr), nil
+	return query.EdgesExistBatchSearchTraced(b.g, edges, b.procs, tr), nil
 }
 
 func (b *singleBackend) bfs(src edgelist.NodeID, tr *trace.Trace) (bfsTraversal, error) {

@@ -38,9 +38,11 @@ type config struct {
 }
 
 // WithRowCache fronts the /neighbors endpoint's row decodes with a sharded
-// LRU cache of decoded rows bounded by maxBytes (<= 0 disables). Cache
-// effectiveness counters appear under "cache" in /stats and as
-// csrgraph_rowcache_* series in /metrics. Temporal handlers ignore it.
+// LRU cache of decoded rows bounded by maxBytes (<= 0 disables). It caches
+// /neighbors rows only: /exists searches the rows in place and never reads
+// or fills it. Cache effectiveness counters appear under "cache" in /stats
+// and as csrgraph_rowcache_* series in /metrics. Temporal handlers ignore
+// it.
 func WithRowCache(maxBytes int64) Option {
 	return func(c *config) { c.cacheBytes = maxBytes }
 }

@@ -1,7 +1,9 @@
 // Package server exposes a compressed CSR graph over HTTP — the "social
 // network with millions of users querying at once" scenario of Section V.
 // Incoming query batches are answered with the parallel querying
-// algorithms; responses are JSON.
+// algorithms; responses are JSON. An optional decoded-row cache
+// (WithRowCache, or each shard engine's row table) serves /neighbors rows;
+// /exists always searches the packed rows in place.
 //
 // Endpoints:
 //

@@ -193,6 +193,45 @@ func TestRowCacheStatsEndpoint(t *testing.T) {
 	}
 }
 
+// TestExistsLeavesRowCacheEmpty pins the hot-row cache to /neighbors:
+// repeated /exists probes on a hub row admit nothing, and the answers
+// match a server without a cache.
+func TestExistsLeavesRowCacheEmpty(t *testing.T) {
+	var l edgelist.List
+	for v := uint32(1); v < 600; v += 2 {
+		l = append(l, edgelist.Edge{U: 0, V: v})
+	}
+	l = append(l, edgelist.Edge{U: 5, V: 0})
+	pk := csr.BuildPacked(l, 600, 2)
+	h := New(pk, 2, WithRowCache(64<<20))
+	const url = "/exists?edges=0:1,0:2,0:599,0:598,5:0,5:1,7:0"
+	var body string
+	for i := 0; i < 3; i++ {
+		var rec *httptest.ResponseRecorder
+		if rec, body = get(t, h, url); rec.Code != 200 {
+			t.Fatalf("status %d: %s", rec.Code, body)
+		}
+	}
+	if _, plain := get(t, New(pk, 2), url); body != plain {
+		t.Fatalf("cache-fronted server answered differently:\n%s\n%s", body, plain)
+	}
+	_, stats := get(t, h, "/stats")
+	var out struct {
+		Cache struct {
+			Hits    int64 `json:"hits"`
+			Misses  int64 `json:"misses"`
+			Entries int64 `json:"entries"`
+			Bytes   int64 `json:"bytes"`
+		} `json:"cache"`
+	}
+	if err := json.Unmarshal([]byte(stats), &out); err != nil {
+		t.Fatal(err)
+	}
+	if out.Cache.Entries != 0 || out.Cache.Bytes != 0 || out.Cache.Hits+out.Cache.Misses != 0 {
+		t.Fatalf("cache after /exists only = %+v (body %s)", out.Cache, stats)
+	}
+}
+
 func TestRowCacheDisabled(t *testing.T) {
 	l := edgelist.List{{U: 0, V: 1}}
 	h := New(csr.BuildPacked(l, 2, 1), 1, WithRowCache(0))

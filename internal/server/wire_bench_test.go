@@ -129,8 +129,7 @@ func BenchmarkParseBatch(b *testing.B) {
 // decoded rows ("table") and from the packed form, each row decoded into
 // one reused scratch slice and printed from there ("packed"). resident-B is
 // what the form keeps in memory beyond the packed graph to answer that way:
-// the decoded rows (the table's probe index and slots are not counted), or
-// the scratch.
+// the decoded rows (the table's slots are not counted), or the scratch.
 func BenchmarkNeighborsWire(b *testing.B) {
 	const n, hubs, degree = 1 << 18, 64, 830
 	rng := rand.New(rand.NewSource(8))

@@ -9,9 +9,10 @@ import (
 
 // EngineConfig sizes one shard engine.
 type EngineConfig struct {
-	// CacheBytes is the per-engine decoded-row table budget (<= 0
-	// disables). Each engine caches only its own shard's rows, so one
+	// CacheBytes is the per-engine decoded-row table budget for Neighbors
+	// (<= 0 disables). Each engine caches only its own shard's rows, so one
 	// shard's hub traffic never displaces another shard's working set.
+	// Existence probes search the packed rows and never use it.
 	CacheBytes int64
 	// Procs is the intra-leg parallelism the engine hands the query
 	// scheduler. The serving-tier default is 1: the router already runs
@@ -29,8 +30,8 @@ func (c EngineConfig) withDefaults() EngineConfig {
 
 // Engine answers queries for one shard replica: the shard's packed rows
 // (local ids, global neighbor values), its own byte-budgeted decoded-row
-// table, and an in-flight counter the router's least-loaded replica pick
-// reads. All methods take LOCAL row ids — the router owns the
+// table for Neighbors, and an in-flight counter the router's least-loaded
+// replica pick reads. All methods take LOCAL row ids — the router owns the
 // global↔local translation — and are safe for concurrent use.
 type Engine struct {
 	shard, replica int
@@ -181,53 +182,12 @@ func (e *Engine) Degrees(locals []edgelist.NodeID) []int {
 }
 
 // EdgesExist answers a batch of existence probes; U is a local row id, V a
-// global neighbor id (rows store global values, so no translation). The
-// row table fronts the probes: a hit on an indexed row is a flag-bit test
-// plus ~one hash probe into the shard's edge set — no per-level binary
-// search, no locking, no packed random bit access. Misses decode, admit,
-// and index the row until the budgets fill; after that, probes on rows
-// cached but not indexed binary-search the decoded contiguous row, and
-// fully cold probes fall through to the zero-decode packed search. The
-// loop is sequential on purpose: the router's legs are the concurrency
-// unit, and hit/miss counts aggregate locally so the hot loop costs one
-// atomic flush per leg instead of two per probe.
+// global neighbor id (rows store global values, so no translation). Every
+// probe searches the shard's packed rows in place (csr.Packed.SearchBatch
+// behind query.Searcher): existence decodes nothing and never admits a row
+// to the table, which holds rows for Neighbors only.
 func (e *Engine) EdgesExist(edges []edgelist.Edge) []bool {
-	results, _ := e.EdgesExistCounted(edges)
-	return results
-}
-
-// EdgesExistCounted is EdgesExist plus the leg's row-table indexed-hit
-// count, which traced requests attach to their exec span — the number that
-// separates "this leg was slow because the table was cold" from "slow while
-// fully warm". Zero when no row table is configured.
-func (e *Engine) EdgesExistCounted(edges []edgelist.Edge) ([]bool, int64) {
-	if e.tab == nil {
-		return query.EdgesExistBatchCached(e.src, nil, edges, e.procs), 0
-	}
-	results := make([]bool, len(edges))
-	s, searchable := e.src.(query.Searcher)
-	var hits, misses int64
-	for i, p := range edges {
-		if e.tab.indexed(p.U) {
-			hits++
-			results[i] = e.tab.contains(p.U, p.V)
-			continue
-		}
-		misses++
-		row := e.tab.row(p.U)
-		if row == nil {
-			if searchable && e.tab.full() {
-				results[i] = s.SearchRow(p.U, p.V)
-				continue
-			}
-			row = e.src.Row(nil, p.U)
-			e.tab.admit(p.U, row)
-		}
-		e.tab.index(p.U, row)
-		results[i] = query.SearchSorted(row, p.V)
-	}
-	e.tab.account(hits, misses)
-	return results, hits
+	return query.EdgesExistBatchSearch(e.src, edges, e.procs)
 }
 
 // Row decodes one local row (BFS expansion path); dst is grown as needed.

@@ -459,15 +459,15 @@ func (r *Router) DegreeBatchTraced(ids []edgelist.NodeID, tr *trace.Trace) ([]in
 }
 
 // EdgesExistBatch answers existence probes, preserving input order. Probes
-// are grouped by the U endpoint's owner, so a hub's probes always land on
-// the one shard whose row cache holds that hub.
+// are grouped by the U endpoint's owner, the one shard that stores u's row,
+// and each leg searches that shard's packed rows in place.
 func (r *Router) EdgesExistBatch(edges []edgelist.Edge) ([]bool, error) {
 	return r.EdgesExistBatchTraced(edges, nil)
 }
 
-// EdgesExistBatchTraced is EdgesExistBatch with span stamping; each exec
-// span's Extra carries the leg's row-table indexed-hit count, the signal
-// that attributes a slow leg to a cold cache rather than a deep queue.
+// EdgesExistBatchTraced is EdgesExistBatch with span stamping (see
+// NeighborsBatchTraced). Existence uses no cache, so each exec span's Extra
+// is 0.
 func (r *Router) EdgesExistBatchTraced(edges []edgelist.Edge, tr *trace.Trace) ([]bool, error) {
 	out := make([]bool, len(edges))
 	if len(edges) == 0 {
@@ -485,8 +485,8 @@ func (r *Router) EdgesExistBatchTraced(edges []edgelist.Edge, tr *trace.Trace) (
 		e := l.st.pick()
 		e.enter()
 		x := tr.Now()
-		vals, hits := e.EdgesExistCounted(sc.edges[l.lo:l.hi])
-		tr.LegSpan(trace.StageExec, l.shard, e.Replica(), l.hi-l.lo, hits, x)
+		vals := e.EdgesExist(sc.edges[l.lo:l.hi])
+		tr.LegSpan(trace.StageExec, l.shard, e.Replica(), l.hi-l.lo, 0, x)
 		e.leave()
 		m := time.Now()
 		scatterBools(out, sc.orig[l.lo:l.hi], vals)

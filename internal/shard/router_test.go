@@ -111,6 +111,52 @@ func TestRouterDifferential(t *testing.T) {
 	}
 }
 
+// TestEdgesExistAdmitsNoRows pins existence to the packed rows: an
+// existence-only batch leaves the row tables empty, on one engine and
+// through the router, and the answers are the same with and without a
+// table budget at every shard count.
+func TestEdgesExistAdmitsNoRows(t *testing.T) {
+	m := testMatrix(t, 400, 6000, 10)
+	probes, _ := testProbes(t, m, 900, 12)
+	rng := rand.New(rand.NewSource(13))
+	for i := 0; i < 300; i++ { // the hub rows, each past a cache line of bits
+		u := rng.Uint32() % 9
+		probes = append(probes, edgelist.Edge{U: u, V: rng.Uint32() % 400})
+		if row := m.Neighbors(u); len(row) > 0 {
+			probes = append(probes, edgelist.Edge{U: u, V: row[rng.Intn(len(row))]})
+		}
+	}
+	want := query.EdgesExistBatch(m, probes, 1)
+
+	const budget = 64 << 20
+	e := NewEngine(0, 0, csr.PackMatrix(m, 1), EngineConfig{CacheBytes: budget})
+	if got := e.EdgesExist(probes); !reflect.DeepEqual(got, want) {
+		t.Fatal("engine EdgesExist differs from the baseline")
+	}
+	if st := e.CacheStats(); st.Entries != 0 || st.Bytes != 0 {
+		t.Fatalf("engine row table after existence only: %+v", st)
+	}
+	for _, k := range []int{1, 2, 4, 8} {
+		for _, cache := range []int64{0, budget} {
+			rt := buildRouter(t, m, k, 1, cache)
+			got, err := rt.EdgesExistBatch(probes)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("k=%d cache=%d: EdgesExistBatch differs", k, cache)
+			}
+			for s := 0; s < rt.NumShards(); s++ {
+				for _, e := range rt.Replicas(s) {
+					if st := e.CacheStats(); st.Entries != 0 || st.Bytes != 0 {
+						t.Fatalf("k=%d cache=%d shard %d: row table after existence only: %+v", k, cache, s, st)
+					}
+				}
+			}
+		}
+	}
+}
+
 // slowSource delays every row decode — the adversarial-latency shard.
 type slowSource struct {
 	query.Source

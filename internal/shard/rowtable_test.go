@@ -7,54 +7,42 @@ import (
 	"csrgraph/internal/edgelist"
 )
 
-// TestRowTableProbeIndex pins the table's admit/index/contains invariants
-// on a tiny deterministic row set.
-func TestRowTableProbeIndex(t *testing.T) {
+// TestRowTableAdmit pins the table's admit/row/Stats invariants on a tiny
+// deterministic row set.
+func TestRowTableAdmit(t *testing.T) {
 	rows := map[edgelist.NodeID][]uint32{
-		0: {0, 3, 7}, // includes the (0,0) self-loop key edge case
+		0: {0, 3, 7},
 		1: {},
 		2: {1, 2, 4, 8, 16, 32},
 	}
 	tab := newRowTable(4, 1<<16)
 	for u, row := range rows {
-		if tab.indexed(u) {
-			t.Fatalf("row %d indexed before admission", u)
+		if tab.row(u) != nil {
+			t.Fatalf("row %d present before admission", u)
 		}
 		tab.admit(u, row)
-		tab.index(u, row)
-		if !tab.indexed(u) {
-			t.Fatalf("row %d not indexed after index()", u)
-		}
 	}
-	if tab.indexed(3) {
-		t.Fatal("untouched row reports indexed")
+	if tab.row(3) != nil {
+		t.Fatal("untouched row present")
 	}
 	for u, row := range rows {
-		got := tab.row(u)
-		if len(got) != len(row) {
+		if got := tab.row(u); len(got) != len(row) {
 			t.Fatalf("row(%d) = %v, want %v", u, got, row)
-		}
-		present := map[uint32]bool{}
-		for _, v := range row {
-			present[v] = true
-		}
-		for v := uint32(0); v < 40; v++ {
-			if tab.contains(u, v) != present[v] {
-				t.Fatalf("contains(%d, %d) = %v, want %v", u, v, tab.contains(u, v), present[v])
-			}
 		}
 	}
 	st := tab.Stats()
-	if st.Entries != 3 || st.Bytes <= 0 || st.MaxB <= st.Bytes {
-		t.Fatalf("stats = %+v", st)
+	want := int64(0)
+	for _, row := range rows {
+		want += int64(len(row))*4 + rowSlotOverhead
+	}
+	if st.Entries != 3 || st.Bytes != want || st.MaxB != 1<<16 {
+		t.Fatalf("stats = %+v, want 3 entries, %d bytes, budget %d", st, want, 1<<16)
 	}
 }
 
-// TestRowTableBudget checks that admission and indexing stop at their
-// budgets instead of growing without bound, and that refused rows still
-// answer correctly through the caller's fallback.
+// TestRowTableBudget checks that admission stops at the budget instead of
+// growing without bound.
 func TestRowTableBudget(t *testing.T) {
-	// Budget fits the probe-set carve-out plus roughly one small row.
 	tab := newRowTable(1024, 600)
 	big := make([]uint32, 4096)
 	for i := range big {
@@ -64,14 +52,13 @@ func TestRowTableBudget(t *testing.T) {
 	if tab.row(5) != nil {
 		t.Fatal("oversized row admitted past byte budget")
 	}
-	tab.index(5, big) // exceeds the set's reserve bound
-	if tab.indexed(5) {
-		t.Fatal("oversized row indexed past set capacity")
-	}
 	small := []uint32{1, 2, 3}
 	tab.admit(7, small)
 	if tab.row(7) == nil {
 		t.Fatal("small row refused with budget available")
+	}
+	if st := tab.Stats(); st.Bytes > st.MaxB {
+		t.Fatalf("stats = %+v: bytes past the budget", st)
 	}
 	if newRowTable(8, 0) != nil {
 		t.Fatal("zero budget should disable the table")
@@ -79,8 +66,8 @@ func TestRowTableBudget(t *testing.T) {
 }
 
 // TestRowTableConcurrent hammers one table from many goroutines admitting
-// and probing overlapping rows; run under -race this pins the
-// publish-before-flag ordering.
+// and reading overlapping rows; run under -race this pins the publication
+// of a row through its slot, and the budget holds under racing admits.
 func TestRowTableConcurrent(t *testing.T) {
 	const n = 64
 	tab := newRowTable(n, 1<<20)
@@ -98,26 +85,20 @@ func TestRowTableConcurrent(t *testing.T) {
 			defer wg.Done()
 			for iter := 0; iter < 200; iter++ {
 				u := (seed + uint32(iter)) % n
-				if tab.indexed(u) {
-					if !tab.contains(u, u*8) || tab.contains(u, u*8+9) {
-						t.Errorf("indexed row %d answered wrong", u)
+				if row := tab.row(u); row != nil {
+					if len(row) != 8 || row[0] != u*8 || row[7] != u*8+7 {
+						t.Errorf("row %d read back as %v", u, row)
 						return
 					}
 					continue
 				}
-				row := tab.row(u)
-				if row == nil {
-					row = rowOf(u)
-					tab.admit(u, row)
-				}
-				tab.index(u, row)
+				tab.admit(u, rowOf(u))
 			}
 		}(uint32(w * 13))
 	}
 	wg.Wait()
-	for u := edgelist.NodeID(0); u < n; u++ {
-		if tab.indexed(u) && !tab.contains(u, u*8+7) {
-			t.Fatalf("row %d indexed but missing its last edge", u)
-		}
+	st := tab.Stats()
+	if st.Entries != n || st.Bytes != n*(8*4+rowSlotOverhead) {
+		t.Fatalf("stats = %+v, want %d entries of 8 values each", st, n)
 	}
 }

@@ -10,7 +10,8 @@
 //	    skew of social-network workloads. The dist=rmat variants run the
 //	    zero-decode search alone on a scale-18 R-MAT graph in 16384-probe
 //	    batches: keys=edge draws sources from edges, keys=node draws uniform
-//	    node ids, so that most probes land on empty rows.
+//	    node ids, so that most probes land on empty rows, and keys=edge-cold
+//	    cycles through 64 keys=edge batches, past what L2 holds.
 //	BenchmarkNeighborsBatch — batched row decodes, cache=cold (straight
 //	    packed decode) vs cache=warm (hot-row cache, pre-warmed), on a
 //	    hub-heavy batch and a uniform batch.
@@ -161,30 +162,37 @@ var (
 	rmatBench     *queryBenchGraph
 )
 
-// rmatBenchProbes builds nq probes on g: keys=node takes uniform node ids
-// as sources, keys=edge the source of a random edge; half the targets of
-// non-empty rows are true neighbours, the rest uniform node ids.
-func rmatBenchProbes(g *queryBenchGraph, keys string, nq int) []edgelist.Edge {
-	next := benchRNG(31)
+// rmatBenchProbes builds nq probes on g from the given seed: keys=node
+// takes uniform node ids as sources, keys=edge the source of a random edge;
+// half the targets of non-empty rows are true neighbours, the rest uniform
+// node ids.
+func rmatBenchProbes(g *queryBenchGraph, keys string, nq int, seed uint64) []edgelist.Edge {
+	next := benchRNG(seed)
 	n := uint32(g.pk.NumNodes())
 	probes := make([]edgelist.Edge, nq)
-	var row []uint32
 	for i := range probes {
 		u := next() % n
 		if keys == "edge" {
 			u = g.edges[next()%uint32(len(g.edges))].U
 		}
 		v := next() % n
-		if row = g.pk.Row(row, u); len(row) > 0 && next()&1 == 0 {
-			v = row[next()%uint32(len(row))]
+		if d := uint32(g.pk.Degree(u)); d > 0 && next()&1 == 0 {
+			v = g.pk.Neighbor(u, int(next()%d))
 		}
 		probes[i] = edgelist.Edge{U: u, V: v}
 	}
 	return probes
 }
 
+// rmatColdBatches is how many distinct batches keys=edge-cold cycles
+// through: their probes touch far more of jA than a core's L2 holds, so a
+// batch does not find the hub rows' lines left behind by the previous run
+// of the same batch, as keys=edge does.
+const rmatColdBatches = 64
+
 // benchExistsRMAT runs the zero-decode search in 16384-probe batches on the
-// R-MAT graph, for both key distributions at p=1 and p=2. ns/probe is the
+// R-MAT graph, for each key distribution at p=1 and p=2. keys=edge-cold
+// draws like keys=edge, from rmatColdBatches seeds in turn. ns/probe is the
 // per-probe cost across all processors.
 func benchExistsRMAT(b *testing.B) {
 	rmatBenchOnce.Do(func() {
@@ -199,12 +207,18 @@ func benchExistsRMAT(b *testing.B) {
 		rmatBench = &queryBenchGraph{pk: csr.PackMatrix(g.m, 4), edges: edges}
 	})
 	const nq = 16384
-	for _, keys := range []string{"node", "edge"} {
-		probes := rmatBenchProbes(rmatBench, keys, nq)
+	for _, keys := range []string{"node", "edge", "edge-cold"} {
+		batches := [][]edgelist.Edge{rmatBenchProbes(rmatBench, keys, nq, 31)}
+		if keys == "edge-cold" {
+			batches = batches[:0]
+			for seed := uint64(0); seed < rmatColdBatches; seed++ {
+				batches = append(batches, rmatBenchProbes(rmatBench, "edge", nq, 1000+seed))
+			}
+		}
 		for _, p := range []int{1, 2} {
 			b.Run(fmt.Sprintf("edges=%d/keys=%s/p=%d", rmatBenchEdges, keys, p), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					query.EdgesExistBatchSearch(rmatBench.pk, probes, p)
+					query.EdgesExistBatchSearch(rmatBench.pk, batches[i%len(batches)], p)
 				}
 				b.ReportMetric(b.Elapsed().Seconds()*1e9/(float64(nq)*float64(b.N)), "ns/probe")
 			})
