@@ -137,13 +137,12 @@ bench-compare:
 	$(GO) test -run '^$$' -bench BenchmarkSortByUV -benchtime $(BENCHTIME) . \
 		| $(GO) run ./cmd/benchcompare
 
-# Query-engine delta tables: zero-decode search vs the linear baseline
-# (algo= variants) and warm vs cold hot-row cache (cache= variants).
+# Query-engine delta table: zero-decode search vs the linear baseline
+# (algo= variants of BenchmarkEdgesExistBatch).
 bench-compare-query:
-	$(GO) test -run '^$$' -bench 'BenchmarkEdgesExistBatch|BenchmarkNeighborsBatch' \
-		-benchtime $(BENCHTIME) . | tee /tmp/benchq.txt \
+	$(GO) test -run '^$$' -bench 'BenchmarkEdgesExistBatch' \
+		-benchtime $(BENCHTIME) . \
 		| $(GO) run ./cmd/benchcompare -baseline linear -new search
-	$(GO) run ./cmd/benchcompare -key cache -baseline cold -new warm < /tmp/benchq.txt
 
 # Frontier-vs-baseline regression gate: pairs the algo= variants of the
 # traversal and k-core suites (legacy vs frontier BFS, peel vs bucket

@@ -14,8 +14,11 @@
 // Static endpoints: /healthz, /stats, /neighbors?nodes=...,
 // /degree?nodes=..., /exists?edges=u:v,..., /bfs?src=n, and
 // /analytics/bfs?src=n&src=m,... (batched frontier BFS with per-traversal
-// round stats). -cache-mb caches decoded /neighbors rows (split across the
-// shards of a sharded graph); /exists searches the packed rows in place.
+// round stats). Every graph is served through the scatter-gather router, a
+// single graph as one shard. -cache-mb is the budget of the engines'
+// decoded-row tables for /neighbors rows (split across the shards of a
+// sharded graph; each table's slot array, 8 bytes per row, counts against
+// it); /exists searches the packed rows in place.
 // Temporal endpoints: /healthz, /stats, /active?queries=u:v:t,...,
 // /neighbors?node=u&frame=t, /bfs?src=u&frame=t.
 // Observability: -metrics mounts GET /metrics (Prometheus text), -pprof
@@ -75,10 +78,10 @@ func main() {
 	temporalPath := fs.String("temporal", "", "packed TCSR file (mutually exclusive with -graph)")
 	addr := fs.String("addr", ":8080", "listen address")
 	procs := fs.Int("procs", 4, "processors per query batch")
-	cacheMB := fs.Int("cache-mb", 64, "decoded-row cache for /neighbors rows, in MiB (0 disables); /exists searches the packed rows and never uses it")
+	cacheMB := fs.Int("cache-mb", 64, "decoded-row table budget for /neighbors rows, in MiB, split across the shards; 8 bytes per node of slot array count against it (0 disables); /exists searches the packed rows and never uses it")
 	mmapOn := fs.Bool("mmap", false, "memory-map a container graph (-graph must be a .csrc container)")
 	verify := fs.Bool("verify", false, "with -mmap: checksum sections and bounds-check neighbors before serving")
-	shards := fs.Int("shards", 0, "serve through the sharded tier: cut -graph into K edge-balanced shards (0 = single engine; implied by a manifest -graph)")
+	shards := fs.Int("shards", 0, "serve through the sharded tier: cut -graph into K edge-balanced shards (0 = serve the whole graph as one shard, no copy; implied by a manifest -graph)")
 	replicas := fs.Int("replicas", 1, "replica engines per shard (sharded tier only)")
 	metrics := fs.Bool("metrics", false, "collect metrics and serve GET /metrics (Prometheus text)")
 	pprofOn := fs.Bool("pprof", false, "serve GET /debug/pprof/ profiling endpoints")
@@ -210,31 +213,13 @@ func buildHandler(c serveConfig, opts ...server.Option) (http.Handler, string, e
 		}
 		return server.NewSharded(rt, procs, opts...),
 			fmt.Sprintf("%s, %d shards x %d replicas", desc, c.shards, c.replicas), nil
-	case graphPath != "" && mmapOn:
-		var mopts []mgraph.OpenOption
-		if verify {
-			mopts = append(mopts, mgraph.WithVerify())
-		}
-		// The mapping lives for the whole process: the handler's query
-		// source aliases it, and the process exit unmaps.
-		m, err := mgraph.Open(graphPath, mopts...)
+	case graphPath != "":
+		src, desc, err := openSource(graphPath, mmapOn, verify)
 		if err != nil {
 			return nil, "", err
 		}
-		src := m.Source()
-		desc := fmt.Sprintf("%d nodes / %d edges (%s container, mmap, %s)",
-			src.NumNodes(), m.NumEdges, m.GraphForm(), harness.HumanBytes(m.SizeBytes()))
 		opts = append(opts, server.WithRowCache(int64(cacheMB)<<20))
 		return server.New(src, procs, opts...), desc, nil
-	case graphPath != "":
-		pk, err := csr.LoadPackedFile(graphPath)
-		if err != nil {
-			return nil, "", err
-		}
-		desc := fmt.Sprintf("%d nodes / %d edges (%d-bit neighbors)",
-			pk.NumNodes(), pk.NumEdges(), pk.NumBits())
-		opts = append(opts, server.WithRowCache(int64(cacheMB)<<20))
-		return server.New(pk, procs, opts...), desc, nil
 	case temporalPath != "":
 		f, err := os.Open(temporalPath)
 		if err != nil {
@@ -251,8 +236,9 @@ func buildHandler(c serveConfig, opts ...server.Option) (http.Handler, string, e
 	return nil, "", fmt.Errorf("one of -graph or -temporal is required")
 }
 
-// openSource loads a whole graph as a query source for in-process
-// partitioning: mapped container or legacy packed stream.
+// openSource loads a whole graph as a query source: mapped container or
+// legacy packed stream. A mapping lives for the whole process — the
+// handler's query source aliases it, and the process exit unmaps.
 func openSource(graphPath string, mmapOn, verify bool) (query.Source, string, error) {
 	if mmapOn {
 		var mopts []mgraph.OpenOption
@@ -264,8 +250,8 @@ func openSource(graphPath string, mmapOn, verify bool) (query.Source, string, er
 			return nil, "", err
 		}
 		src := m.Source()
-		return src, fmt.Sprintf("%d nodes / %d edges (%s container, mmap)",
-			src.NumNodes(), m.NumEdges, m.GraphForm()), nil
+		return src, fmt.Sprintf("%d nodes / %d edges (%s container, mmap, %s)",
+			src.NumNodes(), m.NumEdges, m.GraphForm(), harness.HumanBytes(m.SizeBytes())), nil
 	}
 	pk, err := csr.LoadPackedFile(graphPath)
 	if err != nil {
@@ -311,8 +297,8 @@ func buildManifestHandler(c serveConfig, opts ...server.Option) (http.Handler, s
 
 // buildRouter assembles the replica engines and router over per-shard
 // packed sources. The -cache-mb budget for /neighbors rows is divided
-// across the shards so the sharded tier's total cache footprint matches the
-// single-engine flag.
+// across the shards so the total row-table footprint matches the flag at
+// any shard count.
 func buildRouter(part *shard.Partition, pks []*csr.Packed, c serveConfig) (*shard.Router, error) {
 	replicas := c.replicas
 	if replicas < 1 {

@@ -225,8 +225,6 @@ func (g *Graph) CompressDelta() *DeltaCompressedGraph {
 // DeltaCompressedGraph is the gap-compressed CSR form.
 type DeltaCompressedGraph struct {
 	dp    *csr.DeltaPacked
-	rows  query.Source // dp, fronted by the hot-row cache when enabled
-	cache *query.RowCache
 	procs int
 }
 
@@ -239,18 +237,8 @@ func (dg *DeltaCompressedGraph) NumEdges() int { return dg.dp.NumEdges() }
 // Degree returns the out-degree of u (decodes the row).
 func (dg *DeltaCompressedGraph) Degree(u NodeID) int { return dg.dp.Degree(u) }
 
-// Neighbors decodes and returns u's neighbors. With a row cache enabled,
-// repeated hub lookups are served from the cache (still copied, so the
-// result is always caller-owned).
-func (dg *DeltaCompressedGraph) Neighbors(u NodeID) []uint32 {
-	if dg.rows != nil {
-		row := dg.rows.Row(nil, u)
-		out := make([]uint32, len(row))
-		copy(out, row)
-		return out
-	}
-	return dg.dp.Row(nil, u)
-}
+// Neighbors decodes and returns u's neighbors.
+func (dg *DeltaCompressedGraph) Neighbors(u NodeID) []uint32 { return dg.dp.Row(nil, u) }
 
 // HasEdge reports whether (u, v) exists by early-exit sequential decode
 // (gamma rows have no random access, so this is the best possible search).
@@ -259,39 +247,13 @@ func (dg *DeltaCompressedGraph) HasEdge(u, v NodeID) bool { return dg.dp.SearchR
 // NeighborsBatch answers many neighborhood queries in parallel with
 // work-stealing scheduling; result i holds the neighbors of nodes[i].
 func (dg *DeltaCompressedGraph) NeighborsBatch(nodes []NodeID, procs int) [][]uint32 {
-	return query.NeighborsBatch(dg.rowSource(), nodes, orDefault(procs, dg.procs))
+	return query.NeighborsBatch(dg.dp, nodes, orDefault(procs, dg.procs))
 }
 
 // EdgesExistBatch answers many edge-existence queries in parallel without
 // materializing rows.
 func (dg *DeltaCompressedGraph) EdgesExistBatch(queries []Edge, procs int) []bool {
 	return query.EdgesExistBatchSearch(dg.dp, queries, orDefault(procs, dg.procs))
-}
-
-// EnableRowCache fronts row decodes with a sharded LRU cache of decoded
-// rows bounded by maxBytes; maxBytes <= 0 disables caching. Not safe to
-// call concurrently with queries — configure the cache before serving.
-// Gamma rows decode sequentially, so the cache pays off even faster here
-// than on the bit-packed form.
-func (dg *DeltaCompressedGraph) EnableRowCache(maxBytes int64) {
-	if c := query.NewRowCacheShards(maxBytes, 0); c != nil {
-		dg.cache, dg.rows = c, query.Cached(dg.dp, c)
-	} else {
-		dg.cache, dg.rows = nil, nil
-	}
-}
-
-// CacheStats reports hot-row cache effectiveness; zero when no cache is
-// enabled.
-func (dg *DeltaCompressedGraph) CacheStats() CacheStats {
-	return cacheStatsFrom(dg.cache.Stats())
-}
-
-func (dg *DeltaCompressedGraph) rowSource() query.Source {
-	if dg.rows != nil {
-		return dg.rows
-	}
-	return dg.dp
 }
 
 // SizeBytes returns the compressed footprint.
@@ -307,23 +269,7 @@ func (dg *DeltaCompressedGraph) Decompress() *Graph {
 // decompression. All methods are safe for concurrent use.
 type CompressedGraph struct {
 	pk    *csr.Packed
-	rows  query.Source // pk, fronted by the hot-row cache when enabled
-	cache *query.RowCache
 	procs int
-}
-
-// CacheStats is a point-in-time snapshot of a graph's hot-row cache
-// counters; all fields are zero when caching is disabled.
-type CacheStats struct {
-	Hits     int64
-	Misses   int64
-	Entries  int64
-	Bytes    int64
-	MaxBytes int64
-}
-
-func cacheStatsFrom(st query.CacheStats) CacheStats {
-	return CacheStats{Hits: st.Hits, Misses: st.Misses, Entries: st.Entries, Bytes: st.Bytes, MaxBytes: st.MaxB}
 }
 
 // NumNodes returns the number of nodes.
@@ -338,18 +284,8 @@ func (cg *CompressedGraph) NumBits() int { return cg.pk.NumBits() }
 // Degree returns the out-degree of u.
 func (cg *CompressedGraph) Degree(u NodeID) int { return cg.pk.Degree(u) }
 
-// Neighbors decodes and returns u's neighbors in ascending order. With a
-// row cache enabled, repeated hub lookups are served from the cache (still
-// copied, so the result is always caller-owned).
-func (cg *CompressedGraph) Neighbors(u NodeID) []uint32 {
-	if cg.rows != nil {
-		row := cg.rows.Row(nil, u)
-		out := make([]uint32, len(row))
-		copy(out, row)
-		return out
-	}
-	return cg.pk.Row(nil, u)
-}
+// Neighbors decodes and returns u's neighbors in ascending order.
+func (cg *CompressedGraph) Neighbors(u NodeID) []uint32 { return cg.pk.Row(nil, u) }
 
 // HasEdge reports whether (u, v) exists by searching the packed row in
 // place — a branch-free lower bound over the packed bits — without
@@ -366,40 +302,15 @@ func (cg *CompressedGraph) HasEdgeParallel(u, v NodeID, procs int) bool {
 
 // NeighborsBatch answers many neighborhood queries in parallel with
 // work-stealing scheduling (static chunking collapses under power-law
-// degree skew); decodes go through the hot-row cache when one is enabled.
+// degree skew).
 func (cg *CompressedGraph) NeighborsBatch(nodes []NodeID, procs int) [][]uint32 {
-	return query.NeighborsBatch(cg.rowSource(), nodes, orDefault(procs, cg.procs))
+	return query.NeighborsBatch(cg.pk, nodes, orDefault(procs, cg.procs))
 }
 
 // EdgesExistBatch answers many edge-existence queries in parallel without
 // materializing a single row.
 func (cg *CompressedGraph) EdgesExistBatch(queries []Edge, procs int) []bool {
 	return query.EdgesExistBatchSearch(cg.pk, queries, orDefault(procs, cg.procs))
-}
-
-// EnableRowCache fronts row decodes (Neighbors, NeighborsBatch) with a
-// sharded LRU cache of decoded rows bounded by maxBytes; maxBytes <= 0
-// disables caching. Not safe to call concurrently with queries — configure
-// the cache before serving.
-func (cg *CompressedGraph) EnableRowCache(maxBytes int64) {
-	if c := query.NewRowCacheShards(maxBytes, 0); c != nil {
-		cg.cache, cg.rows = c, query.Cached(cg.pk, c)
-	} else {
-		cg.cache, cg.rows = nil, nil
-	}
-}
-
-// CacheStats reports hot-row cache effectiveness; zero when no cache is
-// enabled.
-func (cg *CompressedGraph) CacheStats() CacheStats {
-	return cacheStatsFrom(cg.cache.Stats())
-}
-
-func (cg *CompressedGraph) rowSource() query.Source {
-	if cg.rows != nil {
-		return cg.rows
-	}
-	return cg.pk
 }
 
 // Decompress expands back to a plain Graph.

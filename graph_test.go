@@ -152,19 +152,32 @@ func TestBatchQueriesPublicAPI(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cg := g.Compress()
-	nodes := []NodeID{0, 10, 50, 99}
+	cg, dg := g.Compress(), g.CompressDelta()
+	nodes := []NodeID{0, 10, 50, 99, 0, 10}
 	gn := g.NeighborsBatch(nodes, 2)
 	cn := cg.NeighborsBatch(nodes, 2)
+	dn := dg.NeighborsBatch(nodes, 2)
 	for i := range nodes {
 		if !reflect.DeepEqual(gn[i], cn[i]) && !(len(gn[i]) == 0 && len(cn[i]) == 0) {
 			t.Fatalf("batch result %d differs between plain and compressed", i)
 		}
+		if !reflect.DeepEqual(gn[i], dn[i]) && !(len(gn[i]) == 0 && len(dn[i]) == 0) {
+			t.Fatalf("batch result %d differs between plain and delta", i)
+		}
 	}
-	queries := []Edge{{U: 0, V: 1}, {U: 99, V: 0}}
+	// Neighbors results are caller-owned in every form.
+	for _, neighbors := range []func(NodeID) []uint32{cg.Neighbors, dg.Neighbors} {
+		if row := neighbors(0); len(row) > 0 {
+			row[0] = 0xdead
+			if again := neighbors(0); again[0] == 0xdead {
+				t.Fatal("Neighbors result aliases the graph")
+			}
+		}
+	}
+	queries := []Edge{{U: 0, V: 1}, {U: 99, V: 0}, {U: 0, V: gn[0][0]}}
 	ge := g.EdgesExistBatch(queries, 0) // 0 => default procs
 	ce := cg.EdgesExistBatch(queries, 0)
-	if !reflect.DeepEqual(ge, ce) {
+	if !reflect.DeepEqual(ge, ce) || !reflect.DeepEqual(ge, dg.EdgesExistBatch(queries, 2)) {
 		t.Fatal("existence batches disagree")
 	}
 	for i, q := range queries {
@@ -367,69 +380,5 @@ func TestEdgesAccessor(t *testing.T) {
 	g, _ := Build(triangle())
 	if got := g.Edges(); len(got) != 3 || got[0] != (Edge{U: 0, V: 1}) {
 		t.Fatalf("Edges = %v", got)
-	}
-}
-
-func TestRowCachePublicAPI(t *testing.T) {
-	var edges []Edge
-	for v := uint32(1); v <= 200; v++ {
-		edges = append(edges, Edge{U: 0, V: v}) // hub
-	}
-	for u := uint32(1); u < 50; u++ {
-		edges = append(edges, Edge{U: u, V: u % 7}, Edge{U: u, V: 100 + u})
-	}
-	g, err := Build(edges)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cg := g.Compress()
-	if st := cg.CacheStats(); st != (CacheStats{}) {
-		t.Fatalf("stats before enable = %+v", st)
-	}
-	cg.EnableRowCache(1 << 20)
-	batch := []NodeID{0, 1, 0, 2, 0, 1}
-	for pass := 0; pass < 2; pass++ {
-		rows := cg.NeighborsBatch(batch, 2)
-		for i, u := range batch {
-			if want := g.Neighbors(u); len(rows[i]) != len(want) {
-				t.Fatalf("node %d: %d neighbors, want %d", u, len(rows[i]), len(want))
-			}
-		}
-	}
-	if st := cg.CacheStats(); st.Hits == 0 || st.Entries == 0 {
-		t.Fatalf("no cache traffic recorded: %+v", st)
-	}
-	// Neighbors through the cache stays caller-owned.
-	row := cg.Neighbors(0)
-	row[0] = 0xdead
-	if again := cg.Neighbors(0); again[0] == 0xdead {
-		t.Fatal("cached Neighbors result aliases the cache entry")
-	}
-	cg.EnableRowCache(0)
-	if st := cg.CacheStats(); st != (CacheStats{}) {
-		t.Fatalf("stats after disable = %+v", st)
-	}
-
-	dg := g.CompressDelta()
-	dg.EnableRowCache(1 << 20)
-	for pass := 0; pass < 2; pass++ {
-		rows := dg.NeighborsBatch(batch, 2)
-		for i, u := range batch {
-			if want := g.Neighbors(u); len(rows[i]) != len(want) {
-				t.Fatalf("delta node %d: %d neighbors, want %d", u, len(rows[i]), len(want))
-			}
-		}
-	}
-	if st := dg.CacheStats(); st.Hits == 0 {
-		t.Fatalf("delta cache saw no hits: %+v", st)
-	}
-	exists := dg.EdgesExistBatch([]Edge{{U: 0, V: 1}, {U: 0, V: 201}, {U: 1, V: 1 % 7}}, 2)
-	if !exists[0] || exists[1] || !exists[2] {
-		t.Fatalf("delta EdgesExistBatch = %v", exists)
-	}
-	row = dg.Neighbors(0)
-	row[0] = 0xdead
-	if again := dg.Neighbors(0); again[0] == 0xdead {
-		t.Fatal("cached delta Neighbors result aliases the cache entry")
 	}
 }

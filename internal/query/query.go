@@ -19,8 +19,8 @@
 // EdgesExistBatch and EdgeExistsSplit in this file are the paper-faithful
 // decode-and-scan implementations, retained as the differential baselines
 // for the skew-aware engine in search.go (zero-decode searches,
-// work-stealing scheduling) and the hot-row cache in cache.go; the public
-// csrgraph API routes through the engine.
+// work-stealing scheduling); the public csrgraph API routes through the
+// engine.
 package query
 
 import (
@@ -29,7 +29,6 @@ import (
 	"csrgraph/internal/edgelist"
 	"csrgraph/internal/obs"
 	"csrgraph/internal/parallel"
-	"csrgraph/internal/trace"
 )
 
 // Source is a CSR-shaped graph that can produce a node's neighbor row.
@@ -46,10 +45,21 @@ type Source interface {
 // returns is a shared, immutable slice that stays valid for as long as the
 // source does. Batch results hand such rows up as they are, so callers must
 // not write to them. The shard engines' row table declares it; csr.Matrix
-// and CachedSource could and do not, because the library's NeighborsBatch
-// promises caller-owned rows.
+// could and does not, because the library's NeighborsBatch promises
+// caller-owned rows.
 type StableRower interface {
 	StableRows() bool
+}
+
+// CacheStats is a point-in-time snapshot of a decoded-row cache's
+// effectiveness (the shard engines' row tables), exposed by csrserver's
+// /stats and /metrics endpoints.
+type CacheStats struct {
+	Hits    int64 `json:"hits"`
+	Misses  int64 `json:"misses"`
+	Entries int64 `json:"entries"`
+	Bytes   int64 `json:"bytes"`
+	MaxB    int64 `json:"max_bytes"`
 }
 
 // NeighborsBatch answers an array of neighborhood queries with p
@@ -67,15 +77,7 @@ type StableRower interface {
 // one chunk draws the hub nodes, so participants instead grab small index
 // ranges sized to roughly constant decode work.
 func NeighborsBatch(g Source, uNodes []edgelist.NodeID, p int) [][]uint32 {
-	return NeighborsBatchTraced(g, uNodes, p, nil)
-}
-
-// NeighborsBatchTraced is NeighborsBatch stamping spans into tr (nil means
-// untraced): a schedule span for proc clamping and grain sizing, then a
-// decode span covering the parallel row-decoding body.
-func NeighborsBatchTraced(g Source, uNodes []edgelist.NodeID, p int, tr *trace.Trace) [][]uint32 {
 	start := obs.Now()
-	ts := tr.Now()
 	results := make([][]uint32, len(uNodes))
 	p = clampProcs(p, len(uNodes))
 	grain := dynamicGrain(g, len(uNodes), p)
@@ -108,10 +110,7 @@ func NeighborsBatchTraced(g Source, uNodes []edgelist.NodeID, p int, tr *trace.T
 			}
 		}
 	}
-	tr.Span(trace.StageSchedule, len(uNodes), ts)
-	td := tr.Now()
 	parallel.ForDynamic(len(uNodes), p, grain, body)
-	tr.Span(trace.StageDecode, len(uNodes), td)
 	neighborsBatchSize.Observe(int64(len(uNodes)))
 	obs.Tick(neighborsBatchSeconds, start)
 	return results
@@ -200,19 +199,11 @@ func EdgeExistsSplit(g Source, u, v edgelist.NodeID, p int) bool {
 // CountBatch answers an array of degree queries with p processors; a
 // convenience built on the same dispatch pattern as Algorithm 9.
 func CountBatch(g Source, uNodes []edgelist.NodeID, p int) []int {
-	return CountBatchTraced(g, uNodes, p, nil)
-}
-
-// CountBatchTraced is CountBatch stamping one exec span over the parallel
-// degree-lookup body.
-func CountBatchTraced(g Source, uNodes []edgelist.NodeID, p int, tr *trace.Trace) []int {
-	tx := tr.Now()
 	results := make([]int, len(uNodes))
 	parallel.For(len(uNodes), p, func(_ int, r parallel.Range) {
 		for i := r.Start; i < r.End; i++ {
 			results[i] = g.Degree(uNodes[i])
 		}
 	})
-	tr.Span(trace.StageExec, len(uNodes), tx)
 	return results
 }

@@ -22,7 +22,6 @@ import (
 	"csrgraph/internal/edgelist"
 	"csrgraph/internal/obs"
 	"csrgraph/internal/parallel"
-	"csrgraph/internal/trace"
 )
 
 // Searcher is a Source that can answer an existence query by searching a
@@ -60,8 +59,8 @@ const searchGrain = 256
 // AvgDegreeHinter is a Source that has already computed its average degree
 // once, so per-batch grain sizing reads a field instead of re-deriving the
 // estimate from NumEdges/NumNodes on every call. Wrappers that sit between
-// the scheduler and the raw CSR (the hot-row cache, the shard engines'
-// per-shard sources) implement it: a sharded router fans one request out
+// the scheduler and the raw CSR (the shard engines' per-shard sources and
+// row tables) implement it: a sharded router fans one request out
 // into many small per-shard sub-batches, and without the hint every leg
 // would repay the degree probe through the whole wrapper chain.
 type AvgDegreeHinter interface {
@@ -124,55 +123,47 @@ func clampProcs(p, n int) int {
 // instead of an O(d) row decode); any other source falls back to decoding
 // each row into a per-worker buffer and binary-searching it.
 func EdgesExistBatchSearch(g Source, edges []edgelist.Edge, p int) []bool {
-	return EdgesExistBatchSearchTraced(g, edges, p, nil)
-}
-
-// EdgesExistBatchSearchTraced is EdgesExistBatchSearch stamping spans into
-// tr: a schedule span, then a search span (zero-decode path) or a decode
-// span (fallback), so a trace shows which dispatch the batch actually took.
-func EdgesExistBatchSearchTraced(g Source, edges []edgelist.Edge, p int, tr *trace.Trace) []bool {
 	start := obs.Now()
-	ts := tr.Now()
 	results := make([]bool, len(edges))
 	p = clampProcs(p, len(edges))
 	if s, ok := g.(Searcher); ok {
 		dispatchSearch.Inc()
-		tr.Span(trace.StageSchedule, len(edges), ts)
-		tx := tr.Now()
 		parallel.ForDynamic(len(edges), p, searchGrain, func(_ int, r parallel.Range) {
 			s.SearchBatch(edges[r.Start:r.End], results[r.Start:r.End])
 		})
-		tr.Span(trace.StageSearch, len(edges), tx)
-		existsBatchSize.Observe(int64(len(edges)))
-		obs.Tick(existsBatchSeconds, start)
-		return results
-	}
-	dispatchDecode.Inc()
-	grain := dynamicGrain(g, len(edges), p)
-	bufs := make([][]uint32, p)
-	tr.Span(trace.StageSchedule, len(edges), ts)
-	tx := tr.Now()
-	parallel.ForDynamic(len(edges), p, grain, func(w int, r parallel.Range) {
-		for i := r.Start; i < r.End; i++ {
-			e := edges[i]
-			buf := g.Row(bufs[w], e.U)
-			bufs[w] = buf
-			lo, hi := 0, len(buf)
-			for lo < hi {
-				mid := int(uint(lo+hi) >> 1)
-				if buf[mid] < e.V {
-					lo = mid + 1
-				} else {
-					hi = mid
-				}
+	} else {
+		dispatchDecode.Inc()
+		bufs := make([][]uint32, p)
+		parallel.ForDynamic(len(edges), p, dynamicGrain(g, len(edges), p), func(w int, r parallel.Range) {
+			for i := r.Start; i < r.End; i++ {
+				e := edges[i]
+				bufs[w] = g.Row(bufs[w], e.U)
+				results[i] = SearchSorted(bufs[w], e.V)
 			}
-			results[i] = lo < len(buf) && buf[lo] == e.V
-		}
-	})
-	tr.Span(trace.StageDecode, len(edges), tx)
+		})
+	}
 	existsBatchSize.Observe(int64(len(edges)))
 	obs.Tick(existsBatchSeconds, start)
 	return results
+}
+
+// SearchSorted binary-searches a sorted decoded row for v with the halving
+// loop: the answer stays in [base, base+n] and the trip count depends only
+// on len(row). The conditional advance is written as a data move, but Go
+// 1.24 compiles it to a branch, not a conditional select; the packed
+// search (bitpack.Packed.LowerBound) uses a sign mask instead.
+//
+//csr:hotpath
+func SearchSorted(row []uint32, v edgelist.NodeID) bool {
+	base, n := 0, len(row)
+	for n > 1 {
+		half := n >> 1
+		if row[base+half-1] < v {
+			base += half
+		}
+		n -= half
+	}
+	return n == 1 && row[base] == v
 }
 
 // EdgeExistsSplitSearch answers one (u, v) existence query by splitting

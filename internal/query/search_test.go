@@ -10,8 +10,8 @@ import (
 )
 
 // TestEdgesExistBatchSearchDifferential checks the zero-decode engine
-// against the decode-and-scan baseline on packed, plain, delta and
-// cache-fronted sources, across processor counts: on a uniform graph, and
+// against the decode-and-scan baseline on packed, plain and delta sources
+// and the decode fallback, across processor counts: on a uniform graph, and
 // on one whose hub row is past a cache line of packed bits, hammered by a
 // third of the probes so that work-stealing grabs mix it with short rows.
 func TestEdgesExistBatchSearchDifferential(t *testing.T) {
@@ -49,8 +49,7 @@ func checkExistsDifferential(t *testing.T, graph string, m *csr.Matrix, pk *csr.
 	want := EdgesExistBatch(m, queries, 1)
 	sources := map[string]Source{
 		"matrix": m, "packed": pk, "delta": csr.PackDelta(m, 2),
-		"cached": Cached(pk, NewRowCache(1<<20)),
-		"plain":  plainSource{m}, // the decoded fallback path
+		"plain": plainSource{m}, // the decoded fallback path
 	}
 	for _, p := range []int{1, 2, 4, 16, 64} {
 		for name, g := range sources {
@@ -160,7 +159,7 @@ func TestNeighborsBatchDuplicateAndSkewed(t *testing.T) {
 		}
 	}
 	for _, p := range []int{1, 2, 8} {
-		for name, g := range map[string]Source{"matrix": m, "packed": pk, "cached": Cached(pk, NewRowCache(1<<20))} {
+		for name, g := range map[string]Source{"matrix": m, "packed": pk} {
 			got := NeighborsBatch(g, batch, p)
 			for i, u := range batch {
 				want := m.Neighbors(u)
@@ -171,7 +170,7 @@ func TestNeighborsBatchDuplicateAndSkewed(t *testing.T) {
 					t.Fatalf("p=%d %s: result %d (node %d) wrong", p, name, i, u)
 				}
 			}
-			// Results must be independent copies even when served from cache.
+			// Results must be independent copies, duplicates included.
 			if len(got[0]) > 0 {
 				got[0][0] = 0xdead
 				if got[3][0] == 0xdead {
@@ -179,5 +178,40 @@ func TestNeighborsBatchDuplicateAndSkewed(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// hintedFake is a Source carrying a precomputed average-degree hint.
+type hintedFake struct {
+	Source
+	avg int
+}
+
+func (h hintedFake) AvgDegreeHint() int { return h.avg }
+
+// TestAvgDegreeHint pins the grain-probe hoist: sources with a hint are
+// never re-probed, a hint equal to the probe sizes grabs the same, and
+// unhinted sources keep the NumEdges/NumNodes probe.
+func TestAvgDegreeHint(t *testing.T) {
+	_, m, pk := buildTestGraphs(5000, 200, 3)
+	probe := pk.NumEdges()/pk.NumNodes() + 1
+	if got := avgDegreeOf(pk); got != probe {
+		t.Fatalf("avgDegreeOf(packed) = %d, want probe %d", got, probe)
+	}
+	if got := avgDegreeOf(hintedFake{Source: m, avg: 77}); got != 77 {
+		t.Fatalf("avgDegreeOf(hinted) = %d, want 77", got)
+	}
+	// A non-positive hint is ignored (the fake exposes no edge count, so
+	// the flat default applies).
+	if got := avgDegreeOf(hintedFake{Source: m, avg: 0}); got != 8 {
+		t.Fatalf("avgDegreeOf(zero hint) = %d, want default 8", got)
+	}
+	// dynamicGrain through a hinted wrapper matches the probed source.
+	if gw, gd := dynamicGrain(hintedFake{Source: pk, avg: probe}, 4096, 4), dynamicGrain(pk, 4096, 4); gw != gd {
+		t.Fatalf("dynamicGrain hinted %d != probed %d", gw, gd)
+	}
+	// Sources with neither hint nor edge count use the flat default.
+	if got := avgDegreeOf(plainSource{m}); got != 8 {
+		t.Fatalf("avgDegreeOf(plain) = %d, want default 8", got)
 	}
 }

@@ -21,7 +21,6 @@ import (
 	"time"
 
 	"csrgraph/internal/obs"
-	"csrgraph/internal/query"
 	"csrgraph/internal/trace"
 )
 
@@ -37,12 +36,14 @@ type config struct {
 	tracer     *trace.Recorder
 }
 
-// WithRowCache fronts the /neighbors endpoint's row decodes with a sharded
-// LRU cache of decoded rows bounded by maxBytes (<= 0 disables). It caches
-// /neighbors rows only: /exists searches the rows in place and never reads
-// or fills it. Cache effectiveness counters appear under "cache" in /stats
-// and as csrgraph_rowcache_* series in /metrics. Temporal handlers ignore
-// it.
+// WithRowCache gives New's engine a decoded-row table for /neighbors
+// bounded by maxBytes, 8 bytes per node of slot array included (<= 0, or a
+// budget the array alone exceeds, disables it). Rows are admitted on first
+// touch until the budget fills. It caches /neighbors rows only: /exists
+// searches the rows in place and never reads or fills it. The counters
+// appear under shards[0].replicas[0].cache in /stats and as
+// csrgraph_rowcache_*{shard="0",replica="0"} series in /metrics.
+// NewSharded and temporal handlers ignore it.
 func WithRowCache(maxBytes int64) Option {
 	return func(c *config) { c.cacheBytes = maxBytes }
 }
@@ -254,18 +255,6 @@ func (o *httpObs) mountMetrics(mux *http.ServeMux, extra func(io.Writer)) {
 			extra(w)
 		}
 	})
-}
-
-// writeCacheMetrics emits the hot-row cache counters as exposition lines;
-// they live outside the obs registry because the cache is per-handler.
-func writeCacheMetrics(w io.Writer, st query.CacheStats) {
-	var b strings.Builder
-	fmt.Fprintf(&b, "# TYPE csrgraph_rowcache_hits_total counter\ncsrgraph_rowcache_hits_total %d\n", st.Hits)
-	fmt.Fprintf(&b, "# TYPE csrgraph_rowcache_misses_total counter\ncsrgraph_rowcache_misses_total %d\n", st.Misses)
-	fmt.Fprintf(&b, "# TYPE csrgraph_rowcache_entries gauge\ncsrgraph_rowcache_entries %d\n", st.Entries)
-	fmt.Fprintf(&b, "# TYPE csrgraph_rowcache_bytes gauge\ncsrgraph_rowcache_bytes %d\n", st.Bytes)
-	fmt.Fprintf(&b, "# TYPE csrgraph_rowcache_max_bytes gauge\ncsrgraph_rowcache_max_bytes %d\n", st.MaxB)
-	_, _ = io.WriteString(w, b.String()) //csr:errok best-effort exposition; client disconnect mid-scrape is benign
 }
 
 // mountPprof exposes the net/http/pprof handlers on the handler's own mux

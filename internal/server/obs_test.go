@@ -12,6 +12,7 @@ import (
 	"csrgraph/internal/csr"
 	"csrgraph/internal/edgelist"
 	"csrgraph/internal/obs"
+	"csrgraph/internal/shard"
 	"csrgraph/internal/tcsr"
 )
 
@@ -22,29 +23,54 @@ func testGraph() *csr.Packed {
 	return csr.BuildPacked(l, 4, 2)
 }
 
+// TestStatsObservabilityFields holds /stats of New and of a four-shard
+// NewSharded to one shape: node and edge counts, the packed footprint summed
+// over the shards, and uptime.
 func TestStatsObservabilityFields(t *testing.T) {
 	pk := testGraph()
-	rec, body := get(t, New(pk, 2), "/stats")
-	if rec.Code != 200 {
-		t.Fatalf("status %d: %s", rec.Code, body)
-	}
-	var out struct {
-		Nodes     int      `json:"nodes"`
-		Edges     *int     `json:"edges"`
-		SizeBytes *int64   `json:"size_bytes"`
-		Uptime    *float64 `json:"uptime_seconds"`
-	}
-	if err := json.Unmarshal([]byte(body), &out); err != nil {
+	part, pks, err := shard.PartitionSource(pk, 4, 2)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if out.Edges == nil || *out.Edges != pk.NumEdges() {
-		t.Fatalf("stats missing edge count: %s", body)
+	engines := make([][]*shard.Engine, len(pks))
+	size := int64(0)
+	for s, spk := range pks {
+		engines[s] = shard.NewReplicas(s, 1, spk, shard.EngineConfig{})
+		size += spk.SizeBytes()
 	}
-	if out.SizeBytes == nil || *out.SizeBytes != pk.SizeBytes() {
-		t.Fatalf("stats missing packed footprint: %s", body)
+	rt, err := shard.NewRouter(part, engines, shard.RouterConfig{})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if out.Uptime == nil || *out.Uptime < 0 {
-		t.Fatalf("stats missing uptime: %s", body)
+	for name, c := range map[string]struct {
+		h    *Handler
+		size int64
+	}{"New": {New(pk, 2), pk.SizeBytes()}, "NewSharded": {NewSharded(rt, 2), size}} {
+		rec, body := get(t, c.h, "/stats")
+		if rec.Code != 200 {
+			t.Fatalf("%s: status %d: %s", name, rec.Code, body)
+		}
+		var out struct {
+			Nodes     int      `json:"nodes"`
+			Edges     *int     `json:"edges"`
+			SizeBytes *int64   `json:"size_bytes"`
+			Uptime    *float64 `json:"uptime_seconds"`
+		}
+		if err := json.Unmarshal([]byte(body), &out); err != nil {
+			t.Fatal(err)
+		}
+		if out.Nodes != pk.NumNodes() {
+			t.Fatalf("%s: stats node count: %s", name, body)
+		}
+		if out.Edges == nil || *out.Edges != pk.NumEdges() {
+			t.Fatalf("%s: stats missing edge count: %s", name, body)
+		}
+		if out.SizeBytes == nil || *out.SizeBytes != c.size {
+			t.Fatalf("%s: stats missing packed footprint %d: %s", name, c.size, body)
+		}
+		if out.Uptime == nil || *out.Uptime < 0 {
+			t.Fatalf("%s: stats missing uptime: %s", name, body)
+		}
 	}
 }
 

@@ -1,8 +1,10 @@
 // Package server exposes a compressed CSR graph over HTTP — the "social
 // network with millions of users querying at once" scenario of Section V.
 // Incoming query batches are answered with the parallel querying
-// algorithms; responses are JSON. An optional decoded-row cache
-// (WithRowCache, or each shard engine's row table) serves /neighbors rows;
+// algorithms; responses are JSON. Every handler answers through the
+// scatter-gather router of internal/shard: New serves one graph as a
+// one-shard router, NewSharded a router the caller built. Each shard
+// engine's decoded-row table (WithRowCache for New) serves /neighbors rows;
 // /exists always searches the packed rows in place.
 //
 // Endpoints:
@@ -21,6 +23,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"log/slog"
 	"net/http"
 	"slices"
@@ -61,39 +64,51 @@ var (
 	bfsRounds  = obs.GetHistogram("csrgraph_http_bfs_rounds")
 )
 
-// Handler serves queries over one immutable graph through a backend — one
-// in-process engine (New) or the sharded scatter-gather tier (NewSharded).
+// Handler serves queries over one immutable graph through the
+// scatter-gather router. Batch validation happens twice by design: the
+// handler rejects early with a proper 400, and the router revalidates
+// because it is also a library entry point.
 type Handler struct {
-	b     backend
+	rt    *shard.Router
 	procs int
 	mux   *http.ServeMux
 	o     *httpObs
 }
 
-// New builds a Handler answering from g with the given parallelism. See
-// WithRowCache, WithMetrics, WithPprof, and WithAccessLog for the
-// observability options.
+// New builds a Handler answering from g with the given parallelism, through
+// a one-shard router over g itself (no copy): one engine with procs-way
+// batches and the WithRowCache budget for its /neighbors row table. See
+// WithRowCache, WithMetrics, WithPprof, and WithAccessLog for the options.
 func New(g query.Source, procs int, opts ...Option) *Handler {
 	if procs < 1 {
 		procs = 1
 	}
 	cfg := newConfig(opts)
-	return newHandler(newSingleBackend(g, cfg.cacheBytes, procs), procs, cfg)
+	part, err := shard.Range([]uint32{0, uint32(g.NumNodes())})
+	if err != nil {
+		panic(err) // one ascending range from 0 is always a valid partition
+	}
+	e := shard.NewEngine(0, 0, g, shard.EngineConfig{CacheBytes: cfg.cacheBytes, Procs: procs})
+	rt, err := shard.NewRouter(part, [][]*shard.Engine{{e}}, shard.RouterConfig{})
+	if err != nil {
+		panic(err) // the engine has exactly the partition's row count
+	}
+	return newHandler(rt, procs, cfg)
 }
 
 // NewSharded builds a Handler answering through the scatter-gather router.
-// Row-cache budgets are per shard engine (set at engine build), so
+// Row-table budgets are per shard engine (set at engine build), so
 // WithRowCache is ignored here; the other options apply unchanged.
 func NewSharded(rt *shard.Router, procs int, opts ...Option) *Handler {
 	if procs < 1 {
 		procs = 1
 	}
-	return newHandler(&shardBackend{rt: rt}, procs, newConfig(opts))
+	return newHandler(rt, procs, newConfig(opts))
 }
 
-func newHandler(b backend, procs int, cfg config) *Handler {
+func newHandler(rt *shard.Router, procs int, cfg config) *Handler {
 	h := &Handler{
-		b:     b,
+		rt:    rt,
 		procs: procs,
 		mux:   http.NewServeMux(),
 		o:     newHTTPObs(cfg),
@@ -106,7 +121,7 @@ func newHandler(b backend, procs int, cfg config) *Handler {
 	h.o.handle(h.mux, "GET /bfs", h.bfs)
 	h.o.handle(h.mux, "GET /analytics/bfs", h.analyticsBFS)
 	if cfg.metrics {
-		h.o.mountMetrics(h.mux, h.b.metricsInto)
+		h.o.mountMetrics(h.mux, h.rowTableMetrics)
 	}
 	if cfg.pprof {
 		mountPprof(h.mux)
@@ -130,35 +145,120 @@ func newHandler(b backend, procs int, cfg config) *Handler {
 	return h
 }
 
-// healthz reports liveness plus backend readiness: always 200 with ok=true
-// once the handler exists (graphs load before the mux is built), and for
-// sharded backends a per-shard readiness array — replica count, checksum
-// verification, live queue depth, and the queue-depth high-watermark since
-// start.
+// healthz reports liveness plus per-shard readiness: always 200 with
+// ok=true once the handler exists (graphs load before the mux is built),
+// and per shard the replica count, checksum verification, live queue
+// depth, and the queue-depth high-watermark since start — the shard-level
+// signal for "is one shard quietly drowning".
 func (h *Handler) healthz(w http.ResponseWriter, r *http.Request) {
-	out := map[string]any{
+	shards := make([]map[string]any, h.rt.NumShards())
+	for s := range shards {
+		replicas := h.rt.Replicas(s)
+		shards[s] = map[string]any{
+			"shard":           s,
+			"ready":           len(replicas) > 0,
+			"verified":        h.rt.Verified(),
+			"replicas":        len(replicas),
+			"queue_depth":     h.rt.QueueDepth(s),
+			"queue_depth_max": h.rt.QueueDepthMax(s),
+		}
+	}
+	h.writeJSON(w, map[string]any{
 		"ok":             true,
 		"uptime_seconds": time.Since(h.o.start).Seconds(),
-	}
-	h.b.healthInto(out)
-	h.writeJSON(w, out)
+		"verified":       h.rt.Verified(),
+		"shards":         shards,
+	})
 }
 
 // ServeHTTP implements http.Handler.
 func (h *Handler) ServeHTTP(w http.ResponseWriter, r *http.Request) { h.mux.ServeHTTP(w, r) }
 
+// numNodes is the global id space the batch endpoints validate against.
+func (h *Handler) numNodes() int { return h.rt.Partition().NumNodes() }
+
+// stats reports the graph and the shard topology: edge count and packed
+// footprint (Table II's "CSR" column) summed over the shards, and per
+// shard the owned range and per-replica row-table counters, so operators
+// see which shard's table is absorbing the hub traffic.
 func (h *Handler) stats(w http.ResponseWriter, r *http.Request) {
 	out := map[string]any{
-		"nodes":          h.b.numNodes(),
+		"nodes":          h.numNodes(),
 		"procs":          h.procs,
 		"uptime_seconds": time.Since(h.o.start).Seconds(),
+		"strategy":       h.rt.Partition().Strategy().String(),
+		"shards":         h.topology(),
 	}
-	h.b.statsInto(out)
+	edges, size := 0, int64(0)
+	hasEdges, hasSize := true, true
+	for s := 0; s < h.rt.NumShards(); s++ {
+		src := h.rt.Replicas(s)[0].Source()
+		if ec, ok := src.(interface{ NumEdges() int }); ok {
+			edges += ec.NumEdges()
+		} else {
+			hasEdges = false
+		}
+		if sz, ok := src.(interface{ SizeBytes() int64 }); ok {
+			size += sz.SizeBytes()
+		} else {
+			hasSize = false
+		}
+	}
+	if hasEdges {
+		out["edges"] = edges
+	}
+	if hasSize {
+		out["size_bytes"] = size
+	}
 	h.writeJSON(w, out)
 }
 
+func (h *Handler) topology() []map[string]any {
+	part := h.rt.Partition()
+	shards := make([]map[string]any, h.rt.NumShards())
+	for s := range shards {
+		lo, hi := part.Bounds(s)
+		replicas := h.rt.Replicas(s)
+		reps := make([]map[string]any, len(replicas))
+		for r, e := range replicas {
+			rep := map[string]any{"inflight": e.Inflight()}
+			if st, ok := e.TryCacheStats(); ok {
+				rep["cache"] = st
+			}
+			reps[r] = rep
+		}
+		shards[s] = map[string]any{
+			"shard":       s,
+			"lo":          lo,
+			"hi":          hi,
+			"nodes":       part.ShardNodes(s),
+			"queue_depth": h.rt.QueueDepth(s),
+			"replicas":    reps,
+		}
+	}
+	return shards
+}
+
+// rowTableMetrics appends the per-shard, per-replica row-table counters to
+// /metrics, labelled by shard and replica; they live outside the obs
+// registry because the tables belong to the handler's engines.
+func (h *Handler) rowTableMetrics(w io.Writer) {
+	for s := 0; s < h.rt.NumShards(); s++ {
+		for _, e := range h.rt.Replicas(s) {
+			st, ok := e.TryCacheStats()
+			if !ok {
+				continue
+			}
+			lbl := fmt.Sprintf(`{shard="%d",replica="%d"}`, s, e.Replica())
+			_, _ = fmt.Fprintf(w, //csr:errok best-effort exposition; client disconnect mid-scrape is benign
+				"csrgraph_rowcache_hits_total%s %d\ncsrgraph_rowcache_misses_total%s %d\ncsrgraph_rowcache_entries%s %d\ncsrgraph_rowcache_bytes%s %d\n",
+				lbl, st.Hits, lbl, st.Misses, lbl, st.Entries, lbl, st.Bytes)
+		}
+	}
+}
+
 // The three batch endpoints share one shape, each stage on pooled memory
-// (wire.go): scan the query string, ask the backend, encode, write once.
+// (wire.go): scan the query string, ask the router, encode, write once.
 
 func (h *Handler) neighbors(w http.ResponseWriter, r *http.Request) {
 	tr := trace.FromContext(r.Context())
@@ -166,13 +266,13 @@ func (h *Handler) neighbors(w http.ResponseWriter, r *http.Request) {
 	defer wirePool.Put(sc)
 	p := tr.Now()
 	var err error
-	sc.nodes, err = parseBatch(sc.nodes, r.URL.RawQuery, &nodeGrammar, h.b.numNodes())
+	sc.nodes, err = parseBatch(sc.nodes, r.URL.RawQuery, &nodeGrammar, h.numNodes())
 	tr.Span(trace.StageParse, len(sc.nodes), p)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, err)
 		return
 	}
-	rows, err := h.b.neighbors(sc.nodes, tr)
+	rows, err := h.rt.NeighborsBatchTraced(sc.nodes, tr)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, err)
 		return
@@ -200,13 +300,13 @@ func (h *Handler) degree(w http.ResponseWriter, r *http.Request) {
 	defer wirePool.Put(sc)
 	p := tr.Now()
 	var err error
-	sc.nodes, err = parseBatch(sc.nodes, r.URL.RawQuery, &nodeGrammar, h.b.numNodes())
+	sc.nodes, err = parseBatch(sc.nodes, r.URL.RawQuery, &nodeGrammar, h.numNodes())
 	tr.Span(trace.StageParse, len(sc.nodes), p)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, err)
 		return
 	}
-	degrees, err := h.b.degrees(sc.nodes, tr)
+	degrees, err := h.rt.DegreeBatchTraced(sc.nodes, tr)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, err)
 		return
@@ -225,13 +325,13 @@ func (h *Handler) exists(w http.ResponseWriter, r *http.Request) {
 	defer wirePool.Put(sc)
 	p := tr.Now()
 	var err error
-	sc.edges, err = parseBatch(sc.edges, r.URL.RawQuery, &edgeGrammar, h.b.numNodes())
+	sc.edges, err = parseBatch(sc.edges, r.URL.RawQuery, &edgeGrammar, h.numNodes())
 	tr.Span(trace.StageParse, len(sc.edges), p)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, err)
 		return
 	}
-	exists, err := h.b.edgesExist(sc.edges, tr)
+	exists, err := h.rt.EdgesExistBatchTraced(sc.edges, tr)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, err)
 		return
@@ -245,9 +345,9 @@ func (h *Handler) exists(w http.ResponseWriter, r *http.Request) {
 }
 
 func (h *Handler) bfs(w http.ResponseWriter, r *http.Request) {
-	if h.b.numNodes() > maxBFSNodes {
+	if h.numNodes() > maxBFSNodes {
 		httpError(w, http.StatusRequestEntityTooLarge,
-			fmt.Errorf("graph too large for the bfs endpoint (%d nodes)", h.b.numNodes()))
+			fmt.Errorf("graph too large for the bfs endpoint (%d nodes)", h.numNodes()))
 		return
 	}
 	tr := trace.FromContext(r.Context())
@@ -271,9 +371,9 @@ func (h *Handler) bfs(w http.ResponseWriter, r *http.Request) {
 // dense) the switching policy produced. Sources come from repeated src
 // parameters, each optionally comma-separated: ?src=7&src=9,12.
 func (h *Handler) analyticsBFS(w http.ResponseWriter, r *http.Request) {
-	if h.b.numNodes() > maxBFSNodes {
+	if h.numNodes() > maxBFSNodes {
 		httpError(w, http.StatusRequestEntityTooLarge,
-			fmt.Errorf("graph too large for the bfs endpoint (%d nodes)", h.b.numNodes()))
+			fmt.Errorf("graph too large for the bfs endpoint (%d nodes)", h.numNodes()))
 		return
 	}
 	tr := trace.FromContext(r.Context())
@@ -310,40 +410,36 @@ func (h *Handler) analyticsBFS(w http.ResponseWriter, r *http.Request) {
 	h.writeJSON(w, out)
 }
 
-// bfsResult runs one BFS from src through the backend (frontier-switching
-// in-process, distributed per-round exchange when sharded) and folds it
-// into the response shape shared by /bfs and /analytics/bfs. The
-// sparse/dense round breakdown only appears when the engine has switching
-// phases to report.
+// bfsResult runs one BFS from src through the router (the frontier core's
+// push traversal at one shard, the per-round exchange across several) and
+// folds it into the response shape shared by /bfs and /analytics/bfs. Both
+// traversals only push, so every round is sparse.
 func (h *Handler) bfsResult(src edgelist.NodeID, tr *trace.Trace) (map[string]any, error) {
-	res, err := h.b.bfs(src, tr)
+	dist, rounds, err := h.rt.BFSTraced(src, tr)
 	if err != nil {
 		return nil, err
 	}
-	bfsRounds.Observe(int64(res.rounds))
+	bfsRounds.Observe(int64(rounds))
 	reached := 0
-	for _, d := range res.dist {
+	for _, d := range dist {
 		if d != algo.Unreached {
 			reached++
 		}
 	}
-	out := map[string]any{
-		"src":       src,
-		"reached":   reached,
-		"rounds":    res.rounds,
-		"distances": res.dist,
-	}
-	if res.hasPhases {
-		out["sparse_rounds"] = res.sparse
-		out["dense_rounds"] = res.dense
-	}
-	return out, nil
+	return map[string]any{
+		"src":           src,
+		"reached":       reached,
+		"rounds":        rounds,
+		"sparse_rounds": rounds,
+		"dense_rounds":  0,
+		"distances":     dist,
+	}, nil
 }
 
 // parseNodes decodes an already-unescaped node list for the traversal
 // endpoints, which take a handful of sources and keep url.Values.
 func (h *Handler) parseNodes(s string) ([]edgelist.NodeID, error) {
-	nodes, _, err := parseList(nil, s, &nodeGrammar, h.b.numNodes(), false)
+	nodes, _, err := parseList(nil, s, &nodeGrammar, h.numNodes(), false)
 	return nodes, err
 }
 

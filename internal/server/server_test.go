@@ -159,6 +159,36 @@ func TestMethodRouting(t *testing.T) {
 	}
 }
 
+// rowTableStats is one replica's row-table counters as /stats reports them.
+type rowTableStats struct {
+	Hits    int64 `json:"hits"`
+	Misses  int64 `json:"misses"`
+	Entries int64 `json:"entries"`
+	Bytes   int64 `json:"bytes"`
+	MaxB    int64 `json:"max_bytes"`
+}
+
+// firstReplicaCache reads shards[0].replicas[0].cache from h's /stats; nil
+// when the replica has no row table.
+func firstReplicaCache(t *testing.T, h *Handler) *rowTableStats {
+	t.Helper()
+	_, body := get(t, h, "/stats")
+	var out struct {
+		Shards []struct {
+			Replicas []struct {
+				Cache *rowTableStats `json:"cache"`
+			} `json:"replicas"`
+		} `json:"shards"`
+	}
+	if err := json.Unmarshal([]byte(body), &out); err != nil {
+		t.Fatal(err)
+	}
+	if len(out.Shards) == 0 || len(out.Shards[0].Replicas) == 0 {
+		t.Fatalf("stats without shard 0 replica 0: %s", body)
+	}
+	return out.Shards[0].Replicas[0].Cache
+}
+
 func TestRowCacheStatsEndpoint(t *testing.T) {
 	l := edgelist.List{
 		{U: 0, V: 1}, {U: 0, V: 2}, {U: 1, V: 2}, {U: 2, V: 3},
@@ -171,19 +201,9 @@ func TestRowCacheStatsEndpoint(t *testing.T) {
 			t.Fatalf("status %d: %s", rec.Code, body)
 		}
 	}
-	_, body := get(t, h, "/stats")
-	var out struct {
-		Cache struct {
-			Hits    int64 `json:"hits"`
-			Misses  int64 `json:"misses"`
-			Entries int64 `json:"entries"`
-		} `json:"cache"`
-	}
-	if err := json.Unmarshal([]byte(body), &out); err != nil {
-		t.Fatal(err)
-	}
-	if out.Cache.Misses != 2 || out.Cache.Hits != 4 || out.Cache.Entries != 2 {
-		t.Fatalf("cache stats = %+v (body %s)", out.Cache, body)
+	st := firstReplicaCache(t, h)
+	if st == nil || st.Misses != 2 || st.Hits != 4 || st.Entries != 2 || st.MaxB != 1<<20 {
+		t.Fatalf("row table stats = %+v", st)
 	}
 	// Cached responses must match uncached ones.
 	_, cached := get(t, h, "/neighbors?nodes=0,1,3")
@@ -193,9 +213,9 @@ func TestRowCacheStatsEndpoint(t *testing.T) {
 	}
 }
 
-// TestExistsLeavesRowCacheEmpty pins the hot-row cache to /neighbors:
-// repeated /exists probes on a hub row admit nothing, and the answers
-// match a server without a cache.
+// TestExistsLeavesRowCacheEmpty pins the row table to /neighbors: repeated
+// /exists probes on a hub row admit nothing and count no lookups, and the
+// answers match a server without a table.
 func TestExistsLeavesRowCacheEmpty(t *testing.T) {
 	var l edgelist.List
 	for v := uint32(1); v < 600; v += 2 {
@@ -213,34 +233,27 @@ func TestExistsLeavesRowCacheEmpty(t *testing.T) {
 		}
 	}
 	if _, plain := get(t, New(pk, 2), url); body != plain {
-		t.Fatalf("cache-fronted server answered differently:\n%s\n%s", body, plain)
+		t.Fatalf("table-fronted server answered differently:\n%s\n%s", body, plain)
 	}
-	_, stats := get(t, h, "/stats")
-	var out struct {
-		Cache struct {
-			Hits    int64 `json:"hits"`
-			Misses  int64 `json:"misses"`
-			Entries int64 `json:"entries"`
-			Bytes   int64 `json:"bytes"`
-		} `json:"cache"`
-	}
-	if err := json.Unmarshal([]byte(stats), &out); err != nil {
-		t.Fatal(err)
-	}
-	if out.Cache.Entries != 0 || out.Cache.Bytes != 0 || out.Cache.Hits+out.Cache.Misses != 0 {
-		t.Fatalf("cache after /exists only = %+v (body %s)", out.Cache, stats)
+	// The slot array (8 B per row) is all the table holds.
+	st := firstReplicaCache(t, h)
+	if st == nil || st.Entries != 0 || st.Bytes != 600*8 || st.Hits+st.Misses != 0 {
+		t.Fatalf("row table after /exists only = %+v", st)
 	}
 }
 
+// TestRowCacheDisabled: a zero budget, or one the slot array alone exceeds,
+// builds no table, and /stats shows none.
 func TestRowCacheDisabled(t *testing.T) {
 	l := edgelist.List{{U: 0, V: 1}}
-	h := New(csr.BuildPacked(l, 2, 1), 1, WithRowCache(0))
-	if rec, _ := get(t, h, "/neighbors?nodes=0"); rec.Code != 200 {
-		t.Fatal("neighbors failed with disabled cache")
-	}
-	_, body := get(t, h, "/stats")
-	if strings.Contains(body, "cache") {
-		t.Fatalf("stats advertises a disabled cache: %s", body)
+	for _, budget := range []int64{0, 15} {
+		h := New(csr.BuildPacked(l, 2, 1), 1, WithRowCache(budget))
+		if rec, _ := get(t, h, "/neighbors?nodes=0"); rec.Code != 200 {
+			t.Fatalf("budget %d: neighbors failed without a table", budget)
+		}
+		if st := firstReplicaCache(t, h); st != nil {
+			t.Fatalf("budget %d: stats advertise a disabled table: %+v", budget, st)
+		}
 	}
 }
 

@@ -2,7 +2,9 @@ package server
 
 import (
 	"encoding/json"
+	"maps"
 	"math/rand"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -12,8 +14,8 @@ import (
 	"csrgraph/internal/shard"
 )
 
-// shardedPair builds the same random graph behind an unsharded handler and
-// a k-shard router-backed handler, for differential endpoint checks.
+// shardedPair builds the same random graph behind New and behind
+// NewSharded over a k-shard router, for differential endpoint checks.
 func shardedPair(t *testing.T, n, m, k int, opts ...Option) (single, sharded *Handler) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(42))
@@ -44,12 +46,23 @@ func handlerPair(t *testing.T, l edgelist.List, n, k int, opts ...Option) (singl
 	return New(pk, 2, opts...), NewSharded(rt, 2, opts...)
 }
 
-// TestShardedEndpointsDifferential compares every query endpoint's body
-// between the unsharded and sharded handlers.
+// TestShardedEndpointsDifferential is the whole-handler differential: New
+// over a graph and NewSharded over one- and four-shard routers of it, on a
+// directed graph and on its symmetric closure, answer every query endpoint
+// with the same body and /stats with the same keys.
 func TestShardedEndpointsDifferential(t *testing.T) {
-	single, sharded := shardedPair(t, 60, 600, 4)
+	const n = 60
+	rng := rand.New(rand.NewSource(42))
+	directed := make(edgelist.List, 600)
+	for i := range directed {
+		directed[i] = edgelist.Edge{U: rng.Uint32() % n, V: rng.Uint32() % n}
+	}
+	symmetric := slices.Clone(directed)
+	for _, e := range directed {
+		symmetric = append(symmetric, edgelist.Edge{U: e.V, V: e.U})
+	}
 	var nodes []string
-	for u := 0; u < 60; u += 7 {
+	for u := 0; u < n; u += 7 {
 		nodes = append(nodes, strconv.Itoa(u))
 	}
 	urls := []string{
@@ -57,42 +70,42 @@ func TestShardedEndpointsDifferential(t *testing.T) {
 		"/degree?nodes=" + strings.Join(nodes, ","),
 		"/exists?edges=0:1,5:9,12:3,59:0,33:33",
 		"/bfs?src=0",
+		"/bfs?src=41",
+		"/analytics/bfs?src=0&src=7,59",
 	}
-	for _, url := range urls {
-		rec1, body1 := get(t, single, url)
-		rec2, body2 := get(t, sharded, url)
-		if rec1.Code != 200 || rec2.Code != 200 {
-			t.Fatalf("%s: status %d vs %d", url, rec1.Code, rec2.Code)
+	for name, l := range map[string]edgelist.List{"directed": directed, "symmetric": symmetric} {
+		single, one := handlerPair(t, slices.Clone(l), n, 1)
+		_, four := handlerPair(t, slices.Clone(l), n, 4)
+		for _, url := range urls {
+			rec, want := get(t, single, url)
+			if rec.Code != 200 {
+				t.Fatalf("%s %s: status %d: %s", name, url, rec.Code, want)
+			}
+			for k, h := range map[int]*Handler{1: one, 4: four} {
+				if _, got := get(t, h, url); got != want {
+					t.Fatalf("%s %s: K=%d body differs from New:\n%s\nvs\n%s", name, url, k, got, want)
+				}
+			}
 		}
-		if url == "/bfs?src=0" {
-			// The sharded traversal has no sparse/dense phase breakdown;
-			// compare the shared fields.
-			var a, b map[string]any
-			if err := json.Unmarshal([]byte(body1), &a); err != nil {
-				t.Fatal(err)
+		want := statsKeys(t, single)
+		for k, h := range map[int]*Handler{1: one, 4: four} {
+			if got := statsKeys(t, h); !slices.Equal(got, want) {
+				t.Fatalf("%s: K=%d /stats keys %v, New has %v", name, k, got, want)
 			}
-			if err := json.Unmarshal([]byte(body2), &b); err != nil {
-				t.Fatal(err)
-			}
-			for _, key := range []string{"src", "reached", "distances"} {
-				aj, err := json.Marshal(a[key])
-				if err != nil {
-					t.Fatal(err)
-				}
-				bj, err := json.Marshal(b[key])
-				if err != nil {
-					t.Fatal(err)
-				}
-				if string(aj) != string(bj) {
-					t.Fatalf("%s: field %s differs: %s vs %s", url, key, aj, bj)
-				}
-			}
-			continue
-		}
-		if body1 != body2 {
-			t.Fatalf("%s: bodies differ:\n%s\nvs\n%s", url, body1, body2)
 		}
 	}
+}
+
+// statsKeys returns the sorted top-level keys of h's /stats payload.
+func statsKeys(t *testing.T, h *Handler) []string {
+	t.Helper()
+	var out map[string]any
+	if _, body := get(t, h, "/stats"); json.Unmarshal([]byte(body), &out) != nil {
+		t.Fatalf("/stats is not a JSON object: %s", body)
+	}
+	keys := slices.Collect(maps.Keys(out))
+	slices.Sort(keys)
+	return keys
 }
 
 // TestShardedStatsTopology checks /stats exposes the shard layout with

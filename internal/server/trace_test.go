@@ -80,9 +80,9 @@ func stageByName(t *testing.T, name string) trace.Stage {
 	return 0
 }
 
-// TestForcedTraceUnsharded: an X-Trace: 1 exists batch on the single-engine
-// path must be retrievable by the echoed id with parse, schedule, and a
-// search/decode stage.
+// TestForcedTraceUnsharded: an X-Trace: 1 exists batch through New's
+// one-shard router must be retrievable by the echoed id with the router's
+// stages, the same ones a sharded handler records.
 func TestForcedTraceUnsharded(t *testing.T) {
 	rec := trace.NewRecorder(trace.RecorderConfig{})
 	l := testHandler(t) // no tracer: header must be absent
@@ -107,7 +107,7 @@ func TestForcedTraceUnsharded(t *testing.T) {
 	for _, sp := range tj.Spans {
 		stages[sp.Stage] = true
 	}
-	for _, want := range []trace.Stage{trace.StageParse, trace.StageSchedule, trace.StageSearch, trace.StageEncode, trace.StageWrite} {
+	for _, want := range []trace.Stage{trace.StageParse, trace.StageGroup, trace.StageQueueWait, trace.StageExec, trace.StageMerge, trace.StageEncode, trace.StageWrite} {
 		if !stages[want] {
 			t.Fatalf("missing stage %v in %+v", want, tj.Spans)
 		}
@@ -303,38 +303,26 @@ func TestTraceSummary(t *testing.T) {
 	}
 }
 
-// TestHealthzSingle: the single-engine health payload.
-func TestHealthzSingle(t *testing.T) {
-	rec, body := get(t, testHandler(t), "/healthz")
+// checkHealthz drives an exists batch through h, then checks /healthz:
+// ok, uptime, no backend field, and wantShards ready shards with one
+// replica each, at least one of which recorded a queue-depth watermark.
+func checkHealthz(t *testing.T, h *Handler, wantShards int) {
+	t.Helper()
+	// Drive some traffic so the watermark is nonzero.
+	get(t, h, "/exists?edges=0:1,5:9,12:3,33:2,59:0")
+	rec, body := get(t, h, "/healthz")
 	if rec.Code != 200 {
 		t.Fatalf("healthz -> %d", rec.Code)
 	}
 	var out map[string]any
 	if err := json.Unmarshal([]byte(body), &out); err != nil {
-		t.Fatal(err)
+		t.Fatalf("decode: %v\n%s", err, body)
 	}
-	if out["ok"] != true || out["backend"] != "single" {
+	if _, ok := out["uptime_seconds"].(float64); !ok || out["ok"] != true || out["backend"] != nil {
 		t.Fatalf("healthz = %s", body)
 	}
-	if _, ok := out["uptime_seconds"].(float64); !ok {
-		t.Fatalf("healthz missing uptime: %s", body)
-	}
-}
-
-// TestHealthzSharded: per-shard readiness with replica counts, queue depth,
-// and the high-watermark.
-func TestHealthzSharded(t *testing.T) {
-	_, sharded := shardedPair(t, 60, 600, 4)
-	// Drive some traffic so the watermark is nonzero.
-	get(t, sharded, "/exists?edges=0:1,5:9,12:3,33:2,59:0")
-	rec, body := get(t, sharded, "/healthz")
-	if rec.Code != 200 {
-		t.Fatalf("healthz -> %d", rec.Code)
-	}
-	var out struct {
-		OK      bool   `json:"ok"`
-		Backend string `json:"backend"`
-		Shards  []struct {
+	var parsed struct {
+		Shards []struct {
 			Shard         int   `json:"shard"`
 			Ready         bool  `json:"ready"`
 			Verified      bool  `json:"verified"`
@@ -343,14 +331,11 @@ func TestHealthzSharded(t *testing.T) {
 			QueueDepthMax int64 `json:"queue_depth_max"`
 		} `json:"shards"`
 	}
-	if err := json.Unmarshal([]byte(body), &out); err != nil {
-		t.Fatalf("decode: %v\n%s", err, body)
-	}
-	if !out.OK || out.Backend != "sharded" || len(out.Shards) != 4 {
-		t.Fatalf("healthz = %s", body)
+	if err := json.Unmarshal([]byte(body), &parsed); err != nil || len(parsed.Shards) != wantShards {
+		t.Fatalf("healthz shards = %s", body)
 	}
 	sawWatermark := false
-	for i, s := range out.Shards {
+	for i, s := range parsed.Shards {
 		if s.Shard != i || !s.Ready || s.Replicas != 1 {
 			t.Fatalf("shard %d = %+v", i, s)
 		}
@@ -361,6 +346,20 @@ func TestHealthzSharded(t *testing.T) {
 	if !sawWatermark {
 		t.Fatalf("no shard recorded a queue-depth watermark: %s", body)
 	}
+}
+
+// TestHealthzSingle: New's health payload is a one-shard router's, in the
+// same shape a sharded handler reports.
+func TestHealthzSingle(t *testing.T) {
+	single, _ := shardedPair(t, 60, 600, 4)
+	checkHealthz(t, single, 1)
+}
+
+// TestHealthzSharded: per-shard readiness with replica counts, queue depth,
+// and the high-watermark across four shards.
+func TestHealthzSharded(t *testing.T) {
+	_, sharded := shardedPair(t, 60, 600, 4)
+	checkHealthz(t, sharded, 4)
 }
 
 // TestDebugTracesNotMounted: without WithTracing the endpoints 404.

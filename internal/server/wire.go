@@ -437,7 +437,7 @@ func encodeDegrees(b []byte, nodes []edgelist.NodeID, degrees []int) int {
 // encodeNeighbors writes the /neighbors body into b, which must have room
 // for neighborItemMax bytes per node, neighborMax per neighbor, 2 and
 // wireSlack, and returns its length. Rows are read, never kept or written:
-// they may be the backend's shared ones.
+// they may be a row table's shared ones.
 //
 //csr:hotpath
 func encodeNeighbors(b []byte, nodes []edgelist.NodeID, rows [][]uint32) int {

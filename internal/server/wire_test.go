@@ -88,14 +88,14 @@ func refJSON(t testing.TB, v any) string {
 	return b.String()
 }
 
-// refResponse answers path?rawQuery the old way on h's backend: status and
+// refResponse answers path?rawQuery the old way on h's router: status and
 // body.
 func refResponse(t testing.TB, h *Handler, path, rawQuery string) (int, string) {
 	t.Helper()
 	fail := func(err error) (int, string) {
 		return http.StatusBadRequest, refJSON(t, map[string]string{"error": err.Error()})
 	}
-	n := h.b.numNodes()
+	n := h.numNodes()
 	var out []map[string]any
 	switch path {
 	case "/exists":
@@ -103,7 +103,7 @@ func refResponse(t testing.TB, h *Handler, path, rawQuery string) (int, string) 
 		if err != nil {
 			return fail(err)
 		}
-		results, err := h.b.edgesExist(edges, nil)
+		results, err := h.rt.EdgesExistBatch(edges)
 		if err != nil {
 			return fail(err)
 		}
@@ -116,7 +116,7 @@ func refResponse(t testing.TB, h *Handler, path, rawQuery string) (int, string) 
 		if err != nil {
 			return fail(err)
 		}
-		results, err := h.b.degrees(nodes, nil)
+		results, err := h.rt.DegreeBatch(nodes)
 		if err != nil {
 			return fail(err)
 		}
@@ -129,7 +129,7 @@ func refResponse(t testing.TB, h *Handler, path, rawQuery string) (int, string) 
 		if err != nil {
 			return fail(err)
 		}
-		results, err := h.b.neighbors(nodes, nil)
+		results, err := h.rt.NeighborsBatch(nodes)
 		if err != nil {
 			return fail(err)
 		}
@@ -460,13 +460,13 @@ func TestOversizedReplyIsRefusedCheaply(t *testing.T) {
 }
 
 // TestWarmExistsAllocs bounds what a warm 256-probe /exists costs through
-// the sharded backend: a constant handful of allocations, not a dozen per
-// probe.
+// New and a four-shard NewSharded: a constant handful of allocations, not a
+// dozen per probe.
 func TestWarmExistsAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items under the race detector")
 	}
-	_, h := shardedPair(t, 2000, 40000, 4)
+	single, sharded := shardedPair(t, 2000, 40000, 4)
 	rng := rand.New(rand.NewSource(3))
 	probes := make([]string, 256)
 	for i := range probes {
@@ -474,14 +474,16 @@ func TestWarmExistsAllocs(t *testing.T) {
 	}
 	req := httptest.NewRequest("GET", "/exists?edges="+strings.Join(probes, ","), nil)
 	w := &nullWriter{h: make(http.Header)}
-	run := func() {
-		clear(w.h)
-		h.ServeHTTP(w, req)
-	}
-	run()
-	run()
-	if allocs := testing.AllocsPerRun(100, run); allocs > 16 {
-		t.Errorf("warm 256-probe /exists makes %.0f allocations, want <= 16", allocs)
+	for name, h := range map[string]*Handler{"New": single, "NewSharded": sharded} {
+		run := func() {
+			clear(w.h)
+			h.ServeHTTP(w, req)
+		}
+		run()
+		run()
+		if allocs := testing.AllocsPerRun(100, run); allocs > 16 {
+			t.Errorf("%s: warm 256-probe /exists makes %.0f allocations, want <= 16", name, allocs)
+		}
 	}
 }
 

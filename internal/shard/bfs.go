@@ -6,6 +6,7 @@ import (
 
 	"csrgraph/internal/algo"
 	"csrgraph/internal/edgelist"
+	"csrgraph/internal/frontier"
 	"csrgraph/internal/trace"
 )
 
@@ -23,6 +24,11 @@ import (
 //     nodes at level+1. A shard is the single writer for its owned dist
 //     entries — ownership is a partition of the id space — so concurrent
 //     absorbs write disjoint indices.
+//
+// With one shard the local ids are the global ids and there is nothing to
+// exchange: the lone engine runs the frontier core's parallel push
+// traversal over its rows with its own procs. Both forms count one round
+// per non-empty frontier.
 func (r *Router) BFS(src edgelist.NodeID) ([]int32, int, error) {
 	return r.BFSTraced(src, nil)
 }
@@ -30,14 +36,20 @@ func (r *Router) BFS(src edgelist.NodeID) ([]int32, int, error) {
 // BFSTraced is BFS stamping spans into tr: per round, one queue_wait and
 // one exec span per expanding shard (items = that shard's frontier size)
 // and one absorb span (items = nodes claimed into the next frontier, Extra
-// = the round number). Deep traversals truncate past trace.MaxSpans —
-// counted, never reallocated.
+// = the round number). A one-shard traversal is one queue_wait and one
+// exec span (Extra = the rounds). Deep traversals truncate past
+// trace.MaxSpans — counted, never reallocated.
 func (r *Router) BFSTraced(src edgelist.NodeID, tr *trace.Trace) ([]int32, int, error) {
 	n := r.part.NumNodes()
 	if int(src) >= n {
 		return nil, 0, fmt.Errorf("shard: bfs source %d out of range [0, %d)", src, n)
 	}
 	routedBFS.Add(1)
+	if r.part.NumShards() == 1 {
+		dist, rounds := r.bfsOneShard(src, tr)
+		bfsRounds.Observe(int64(rounds))
+		return dist, rounds, nil
+	}
 	dist := make([]int32, n)
 	for i := range dist {
 		dist[i] = algo.Unreached
@@ -103,6 +115,24 @@ func (r *Router) BFSTraced(src edgelist.NodeID, tr *trace.Trace) ([]int32, int, 
 	}
 	bfsRounds.Observe(int64(rounds))
 	return dist, rounds, nil
+}
+
+// bfsOneShard runs a one-shard router's traversal as one leg: the frontier
+// core's push BFS over the lone engine's rows, admitted like any other leg.
+func (r *Router) bfsOneShard(src edgelist.NodeID, tr *trace.Trace) ([]int32, int) {
+	var dist []int32
+	var rounds int
+	r.runLegs([]leg{{st: r.shards[0], lo: 0, hi: 1}}, tr, func(l leg) {
+		e := l.st.pick()
+		e.enter()
+		x := tr.Now()
+		var st frontier.Stats
+		dist, st = algo.BFSFrontierStats(e.src, nil, src, frontier.DefaultPolicy(), e.procs)
+		rounds = st.Rounds
+		tr.LegSpan(trace.StageExec, 0, e.Replica(), 1, int64(rounds), x)
+		e.leave()
+	})
+	return dist, rounds
 }
 
 // expandShard decodes the shard's frontier rows and buckets unseen

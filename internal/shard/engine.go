@@ -9,10 +9,12 @@ import (
 
 // EngineConfig sizes one shard engine.
 type EngineConfig struct {
-	// CacheBytes is the per-engine decoded-row table budget for Neighbors
-	// (<= 0 disables). Each engine caches only its own shard's rows, so one
-	// shard's hub traffic never displaces another shard's working set.
-	// Existence probes search the packed rows and never use it.
+	// CacheBytes is the per-engine decoded-row table budget for Neighbors,
+	// 8 bytes per local row of slot array included (<= 0, or too small
+	// for the array, disables). Each engine caches only its own shard's
+	// rows, so one shard's hub traffic never displaces another shard's
+	// working set. Existence probes search the packed rows and never use
+	// it.
 	CacheBytes int64
 	// Procs is the intra-leg parallelism the engine hands the query
 	// scheduler. The serving-tier default is 1: the router already runs
@@ -36,30 +38,18 @@ func (c EngineConfig) withDefaults() EngineConfig {
 type Engine struct {
 	shard, replica int
 	src            query.Source // local rows, global cols
-	rows           query.Source // src fronted by the row table for decodes
+	rows           query.Source // src with its degree hint, fronted by the row table for decodes
 	tab            *rowTable
 	procs          int
 	inflight       atomic.Int64
 }
 
 // hintedSource decorates a shard's source with the precomputed
-// average-degree estimate (query.AvgDegreeHinter), so every fan-out leg's
-// grain sizing reads a field instead of re-probing the shard. It
-// deliberately has NO SearchRow: sources that can search rows in place are
-// wrapped in searchHinted instead, so the query engine's Searcher
-// assertion stays honest.
+// average-degree estimate (query.AvgDegreeHinter), so every Neighbors
+// leg's grain sizing reads a field instead of re-probing the shard.
 type hintedSource struct {
 	src query.Source
 	avg int
-}
-
-// avgDegree probes a source's average out-degree once, at engine build
-// time.
-func avgDegree(src query.Source) int {
-	if ec, ok := src.(interface{ NumEdges() int }); ok && src.NumNodes() > 0 {
-		return ec.NumEdges()/src.NumNodes() + 1
-	}
-	return 0
 }
 
 func (h *hintedSource) NumNodes() int                { return h.src.NumNodes() }
@@ -69,51 +59,24 @@ func (h *hintedSource) Row(dst []uint32, u edgelist.NodeID) []uint32 {
 	return h.src.Row(dst, u)
 }
 
-// NumEdges forwards the edge count when the underlying source has one.
-func (h *hintedSource) NumEdges() int {
-	if ec, ok := h.src.(interface{ NumEdges() int }); ok {
-		return ec.NumEdges()
-	}
-	return 0
-}
-
-// searchHinted adds the in-place search forward for sources that have one.
-type searchHinted struct {
-	hintedSource
-	s query.Searcher
-}
-
-// SearchRow forwards the zero-decode in-place search.
-func (h *searchHinted) SearchRow(u, v edgelist.NodeID) bool { return h.s.SearchRow(u, v) }
-
-// SearchBatch forwards the batched in-place search.
-func (h *searchHinted) SearchBatch(edges []edgelist.Edge, out []bool) { h.s.SearchBatch(edges, out) }
-
-// engineSource picks the interface view the query engine should see:
-// sources that can search rows in place keep that ability through the hint
-// wrapper, others only gain the hint.
-func engineSource(src query.Source) query.Source {
-	h := hintedSource{src: src, avg: avgDegree(src)}
-	if s, ok := src.(query.Searcher); ok {
-		return &searchHinted{hintedSource: h, s: s}
-	}
-	return &h
-}
-
 // NewEngine builds one replica engine for shard s over src (local rows,
 // global neighbor ids).
 func NewEngine(shardID, replica int, src query.Source, cfg EngineConfig) *Engine {
 	cfg = cfg.withDefaults()
+	h := hintedSource{src: src}
+	if ec, ok := src.(interface{ NumEdges() int }); ok && src.NumNodes() > 0 {
+		h.avg = ec.NumEdges()/src.NumNodes() + 1
+	}
 	e := &Engine{
 		shard:   shardID,
 		replica: replica,
+		src:     src,
+		rows:    &h,
 		tab:     newRowTable(src.NumNodes(), cfg.CacheBytes),
 		procs:   cfg.Procs,
 	}
-	e.src = engineSource(src)
-	e.rows = e.src
 	if e.tab != nil {
-		e.rows = &tableSource{src: e.src, tab: e.tab}
+		e.rows = &tableSource{hintedSource: h, tab: e.tab}
 	}
 	return e
 }
@@ -162,13 +125,10 @@ func (e *Engine) TryCacheStats() (query.CacheStats, bool) {
 	return e.tab.Stats(), true
 }
 
-// SourceEdges reports the shard's edge count when the source exposes one.
-func (e *Engine) SourceEdges() (int, bool) {
-	if ec, ok := e.src.(interface{ NumEdges() int }); ok {
-		return ec.NumEdges(), true
-	}
-	return 0, false
-}
+// Source returns the shard's rows as the engine was built over them, for
+// stats endpoints that read optional methods such as NumEdges or
+// SizeBytes.
+func (e *Engine) Source() query.Source { return e.src }
 
 // Neighbors answers a batch of row decodes for local ids. With a row table
 // the rows are the table's own (query.StableRower): shared, read-only.

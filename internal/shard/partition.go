@@ -1,9 +1,11 @@
-// Package shard implements the sharded serving tier: a partitioner that
-// cuts one graph into K independent vertex shards, per-shard query engines
-// (each with its own packed CSR, hot-row cache, and admission-bounded
-// concurrency), and a stateless scatter-gather router that splits batch
-// requests by shard ownership, fans them out with bounded in-flight per
-// shard, and merges results as they arrive while preserving input order.
+// Package shard implements the serving tier: a partitioner that cuts one
+// graph into K independent vertex shards, per-shard query engines (each
+// with its own packed CSR, decoded-row table for Neighbors, and
+// admission-bounded concurrency), and a stateless scatter-gather router
+// that splits batch requests by shard ownership, fans them out with bounded
+// in-flight per shard, and merges results as they arrive while preserving
+// input order. A one-shard router over a whole graph is how the plain
+// server serves it.
 //
 // The design lifts the PR-3 dynamic-grain scheduling ideas one level up:
 // within a shard, batches are still work-stealing scheduled over the packed

@@ -2,6 +2,7 @@ package shard
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -14,7 +15,9 @@ import (
 // RouterConfig bounds the scatter-gather fan-out.
 type RouterConfig struct {
 	// MaxInflight is the number of legs a shard executes concurrently;
-	// further legs queue on the shard's admission semaphore (default 4).
+	// further legs queue on the shard's admission semaphore (default
+	// max(4, GOMAXPROCS), so a one-shard router never caps the batches a
+	// machine can run at once).
 	MaxInflight int
 	// MaxLeg caps the items per leg. Large batches aimed at one shard are
 	// cut into several legs so a single request cannot monopolize a shard
@@ -27,7 +30,7 @@ type RouterConfig struct {
 
 func (c RouterConfig) withDefaults() RouterConfig {
 	if c.MaxInflight < 1 {
-		c.MaxInflight = 4
+		c.MaxInflight = max(4, runtime.GOMAXPROCS(0))
 	}
 	if c.MaxLeg < 1 {
 		c.MaxLeg = 1024

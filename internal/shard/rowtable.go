@@ -2,6 +2,7 @@ package shard
 
 import (
 	"sync/atomic"
+	"unsafe"
 
 	"csrgraph/internal/edgelist"
 	"csrgraph/internal/query"
@@ -11,6 +12,10 @@ import (
 // against the table budget on top of the decoded payload: the boxed slice
 // header the atomic slot points at, plus allocator rounding.
 const rowSlotOverhead = 48
+
+// slotBytes is the size of one slot of the dense array, charged against the
+// budget for every local row when the table is built.
+const slotBytes = int64(unsafe.Sizeof(atomic.Pointer[[]uint32]{}))
 
 // rowTable is the engine's decoded-row cache for Neighbors: one atomic
 // slot per LOCAL row id holding the row decoded to plain uint32s. The dense
@@ -23,36 +28,39 @@ const rowSlotOverhead = 48
 // serving shard's working set is its hub rows, which power-law traffic
 // touches immediately and forever, so churn-resistant admission beats
 // recency tracking here. Once the budget fills, misses decode without
-// admitting.
+// admitting. The slot array itself is charged against the budget first.
 type rowTable struct {
 	slots   []atomic.Pointer[[]uint32]
-	bytes   atomic.Int64 // decoded payload bytes admitted
-	max     int64        // payload budget
+	bytes   atomic.Int64 // slot array plus decoded payload admitted
+	max     int64        // budget
 	hits    atomic.Int64
 	misses  atomic.Int64
 	entries atomic.Int64
 }
 
-// newRowTable builds a table for n local rows under maxBytes. Returns nil
-// when maxBytes <= 0 — a nil *rowTable is the valid "caching disabled"
-// value, matching query.NewRowCache's contract.
+// newRowTable builds a table for n local rows under maxBytes, the slot
+// array included. Returns nil — the valid "caching disabled" value — when
+// maxBytes <= 0 or cannot even hold the array.
 func newRowTable(n int, maxBytes int64) *rowTable {
-	if maxBytes <= 0 {
+	if maxBytes <= 0 || maxBytes < int64(n)*slotBytes {
 		return nil
 	}
-	return &rowTable{slots: make([]atomic.Pointer[[]uint32], n), max: maxBytes}
+	t := &rowTable{slots: make([]atomic.Pointer[[]uint32], n), max: maxBytes}
+	t.bytes.Store(int64(n) * slotBytes)
+	return t
 }
 
-// row returns the decoded row for a local id, or nil when absent. It does
-// NOT touch the hit/miss counters; callers account for them.
+// row returns the decoded row for a local id and whether it is present (an
+// admitted empty row is present). It does NOT touch the hit/miss counters;
+// callers account for them.
 //
 //csr:hotpath
-func (t *rowTable) row(local edgelist.NodeID) []uint32 {
+func (t *rowTable) row(local edgelist.NodeID) ([]uint32, bool) {
 	p := t.slots[local].Load()
 	if p == nil {
-		return nil
+		return nil, false
 	}
-	return *p
+	return *p, true
 }
 
 // admit stores a decoded row, taking ownership: the caller must not modify
@@ -94,26 +102,20 @@ func (t *rowTable) Stats() query.CacheStats {
 	}
 }
 
-// tableSource fronts the shard's source with the row table for the
-// NeighborsBatch path: hits return the shared decoded slice, misses
-// decode once and admit. Like
-// query.CachedSource, dst is never written through — returned rows are
-// shared and immutable.
+// tableSource fronts the shard's hinted source with the row table for the
+// NeighborsBatch path: hits return the shared decoded slice, misses decode
+// once and admit. dst is never written through — returned rows are shared
+// and immutable. Degree and the average-degree hint come from the embedded
+// source.
 type tableSource struct {
-	src query.Source
+	hintedSource
 	tab *rowTable
 }
-
-// NumNodes returns the shard's local row count.
-func (ts *tableSource) NumNodes() int { return ts.src.NumNodes() }
-
-// Degree returns the local row's length (not cached; O(1) underneath).
-func (ts *tableSource) Degree(u edgelist.NodeID) int { return ts.src.Degree(u) }
 
 // Row returns u's row, serving repeats from the table. dst is ignored;
 // the returned slice is shared and must be treated read-only.
 func (ts *tableSource) Row(dst []uint32, u edgelist.NodeID) []uint32 {
-	if row := ts.tab.row(u); row != nil {
+	if row, ok := ts.tab.row(u); ok {
 		ts.tab.account(1, 0)
 		return row
 	}
@@ -127,22 +129,3 @@ func (ts *tableSource) Row(dst []uint32, u edgelist.NodeID) []uint32 {
 // (query.StableRower): table entries on a hit, fresh decodes the table
 // takes over on a miss.
 func (ts *tableSource) StableRows() bool { return true }
-
-// AvgDegreeHint forwards the engine wrapper's precomputed estimate
-// (query.AvgDegreeHinter), so batch grain sizing through the table never
-// re-probes the shard.
-func (ts *tableSource) AvgDegreeHint() int {
-	if h, ok := ts.src.(query.AvgDegreeHinter); ok {
-		return h.AvgDegreeHint()
-	}
-	return 0
-}
-
-// NumEdges exposes the underlying edge count when available, so grain
-// sizing sees through the wrapper.
-func (ts *tableSource) NumEdges() int {
-	if ec, ok := ts.src.(interface{ NumEdges() int }); ok {
-		return ec.NumEdges()
-	}
-	return 0
-}

@@ -17,21 +17,21 @@ func TestRowTableAdmit(t *testing.T) {
 	}
 	tab := newRowTable(4, 1<<16)
 	for u, row := range rows {
-		if tab.row(u) != nil {
+		if _, ok := tab.row(u); ok {
 			t.Fatalf("row %d present before admission", u)
 		}
 		tab.admit(u, row)
 	}
-	if tab.row(3) != nil {
+	if _, ok := tab.row(3); ok {
 		t.Fatal("untouched row present")
 	}
 	for u, row := range rows {
-		if got := tab.row(u); len(got) != len(row) {
+		if got, ok := tab.row(u); !ok || len(got) != len(row) {
 			t.Fatalf("row(%d) = %v, want %v", u, got, row)
 		}
 	}
 	st := tab.Stats()
-	want := int64(0)
+	want := 4 * slotBytes
 	for _, row := range rows {
 		want += int64(len(row))*4 + rowSlotOverhead
 	}
@@ -40,21 +40,26 @@ func TestRowTableAdmit(t *testing.T) {
 	}
 }
 
-// TestRowTableBudget checks that admission stops at the budget instead of
-// growing without bound.
+// TestRowTableBudget checks that the slot array is charged against the
+// budget, that admission stops at the budget instead of growing without
+// bound, and that a budget the array alone exceeds builds no table.
 func TestRowTableBudget(t *testing.T) {
-	tab := newRowTable(1024, 600)
+	const n = 64
+	tab := newRowTable(n, n*slotBytes+600)
+	if st := tab.Stats(); st.Bytes != n*slotBytes || st.Entries != 0 {
+		t.Fatalf("fresh table stats = %+v, want the %d-byte slot array charged", st, n*slotBytes)
+	}
 	big := make([]uint32, 4096)
 	for i := range big {
 		big[i] = uint32(i)
 	}
 	tab.admit(5, big)
-	if tab.row(5) != nil {
+	if _, ok := tab.row(5); ok {
 		t.Fatal("oversized row admitted past byte budget")
 	}
 	small := []uint32{1, 2, 3}
 	tab.admit(7, small)
-	if tab.row(7) == nil {
+	if _, ok := tab.row(7); !ok {
 		t.Fatal("small row refused with budget available")
 	}
 	if st := tab.Stats(); st.Bytes > st.MaxB {
@@ -62,6 +67,12 @@ func TestRowTableBudget(t *testing.T) {
 	}
 	if newRowTable(8, 0) != nil {
 		t.Fatal("zero budget should disable the table")
+	}
+	if newRowTable(n, n*slotBytes-1) != nil {
+		t.Fatal("a budget smaller than the slot array should disable the table")
+	}
+	if newRowTable(n, n*slotBytes) == nil {
+		t.Fatal("a budget that holds the slot array should build a table")
 	}
 }
 
@@ -85,7 +96,7 @@ func TestRowTableConcurrent(t *testing.T) {
 			defer wg.Done()
 			for iter := 0; iter < 200; iter++ {
 				u := (seed + uint32(iter)) % n
-				if row := tab.row(u); row != nil {
+				if row, ok := tab.row(u); ok {
 					if len(row) != 8 || row[0] != u*8 || row[7] != u*8+7 {
 						t.Errorf("row %d read back as %v", u, row)
 						return
@@ -98,7 +109,7 @@ func TestRowTableConcurrent(t *testing.T) {
 	}
 	wg.Wait()
 	st := tab.Stats()
-	if st.Entries != n || st.Bytes != n*(8*4+rowSlotOverhead) {
+	if st.Entries != n || st.Bytes != n*(slotBytes+8*4+rowSlotOverhead) {
 		t.Fatalf("stats = %+v, want %d entries of 8 values each", st, n)
 	}
 }

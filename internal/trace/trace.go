@@ -34,8 +34,8 @@ import (
 )
 
 // Stage identifies what a span measured. The vocabulary is small and
-// shared across the single-engine and sharded paths so /debug/traces
-// summaries aggregate cleanly.
+// every server form emits the same names, so /debug/traces summaries
+// aggregate cleanly.
 type Stage uint8
 
 const (
@@ -47,20 +47,11 @@ const (
 	// StageQueueWait is one leg's wait on its shard's admission semaphore
 	// — time spent queued behind the shard's MaxInflight bound.
 	StageQueueWait
-	// StageExec is one leg's execution on a replica engine, or the
-	// single-engine traversal body.
+	// StageExec is one leg's execution on a replica engine.
 	StageExec
 	// StageMerge is one leg's scatter of results back into the
 	// caller-visible slice.
 	StageMerge
-	// StageSchedule is the single-engine batch setup: proc clamping,
-	// grain sizing, scratch allocation.
-	StageSchedule
-	// StageSearch is a zero-decode existence pass (packed in-place
-	// search, possibly fronted by the row cache).
-	StageSearch
-	// StageDecode is a row-decoding batch pass.
-	StageDecode
 	// StageAbsorb is one distributed-BFS round's frontier absorb phase.
 	StageAbsorb
 	// StageEncode is a batch endpoint appending its JSON body into the
@@ -74,7 +65,7 @@ const (
 
 var stageNames = [numStages]string{
 	"parse", "group", "queue_wait", "exec", "merge",
-	"schedule", "search", "decode", "absorb", "encode", "write",
+	"absorb", "encode", "write",
 }
 
 // String returns the stage's wire name.

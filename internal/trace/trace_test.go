@@ -337,7 +337,7 @@ func BenchmarkRecorderStartFinish(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		tr := r.Start(OpExists, false)
-		tr.Span(StageSearch, 4096, tr.Now())
+		tr.Span(StageExec, 4096, tr.Now())
 		r.Finish(tr)
 	}
 }

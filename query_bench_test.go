@@ -267,9 +267,9 @@ func queryBenchBatch(g *queryBenchGraph, kind string, size int) []edgelist.NodeI
 	return batch
 }
 
-// BenchmarkNeighborsBatch measures batched row decodes with and without
-// the hot-row cache. cache=cold decodes every row from the packed CSR;
-// cache=warm serves repeats from a pre-warmed 64MB cache.
+// BenchmarkNeighborsBatch measures batched row decodes: cache=cold decodes
+// every row from the heap-resident packed CSR, cache=mmap from the same
+// rows in a mapped container.
 func BenchmarkNeighborsBatch(b *testing.B) {
 	graphs := queryBenchSetup(b)
 	const size = 2048
@@ -277,9 +277,7 @@ func BenchmarkNeighborsBatch(b *testing.B) {
 		g := graphs[dist]
 		for _, kind := range []string{"hub", "uniform"} {
 			batch := queryBenchBatch(g, kind, size)
-			warm := query.Cached(g.pk, query.NewRowCacheShards(64<<20, 16))
-			query.NeighborsBatch(warm, batch, 4) // warm the cache off the clock
-			for cacheLabel, src := range map[string]query.Source{"cold": g.pk, "warm": warm, "mmap": g.mpk} {
+			for cacheLabel, src := range map[string]query.Source{"cold": g.pk, "mmap": g.mpk} {
 				b.Run(fmt.Sprintf("dist=%s/batch=%s/cache=%s", dist, kind, cacheLabel), func(b *testing.B) {
 					for i := 0; i < b.N; i++ {
 						query.NeighborsBatch(src, batch, 4)

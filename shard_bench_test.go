@@ -1,15 +1,15 @@
-// Serving-tier benchmarks for the sharded scatter-gather router: the
-// per-shard row caches against the single-engine packed search they
-// replace, on the 10M-edge acceptance graphs.
+// Serving-tier benchmarks for the sharded scatter-gather router against
+// one engine's batch calls with no router in front, on the 10M-edge
+// acceptance graphs.
 //
 //	BenchmarkShardEdgesExistBatch — degree-biased existence probes,
-//	    shards=single (one engine, zero-decode packed search — the
-//	    pre-sharding serving path) vs shards=1|2|4|8 (the router with one
-//	    byte-budgeted row cache per shard). Hub probes repeat, so the
-//	    per-shard caches answer them from decoded contiguous rows instead
-//	    of packed random bit access.
+//	    shards=single (query.EdgesExistBatchSearch over the whole packed
+//	    graph) vs shards=1|2|4|8 (the router). Every form searches the
+//	    packed rows in place; what differs is the grouping, the legs and
+//	    the per-shard rows each leg touches.
 //	BenchmarkShardNeighborsBatch — hub-heavy row decodes through the same
-//	    single/router split.
+//	    single/router split; here each shard's byte-budgeted row table
+//	    serves repeated hub rows decoded.
 //
 // `make bench-compare-shard` prints the delta tables from exactly these
 // sub-benchmarks (-key shards -baseline single -new 8).
@@ -24,9 +24,9 @@ import (
 	"csrgraph/internal/shard"
 )
 
-// shardBenchCacheBytes is the total row-cache budget, divided across the
-// shards — the same accounting csrserver's -cache-mb flag uses, so the
-// K-shard variants never hold more cache than the single-engine flag would.
+// shardBenchCacheBytes is the total row-table budget, divided across the
+// shards — the same accounting csrserver's -cache-mb flag uses, so every
+// K holds the same total.
 const shardBenchCacheBytes = 64 << 20
 
 var (
@@ -69,7 +69,7 @@ func shardBenchSetup(b *testing.B) map[string]map[int]*shard.Router {
 
 // BenchmarkShardEdgesExistBatch is the sharded tier's acceptance benchmark:
 // aggregate existence-probe throughput through the router against the
-// single-engine baseline.
+// unrouted baseline.
 func BenchmarkShardEdgesExistBatch(b *testing.B) {
 	graphs := queryBenchSetup(b)
 	routers := shardBenchSetup(b)
@@ -85,7 +85,7 @@ func BenchmarkShardEdgesExistBatch(b *testing.B) {
 		})
 		for _, k := range []int{1, 2, 4, 8} {
 			rt := routers[dist][k]
-			if _, err := rt.EdgesExistBatch(probes); err != nil { // warm the shard caches off the clock
+			if _, err := rt.EdgesExistBatch(probes); err != nil { // touch the shard pages off the clock
 				b.Fatal(err)
 			}
 			b.Run(fmt.Sprintf("dist=%s/edges=%d/shards=%d", dist, queryBenchEdges, k), func(b *testing.B) {
