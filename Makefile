@@ -114,10 +114,9 @@ bench-obs:
 		| $(GO) run ./cmd/benchjson > BENCH_$$(date +%Y-%m-%d)$(BENCH_SUFFIX).json
 
 # Traversal-analytics snapshot: the frontier core (BFS sparse↔dense
-# switching, bucketed k-core) vs the retained baselines at 10M edges,
-# appended to the BENCH_<date>.json trajectory. Gate the speedup targets
-# with `go run ./cmd/benchcompare -baseline legacy -new frontier` and
-# `-baseline peel -new bucket` over the same run.
+# switching vs the push-only BFS, bucketed k-core) at 10M edges, appended
+# to the BENCH_<date>.json trajectory. Pair the BFS arms with
+# `go run ./cmd/benchcompare -baseline legacy -new frontier`.
 bench-algo:
 	$(GO) test -run '^$$' -bench 'BenchmarkBFSFrontier|BenchmarkKCore' -benchmem -benchtime $(BENCHTIME) -json . \
 		| $(GO) run ./cmd/benchjson > BENCH_$$(date +%Y-%m-%d)$(BENCH_SUFFIX).json
@@ -145,14 +144,13 @@ bench-compare-query:
 		| $(GO) run ./cmd/benchcompare -baseline linear -new search
 
 # Frontier-vs-baseline regression gate: pairs the algo= variants of the
-# traversal and k-core suites (legacy vs frontier BFS, peel vs bucket
-# k-core). The speedup columns are the acceptance numbers DESIGN.md §13
-# quotes; CI documents this as the pre-merge gate for algorithm changes.
+# BFS suite (legacy push-only vs frontier BFS). The speedup columns are the
+# numbers DESIGN.md §13 quotes; CI documents this as the pre-merge gate for
+# algorithm changes.
 bench-compare-algo:
-	$(GO) test -run '^$$' -bench 'BenchmarkBFSFrontier|BenchmarkKCore' \
-		-benchtime $(BENCHTIME) . | tee /tmp/bencha.txt \
+	$(GO) test -run '^$$' -bench 'BenchmarkBFSFrontier' \
+		-benchtime $(BENCHTIME) . \
 		| $(GO) run ./cmd/benchcompare -baseline legacy -new frontier
-	$(GO) run ./cmd/benchcompare -baseline peel -new bucket < /tmp/bencha.txt
 
 # Sharded serving-tier snapshot: the scatter-gather router's aggregate
 # batch throughput across shard counts (shards=1|2|4|8) against the

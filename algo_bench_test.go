@@ -1,12 +1,12 @@
-// Traversal-analytics benchmarks: the frontier core (internal/frontier)
-// against the retained baselines, at the ISSUE's 10M-edge acceptance size.
+// Traversal-analytics benchmarks on the frontier core (internal/frontier)
+// at 10M edges.
 //
-//	BenchmarkBFSFrontier — level-synchronous push-only baseline (algo=legacy)
-//	    vs the frontier core with sparse↔dense switching (algo=frontier) on
-//	    symmetrized uniform and power-law graphs. `go run ./cmd/benchcompare
-//	    -baseline legacy -new frontier` prints the delta table.
-//	BenchmarkKCore — per-level peeling baseline (algo=peel) vs Julienne-style
-//	    bucketed peeling (algo=bucket); pair with `-baseline peel -new bucket`.
+//	BenchmarkBFSFrontier — the hand-rolled push-only BFS (algo=legacy) vs
+//	    the frontier core with sparse↔dense switching (algo=frontier) on
+//	    symmetrized uniform and power-law graphs; both are kept, each wins
+//	    on a different caller. `go run ./cmd/benchcompare -baseline legacy
+//	    -new frontier` prints the delta table.
+//	BenchmarkKCore — Julienne-style bucketed peeling (algo=bucket).
 //
 // `make bench-algo` snapshots exactly these into the BENCH_<date>.json
 // trajectory.
@@ -54,7 +54,7 @@ func algoBenchSetup(b *testing.B) map[string]*csr.Matrix {
 	return algoBench
 }
 
-// BenchmarkBFSFrontier compares the retained push-only BFS against the
+// BenchmarkBFSFrontier compares the hand-rolled push-only BFS against the
 // frontier core's direction-switching traversal from a fixed source.
 func BenchmarkBFSFrontier(b *testing.B) {
 	graphs := algoBenchSetup(b)
@@ -74,22 +74,16 @@ func BenchmarkBFSFrontier(b *testing.B) {
 	}
 }
 
-// BenchmarkKCore compares the retained per-level peeling against bucketed
-// peeling over the frontier core.
+// BenchmarkKCore times bucketed peeling over the frontier core. The lone
+// arm keeps its algo=bucket name so the BENCH_*.json series continues.
 func BenchmarkKCore(b *testing.B) {
 	graphs := algoBenchSetup(b)
 	for _, dist := range []string{"uniform", "powerlaw"} {
 		m := graphs[dist]
-		for _, variant := range []string{"peel", "bucket"} {
-			b.Run(fmt.Sprintf("dist=%s/edges=%d/algo=%s", dist, queryBenchEdges, variant), func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					if variant == "peel" {
-						algo.CoreNumbers(m, algoBenchProcs)
-					} else {
-						algo.CoreNumbersBucketed(m, algoBenchProcs)
-					}
-				}
-			})
-		}
+		b.Run(fmt.Sprintf("dist=%s/edges=%d/algo=bucket", dist, queryBenchEdges), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				algo.CoreNumbersBucketed(m, algoBenchProcs)
+			}
+		})
 	}
 }

@@ -46,12 +46,11 @@ func (g *Graph) BFSHybrid(src NodeID, procs int) []int32 {
 }
 
 // ConnectedComponents labels every node with the smallest node id in its
-// weakly-connected component via frontier-based min-label propagation:
-// only nodes whose label changed last round propagate in the next. Labels
-// travel against edges too, over the transpose (see BFSHybrid).
+// weakly-connected component via parallel min-label propagation over the
+// out-edges: each edge carries the smaller label in both directions, so
+// no transpose is built.
 func (g *Graph) ConnectedComponents(procs int) []uint32 {
-	p := orDefault(procs, g.procs)
-	return algo.ConnectedComponentsFrontier(g.m, g.transpose(p), p)
+	return algo.ConnectedComponents(g.m, orDefault(procs, g.procs))
 }
 
 // StronglyConnectedComponents labels every node with the smallest node id
@@ -117,16 +116,17 @@ func (g *Graph) HITS(maxIter int, tol float64, procs int) (hubs, authorities []f
 	return algo.HITS(g.m, g.transpose(p), maxIter, tol, p)
 }
 
-// Closeness computes closeness centrality for every node (one frontier
-// BFS per node, source-parallel; Wasserman-Faust corrected for
-// disconnected graphs).
+// Closeness computes closeness centrality for every node (one sequential
+// queue BFS per node, sources spread over the processors; Wasserman-Faust
+// corrected for disconnected graphs).
 func (g *Graph) Closeness(procs int) []float64 {
-	return algo.ClosenessFrontier(g.m, orDefault(procs, g.procs))
+	return algo.Closeness(g.m, orDefault(procs, g.procs))
 }
 
-// ClosenessOf computes closeness for the given nodes only.
+// ClosenessOf computes closeness for the given nodes only (same per-source
+// BFS as Closeness).
 func (g *Graph) ClosenessOf(nodes []NodeID, procs int) []float64 {
-	return algo.ClosenessSampleFrontier(g.m, nodes, orDefault(procs, g.procs))
+	return algo.ClosenessSample(g.m, nodes, orDefault(procs, g.procs))
 }
 
 // ColorGraph computes a proper vertex coloring of a symmetrized graph

@@ -58,10 +58,11 @@ func allocatedBytes(f func()) uint64 {
 }
 
 // TestSymmetrizedGraphIsItsOwnTranspose pins the promise on BFSHybrid: a
-// graph built WithSymmetrize answers the four transpose-using analytics
+// graph built WithSymmetrize answers the three transpose-using analytics
 // exactly as the same edge set built without the option (which transposes
 // on every call), and allocates nothing the size of the edge array doing
-// it. Derived graphs never carry the flag.
+// it. ConnectedComponents needs no transpose on either graph. Derived
+// graphs never carry the flag.
 func TestSymmetrizedGraphIsItsOwnTranspose(t *testing.T) {
 	raw, err := GenerateRMAT(8, 30000, 5, 1)
 	if err != nil {
@@ -100,7 +101,6 @@ func TestSymmetrizedGraphIsItsOwnTranspose(t *testing.T) {
 	}
 	for _, c := range []call{
 		{"BFSHybrid", func(g *Graph) any { return g.BFSHybrid(0, 1) }},
-		{"ConnectedComponents", func(g *Graph) any { return g.ConnectedComponents(1) }},
 		{"StronglyConnectedComponents", func(g *Graph) any { return g.StronglyConnectedComponents(1) }},
 		{"HITS", func(g *Graph) any { h, a := g.HITS(5, 0, 1); return [][]float64{h, a} }},
 	} {
@@ -117,6 +117,15 @@ func TestSymmetrizedGraphIsItsOwnTranspose(t *testing.T) {
 			t.Errorf("%s: symmetrized call allocated %d B, an edge array is %d B", c.name, symBytes, edgeArray)
 		}
 	}
+	var symCC, plainCC []uint32
+	symBytes := allocatedBytes(func() { symCC = sym.ConnectedComponents(1) })
+	plainBytes := allocatedBytes(func() { plainCC = plain.ConnectedComponents(1) })
+	if !reflect.DeepEqual(symCC, plainCC) {
+		t.Error("ConnectedComponents: symmetrized graph disagrees with the plain one")
+	}
+	if symBytes >= edgeArray || plainBytes >= edgeArray {
+		t.Errorf("ConnectedComponents allocated %d B (symmetrized) and %d B (plain), an edge array is %d B", symBytes, plainBytes, edgeArray)
+	}
 }
 
 func TestConnectedComponentsPublic(t *testing.T) {
@@ -132,6 +141,55 @@ func TestConnectedComponentsPublic(t *testing.T) {
 	if !reflect.DeepEqual(cg.ConnectedComponents(2), labels) {
 		t.Fatal("compressed CC disagrees")
 	}
+
+	// A directed R-MAT: weak components must match union-find on both
+	// representations.
+	raw, err := GenerateRMAT(10, 1500, 9, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dg, err := Build(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := unionFindComponents(dg)
+	for _, p := range []int{1, 4} {
+		if got := dg.ConnectedComponents(p); !reflect.DeepEqual(got, want) {
+			t.Fatalf("p=%d: directed CC disagrees with union-find", p)
+		}
+		if got := dg.Compress().ConnectedComponents(p); !reflect.DeepEqual(got, want) {
+			t.Fatalf("p=%d: compressed directed CC disagrees with union-find", p)
+		}
+	}
+}
+
+// unionFindComponents labels weak components by the smallest node id in
+// each, with a sequential union-find over every edge.
+func unionFindComponents(g *Graph) []uint32 {
+	parent := make([]uint32, g.NumNodes())
+	for i := range parent {
+		parent[i] = uint32(i)
+	}
+	find := func(x uint32) uint32 {
+		for parent[x] != x {
+			parent[x] = parent[parent[x]]
+			x = parent[x]
+		}
+		return x
+	}
+	for _, e := range g.Edges() {
+		ru, rv := find(e.U), find(e.V)
+		if ru < rv {
+			parent[rv] = ru
+		} else if rv < ru {
+			parent[ru] = rv
+		}
+	}
+	out := make([]uint32, len(parent))
+	for i := range out {
+		out[i] = find(uint32(i))
+	}
+	return out
 }
 
 func TestPageRankPublic(t *testing.T) {

@@ -123,7 +123,7 @@ func run(args []string) error {
 	if *heavy {
 		tri := algo.CountTriangles(g, *procs)
 		avgCC, ccNodes := algo.GlobalClustering(g, *procs)
-		core := algo.CoreNumbers(g, *procs)
+		core := algo.CoreNumbersBucketed(g, *procs)
 		var maxCore uint32
 		for _, k := range core {
 			if k > maxCore {

@@ -142,7 +142,8 @@ func brandesSource(g query.Source, s uint32, st *brandesState, bc []float64) {
 }
 
 // TopKBetweenness returns the k nodes with the highest scores, paired
-// with their scores, in descending order.
+// with their scores, in descending order. k is clamped to
+// [0, len(scores)].
 func TopKBetweenness(scores []float64, k int) (nodes []uint32, vals []float64) {
 	type pair struct {
 		node  uint32
@@ -153,9 +154,7 @@ func TopKBetweenness(scores []float64, k int) (nodes []uint32, vals []float64) {
 		pairs[i] = pair{uint32(i), s}
 	}
 	// Partial selection sort is fine for small k.
-	if k > len(pairs) {
-		k = len(pairs)
-	}
+	k = max(0, min(k, len(pairs)))
 	for i := 0; i < k; i++ {
 		best := i
 		for j := i + 1; j < len(pairs); j++ {

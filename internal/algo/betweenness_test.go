@@ -111,4 +111,8 @@ func TestTopKBetweenness(t *testing.T) {
 	if len(nodes) != 1 {
 		t.Fatal("k clamp failed")
 	}
+	nodes, vals = TopKBetweenness([]float64{5, 2}, -1) // negative k clamps to 0
+	if len(nodes) != 0 || len(vals) != 0 {
+		t.Fatalf("k=-1: got %v %v, want empty", nodes, vals)
+	}
 }

@@ -7,8 +7,13 @@ import (
 
 	"csrgraph/internal/csr"
 	"csrgraph/internal/edgelist"
+	"csrgraph/internal/frontier"
 	"csrgraph/internal/spmatrix"
 )
+
+// The direction-optimizing (push/pull) BFS is BFSFrontierStats with a
+// transpose: these tests pin its output to the reference and its round
+// shapes to the Beamer policy.
 
 func TestDOBFSMatchesBFSSymmetric(t *testing.T) {
 	for _, seed := range []int64{21, 22, 23} {
@@ -16,9 +21,12 @@ func TestDOBFSMatchesBFSSymmetric(t *testing.T) {
 		m := randomGraph(200, 3000, seed, true)
 		want := bfsReference(m, 0)
 		for _, p := range []int{1, 2, 8} {
-			got := BFSDirectionOptimizing(m, m, 0, p)
+			got, st := BFSFrontierStats(m, m, 0, frontier.DefaultPolicy(), p)
 			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("seed=%d p=%d: DO-BFS diverges from reference", seed, p)
+				t.Fatalf("seed=%d p=%d: hybrid BFS diverges from reference", seed, p)
+			}
+			if st.DenseRounds == 0 {
+				t.Fatalf("seed=%d p=%d: dense graph never pulled: %+v", seed, p, st)
 			}
 		}
 	}
@@ -28,9 +36,8 @@ func TestDOBFSMatchesBFSDirected(t *testing.T) {
 	m := randomGraph(150, 2500, 24, false)
 	mt := spmatrix.Transpose(m, 2)
 	want := bfsReference(m, 3)
-	got := BFSDirectionOptimizing(m, mt, 3, 4)
-	if !reflect.DeepEqual(got, want) {
-		t.Fatal("directed DO-BFS diverges (transpose pull)")
+	if got, _ := BFSFrontierStats(m, mt, 3, frontier.DefaultPolicy(), 4); !reflect.DeepEqual(got, want) {
+		t.Fatal("directed hybrid BFS diverges (transpose pull)")
 	}
 }
 
@@ -43,27 +50,33 @@ func TestDOBFSSparseStaysInPushMode(t *testing.T) {
 	}
 	m := buildGraph(edges, 100, false)
 	mt := spmatrix.Transpose(m, 2)
-	dist := BFSDirectionOptimizing(m, mt, 0, 4)
+	dist, st := BFSFrontierStats(m, mt, 0, frontier.DefaultPolicy(), 4)
 	for i, d := range dist {
 		if d != int32(i) {
 			t.Fatalf("dist[%d] = %d, want %d", i, d, i)
 		}
 	}
+	if st.DenseRounds != 0 || st.SparseRounds != st.Rounds {
+		t.Fatalf("path BFS left push mode: %+v", st)
+	}
 }
 
 func TestDOBFSStarForcesPull(t *testing.T) {
-	// A star from the hub discovers n-1 nodes at level 1 — guaranteed to
-	// flip into pull mode on the next level even though it's empty.
+	// A star from the hub: the hub's 99 out-edges cross the alpha
+	// threshold, so the round that expands the hub already pulls.
 	var edges []edgelist.Edge
 	for v := uint32(1); v < 100; v++ {
 		edges = append(edges, edgelist.Edge{U: 0, V: v})
 	}
 	m := buildGraph(edges, 100, true)
-	dist := BFSDirectionOptimizing(m, m, 0, 4)
+	dist, st := BFSFrontierStats(m, m, 0, frontier.DefaultPolicy(), 4)
 	for v := 1; v < 100; v++ {
 		if dist[v] != 1 {
 			t.Fatalf("dist[%d] = %d, want 1", v, dist[v])
 		}
+	}
+	if st.DenseRounds == 0 {
+		t.Fatalf("star BFS never went dense: %+v", st)
 	}
 }
 
@@ -71,22 +84,26 @@ func TestDOBFSOnPacked(t *testing.T) {
 	m := randomGraph(120, 2000, 25, true)
 	pk := csr.PackMatrix(m, 2)
 	want := bfsReference(m, 0)
-	if got := BFSDirectionOptimizing(pk, pk, 0, 4); !reflect.DeepEqual(got, want) {
-		t.Fatal("packed DO-BFS diverges")
+	if got, _ := BFSFrontierStats(pk, pk, 0, frontier.DefaultPolicy(), 4); !reflect.DeepEqual(got, want) {
+		t.Fatal("packed hybrid BFS diverges")
 	}
 }
 
 func TestDOBFSOutOfRangeSource(t *testing.T) {
 	m := randomGraph(10, 20, 26, true)
-	dist := BFSDirectionOptimizing(m, m, 999, 2)
+	dist, st := BFSFrontierStats(m, m, 999, frontier.DefaultPolicy(), 2)
 	for _, d := range dist {
 		if d != Unreached {
 			t.Fatal("out-of-range source must reach nothing")
 		}
 	}
+	if st.Rounds != 0 {
+		t.Fatalf("out-of-range source ran rounds: %+v", st)
+	}
 }
 
-// Property: DO-BFS equals plain BFS on random symmetric graphs for any p.
+// Property: the hybrid BFS equals plain BFS on random symmetric graphs for
+// any p.
 func TestQuickDOBFS(t *testing.T) {
 	f := func(pairs []uint16, p uint8) bool {
 		const n = 32
@@ -95,10 +112,8 @@ func TestQuickDOBFS(t *testing.T) {
 			edges = append(edges, edgelist.Edge{U: uint32(pairs[i]) % n, V: uint32(pairs[i+1]) % n})
 		}
 		m := buildGraph(edges, n, true)
-		return reflect.DeepEqual(
-			BFSDirectionOptimizing(m, m, 0, int(p)),
-			BFS(m, 0, 2),
-		)
+		got, _ := BFSFrontierStats(m, m, 0, frontier.DefaultPolicy(), int(p))
+		return reflect.DeepEqual(got, BFS(m, 0, 2))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
 		t.Fatal(err)

@@ -1,13 +1,12 @@
-// Frontier-core instantiations of the traversal algorithms: the same
-// results as the hand-rolled loops in bfs.go/dobfs.go/kcore.go/scc.go/
-// closeness.go/betweenness.go, expressed as internal/frontier EdgeMap
-// rounds. The public analytics API routes traversals through these; the
-// originals stay behind as the differential baselines their tests compare
-// against (DESIGN.md §13).
+// Traversals on the frontier core (internal/frontier): BFS with
+// sparse/dense switching, SCC's reachability sweeps and bucketed k-core
+// peeling, the analytics where the core measured faster than a
+// hand-rolled loop. Components, closeness and betweenness are the
+// reverse case and stay loops (bfs.go, closeness.go, betweenness.go;
+// timings in DESIGN.md §13).
 package algo
 
 import (
-	"math"
 	"sync/atomic"
 
 	"csrgraph/internal/edgelist"
@@ -20,7 +19,7 @@ import (
 // default switching policy. gT enables dense (pull) rounds; pass nil for a
 // push-only traversal (arbitrary directed graphs without a transpose at
 // hand) or the graph itself when it is symmetric. Output is identical to
-// BFS.
+// BFS, the hand-rolled push-only loop.
 func BFSFrontier(g, gT query.Source, src edgelist.NodeID, p int) []int32 {
 	dist, _ := BFSFrontierStats(g, gT, src, frontier.DefaultPolicy(), p)
 	return dist
@@ -33,73 +32,8 @@ func BFSFrontierStats(g, gT query.Source, src edgelist.NodeID, pol frontier.Poli
 	return frontier.BFS(g, gT, src, pol, clampProcs(p))
 }
 
-// ConnectedComponentsFrontier labels every node with the smallest node id
-// in its weakly-connected component, as frontier rounds of min-label
-// propagation: only vertices whose label changed last round push (and
-// pull) labels across their edges. gT must be the transpose for directed
-// graphs; nil is allowed when g is symmetric (the graph is its own
-// transpose). Output is identical to ConnectedComponents.
-func ConnectedComponentsFrontier(g, gT query.Source, p int) []uint32 {
-	p = clampProcs(p)
-	n := g.NumNodes()
-	labels := make([]atomic.Uint32, n)
-	stamp := make([]atomic.Uint32, n) // round whose edgeMap last lowered the label
-	parallel.For(n, p, func(_ int, r parallel.Range) {
-		for i := r.Start; i < r.End; i++ {
-			labels[i].Store(uint32(i))
-		}
-	})
-	vs := frontier.All(n)
-	opts := frontier.Opts{Procs: p, NoOutput: true}
-	for round := uint32(1); !vs.IsEmpty(); round++ {
-		rd := round // per-round snapshot: pool bodies must not read the loop counter
-		update := func(s, d uint32) bool {
-			ls := labels[s].Load()
-			ld := labels[d].Load()
-			switch {
-			case ls < ld:
-				if casMinUint32(&labels[d], ls) {
-					stamp[d].Store(rd)
-				}
-			case ld < ls:
-				if casMinUint32(&labels[s], ld) {
-					stamp[s].Store(rd)
-				}
-			}
-			return false
-		}
-		frontier.EdgeMap(g, gT, vs, update, nil, opts)
-		if gT != nil {
-			frontier.EdgeMap(gT, g, vs, update, nil, opts)
-		}
-		vs = frontier.Filter(n, p, func(v uint32) bool { return stamp[v].Load() == rd })
-	}
-	out := make([]uint32, n)
-	parallel.For(n, p, func(_ int, r parallel.Range) {
-		for i := r.Start; i < r.End; i++ {
-			out[i] = labels[i].Load()
-		}
-	})
-	return out
-}
-
-// casMinUint32 lowers *a to v if v is smaller, reporting whether it did.
-//
-//csr:hotpath
-func casMinUint32(a *atomic.Uint32, v uint32) bool {
-	for {
-		cur := a.Load()
-		if v >= cur {
-			return false
-		}
-		if a.CompareAndSwap(cur, v) {
-			return true
-		}
-	}
-}
-
-// reachableWithinFrontier is reachableWithin on the frontier core: nodes
-// of the generation-gen subset reachable from src. g is the traversal
+// reachableWithinFrontier marks the nodes of the generation-gen subset
+// (tagged gen in inSubset) reachable from src. g is the traversal
 // direction and gT its transpose (enabling dense rounds); SCC's
 // forward/backward sweeps pass (g, gT) and (gT, g).
 func reachableWithinFrontier(g, gT query.Source, src uint32, inSubset []int32, gen int32, p int) []bool {
@@ -141,8 +75,8 @@ const serialPeelEdges = 2048
 // specialization of the sparse EdgeMap shape (Julienne's nghCount): the
 // per-edge work is one fetch-and-add, too cheap to pay a closure call per
 // edge, and per-worker output buffers persist across the thousands of
-// rounds a peel runs. Replaces CoreNumbers' per-level full-vertex rescans
-// with work proportional to the peeled edges; output is identical.
+// rounds a peel runs. Work is proportional to the peeled edges, with no
+// per-level rescan of all vertices.
 func CoreNumbersBucketed(g query.Source, p int) []uint32 {
 	p = clampProcs(p)
 	n := g.NumNodes()
@@ -233,160 +167,6 @@ func CoreNumbersBucketed(g query.Source, p int) []uint32 {
 				b.Update(v, uint32(nd))
 			}
 			outs[w] = outs[w][:0]
-		}
-	}
-}
-
-// ClosenessFrontier computes Wasserman-Faust closeness for every node —
-// output identical to Closeness — with the inner per-source BFS running on
-// the frontier core (push-only, one processor per source; sources are
-// distributed across p processors like the baseline).
-func ClosenessFrontier(g query.Source, p int) []float64 {
-	p = clampProcs(p)
-	n := g.NumNodes()
-	out := make([]float64, n)
-	parallel.For(n, p, func(_ int, r parallel.Range) {
-		levels := make([]atomic.Int32, n)
-		for s := r.Start; s < r.End; s++ {
-			out[s] = closenessFromLevels(g, uint32(s), levels, n)
-		}
-	})
-	return out
-}
-
-// ClosenessSampleFrontier estimates closeness for the given nodes only, in
-// input order — output identical to ClosenessSample.
-func ClosenessSampleFrontier(g query.Source, nodes []uint32, p int) []float64 {
-	p = clampProcs(p)
-	n := g.NumNodes()
-	out := make([]float64, len(nodes))
-	parallel.For(len(nodes), p, func(_ int, r parallel.Range) {
-		levels := make([]atomic.Int32, n)
-		for i := r.Start; i < r.End; i++ {
-			if int(nodes[i]) < n {
-				out[i] = closenessFromLevels(g, nodes[i], levels, n)
-			}
-		}
-	})
-	return out
-}
-
-// closenessFromLevels runs one frontier BFS into the reused levels scratch
-// and folds the distances into the corrected closeness.
-func closenessFromLevels(g query.Source, s uint32, levels []atomic.Int32, n int) float64 {
-	frontier.BFSLevels(g, nil, s, frontier.DefaultPolicy(), 1, levels)
-	var sum, reached int64
-	for i := range levels {
-		if d := levels[i].Load(); d > 0 {
-			sum += int64(d)
-			reached++
-		}
-	}
-	if reached == 0 || sum == 0 {
-		return 0
-	}
-	// Wasserman-Faust: (reached / (n-1)) * (reached / sum).
-	return float64(reached) / float64(n-1) * float64(reached) / float64(sum)
-}
-
-// BetweennessFrontier computes Brandes betweenness contributions of the
-// given sources (directed convention, unscaled — callers sampling every
-// k-th source scale by k themselves), with both Brandes phases as frontier
-// rounds: the forward phase is a BFS-like EdgeMap accumulating path counts
-// with atomic float adds, the backward phase replays the recorded level
-// subsets deepest-first as sparse EdgeMaps (per-source aggregation is safe
-// there: sparse mode processes all edges of one frontier vertex on one
-// worker). Sources run sequentially, each with full p-way parallelism —
-// the transposed shape of the source-parallel baseline, matching it within
-// floating-point reassociation.
-func BetweennessFrontier(g, gT query.Source, sources []uint32, p int) []float64 {
-	p = clampProcs(p)
-	n := g.NumNodes()
-	bc := make([]float64, n)
-	if n == 0 {
-		return bc
-	}
-	levels := make([]atomic.Int32, n)
-	sigma := make([]atomic.Uint64, n) // float64 bits
-	delta := make([]float64, n)
-	for _, s := range sources {
-		if int(s) >= n {
-			continue
-		}
-		brandesFrontierSource(g, gT, s, p, levels, sigma, delta, bc)
-	}
-	return bc
-}
-
-// brandesFrontierSource runs one Brandes phase pair from s on the frontier
-// core, accumulating dependencies into bc.
-func brandesFrontierSource(g, gT query.Source, s uint32, p int, levels []atomic.Int32, sigma []atomic.Uint64, delta []float64, bc []float64) {
-	n := g.NumNodes()
-	parallel.For(n, p, func(_ int, r parallel.Range) {
-		for i := r.Start; i < r.End; i++ {
-			levels[i].Store(Unreached)
-			sigma[i].Store(0) // float64 bits of 0.0
-			delta[i] = 0
-		}
-	})
-	levels[s].Store(0)
-	sigma[s].Store(math.Float64bits(1))
-	levelSets := []*frontier.VertexSubset{frontier.Single(n, s)}
-	opts := frontier.Opts{Procs: p}
-	for level := int32(1); !levelSets[len(levelSets)-1].IsEmpty(); level++ {
-		lvl := level // per-round snapshot: pool bodies must not read the loop counter
-		// Forward: every edge from the frontier into level lvl contributes
-		// the source's path count; the first relaxer claims the vertex.
-		next := frontier.EdgeMap(g, gT, levelSets[len(levelSets)-1],
-			func(u, w uint32) bool {
-				claimed := levels[w].CompareAndSwap(Unreached, lvl)
-				addFloatBits(&sigma[w], math.Float64frombits(sigma[u].Load()))
-				return claimed
-			},
-			func(w uint32) bool {
-				lw := levels[w].Load()
-				return lw == Unreached || lw == lvl
-			},
-			opts)
-		levelSets = append(levelSets, next)
-	}
-	// Backward: dependency accumulation, deepest level first. Each level's
-	// vertices read only deeper levels' deltas, so plain writes to the
-	// owned vertex are race-free.
-	back := frontier.Opts{Procs: p, Mode: frontier.ForceSparse, NoOutput: true}
-	for li := len(levelSets) - 2; li >= 0; li-- {
-		frontier.EdgeMap(g, nil, levelSets[li],
-			func(v, w uint32) bool {
-				lv := levels[v].Load()
-				if levels[w].Load() == lv+1 {
-					if sw := math.Float64frombits(sigma[w].Load()); sw > 0 {
-						sv := math.Float64frombits(sigma[v].Load())
-						delta[v] += sv / sw * (1 + delta[w])
-					}
-				}
-				return false
-			},
-			nil, back)
-	}
-	ss := s
-	parallel.For(n, p, func(_ int, r parallel.Range) {
-		for i := r.Start; i < r.End; i++ {
-			if uint32(i) != ss && levels[i].Load() >= 0 {
-				bc[i] += delta[i]
-			}
-		}
-	})
-}
-
-// addFloatBits atomically adds v to the float64 stored as bits in *a.
-//
-//csr:hotpath
-func addFloatBits(a *atomic.Uint64, v float64) {
-	for {
-		old := a.Load()
-		nw := math.Float64bits(math.Float64frombits(old) + v)
-		if a.CompareAndSwap(old, nw) {
-			return
 		}
 	}
 }

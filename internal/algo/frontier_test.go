@@ -12,7 +12,7 @@ import (
 	"csrgraph/internal/spmatrix"
 )
 
-// diffGraphs returns the named graph family zoo the frontier ports are
+// diffGraphs returns the named graph family zoo the traversals are
 // differentially tested over: uniform, power-law, disconnected,
 // single-vertex and empty, each symmetrized when sym.
 func diffGraphs(t *testing.T, sym bool) map[string]*csr.Matrix {
@@ -77,65 +77,42 @@ func TestDOBFSPolicyParameters(t *testing.T) {
 		{Alpha: 1 << 20, Beta: 1}, // dense as soon as possible
 		frontier.DefaultPolicy(),
 	} {
-		if got := BFSDirectionOptimizingPolicy(m, m, 0, pol, 4); !reflect.DeepEqual(got, want) {
-			t.Fatalf("policy %+v: DO-BFS diverges", pol)
+		if got, _ := BFSFrontierStats(m, m, 0, pol, 4); !reflect.DeepEqual(got, want) {
+			t.Fatalf("policy %+v: hybrid BFS diverges", pol)
 		}
 	}
 }
 
+// The …MatchesBaseline tests below pin each kept implementation against a
+// sequential oracle over the diffGraphs zoo.
+
 func TestConnectedComponentsFrontierMatchesBaseline(t *testing.T) {
-	for name, m := range diffGraphs(t, true) {
-		for _, p := range []int{1, 2, 8} {
-			want := ConnectedComponents(m, p)
-			// Symmetric graph: with and without the explicit transpose.
-			if got := ConnectedComponentsFrontier(m, m, p); !reflect.DeepEqual(got, want) {
-				t.Fatalf("%s p=%d: frontier CC (with gT) diverges", name, p)
-			}
-			if got := ConnectedComponentsFrontier(m, nil, p); !reflect.DeepEqual(got, want) {
-				t.Fatalf("%s p=%d: frontier CC (nil gT) diverges", name, p)
+	for _, sym := range []bool{false, true} {
+		for name, m := range diffGraphs(t, sym) {
+			want := ccReference(m)
+			for _, p := range []int{1, 2, 8} {
+				if got := ConnectedComponents(m, p); !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s sym=%v p=%d: CC diverges from union-find", name, sym, p)
+				}
 			}
 		}
 	}
 }
 
 func TestConnectedComponentsFrontierDirected(t *testing.T) {
-	// Weak connectivity of a directed graph: compare against label
-	// propagation over the symmetrized version.
+	// Weak connectivity of a directed graph: labels cross every edge in
+	// both directions, so the directed graph labels like its symmetrized
+	// version.
 	m := randomGraph(150, 600, 99, false)
 	sym := randomGraph(150, 600, 99, true)
 	want := ConnectedComponents(sym, 4)
-	got := ConnectedComponentsFrontier(m, spmatrix.Transpose(m, 2), 4)
-	if !reflect.DeepEqual(got, want) {
+	if got := ConnectedComponents(m, 4); !reflect.DeepEqual(got, want) {
 		t.Fatal("directed weak CC diverges from symmetrized baseline")
 	}
 	// Directed chain 1→2→0: one weak component regardless of direction.
 	chain := buildGraph([]edgelist.Edge{{U: 1, V: 2}, {U: 2, V: 0}}, 3, false)
-	got = ConnectedComponentsFrontier(chain, spmatrix.Transpose(chain, 1), 1)
-	if !reflect.DeepEqual(got, []uint32{0, 0, 0}) {
+	if got := ConnectedComponents(chain, 1); !reflect.DeepEqual(got, []uint32{0, 0, 0}) {
 		t.Fatalf("chain CC = %v, want all zeros", got)
-	}
-}
-
-func TestReachableWithinFrontierMatchesBaseline(t *testing.T) {
-	m := randomGraph(200, 1000, 55, false)
-	mt := spmatrix.Transpose(m, 2)
-	n := m.NumNodes()
-	inSubset := make([]int32, n)
-	for i := range inSubset {
-		if i%3 != 0 {
-			inSubset[i] = 1
-		}
-	}
-	inSubset[4] = 1
-	for _, p := range []int{1, 4} {
-		want := reachableWithin(m, 4, inSubset, 1, p)
-		if got := reachableWithinFrontier(m, mt, 4, inSubset, 1, p); !reflect.DeepEqual(got, want) {
-			t.Fatalf("p=%d: forward reachability diverges", p)
-		}
-		wantB := reachableWithin(mt, 4, inSubset, 1, p)
-		if got := reachableWithinFrontier(mt, m, 4, inSubset, 1, p); !reflect.DeepEqual(got, wantB) {
-			t.Fatalf("p=%d: backward reachability diverges", p)
-		}
 	}
 }
 
@@ -151,22 +128,49 @@ func TestSCCStillMatchesAfterFrontierRouting(t *testing.T) {
 }
 
 func TestCoreNumbersBucketedMatchesBaseline(t *testing.T) {
-	for name, m := range diffGraphs(t, true) {
-		for _, p := range []int{1, 2, 8} {
-			want := CoreNumbers(m, p)
-			if got := CoreNumbersBucketed(m, p); !reflect.DeepEqual(got, want) {
-				t.Fatalf("%s p=%d: bucketed core numbers diverge", name, p)
+	for _, sym := range []bool{false, true} {
+		for name, m := range diffGraphs(t, sym) {
+			want := coreReference(m)
+			for _, p := range []int{1, 2, 8} {
+				if got := CoreNumbersBucketed(m, p); !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s sym=%v p=%d: bucketed core numbers diverge", name, sym, p)
+				}
 			}
 		}
 	}
 }
 
+// closenessReference is the sequential closeness oracle: one queue BFS
+// from s, folded into Wasserman-Faust closeness.
+func closenessReference(m *csr.Matrix, s uint32) float64 {
+	n := m.NumNodes()
+	if int(s) >= n {
+		return 0
+	}
+	var sum, reached int64
+	for _, d := range bfsReference(m, s) {
+		if d > 0 {
+			sum += int64(d)
+			reached++
+		}
+	}
+	if reached == 0 {
+		return 0
+	}
+	return float64(reached) / float64(n-1) * float64(reached) / float64(sum)
+}
+
 func TestClosenessFrontierMatchesBaseline(t *testing.T) {
-	for name, m := range diffGraphs(t, true) {
-		for _, p := range []int{1, 4} {
-			want := Closeness(m, p)
-			if got := ClosenessFrontier(m, p); !reflect.DeepEqual(got, want) {
-				t.Fatalf("%s p=%d: frontier closeness diverges", name, p)
+	for _, sym := range []bool{false, true} {
+		for name, m := range diffGraphs(t, sym) {
+			want := make([]float64, m.NumNodes())
+			for s := range want {
+				want[s] = closenessReference(m, uint32(s))
+			}
+			for _, p := range []int{1, 2, 8} {
+				if got := Closeness(m, p); !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s sym=%v p=%d: closeness diverges from the oracle", name, sym, p)
+				}
 			}
 		}
 	}
@@ -175,24 +179,66 @@ func TestClosenessFrontierMatchesBaseline(t *testing.T) {
 func TestClosenessSampleFrontierMatchesBaseline(t *testing.T) {
 	m := randomGraph(200, 1500, 21, true)
 	nodes := []uint32{0, 7, 7, 199, 5000} // duplicates and out-of-range
+	want := make([]float64, len(nodes))
+	for i, s := range nodes {
+		want[i] = closenessReference(m, s)
+	}
 	for _, p := range []int{1, 4} {
-		want := ClosenessSample(m, nodes, p)
-		if got := ClosenessSampleFrontier(m, nodes, p); !reflect.DeepEqual(got, want) {
-			t.Fatalf("p=%d: frontier closeness sample diverges", p)
+		if got := ClosenessSample(m, nodes, p); !reflect.DeepEqual(got, want) {
+			t.Fatalf("p=%d: closeness sample diverges from the oracle", p)
 		}
 	}
 }
 
+// betweennessReference is sequential Brandes over every source: BFS
+// order with path counts, then dependencies accumulated deepest first.
+func betweennessReference(m *csr.Matrix) []float64 {
+	n := m.NumNodes()
+	bc := make([]float64, n)
+	for s := 0; s < n; s++ {
+		dist := bfsReference(m, uint32(s))
+		order := make([]uint32, 0, n)
+		for d := int32(0); ; d++ {
+			before := len(order)
+			for v := range dist {
+				if dist[v] == d {
+					order = append(order, uint32(v))
+				}
+			}
+			if len(order) == before {
+				break
+			}
+		}
+		sigma := make([]float64, n)
+		sigma[s] = 1
+		for _, v := range order {
+			for _, w := range m.Neighbors(v) {
+				if dist[w] == dist[v]+1 {
+					sigma[w] += sigma[v]
+				}
+			}
+		}
+		delta := make([]float64, n)
+		for i := len(order) - 1; i >= 0; i-- {
+			v := order[i]
+			for _, w := range m.Neighbors(v) {
+				if dist[w] == dist[v]+1 {
+					delta[v] += sigma[v] / sigma[w] * (1 + delta[w])
+				}
+			}
+			if int(v) != s {
+				bc[v] += delta[v]
+			}
+		}
+	}
+	return bc
+}
+
 func TestBetweennessFrontierMatchesBaseline(t *testing.T) {
 	for name, m := range diffGraphs(t, true) {
-		n := m.NumNodes()
-		sources := make([]uint32, n)
-		for i := range sources {
-			sources[i] = uint32(i)
-		}
-		want := Betweenness(m, 4)
+		want := betweennessReference(m)
 		for _, p := range []int{1, 4} {
-			got := BetweennessFrontier(m, m, sources, p)
+			got := Betweenness(m, p)
 			if len(got) != len(want) {
 				t.Fatalf("%s: length mismatch", name)
 			}
@@ -201,16 +247,6 @@ func TestBetweennessFrontierMatchesBaseline(t *testing.T) {
 					t.Fatalf("%s p=%d: bc[%d] = %g, want %g", name, p, i, got[i], want[i])
 				}
 			}
-		}
-	}
-}
-
-func TestBetweennessFrontierOutOfRangeSource(t *testing.T) {
-	m := randomGraph(20, 60, 3, true)
-	got := BetweennessFrontier(m, m, []uint32{999}, 2)
-	for i, v := range got {
-		if v != 0 {
-			t.Fatalf("bc[%d] = %g from out-of-range source", i, v)
 		}
 	}
 }

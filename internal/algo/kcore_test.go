@@ -20,7 +20,7 @@ func TestCoreNumbersK4WithTail(t *testing.T) {
 	edges = append(edges, edgelist.Edge{U: 3, V: 4}, edgelist.Edge{U: 4, V: 5})
 	m := buildGraph(edges, 6, true)
 	for _, p := range []int{1, 2, 4} {
-		core := CoreNumbers(m, p)
+		core := CoreNumbersBucketed(m, p)
 		want := []uint32{3, 3, 3, 3, 1, 1}
 		if !reflect.DeepEqual(core, want) {
 			t.Fatalf("p=%d: core = %v, want %v", p, core, want)
@@ -36,7 +36,7 @@ func TestCoreNumbersIsolatedAndStar(t *testing.T) {
 		edges = append(edges, edgelist.Edge{U: 0, V: v})
 	}
 	m := buildGraph(edges, 7, true)
-	core := CoreNumbers(m, 2)
+	core := CoreNumbersBucketed(m, 2)
 	want := []uint32{1, 1, 1, 1, 1, 1, 0}
 	if !reflect.DeepEqual(core, want) {
 		t.Fatalf("core = %v, want %v", core, want)
@@ -89,7 +89,7 @@ func TestCoreNumbersMatchesReference(t *testing.T) {
 		m := randomGraph(150, 900, seed, true)
 		want := coreReference(m)
 		for _, p := range []int{1, 4} {
-			got := CoreNumbers(m, p)
+			got := CoreNumbersBucketed(m, p)
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("seed=%d p=%d: cores diverge", seed, p)
 			}

@@ -1,15 +1,12 @@
 package algo
 
-import (
-	"csrgraph/internal/parallel"
-	"csrgraph/internal/query"
-)
+import "csrgraph/internal/query"
 
 // StronglyConnectedComponents labels every node of a directed graph with
 // the smallest node id in its strongly connected component, using the
 // Fleischer–Hendrickson–Pinar forward–backward algorithm — the standard
 // parallel SCC method: pick a pivot, compute its forward and backward
-// reachable sets with the parallel BFS (the backward sweep runs over the
+// reachable sets with frontier rounds (the backward sweep runs over the
 // transpose gT), their intersection is the pivot's SCC, and the three
 // remaining partitions (forward-only, backward-only, neither) contain no
 // straddling SCCs so they recurse independently.
@@ -78,44 +75,4 @@ func StronglyConnectedComponents(g, gT query.Source, p int) []uint32 {
 		work = append(work, fwdOnly, bwdOnly, rest)
 	}
 	return labels
-}
-
-// reachableWithin marks the nodes of the current subset (tagged gen in
-// inSubset) reachable from src, using a level-synchronous traversal
-// parallelized like BFS but restricted to the subset. Goroutines only
-// read the seen mask (a stale read merely yields a duplicate candidate);
-// writes happen in the serial per-level merge, so the frontier stays
-// deterministic and race-free. Retained as the differential baseline for
-// reachableWithinFrontier (frontier.go), which SCC now calls.
-func reachableWithin(g query.Source, src uint32, inSubset []int32, gen int32, p int) []bool {
-	n := g.NumNodes()
-	seen := make([]bool, n)
-	seen[src] = true
-	frontier := []uint32{src}
-	for len(frontier) > 0 {
-		next := make([][]uint32, p)
-		parallel.For(len(frontier), p, func(c int, r parallel.Range) {
-			var buf []uint32
-			var local []uint32
-			for i := r.Start; i < r.End; i++ {
-				buf = g.Row(buf, frontier[i])
-				for _, w := range buf {
-					if inSubset[w] == gen && !seen[w] {
-						local = append(local, w)
-					}
-				}
-			}
-			next[c] = local
-		})
-		frontier = frontier[:0]
-		for _, local := range next {
-			for _, w := range local {
-				if !seen[w] {
-					seen[w] = true
-					frontier = append(frontier, w)
-				}
-			}
-		}
-	}
-	return seen
 }

@@ -18,40 +18,30 @@ const Unreached = int32(-1)
 // yields all-Unreached.
 func BFS(g, gT Graph, src uint32, pol Policy, p int) ([]int32, Stats) {
 	n := g.NumNodes()
-	dist := make([]int32, n)
 	levels := make([]atomic.Int32, n)
-	st := BFSLevels(g, gT, src, pol, p, levels)
-	parallel.For(n, p, func(_ int, r parallel.Range) {
-		for i := r.Start; i < r.End; i++ {
-			dist[i] = levels[i].Load()
-		}
-	})
-	return dist, st
-}
-
-// BFSLevels is BFS writing into caller-owned scratch: levels (len n) is
-// reset to Unreached and filled with hop distances. Callers running many
-// traversals (closeness, betweenness) reuse the scratch across sources.
-func BFSLevels(g, gT Graph, src uint32, pol Policy, p int, levels []atomic.Int32) Stats {
-	n := g.NumNodes()
 	parallel.For(n, p, func(_ int, r parallel.Range) {
 		for i := r.Start; i < r.End; i++ {
 			levels[i].Store(Unreached)
 		}
 	})
 	var st Stats
-	if int(src) >= n {
-		return st
+	if int(src) < n {
+		levels[src].Store(0)
+		vs := Single(n, src)
+		opts := Opts{Procs: p, Policy: pol, Stats: &st}
+		for level := int32(1); !vs.IsEmpty(); level++ {
+			lvl := level // per-round snapshot: pool bodies must not read the loop counter
+			vs = EdgeMap(g, gT, vs,
+				func(s, d uint32) bool { return levels[d].CompareAndSwap(Unreached, lvl) },
+				func(d uint32) bool { return levels[d].Load() == Unreached },
+				opts)
+		}
 	}
-	levels[src].Store(0)
-	vs := Single(n, src)
-	opts := Opts{Procs: p, Policy: pol, Stats: &st}
-	for level := int32(1); !vs.IsEmpty(); level++ {
-		lvl := level // per-round snapshot: pool bodies must not read the loop counter
-		vs = EdgeMap(g, gT, vs,
-			func(s, d uint32) bool { return levels[d].CompareAndSwap(Unreached, lvl) },
-			func(d uint32) bool { return levels[d].Load() == Unreached },
-			opts)
-	}
-	return st
+	dist := make([]int32, n)
+	parallel.For(n, p, func(_ int, r parallel.Range) {
+		for i := r.Start; i < r.End; i++ {
+			dist[i] = levels[i].Load()
+		}
+	})
+	return dist, st
 }

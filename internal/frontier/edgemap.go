@@ -1,16 +1,13 @@
 package frontier
 
 import (
-	"sync/atomic"
-
 	"csrgraph/internal/obs"
 	"csrgraph/internal/parallel"
 )
 
 // Mode forces an EdgeMap traversal direction. Auto lets the Policy decide;
-// the forced modes exist for algorithms whose cost model is known up front
-// (bucketed peeling is always sparse) and for differential tests that pin
-// both paths against each other (FuzzEdgeMap).
+// the forced modes let differential tests pin both paths against each
+// other (FuzzEdgeMap).
 type Mode int
 
 const (
@@ -39,14 +36,6 @@ type Opts struct {
 	Policy Policy
 	// Mode pins the traversal direction; Auto consults Policy.
 	Mode Mode
-	// Dedup claims each output vertex through a CAS bitmap, so update
-	// functions that may return true multiple times per vertex (no CAS of
-	// their own) still produce a duplicate-free subset. Leave off for
-	// idempotent/claiming update functions — the bitmap costs a pass.
-	Dedup bool
-	// NoOutput skips building the next subset entirely (for side-effect
-	// only rounds); EdgeMap returns the empty subset.
-	NoOutput bool
 	// Stats, when non-nil, accumulates round counts.
 	Stats *Stats
 }
@@ -88,8 +77,8 @@ func numEdges(g Graph) int {
 //     is ever materialized.
 //
 // update must be safe for concurrent calls with distinct d; in sparse mode
-// concurrent calls share d (claim with CAS or set Opts.Dedup), in dense
-// mode each d is owned by one worker. cond == nil means "always true".
+// concurrent calls share d, so update must claim d (a CAS) for the output
+// to be duplicate-free; in dense mode each d is owned by one worker. cond == nil means "always true".
 // gT may be nil, which disables dense mode. The sparse output order is
 // nondeterministic; the set of ids is not.
 func EdgeMap(g, gT Graph, vs *VertexSubset, update func(s, d uint32) bool, cond func(d uint32) bool, opts Opts) *VertexSubset {
@@ -114,7 +103,7 @@ func EdgeMap(g, gT Graph, vs *VertexSubset, update func(s, d uint32) bool, cond 
 			if m := numEdges(g); m >= 0 {
 				edges := 0
 				if !vs.IsDense() {
-					edges = DegreeSum(g, vs.ids, p)
+					edges = degreeSum(g, vs.ids, p)
 				}
 				dense = opts.Policy.UseDense(vs.Len(), edges, n, m, vs.IsDense())
 			}
@@ -138,10 +127,10 @@ func EdgeMap(g, gT Graph, vs *VertexSubset, update func(s, d uint32) bool, cond 
 	start := obs.Now()
 	var out *VertexSubset
 	if dense {
-		out = edgeMapDense(gT, vs, update, cond, p, opts.NoOutput)
+		out = edgeMapDense(gT, vs, update, cond, p)
 		obs.Tick(roundDenseSeconds, start)
 	} else {
-		out = edgeMapSparse(g, vs, update, cond, p, opts.Dedup, opts.NoOutput)
+		out = edgeMapSparse(g, vs, update, cond, p)
 		obs.Tick(roundSparseSeconds, start)
 	}
 	return out
@@ -149,7 +138,7 @@ func EdgeMap(g, gT Graph, vs *VertexSubset, update func(s, d uint32) bool, cond 
 
 // edgeMapSparse is the push direction: iterate frontier rows, emit
 // activated destinations into per-worker buffers, concatenate.
-func edgeMapSparse(g Graph, vs *VertexSubset, update func(s, d uint32) bool, cond func(d uint32) bool, p int, dedup, noOutput bool) *VertexSubset {
+func edgeMapSparse(g Graph, vs *VertexSubset, update func(s, d uint32) bool, cond func(d uint32) bool, p int) *VertexSubset {
 	n := g.NumNodes()
 	ids := vs.IDs(p)
 	if p > len(ids) {
@@ -161,10 +150,6 @@ func edgeMapSparse(g Graph, vs *VertexSubset, update func(s, d uint32) bool, con
 	}
 	if grain < 1 {
 		grain = 1
-	}
-	var claimed []atomic.Uint64
-	if dedup && !noOutput {
-		claimed = make([]atomic.Uint64, denseWords(n))
 	}
 	bufs := make([][]uint32, p)
 	outs := make([][]uint32, p)
@@ -178,21 +163,14 @@ func edgeMapSparse(g Graph, vs *VertexSubset, update func(s, d uint32) bool, con
 				if cond != nil && !cond(d) {
 					continue
 				}
-				if !update(s, d) || noOutput {
-					continue
+				if update(s, d) {
+					local = append(local, d)
 				}
-				if claimed != nil && !claimBit(claimed, d) {
-					continue
-				}
-				local = append(local, d)
 			}
 		}
 		bufs[w] = buf
 		outs[w] = local
 	})
-	if noOutput {
-		return Empty(n)
-	}
 	total := 0
 	for _, local := range outs {
 		total += len(local)
@@ -204,30 +182,12 @@ func edgeMapSparse(g Graph, vs *VertexSubset, update func(s, d uint32) bool, con
 	return NewSparse(n, next)
 }
 
-// claimBit atomically sets bit v, reporting whether this call was the one
-// that set it — the dedup CAS protocol.
-//
-//csr:hotpath
-func claimBit(bits []atomic.Uint64, v uint32) bool {
-	w := &bits[v>>6]
-	mask := uint64(1) << (v & 63)
-	for {
-		old := w.Load()
-		if old&mask != 0 {
-			return false
-		}
-		if w.CompareAndSwap(old, old|mask) {
-			return true
-		}
-	}
-}
-
 // edgeMapDense is the pull direction: for every destination d with cond(d)
 // true, scan d's in-edges (gT rows) for a frontier member and call update
 // until cond(d) turns false. Work is partitioned over 64-vertex bitmap
 // words, so each output word is written by exactly one worker and the
 // output bitmap needs no atomics.
-func edgeMapDense(gT Graph, vs *VertexSubset, update func(s, d uint32) bool, cond func(d uint32) bool, p int, noOutput bool) *VertexSubset {
+func edgeMapDense(gT Graph, vs *VertexSubset, update func(s, d uint32) bool, cond func(d uint32) bool, p int) *VertexSubset {
 	n := gT.NumNodes()
 	vs.toDense(p)
 	words := denseWords(n)
@@ -241,10 +201,7 @@ func edgeMapDense(gT Graph, vs *VertexSubset, update func(s, d uint32) bool, con
 	if grain < 1 {
 		grain = 1
 	}
-	var outBits []uint64
-	if !noOutput {
-		outBits = make([]uint64, words)
-	}
+	outBits := make([]uint64, words)
 	ir, _ := gT.(IndexedRows)
 	counts := make([]int, p)
 	bufs := make([][]uint32, p)
@@ -274,16 +231,11 @@ func edgeMapDense(gT Graph, vs *VertexSubset, update func(s, d uint32) bool, con
 					found++
 				}
 			}
-			if outBits != nil {
-				outBits[wi] = outWord
-			}
+			outBits[wi] = outWord
 		}
 		bufs[w] = buf
 		counts[w] = found
 	})
-	if noOutput {
-		return Empty(n)
-	}
 	total := 0
 	for _, c := range counts {
 		total += c

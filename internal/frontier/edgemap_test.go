@@ -51,35 +51,6 @@ func TestEdgeMapSparseDenseAgree(t *testing.T) {
 	}
 }
 
-func TestEdgeMapDedup(t *testing.T) {
-	// Diamond: 0→{1,2}, 1→3, 2→3. Frontier {1,2} with an always-true
-	// update would emit 3 twice without Dedup.
-	m := testGraph(edges(0, 1, 0, 2, 1, 3, 2, 3), 4, false)
-	vs := NewSparse(4, []uint32{1, 2})
-	out := EdgeMap(m, nil, vs, func(_, _ uint32) bool { return true }, nil,
-		Opts{Procs: 4, Dedup: true})
-	if got := sortedIDs(out); !reflect.DeepEqual(got, []uint32{3}) {
-		t.Fatalf("dedup output = %v, want [3]", got)
-	}
-	if out.Len() != 1 {
-		t.Fatalf("dedup count = %d, want 1", out.Len())
-	}
-}
-
-func TestEdgeMapNoOutput(t *testing.T) {
-	m := randomTestGraph(60, 400, 9, true)
-	var hits atomic.Int64
-	out := EdgeMap(m, nil, All(60),
-		func(_, _ uint32) bool { hits.Add(1); return true }, nil,
-		Opts{Procs: 4, NoOutput: true})
-	if !out.IsEmpty() {
-		t.Fatal("NoOutput must return the empty subset")
-	}
-	if hits.Load() != int64(m.NumEdges()) {
-		t.Fatalf("update ran %d times, want %d", hits.Load(), m.NumEdges())
-	}
-}
-
 func TestEdgeMapEmptyFrontier(t *testing.T) {
 	m := randomTestGraph(10, 30, 11, true)
 	out := EdgeMap(m, m, Empty(10), func(_, _ uint32) bool { return true }, nil, Opts{Procs: 2})

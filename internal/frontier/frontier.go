@@ -1,11 +1,11 @@
 // Package frontier is the frontier-based algorithm core: a GBBS/Ligra-style
 // VertexSubset + EdgeMap abstraction (Dhulipala/Blelloch/Shun,
 // arXiv:1805.05208) running directly on the repo's CSR representations.
-// Traversal algorithms — BFS, direction-optimizing BFS, connected
-// components, betweenness phases, reachability, bucketed k-core peeling —
-// all reduce to the same round structure: hold the active vertices in a
-// VertexSubset, apply an edge function to the out-edges of the subset, and
-// collect the vertices the function activated as the next subset.
+// Traversal algorithms — BFS (push-only and direction-optimizing), SCC's
+// reachability sweeps, bucketed k-core peeling — reduce to the same round
+// structure: hold the active vertices in a VertexSubset, apply an edge
+// function to the out-edges of the subset, and collect the vertices the
+// function activated as the next subset.
 //
 // The core decisions live here so the algorithms don't repeat them:
 //
@@ -16,9 +16,10 @@
 //     probe their in-edges in place, early-exiting once the vertex is
 //     settled) per round using the Beamer/GBBS threshold
 //     |frontier| + frontierEdges > m/alpha (Policy).
-//   - Deduplicated output. When the edge function is not idempotent-claiming
-//     (no CAS of its own), Opts.Dedup turns on a CAS-claimed visited bitmap
-//     so each vertex appears in the output subset once.
+//   - Duplicate-free output. Edge functions claim their destination with a
+//     CAS (the BFS level, the reachability bit), so each vertex enters the
+//     output subset once; the dense direction owns each destination on one
+//     worker and needs no claim.
 //   - Observability. Every round records its wall time into
 //     csrgraph_frontier_round_seconds{mode=...} and representation switches
 //     bump csrgraph_frontier_switch_total{to=...}.
@@ -92,60 +93,8 @@ func Single(n int, v uint32) *VertexSubset {
 // Empty returns the empty subset over [0, n).
 func Empty(n int) *VertexSubset { return NewSparse(n, nil) }
 
-// All returns the full subset [0, n) in dense form.
-func All(n int) *VertexSubset {
-	words := make([]uint64, denseWords(n))
-	for i := range words {
-		words[i] = ^uint64(0)
-	}
-	if n%64 != 0 && len(words) > 0 {
-		words[len(words)-1] = (1 << (n % 64)) - 1
-	}
-	return NewDense(n, words, n)
-}
-
 // denseWords returns the bitmap length for n vertices.
 func denseWords(n int) int { return (n + 63) / 64 }
-
-// Filter builds the subset of [0, n) satisfying pred — Ligra's
-// vertexFilter. The bitmap is built with p processors over 64-vertex
-// words, so each word has one writer and pred only needs to be safe for
-// concurrent calls with distinct v.
-func Filter(n, p int, pred func(v uint32) bool) *VertexSubset {
-	words := denseWords(n)
-	bits := make([]uint64, words)
-	if p > words {
-		p = words
-	}
-	if p < 1 {
-		p = 1
-	}
-	counts := make([]int, p+1)
-	parallel.For(words, p, func(c int, r parallel.Range) {
-		found := 0
-		for wi := r.Start; wi < r.End; wi++ {
-			var word uint64
-			lo := uint32(wi << 6)
-			hi := uint32(n)
-			if next := lo + 64; next < hi {
-				hi = next
-			}
-			for v := lo; v < hi; v++ {
-				if pred(v) {
-					word |= 1 << (v & 63)
-					found++
-				}
-			}
-			bits[wi] = word
-		}
-		counts[c+1] = found
-	})
-	total := 0
-	for _, c := range counts {
-		total += c
-	}
-	return NewDense(n, bits, total)
-}
 
 // Len returns the number of vertices in the subset.
 func (vs *VertexSubset) Len() int { return vs.count }

@@ -79,19 +79,33 @@ func TestVertexSubsetRepresentations(t *testing.T) {
 	}
 }
 
+// predicateSubset serially builds the dense subset of [0, n) satisfying
+// pred.
+func predicateSubset(n int, pred func(v uint32) bool) *VertexSubset {
+	bits := make([]uint64, denseWords(n))
+	count := 0
+	for v := 0; v < n; v++ {
+		if pred(uint32(v)) {
+			bits[v>>6] |= 1 << (v & 63)
+			count++
+		}
+	}
+	return NewDense(n, bits, count)
+}
+
 func TestVertexSubsetAllEmptySingle(t *testing.T) {
 	for _, n := range []int{0, 1, 63, 64, 65, 200} {
-		all := All(n)
+		all := predicateSubset(n, func(uint32) bool { return true })
 		if all.Len() != n {
-			t.Fatalf("All(%d).Len() = %d", n, all.Len())
+			t.Fatalf("all(%d).Len() = %d", n, all.Len())
 		}
 		for v := 0; v < n; v++ {
 			if !all.Contains(uint32(v)) {
-				t.Fatalf("All(%d) missing %d", n, v)
+				t.Fatalf("all(%d) missing %d", n, v)
 			}
 		}
 		if ids := all.IDs(3); len(ids) != n {
-			t.Fatalf("All(%d) ids len %d", n, len(ids))
+			t.Fatalf("all(%d) ids len %d", n, len(ids))
 		}
 		if !Empty(n).IsEmpty() {
 			t.Fatal("Empty not empty")
@@ -103,28 +117,24 @@ func TestVertexSubsetAllEmptySingle(t *testing.T) {
 	}
 }
 
+// TestFilterMatchesSerial checks a dense subset built from a predicate
+// against serial enumeration after the p-way parallel dense→sparse pack.
 func TestFilterMatchesSerial(t *testing.T) {
 	for _, n := range []int{0, 1, 64, 100, 1000} {
 		for _, p := range []int{1, 3, 8} {
 			pred := func(v uint32) bool { return v%7 == 2 }
-			vs := Filter(n, p, pred)
+			vs := predicateSubset(n, pred)
 			var want []uint32
 			for v := 0; v < n; v++ {
 				if pred(uint32(v)) {
 					want = append(want, uint32(v))
 				}
 			}
-			if vs.Len() != len(want) {
-				t.Fatalf("n=%d p=%d: Len = %d, want %d", n, p, vs.Len(), len(want))
+			got := vs.IDs(p)
+			if vs.Len() != len(want) || len(got) != len(want) {
+				t.Fatalf("n=%d p=%d: Len = %d, ids %d, want %d", n, p, vs.Len(), len(got), len(want))
 			}
-			got := sortedIDs(vs)
-			if len(want) == 0 {
-				if len(got) != 0 {
-					t.Fatalf("n=%d p=%d: got %v, want empty", n, p, got)
-				}
-				continue
-			}
-			if !reflect.DeepEqual(got, want) {
+			if len(want) > 0 && !reflect.DeepEqual(got, want) {
 				t.Fatalf("n=%d p=%d: got %v, want %v", n, p, got, want)
 			}
 		}

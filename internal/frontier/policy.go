@@ -25,9 +25,8 @@ func DefaultPolicy() Policy { return Policy{Alpha: DefaultAlpha, Beta: DefaultBe
 
 // UseDense decides the representation for the next round from the frontier
 // size, the number of out-edges incident to the frontier, the vertex count
-// n, the edge count m, and whether the previous round ran dense. Both the
-// frontier EdgeMap and the legacy BFSDirectionOptimizing route through this
-// one function — the heuristic lives in exactly one place.
+// n, the edge count m, and whether the previous round ran dense. EdgeMap's
+// Auto mode is its one caller.
 //
 //csr:hotpath
 func (pol Policy) UseDense(frontierLen, frontierEdges, n, m int, wasDense bool) bool {
@@ -44,9 +43,9 @@ func (pol Policy) UseDense(frontierLen, frontierEdges, n, m int, wasDense bool) 
 	return (frontierLen+frontierEdges)*alpha > m
 }
 
-// DegreeSum returns the total out-degree of ids with p processors — the
+// degreeSum returns the total out-degree of ids with p processors — the
 // frontierEdges input of Policy.UseDense.
-func DegreeSum(g Graph, ids []uint32, p int) int {
+func degreeSum(g Graph, ids []uint32, p int) int {
 	if len(ids) == 0 {
 		return 0
 	}
