@@ -169,8 +169,8 @@ bench-compare-shard:
 		-benchtime $(BENCHTIME) . \
 		| $(GO) run ./cmd/benchcompare -key shards -baseline single -new 8
 
-# Cold-start delta table: mmap-backed container load vs legacy stream load
-# vs full rebuild at 10M edges, appended to the BENCH_<date>.json
+# Cold-start delta table: mmap-backed container load vs verified heap read
+# of the same container vs full rebuild at 10M edges, appended to the BENCH_<date>.json
 # trajectory like bench-json. Startup iterations are seconds-long, so the
 # benchtime is an iteration count.
 bench-startup:
@@ -187,10 +187,7 @@ fuzz:
 	$(GO) test -fuzz FuzzReadTemporalText -fuzztime $(FUZZTIME) ./internal/edgelist/
 	$(GO) test -fuzz FuzzDecodeVarint -fuzztime $(FUZZTIME) ./internal/bitpack/
 	$(GO) test -fuzz FuzzDecodeEliasGamma -fuzztime $(FUZZTIME) ./internal/bitpack/
-	$(GO) test -fuzz FuzzPackedUnmarshal -fuzztime $(FUZZTIME) ./internal/bitpack/
-	$(GO) test -fuzz FuzzReadPacked -fuzztime $(FUZZTIME) ./internal/csr/
 	$(GO) test -fuzz FuzzSearchBatch -fuzztime $(FUZZTIME) ./internal/csr/
-	$(GO) test -fuzz FuzzReadPacked -fuzztime $(FUZZTIME) ./internal/tcsr/
 	$(GO) test -fuzz FuzzParseContainer -fuzztime $(FUZZTIME) ./internal/mgraph/
 	$(GO) test -fuzz FuzzEdgeMap -fuzztime $(FUZZTIME) ./internal/frontier/
 	$(GO) test -fuzz FuzzParseBatch -fuzztime $(FUZZTIME) ./internal/server/

@@ -1,24 +1,23 @@
 // Command csrconvert compresses an edge-list file into bit-packed CSR on
 // disk and reports the compression achieved:
 //
-//	csrconvert -in graph.txt -out graph.pcsr -procs 8
-//	csrconvert -in graph.txt -out graph.csrc
+//	csrconvert -in graph.txt -out graph.csrc -procs 8
 //	csrconvert -in huge.bin -out huge.csrc -extmem-mb 512
+//	csrconvert -in graph.txt -out graph.shards.json -partition 4
 //
-// The input may be SNAP text or the graphgen binary framing (.bin). Two
-// output formats exist: the legacy packed stream (pcsr), and the versioned
-// container (csrc) that csrserver -mmap and csrstats map directly without
-// rebuilding. -format auto picks by output extension. -extmem-mb builds
-// through the spill-to-disk pipeline under a fixed memory budget, for edge
-// lists larger than RAM (container output only; the result is
-// byte-identical to the in-RAM build).
+// The input may be SNAP text or the graphgen binary framing (.bin). The
+// output is always the versioned binary container (internal/mgraph), whatever
+// its name, which csrserver, csrquery and csrstats load or map without
+// rebuilding; under -partition, -out is a JSON manifest naming one
+// container per shard. -extmem-mb builds through the spill-to-disk pipeline
+// under a fixed memory budget, for edge lists larger than RAM (the result
+// is byte-identical to the in-RAM build).
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 	"time"
 
 	"csrgraph/internal/csr"
@@ -39,12 +38,11 @@ func main() {
 func run(args []string) error {
 	fs := flag.NewFlagSet("csrconvert", flag.ContinueOnError)
 	in := fs.String("in", "", "input edge list (required)")
-	out := fs.String("out", "", "output packed CSR path (required)")
+	out := fs.String("out", "", "output container path, or manifest path under -partition (required)")
 	procs := fs.Int("procs", 4, "processors for sorting and construction")
 	symmetrize := fs.Bool("symmetrize", false, "add reverse edges before building")
 	ordering := fs.String("order", "none", "relabel nodes before packing: none, degree or bfs")
-	format := fs.String("format", "auto", "output format: auto, pcsr (legacy stream), container (mmap-able .csrc)")
-	extmemMB := fs.Int("extmem-mb", 0, "external-memory build budget in MiB (0 = in-RAM; container output only)")
+	extmemMB := fs.Int("extmem-mb", 0, "external-memory build budget in MiB (0 = in-RAM)")
 	partition := fs.Int("partition", 0, "cut into K edge-balanced shards: -out becomes a JSON manifest with one container per shard")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -52,24 +50,7 @@ func run(args []string) error {
 	if *in == "" || *out == "" {
 		return fmt.Errorf("-in and -out are required")
 	}
-	outFormat := *format
-	if outFormat == "auto" {
-		if strings.HasSuffix(*out, ".csrc") {
-			outFormat = "container"
-		} else {
-			outFormat = "pcsr"
-		}
-	}
-	switch outFormat {
-	case "pcsr", "container":
-	default:
-		return fmt.Errorf("unknown -format %q (auto, pcsr, container)", *format)
-	}
-
 	if *extmemMB > 0 {
-		if outFormat != "container" {
-			return fmt.Errorf("-extmem-mb needs the container format (-format container or a .csrc output)")
-		}
 		if *ordering != "none" {
 			return fmt.Errorf("-extmem-mb is incompatible with -order: relabeling needs the whole graph in memory")
 		}
@@ -105,12 +86,7 @@ func run(args []string) error {
 	pk := csr.PackMatrix(m, *procs)
 	elapsed := time.Since(start)
 
-	if outFormat == "container" {
-		err = mgraph.WritePackedFile(*out, pk)
-	} else {
-		err = pk.SaveFile(*out)
-	}
-	if err != nil {
+	if err := mgraph.WritePackedFile(*out, pk); err != nil {
 		return err
 	}
 	fmt.Printf("input:    %d edges, %s\n", len(l), harness.HumanBytes(rawSize))
@@ -118,7 +94,7 @@ func run(args []string) error {
 		harness.HumanBytes(pk.SizeBytes()), float64(rawSize)/float64(pk.SizeBytes()),
 		pk.NumBits(), pk.OffsetBits())
 	fmt.Printf("built in: %v with %d processors\n", elapsed, *procs)
-	fmt.Printf("wrote:    %s (%s)\n", *out, outFormat)
+	fmt.Printf("wrote:    %s (container)\n", *out)
 	return nil
 }
 

@@ -24,17 +24,25 @@ func writeTestGraph(t *testing.T, dir string) string {
 	return path
 }
 
-func TestConvertRoundTrip(t *testing.T) {
-	dir := t.TempDir()
-	in := writeTestGraph(t, dir)
-	out := filepath.Join(dir, "g.pcsr")
-	if err := run([]string{"-in", in, "-out", out, "-procs", "2"}); err != nil {
-		t.Fatal(err)
-	}
-	pk, err := csr.LoadPackedFile(out)
+// loadPacked reads the container csrconvert wrote through the verified
+// heap reader.
+func loadPacked(t *testing.T, path string) *csr.Packed {
+	t.Helper()
+	c, err := mgraph.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
+	return c.Packed()
+}
+
+func TestConvertRoundTrip(t *testing.T) {
+	dir := t.TempDir()
+	in := writeTestGraph(t, dir)
+	out := filepath.Join(dir, "g.csrc")
+	if err := run([]string{"-in", in, "-out", out, "-procs", "2"}); err != nil {
+		t.Fatal(err)
+	}
+	pk := loadPacked(t, out)
 	if pk.NumNodes() != 3 || pk.NumEdges() != 4 {
 		t.Fatalf("n=%d m=%d", pk.NumNodes(), pk.NumEdges())
 	}
@@ -49,14 +57,11 @@ func TestConvertSymmetrize(t *testing.T) {
 	if err := os.WriteFile(in, []byte("0 1\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	out := filepath.Join(dir, "one.pcsr")
+	out := filepath.Join(dir, "one.csrc")
 	if err := run([]string{"-in", in, "-out", out, "-symmetrize"}); err != nil {
 		t.Fatal(err)
 	}
-	pk, err := csr.LoadPackedFile(out)
-	if err != nil {
-		t.Fatal(err)
-	}
+	pk := loadPacked(t, out)
 	if pk.NumEdges() != 2 || !pk.HasEdge(1, 0) {
 		t.Fatal("symmetrize not applied")
 	}
@@ -66,19 +71,16 @@ func TestConvertWithOrdering(t *testing.T) {
 	dir := t.TempDir()
 	in := writeTestGraph(t, dir)
 	for _, ord := range []string{"degree", "bfs"} {
-		out := filepath.Join(dir, ord+".pcsr")
+		out := filepath.Join(dir, ord+".csrc")
 		if err := run([]string{"-in", in, "-out", out, "-order", ord}); err != nil {
 			t.Fatalf("%s: %v", ord, err)
 		}
-		pk, err := csr.LoadPackedFile(out)
-		if err != nil {
-			t.Fatal(err)
-		}
+		pk := loadPacked(t, out)
 		if pk.NumEdges() != 4 {
 			t.Fatalf("%s: edges = %d", ord, pk.NumEdges())
 		}
 	}
-	if err := run([]string{"-in", in, "-out", "/tmp/x.pcsr", "-order", "magic"}); err == nil {
+	if err := run([]string{"-in", in, "-out", filepath.Join(dir, "x.csrc"), "-order", "magic"}); err == nil {
 		t.Fatal("want error for unknown ordering")
 	}
 }
@@ -87,7 +89,7 @@ func TestConvertErrors(t *testing.T) {
 	if err := run([]string{"-in", "x"}); err == nil {
 		t.Fatal("want error for missing -out")
 	}
-	if err := run([]string{"-in", "/nonexistent", "-out", "/tmp/y.pcsr"}); err == nil {
+	if err := run([]string{"-in", "/nonexistent", "-out", filepath.Join(t.TempDir(), "y.csrc")}); err == nil {
 		t.Fatal("want error for missing input")
 	}
 }
@@ -96,7 +98,6 @@ func TestConvertContainerFormat(t *testing.T) {
 	dir := t.TempDir()
 	in := writeTestGraph(t, dir)
 	out := filepath.Join(dir, "g.csrc")
-	// auto: .csrc extension selects the container.
 	if err := run([]string{"-in", in, "-out", out}); err != nil {
 		t.Fatal(err)
 	}
@@ -109,16 +110,13 @@ func TestConvertContainerFormat(t *testing.T) {
 	if pk.NumNodes() != 3 || pk.NumEdges() != 4 || !pk.SearchRow(2, 0) {
 		t.Fatalf("container graph wrong: n=%d m=%d", pk.NumNodes(), pk.NumEdges())
 	}
-	// Explicit -format container with a non-.csrc name.
+	// A name without the .csrc extension still gets a container.
 	out2 := filepath.Join(dir, "g.graphbin")
-	if err := run([]string{"-in", in, "-out", out2, "-format", "container"}); err != nil {
+	if err := run([]string{"-in", in, "-out", out2}); err != nil {
 		t.Fatal(err)
 	}
 	if _, _, err := mgraph.ReadMetaFile(out2, false); err != nil {
 		t.Fatal(err)
-	}
-	if err := run([]string{"-in", in, "-out", out2, "-format", "sideways"}); err == nil {
-		t.Fatal("want error for unknown -format")
 	}
 }
 
@@ -144,10 +142,7 @@ func TestConvertExternalMemory(t *testing.T) {
 	if !bytes.Equal(got, want) {
 		t.Fatal("external-memory container differs from in-RAM build")
 	}
-	// Guard rails: pcsr output and -order are incompatible with -extmem-mb.
-	if err := run([]string{"-in", in, "-out", filepath.Join(dir, "x.pcsr"), "-extmem-mb", "1"}); err == nil {
-		t.Fatal("want error for -extmem-mb with pcsr output")
-	}
+	// Guard rail: -order is incompatible with -extmem-mb.
 	if err := run([]string{"-in", in, "-out", ext, "-extmem-mb", "1", "-order", "degree"}); err == nil {
 		t.Fatal("want error for -extmem-mb with -order")
 	}
@@ -195,7 +190,7 @@ func TestConvertPartitionConflicts(t *testing.T) {
 	dir := t.TempDir()
 	in := writeTestGraph(t, dir)
 	out := filepath.Join(dir, "g.shards.json")
-	err := run([]string{"-in", in, "-out", out, "-partition", "2", "-extmem-mb", "64", "-format", "container"})
+	err := run([]string{"-in", in, "-out", out, "-partition", "2", "-extmem-mb", "64"})
 	if err == nil || !strings.Contains(err.Error(), "-partition") {
 		t.Fatalf("extmem+partition = %v, want conflict error", err)
 	}

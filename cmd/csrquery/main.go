@@ -1,16 +1,18 @@
-// Command csrquery runs queries against a packed CSR file produced by
-// csrconvert, or a packed temporal TCSR file:
+// Command csrquery runs queries against a graph container produced by
+// csrconvert, or a temporal container written by
+// CompressedTemporalGraph.SaveFile:
 //
-//	csrquery -graph g.pcsr neighbors 17 42
-//	csrquery -graph g.pcsr exists 17:42 9:3
-//	csrquery -graph g.pcsr degree 17
-//	csrquery -graph g.pcsr stats
-//	csrquery -temporal t.tcsr active 17:42:3 9:3:0
-//	csrquery -temporal t.tcsr tneighbors 17 3
-//	csrquery -temporal t.tcsr stats
+//	csrquery -graph g.csrc neighbors 17 42
+//	csrquery -graph g.csrc exists 17:42 9:3
+//	csrquery -graph g.csrc degree 17
+//	csrquery -graph g.csrc stats
+//	csrquery -temporal t.csrc active 17:42:3 9:3:0
+//	csrquery -temporal t.csrc tneighbors 17 3
+//	csrquery -temporal t.csrc stats
 //
-// Batched queries run in parallel across -procs processors (Section V of
-// the paper).
+// The container is read into memory and verified (section checksums and
+// neighbor ids) before any query runs. Batched queries run in parallel
+// across -procs processors (Section V of the paper).
 //
 // With -server the query goes to a running csrserver instead, and -trace
 // additionally prints the request's per-stage latency breakdown (the server
@@ -26,9 +28,9 @@ import (
 	"strconv"
 	"strings"
 
-	"csrgraph/internal/csr"
 	"csrgraph/internal/edgelist"
 	"csrgraph/internal/harness"
+	"csrgraph/internal/mgraph"
 	"csrgraph/internal/query"
 	"csrgraph/internal/tcsr"
 )
@@ -42,8 +44,8 @@ func main() {
 
 func run(args []string) error {
 	fs := flag.NewFlagSet("csrquery", flag.ContinueOnError)
-	graphPath := fs.String("graph", "", "packed CSR file")
-	temporalPath := fs.String("temporal", "", "packed TCSR file (mutually exclusive with -graph)")
+	graphPath := fs.String("graph", "", "packed or weighted graph container")
+	temporalPath := fs.String("temporal", "", "temporal graph container (mutually exclusive with -graph)")
 	procs := fs.Int("procs", 4, "processors for batched queries")
 	serverURL := fs.String("server", "", "query a running csrserver at this base URL instead of a local file")
 	traceOn := fs.Bool("trace", false, "with -server: trace the request and print its per-stage latency breakdown")
@@ -73,9 +75,13 @@ func run(args []string) error {
 		return fmt.Errorf("need a subcommand: neighbors, exists, degree or stats")
 	}
 
-	pk, err := csr.LoadPackedFile(*graphPath)
+	c, err := mgraph.ReadFile(*graphPath)
 	if err != nil {
 		return err
+	}
+	pk := c.Packed()
+	if pk == nil {
+		return fmt.Errorf("%s holds a %s graph; -graph needs a packed or weighted one", *graphPath, c.GraphForm())
 	}
 
 	switch rest[0] {
@@ -120,19 +126,18 @@ func run(args []string) error {
 	return fmt.Errorf("unknown subcommand %q", rest[0])
 }
 
-// runTemporal dispatches subcommands over a packed TCSR file.
+// runTemporal dispatches subcommands over a temporal container.
 func runTemporal(path string, rest []string, procs int) error {
 	if len(rest) == 0 {
 		return fmt.Errorf("need a subcommand: active, tneighbors or stats")
 	}
-	f, err := os.Open(path)
+	c, err := mgraph.ReadFile(path)
 	if err != nil {
 		return err
 	}
-	defer f.Close() //csr:errok read-only file; close cannot lose data
-	pt, err := tcsr.ReadPacked(f)
-	if err != nil {
-		return err
+	pt := c.Temporal()
+	if pt == nil {
+		return fmt.Errorf("%s holds a %s graph; -temporal needs a temporal one", path, c.GraphForm())
 	}
 	switch rest[0] {
 	case "stats":

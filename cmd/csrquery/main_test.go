@@ -1,12 +1,12 @@
 package main
 
 import (
-	"os"
 	"path/filepath"
 	"testing"
 
 	"csrgraph/internal/csr"
 	"csrgraph/internal/edgelist"
+	"csrgraph/internal/mgraph"
 	"csrgraph/internal/tcsr"
 )
 
@@ -14,8 +14,8 @@ func packedFixture(t *testing.T) string {
 	t.Helper()
 	l := edgelist.List{{U: 0, V: 1}, {U: 0, V: 2}, {U: 1, V: 2}}
 	pk := csr.BuildPacked(l, 3, 1)
-	path := filepath.Join(t.TempDir(), "g.pcsr")
-	if err := pk.SaveFile(path); err != nil {
+	path := filepath.Join(t.TempDir(), "g.csrc")
+	if err := mgraph.WritePackedFile(path, pk); err != nil {
 		t.Fatal(err)
 	}
 	return path
@@ -44,15 +44,8 @@ func temporalFixture(t *testing.T) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(t.TempDir(), "t.tcsr")
-	f, err := os.Create(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := tc.Pack(1).WriteTo(f); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
+	path := filepath.Join(t.TempDir(), "t.csrc")
+	if err := mgraph.WriteTemporalFile(path, tc.Pack(1)); err != nil {
 		t.Fatal(err)
 	}
 	return path
@@ -82,7 +75,8 @@ func TestTemporalErrors(t *testing.T) {
 		"no active args":   {"-temporal", path, "active"},
 		"tneighbors usage": {"-temporal", path, "tneighbors", "1"},
 		"tneighbors range": {"-temporal", path, "tneighbors", "9", "0"},
-		"missing file":     {"-temporal", "/nonexistent.tcsr", "stats"},
+		"missing file":     {"-temporal", "/nonexistent.csrc", "stats"},
+		"static container": {"-temporal", packedFixture(t), "stats"},
 	} {
 		if err := run(args); err == nil {
 			t.Errorf("%s: want error", name)
@@ -103,7 +97,8 @@ func TestQueryErrors(t *testing.T) {
 		"edge out of range": {"-graph", path, "exists", "9:9"},
 		"bad edge u":        {"-graph", path, "exists", "x:1"},
 		"bad edge v":        {"-graph", path, "exists", "1:x"},
-		"missing file":      {"-graph", "/nonexistent.pcsr", "stats"},
+		"missing file":      {"-graph", "/nonexistent.csrc", "stats"},
+		"temporal graph":    {"-graph", temporalFixture(t), "stats"},
 	} {
 		if err := run(args); err == nil {
 			t.Errorf("%s: want error", name)

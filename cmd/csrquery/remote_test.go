@@ -107,10 +107,10 @@ func TestRemoteErrors(t *testing.T) {
 }
 
 func TestRemoteFlagExclusivity(t *testing.T) {
-	if err := run([]string{"-server", "http://x", "-graph", "g.pcsr", "stats"}); err == nil {
+	if err := run([]string{"-server", "http://x", "-graph", "g.csrc", "stats"}); err == nil {
 		t.Fatal("want error for -server with -graph")
 	}
-	if err := run([]string{"-trace", "-graph", "g.pcsr", "stats"}); err == nil {
+	if err := run([]string{"-trace", "-graph", "g.csrc", "stats"}); err == nil {
 		t.Fatal("want error for -trace without -server")
 	}
 }

@@ -1,15 +1,20 @@
-// Command csrserver serves a packed CSR graph — or a packed time-evolving
-// TCSR — over HTTP with the parallel querying algorithms of Section V:
+// Command csrserver serves a graph container — static, or a packed
+// time-evolving TCSR — over HTTP with the parallel querying algorithms of
+// Section V:
 //
-//	csrserver -graph g.pcsr -addr :8080 -procs 8 -cache-mb 64
+//	csrserver -graph g.csrc -addr :8080 -procs 8 -cache-mb 64
 //	csrserver -graph g.csrc -mmap
-//	csrserver -temporal t.tcsr -addr :8080
-//	csrserver -graph g.pcsr -metrics -pprof -log-format json
+//	csrserver -graph g.shards.json -replicas 2
+//	csrserver -temporal t.csrc -addr :8080
+//	csrserver -graph g.csrc -metrics -pprof -log-format json
 //
-// With -mmap the graph must be a container file (csrconvert -out g.csrc);
-// it is memory-mapped and served zero-copy, so startup cost is page-table
-// setup instead of a full file read — build once, serve many. -verify adds
-// a checksum and bounds pass over the mapped file before serving.
+// Every graph file is a container (csrconvert -out g.csrc), or a shard
+// manifest (csrconvert -partition). Without -mmap the container is read
+// into memory and verified — section checksums and neighbor ids — before
+// serving; a -temporal graph always is. With -mmap it is memory-mapped and
+// served zero-copy, so startup cost is page-table setup instead of a full
+// file read — build once, serve many; -verify then adds the same checksum
+// and bounds pass over the mapping.
 //
 // Static endpoints: /healthz, /stats, /neighbors?nodes=...,
 // /degree?nodes=..., /exists?edges=u:v,..., /bfs?src=n, and
@@ -25,7 +30,7 @@
 // mounts GET /debug/pprof/, and -log-format selects structured access
 // logging (text, json, or off). -trace-sample enables request tracing:
 //
-//	csrserver -graph g.pcsr -trace-sample 1/256 -trace-slow 250ms
+//	csrserver -graph g.csrc -trace-sample 1/256 -trace-slow 250ms
 //
 // "1/256" head-samples one request in 256 (rounded up to a power of two),
 // "always" traces everything, "force" traces only requests carrying an
@@ -53,7 +58,6 @@ import (
 	"csrgraph/internal/query"
 	"csrgraph/internal/server"
 	"csrgraph/internal/shard"
-	"csrgraph/internal/tcsr"
 	"csrgraph/internal/trace"
 )
 
@@ -74,13 +78,13 @@ var gcBallast []byte
 func main() {
 	gcBallast = make([]byte, gcHeadroom)
 	fs := flag.NewFlagSet("csrserver", flag.ExitOnError)
-	graphPath := fs.String("graph", "", "packed CSR file")
-	temporalPath := fs.String("temporal", "", "packed TCSR file (mutually exclusive with -graph)")
+	graphPath := fs.String("graph", "", "graph container, or shard manifest (.shards.json)")
+	temporalPath := fs.String("temporal", "", "temporal graph container (mutually exclusive with -graph)")
 	addr := fs.String("addr", ":8080", "listen address")
 	procs := fs.Int("procs", 4, "processors per query batch")
 	cacheMB := fs.Int("cache-mb", 64, "decoded-row table budget for /neighbors rows, in MiB, split across the shards; 8 bytes per node of slot array count against it (0 disables); /exists searches the packed rows and never uses it")
-	mmapOn := fs.Bool("mmap", false, "memory-map a container graph (-graph must be a .csrc container)")
-	verify := fs.Bool("verify", false, "with -mmap: checksum sections and bounds-check neighbors before serving")
+	mmapOn := fs.Bool("mmap", false, "memory-map the -graph container instead of reading it into memory")
+	verify := fs.Bool("verify", false, "with -mmap or a manifest: checksum sections and bounds-check neighbors before serving (heap loads always do)")
 	shards := fs.Int("shards", 0, "serve through the sharded tier: cut -graph into K edge-balanced shards (0 = serve the whole graph as one shard, no copy; implied by a manifest -graph)")
 	replicas := fs.Int("replicas", 1, "replica engines per shard (sharded tier only)")
 	metrics := fs.Bool("metrics", false, "collect metrics and serve GET /metrics (Prometheus text)")
@@ -221,14 +225,13 @@ func buildHandler(c serveConfig, opts ...server.Option) (http.Handler, string, e
 		opts = append(opts, server.WithRowCache(int64(cacheMB)<<20))
 		return server.New(src, procs, opts...), desc, nil
 	case temporalPath != "":
-		f, err := os.Open(temporalPath)
+		c, err := mgraph.ReadFile(temporalPath)
 		if err != nil {
 			return nil, "", err
 		}
-		defer f.Close() //csr:errok read-only file; close cannot lose data
-		pt, err := tcsr.ReadPacked(f)
-		if err != nil {
-			return nil, "", err
+		pt := c.Temporal()
+		if pt == nil {
+			return nil, "", fmt.Errorf("%s holds a %s graph; -temporal needs a temporal one", temporalPath, c.GraphForm())
 		}
 		desc := fmt.Sprintf("%d nodes / %d frames (temporal)", pt.NumNodes(), pt.NumFrames())
 		return server.NewTemporal(pt, procs, opts...), desc, nil
@@ -236,10 +239,13 @@ func buildHandler(c serveConfig, opts ...server.Option) (http.Handler, string, e
 	return nil, "", fmt.Errorf("one of -graph or -temporal is required")
 }
 
-// openSource loads a whole graph as a query source: mapped container or
-// legacy packed stream. A mapping lives for the whole process — the
-// handler's query source aliases it, and the process exit unmaps.
+// openSource loads a whole static graph container as a query source:
+// mapped with -mmap, otherwise read into memory and verified. A mapping
+// lives for the whole process — the handler's query source aliases it, and
+// the process exit unmaps.
 func openSource(graphPath string, mmapOn, verify bool) (query.Source, string, error) {
+	var c *mgraph.Container
+	backing := "heap"
 	if mmapOn {
 		var mopts []mgraph.OpenOption
 		if verify {
@@ -249,16 +255,19 @@ func openSource(graphPath string, mmapOn, verify bool) (query.Source, string, er
 		if err != nil {
 			return nil, "", err
 		}
-		src := m.Source()
-		return src, fmt.Sprintf("%d nodes / %d edges (%s container, mmap, %s)",
-			src.NumNodes(), m.NumEdges, m.GraphForm(), harness.HumanBytes(m.SizeBytes())), nil
+		c, backing = m.Container, "mmap, "+harness.HumanBytes(m.SizeBytes())
+	} else {
+		var err error
+		if c, err = mgraph.ReadFile(graphPath); err != nil {
+			return nil, "", err
+		}
 	}
-	pk, err := csr.LoadPackedFile(graphPath)
-	if err != nil {
-		return nil, "", err
+	src := c.Source()
+	if src == nil {
+		return nil, "", fmt.Errorf("%s holds a %s graph; serve it with -temporal", graphPath, c.GraphForm())
 	}
-	return pk, fmt.Sprintf("%d nodes / %d edges (%d-bit neighbors)",
-		pk.NumNodes(), pk.NumEdges(), pk.NumBits()), nil
+	return src, fmt.Sprintf("%d nodes / %d edges (%s container, %s)",
+		src.NumNodes(), c.NumEdges, c.GraphForm(), backing), nil
 }
 
 // buildManifestHandler serves an offline-partitioned graph: every shard

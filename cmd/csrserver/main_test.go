@@ -1,7 +1,10 @@
 package main
 
 import (
+	"encoding/binary"
 	"errors"
+	"fmt"
+	"hash/crc32"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
@@ -9,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"csrgraph/internal/bitpack"
 	"csrgraph/internal/csr"
 	"csrgraph/internal/edgelist"
 	"csrgraph/internal/mgraph"
@@ -18,9 +22,9 @@ import (
 
 func TestBuildHandlerGraph(t *testing.T) {
 	dir := t.TempDir()
-	path := filepath.Join(dir, "g.pcsr")
+	path := filepath.Join(dir, "g.csrc")
 	pk := csr.BuildPacked(edgelist.List{{U: 0, V: 1}}, 2, 1)
-	if err := pk.SaveFile(path); err != nil {
+	if err := mgraph.WritePackedFile(path, pk); err != nil {
 		t.Fatal(err)
 	}
 	h, desc, err := buildHandler(serveConfig{graphPath: path, procs: 2, cacheMB: 1})
@@ -39,19 +43,12 @@ func TestBuildHandlerGraph(t *testing.T) {
 
 func TestBuildHandlerTemporal(t *testing.T) {
 	dir := t.TempDir()
-	path := filepath.Join(dir, "t.tcsr")
+	path := filepath.Join(dir, "t.csrc")
 	tc, err := tcsr.BuildFromEvents(edgelist.TemporalList{{U: 0, V: 1, T: 0}}, 2, 1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	f, err := os.Create(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := tc.Pack(1).WriteTo(f); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
+	if err := mgraph.WriteTemporalFile(path, tc.Pack(1)); err != nil {
 		t.Fatal(err)
 	}
 	h, _, err := buildHandler(serveConfig{temporalPath: path, procs: 2})
@@ -62,6 +59,85 @@ func TestBuildHandlerTemporal(t *testing.T) {
 	h.ServeHTTP(rec, httptest.NewRequest("GET", "/active?queries=0:1:0", nil))
 	if rec.Code != 200 {
 		t.Fatalf("active = %d: %s", rec.Code, rec.Body.String())
+	}
+	// A temporal container is not a -graph, nor a static one a -temporal.
+	if _, _, err := buildHandler(serveConfig{graphPath: path, procs: 2}); err == nil {
+		t.Fatal("-graph served a temporal container")
+	}
+	static := filepath.Join(dir, "g.csrc")
+	if err := mgraph.WritePackedFile(static, csr.BuildPacked(edgelist.List{{U: 0, V: 1}}, 2, 1)); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := buildHandler(serveConfig{temporalPath: static, procs: 2}); err == nil {
+		t.Fatal("-temporal served a static container")
+	}
+}
+
+// oneEdgeTemporal writes a one-frame temporal container over n nodes
+// whose only edge is (0, v).
+func oneEdgeTemporal(t *testing.T, path string, n int, v uint32) {
+	t.Helper()
+	offsets := make([]uint32, n+1)
+	for i := 1; i <= n; i++ {
+		offsets[i] = 1
+	}
+	frame, err := csr.AssemblePacked(bitpack.Pack(offsets, 1), bitpack.Pack([]uint32{v}, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	pt, err := tcsr.AssemblePacked(n, []*csr.Packed{frame})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := mgraph.WriteTemporalFile(path, pt); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestBuildHandlerTemporalBadFrames: a temporal file whose header claims
+// fewer nodes than its frames have rows, or whose frame holds a neighbor
+// outside the node space, fails at load; what loads answers /bfs with 200
+// or 400 and never panics.
+func TestBuildHandlerTemporalBadFrames(t *testing.T) {
+	dir := t.TempDir()
+	lying := filepath.Join(dir, "lying.csrc")
+	oneEdgeTemporal(t, lying, 10, 9)
+	data, err := os.ReadFile(lying)
+	if err != nil {
+		t.Fatal(err)
+	}
+	binary.LittleEndian.PutUint64(data[24:], 2) // header nodes = 2
+	binary.LittleEndian.PutUint32(data[44:], crc32.Checksum(data[:44], crc32.MakeTable(crc32.Castagnoli)))
+	if err := os.WriteFile(lying, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := buildHandler(serveConfig{temporalPath: lying, procs: 2}); err == nil {
+		t.Fatal("loaded a temporal file whose frame has 10 rows under nodes=2")
+	}
+	wild := filepath.Join(dir, "wild.csrc")
+	oneEdgeTemporal(t, wild, 2, 9)
+	if _, _, err := buildHandler(serveConfig{temporalPath: wild, procs: 2}); err == nil {
+		t.Fatal("loaded a temporal file with neighbor 9 under nodes=2")
+	}
+
+	good := filepath.Join(dir, "good.csrc")
+	oneEdgeTemporal(t, good, 10, 9)
+	h, _, err := buildHandler(serveConfig{temporalPath: good, procs: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for src := 0; src <= 11; src++ {
+		for frame := -1; frame <= 1; frame++ {
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, httptest.NewRequest("GET", fmt.Sprintf("/bfs?src=%d&frame=%d", src, frame), nil))
+			want := 200
+			if src >= 10 || frame != 0 {
+				want = 400
+			}
+			if rec.Code != want {
+				t.Fatalf("/bfs?src=%d&frame=%d = %d, want %d: %s", src, frame, rec.Code, want, rec.Body.String())
+			}
+		}
 	}
 }
 
@@ -82,9 +158,9 @@ func TestObsOptions(t *testing.T) {
 
 func TestBuildHandlerWithMetrics(t *testing.T) {
 	dir := t.TempDir()
-	path := filepath.Join(dir, "g.pcsr")
+	path := filepath.Join(dir, "g.csrc")
 	pk := csr.BuildPacked(edgelist.List{{U: 0, V: 1}}, 2, 1)
-	if err := pk.SaveFile(path); err != nil {
+	if err := mgraph.WritePackedFile(path, pk); err != nil {
 		t.Fatal(err)
 	}
 	opts, err := obsOptions(true, true, "off")
@@ -130,10 +206,10 @@ func TestTraceOption(t *testing.T) {
 // the curl quick-start in the README.
 func TestBuildHandlerTraced(t *testing.T) {
 	dir := t.TempDir()
-	path := filepath.Join(dir, "g.pcsr")
+	path := filepath.Join(dir, "g.csrc")
 	l := edgelist.List{{U: 0, V: 1}, {U: 1, V: 2}, {U: 2, V: 3}, {U: 3, V: 0}}
 	pk := csr.BuildPacked(l, 4, 2)
-	if err := pk.SaveFile(path); err != nil {
+	if err := mgraph.WritePackedFile(path, pk); err != nil {
 		t.Fatal(err)
 	}
 	opts, err := traceOption("force", 64, 0)
@@ -166,10 +242,10 @@ func TestBuildHandlerErrors(t *testing.T) {
 	if _, _, err := buildHandler(serveConfig{graphPath: "a", temporalPath: "b", procs: 2}); err == nil {
 		t.Fatal("want error for both inputs")
 	}
-	if _, _, err := buildHandler(serveConfig{graphPath: "/nonexistent.pcsr", procs: 2}); err == nil {
+	if _, _, err := buildHandler(serveConfig{graphPath: "/nonexistent.csrc", procs: 2}); err == nil {
 		t.Fatal("want error for missing graph file")
 	}
-	if _, _, err := buildHandler(serveConfig{temporalPath: "/nonexistent.tcsr", procs: 2}); err == nil {
+	if _, _, err := buildHandler(serveConfig{temporalPath: "/nonexistent.csrc", procs: 2}); err == nil {
 		t.Fatal("want error for missing temporal file")
 	}
 }
@@ -195,15 +271,24 @@ func TestBuildHandlerMmap(t *testing.T) {
 			t.Fatalf("neighbors = %d: %s", rec.Code, rec.Body.String())
 		}
 	}
-	// -mmap without -graph, and -mmap on a legacy stream, both fail early.
+	// -mmap without -graph, and a legacy stream file with or without
+	// -mmap, all fail early.
 	if _, _, err := buildHandler(serveConfig{procs: 2, cacheMB: 1, mmapOn: true}); err == nil {
 		t.Fatal("want error for -mmap without -graph")
 	}
-	legacy := filepath.Join(dir, "g.pcsr")
-	if err := pk.SaveFile(legacy); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := buildHandler(serveConfig{graphPath: legacy, procs: 2, cacheMB: 1, mmapOn: true}); !errors.Is(err, mgraph.ErrLegacyStream) {
-		t.Fatalf("mmap on legacy stream = %v, want ErrLegacyStream", err)
+	for _, magic := range []string{"PCSR", "TCSR"} {
+		legacy := filepath.Join(dir, "legacy")
+		if err := os.WriteFile(legacy, append([]byte(magic), make([]byte, 124)...), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range []serveConfig{
+			{graphPath: legacy, procs: 2, cacheMB: 1, mmapOn: true},
+			{graphPath: legacy, procs: 2, cacheMB: 1},
+			{temporalPath: legacy, procs: 2},
+		} {
+			if _, _, err := buildHandler(c); !errors.Is(err, mgraph.ErrLegacyStream) {
+				t.Fatalf("%s file, %+v: %v, want ErrLegacyStream", magic, c, err)
+			}
+		}
 	}
 }

@@ -10,11 +10,12 @@ import (
 
 	"csrgraph/internal/csr"
 	"csrgraph/internal/edgelist"
+	"csrgraph/internal/mgraph"
 	"csrgraph/internal/shard"
 )
 
 // writeShardedGraph builds one random graph and writes it to dir twice: a
-// plain packed file, and a 4-shard manifest plus per-shard containers.
+// plain packed container, and a 4-shard manifest plus per-shard containers.
 func writeShardedGraph(t *testing.T, dir string, n, m, k int) (plain, manifest string) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(7))
@@ -24,8 +25,8 @@ func writeShardedGraph(t *testing.T, dir string, n, m, k int) (plain, manifest s
 	}
 	l.SortByUV(1)
 	l = l.Dedup()
-	plain = filepath.Join(dir, "g.pcsr")
-	if err := csr.BuildPacked(l, n, 2).SaveFile(plain); err != nil {
+	plain = filepath.Join(dir, "g.csrc")
+	if err := mgraph.WritePackedFile(plain, csr.BuildPacked(l, n, 2)); err != nil {
 		t.Fatal(err)
 	}
 	mx := csr.Build(l, n, 2)
@@ -119,7 +120,7 @@ func TestBuildHandlerManifest(t *testing.T) {
 // sharded tier.
 func TestBuildHandlerShardErrors(t *testing.T) {
 	plain, manifest := writeShardedGraph(t, t.TempDir(), 50, 400, 4)
-	if _, _, err := buildHandler(serveConfig{temporalPath: "t.tcsr", procs: 2, shards: 2}); err == nil {
+	if _, _, err := buildHandler(serveConfig{temporalPath: "t.csrc", procs: 2, shards: 2}); err == nil {
 		t.Fatal("want error for -temporal with -shards")
 	}
 	// -shards matching the manifest's count is allowed; a mismatch is not.
@@ -130,7 +131,7 @@ func TestBuildHandlerShardErrors(t *testing.T) {
 		!strings.Contains(err.Error(), "conflicts") {
 		t.Fatalf("mismatched -shards = %v, want conflict error", err)
 	}
-	if _, _, err := buildHandler(serveConfig{graphPath: "/nonexistent.pcsr", procs: 2, shards: 2}); err == nil {
+	if _, _, err := buildHandler(serveConfig{graphPath: "/nonexistent.csrc", procs: 2, shards: 2}); err == nil {
 		t.Fatal("want error for missing graph with -shards")
 	}
 	// More shards than nodes is legal: the cut yields empty shards the

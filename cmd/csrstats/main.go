@@ -2,17 +2,18 @@
 // a structural report: degree distribution, components, clustering,
 // triangles, k-core depth.
 //
-//	csrstats -in graph.txt -procs 8
-//	csrstats -in graph.pcsr -symmetrize
+//	csrstats -in graph.txt -procs 8 -symmetrize
+//	csrstats -in graph.csrc
 //	csrstats -in graph.csrc -meta
 //
 // The input may be a SNAP text edge list, the binary edge framing (.bin),
-// a packed CSR file (.pcsr), or a binary graph container (.csrc, detected
-// by magic as well as extension). Container inputs first print the
-// container metadata — version, form, per-section layout, checksum status
-// — straight from the header without loading the arrays; -meta stops
-// there, otherwise the container is memory-mapped and analyzed like any
-// other graph.
+// or a binary graph container (.csrc, detected by magic as well as
+// extension). Container inputs first print the container metadata —
+// version, form, per-section layout, checksum status — straight from the
+// header without loading the arrays; -meta stops there, otherwise the
+// container is memory-mapped and analyzed like any other graph. A temporal
+// container has no single static graph to analyze, so only its metadata
+// prints.
 package main
 
 import (
@@ -40,7 +41,7 @@ func main() {
 
 func run(args []string) error {
 	fs := flag.NewFlagSet("csrstats", flag.ContinueOnError)
-	in := fs.String("in", "", "input graph (required): .txt/.bin edge list or .pcsr packed CSR")
+	in := fs.String("in", "", "input graph (required): .txt/.bin edge list or .csrc container")
 	procs := fs.Int("procs", 4, "processors")
 	symmetrize := fs.Bool("symmetrize", false, "add reverse edges (edge-list inputs only)")
 	heavy := fs.Bool("heavy", true, "include triangles, clustering and k-core (O(m^1.5)-ish)")
@@ -72,16 +73,10 @@ func run(args []string) error {
 			return err
 		}
 		defer m.Close() //csr:errok read-only mapping; nothing to lose on close
-		g = m.Source()
-		sizeBytes = m.SizeBytes()
-	case strings.HasSuffix(*in, ".pcsr"):
-		pk, err := csr.LoadPackedFile(*in)
-		if err != nil {
-			return err
+		if g = m.Source(); g == nil {
+			return fmt.Errorf("%s holds a %s graph; only -meta applies", *in, m.GraphForm())
 		}
-		g = pk
-		sizeBytes = pk.SizeBytes()
-		fmt.Printf("packed CSR: %d-bit neighbors, %d-bit offsets\n", pk.NumBits(), pk.OffsetBits())
+		sizeBytes = m.SizeBytes()
 	default:
 		l, err := edgelist.LoadFile(*in)
 		if err != nil {
@@ -177,7 +172,7 @@ func printContainerMeta(path string, verify bool) error {
 		if s.Width == 0 {
 			width = "rawbit"
 		}
-		fmt.Printf("  section %d: %-13s %s  count %-12d %10s at %-10d %s\n",
+		fmt.Printf("  section %d: %-15s %s  count %-12d %10s at %-10d %s\n",
 			i, mgraph.KindName(s.Kind), width, s.Count,
 			harness.HumanBytes(int64(s.Bytes())), s.Offset, crcNote)
 	}

@@ -8,9 +8,10 @@ import (
 	"csrgraph/internal/csr"
 	"csrgraph/internal/edgelist"
 	"csrgraph/internal/mgraph"
+	"csrgraph/internal/tcsr"
 )
 
-func statsFixtures(t *testing.T) (txt, pcsr string) {
+func statsFixtures(t *testing.T) (txt, packed string) {
 	t.Helper()
 	dir := t.TempDir()
 	l := edgelist.List{
@@ -21,11 +22,11 @@ func statsFixtures(t *testing.T) (txt, pcsr string) {
 	if err := l.SaveFile(txt); err != nil {
 		t.Fatal(err)
 	}
-	pcsr = filepath.Join(dir, "g.pcsr")
-	if err := csr.BuildPacked(l, 5, 1).SaveFile(pcsr); err != nil {
+	packed = filepath.Join(dir, "g.csrc")
+	if err := mgraph.WritePackedFile(packed, csr.BuildPacked(l, 5, 1)); err != nil {
 		t.Fatal(err)
 	}
-	return txt, pcsr
+	return txt, packed
 }
 
 func TestStatsOnTextInput(t *testing.T) {
@@ -36,8 +37,8 @@ func TestStatsOnTextInput(t *testing.T) {
 }
 
 func TestStatsOnPackedInput(t *testing.T) {
-	_, pcsr := statsFixtures(t)
-	if err := run([]string{"-in", pcsr, "-procs", "2"}); err != nil {
+	_, packed := statsFixtures(t)
+	if err := run([]string{"-in", packed, "-procs", "2"}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -87,5 +88,21 @@ func TestStatsOnContainerInput(t *testing.T) {
 	}
 	if err := run([]string{"-in", renamed, "-meta"}); err != nil {
 		t.Fatal(err)
+	}
+	// A temporal container prints its metadata but has no static graph to
+	// analyze.
+	tc, err := tcsr.BuildFromEvents(edgelist.TemporalList{{U: 0, V: 1, T: 0}, {U: 0, V: 1, T: 1}}, 2, 2, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	temporal := filepath.Join(filepath.Dir(path), "t.csrc")
+	if err := mgraph.WriteTemporalFile(temporal, tc.Pack(1)); err != nil {
+		t.Fatal(err)
+	}
+	if err := run([]string{"-in", temporal, "-meta", "-verify"}); err != nil {
+		t.Fatal(err)
+	}
+	if err := run([]string{"-in", temporal}); err == nil {
+		t.Fatal("want error analyzing a temporal container")
 	}
 }

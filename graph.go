@@ -7,6 +7,7 @@ import (
 
 	"csrgraph/internal/csr"
 	"csrgraph/internal/edgelist"
+	"csrgraph/internal/mgraph"
 	"csrgraph/internal/order"
 	"csrgraph/internal/query"
 )
@@ -321,30 +322,33 @@ func (cg *CompressedGraph) Decompress() *Graph {
 // SizeBytes returns the packed payload footprint.
 func (cg *CompressedGraph) SizeBytes() int64 { return cg.pk.SizeBytes() }
 
-// WriteTo serializes the compressed graph.
-func (cg *CompressedGraph) WriteTo(w io.Writer) (int64, error) { return cg.pk.WriteTo(w) }
+// SaveFile writes the compressed graph to path as a binary container
+// (internal/mgraph), the repository's one on-disk format.
+func (cg *CompressedGraph) SaveFile(path string) error { return mgraph.WritePackedFile(path, cg.pk) }
 
-// SaveFile writes the compressed graph to path.
-func (cg *CompressedGraph) SaveFile(path string) error { return cg.pk.SaveFile(path) }
-
-// ReadCompressed deserializes a compressed graph written by WriteTo.
-func ReadCompressed(r io.Reader, opts ...Option) (*CompressedGraph, error) {
-	c := buildConfig(opts)
-	pk, err := csr.ReadPacked(r)
-	if err != nil {
-		return nil, err
-	}
-	return &CompressedGraph{pk: pk, procs: c.procs}, nil
-}
-
-// LoadCompressedFile reads a compressed graph from path.
+// LoadCompressedFile reads a compressed graph written by SaveFile (or by
+// csrconvert) into memory, after checking every section checksum and
+// every neighbor id.
 func LoadCompressedFile(path string, opts ...Option) (*CompressedGraph, error) {
 	c := buildConfig(opts)
-	pk, err := csr.LoadPackedFile(path)
+	ct, err := readContainer(path, mgraph.FormPacked)
 	if err != nil {
 		return nil, err
 	}
-	return &CompressedGraph{pk: pk, procs: c.procs}, nil
+	return &CompressedGraph{pk: ct.Packed(), procs: c.procs}, nil
+}
+
+// readContainer reads the container at path through mgraph's verified
+// heap reader and checks that it holds a graph of the wanted form.
+func readContainer(path string, want mgraph.Form) (*mgraph.Container, error) {
+	ct, err := mgraph.ReadFile(path)
+	if err != nil {
+		return nil, err
+	}
+	if got := ct.GraphForm(); got != want {
+		return nil, fmt.Errorf("csrgraph: %s holds a %s graph, want %s", path, got, want)
+	}
+	return ct, nil
 }
 
 func orDefault(p, def int) int {

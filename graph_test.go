@@ -197,27 +197,36 @@ func TestCompressedSerialization(t *testing.T) {
 		t.Fatal(err)
 	}
 	cg := g.Compress()
-	var buf bytes.Buffer
-	if _, err := cg.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadCompressed(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.NumEdges() != cg.NumEdges() || got.NumNodes() != cg.NumNodes() {
-		t.Fatal("round trip metadata mismatch")
-	}
-	path := filepath.Join(t.TempDir(), "g.pcsr")
+	path := filepath.Join(t.TempDir(), "g.csrc")
 	if err := cg.SaveFile(path); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := LoadCompressedFile(path)
+	got, err := LoadCompressedFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if loaded.NumEdges() != cg.NumEdges() {
-		t.Fatal("file round trip mismatch")
+	if got.NumEdges() != cg.NumEdges() || got.NumNodes() != cg.NumNodes() || got.NumBits() != cg.NumBits() {
+		t.Fatal("round trip metadata mismatch")
+	}
+	for u := 0; u < cg.NumNodes(); u++ {
+		if !reflect.DeepEqual(got.Neighbors(uint32(u)), cg.Neighbors(uint32(u))) {
+			t.Fatalf("row %d differs after the file round trip", u)
+		}
+	}
+	// A container of another form is an error, not a misread graph.
+	wg, err := BuildWeighted([]WeightedEdge{{U: 0, V: 1, W: 7}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wpath := filepath.Join(t.TempDir(), "w.csrc")
+	if err := wg.Compress().SaveFile(wpath); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := LoadCompressedFile(wpath); err == nil {
+		t.Fatal("LoadCompressedFile accepted a weighted container")
+	}
+	if _, err := LoadCompressedFile(filepath.Join(t.TempDir(), "missing")); err == nil {
+		t.Fatal("want error for a missing file")
 	}
 }
 

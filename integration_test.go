@@ -1,7 +1,6 @@
 package csrgraph
 
 import (
-	"bytes"
 	"path/filepath"
 	"reflect"
 	"testing"
@@ -34,7 +33,7 @@ func TestEndToEndPipeline(t *testing.T) {
 
 	// Compress, persist, reload.
 	cg := relabeled.Compress()
-	path := filepath.Join(t.TempDir(), "graph.pcsr")
+	path := filepath.Join(t.TempDir(), "graph.csrc")
 	if err := cg.SaveFile(path); err != nil {
 		t.Fatal(err)
 	}
@@ -106,11 +105,11 @@ func TestEndToEndTemporalPipeline(t *testing.T) {
 	}
 	ct := tg.Compress()
 
-	var buf bytes.Buffer
-	if _, err := ct.WriteTo(&buf); err != nil {
+	path := filepath.Join(t.TempDir(), "temporal.csrc")
+	if err := ct.SaveFile(path); err != nil {
 		t.Fatal(err)
 	}
-	reloaded, err := ReadCompressedTemporal(&buf)
+	reloaded, err := LoadCompressedTemporalFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}

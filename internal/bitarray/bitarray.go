@@ -8,7 +8,6 @@
 package bitarray
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"math/bits"
@@ -305,42 +304,4 @@ func (a *Array) String() string {
 		}
 	}
 	return string(buf) + suffix
-}
-
-const marshalMagic = "BARR"
-
-// MarshalBinary encodes the array as magic, bit length, and payload words.
-func (a *Array) MarshalBinary() ([]byte, error) {
-	buf := make([]byte, 0, 4+8+8*len(a.words))
-	buf = append(buf, marshalMagic...)
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(a.n))
-	for _, w := range a.words {
-		buf = binary.LittleEndian.AppendUint64(buf, w)
-	}
-	return buf, nil
-}
-
-// UnmarshalBinary decodes data written by MarshalBinary.
-func (a *Array) UnmarshalBinary(data []byte) error {
-	if len(data) < 12 || string(data[:4]) != marshalMagic {
-		return errors.New("bitarray: bad header")
-	}
-	// The length is untrusted file content: reject anything that could not
-	// have been written (negative after the int cast, or larger than the
-	// payload bytes actually present can back) before sizing allocations.
-	n64 := binary.LittleEndian.Uint64(data[4:12])
-	if n64 > uint64(len(data)-12)*8 {
-		return fmt.Errorf("bitarray: header claims %d bits, only %d payload bytes", n64, len(data)-12)
-	}
-	n := int(n64)
-	nw := (n + wordBits - 1) / wordBits
-	if len(data) != 12+8*nw {
-		return fmt.Errorf("bitarray: payload length %d, want %d", len(data)-12, 8*nw)
-	}
-	words := make([]uint64, nw)
-	for i := range words {
-		words[i] = binary.LittleEndian.Uint64(data[12+8*i:])
-	}
-	a.words, a.n = words, n
-	return nil
 }

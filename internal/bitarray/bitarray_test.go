@@ -143,35 +143,6 @@ func TestCloneAndEqual(t *testing.T) {
 	}
 }
 
-func TestMarshalRoundTrip(t *testing.T) {
-	a := New(0)
-	rng := rand.New(rand.NewSource(7))
-	for i := 0; i < 333; i++ {
-		a.AppendBit(rng.Intn(2) == 1)
-	}
-	data, err := a.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var b Array
-	if err := b.UnmarshalBinary(data); err != nil {
-		t.Fatal(err)
-	}
-	if !a.Equal(&b) {
-		t.Fatal("round trip mismatch")
-	}
-}
-
-func TestUnmarshalErrors(t *testing.T) {
-	var a Array
-	if err := a.UnmarshalBinary([]byte("nope")); err == nil {
-		t.Fatal("want error for short/bad input")
-	}
-	if err := a.UnmarshalBinary([]byte("BARR\x10\x00\x00\x00\x00\x00\x00\x00")); err == nil {
-		t.Fatal("want error for truncated payload")
-	}
-}
-
 func TestString(t *testing.T) {
 	a := FromBits([]bool{true, false, true})
 	if a.String() != "101" {

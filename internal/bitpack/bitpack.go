@@ -18,8 +18,6 @@
 package bitpack
 
 import (
-	"encoding/binary"
-	"errors"
 	"fmt"
 	"math/bits"
 
@@ -76,7 +74,7 @@ type Packed struct {
 // not a panic. The returned Packed aliases words; see bitarray.View for the
 // lifetime and read-only rules.
 func View(width, n int, words []uint64) (*Packed, error) {
-	const maxLen = 1 << 56 // matches UnmarshalBinary: keeps width*n overflow-free
+	const maxLen = 1 << 56 // keeps width*n overflow-free
 	if width < 1 || width > 32 || n < 0 || n > maxLen {
 		return nil, fmt.Errorf("bitpack: implausible view width=%d n=%d", width, n)
 	}
@@ -202,44 +200,4 @@ func (pk *Packed) Unpack() []uint32 {
 // width.
 func (pk *Packed) Equal(o *Packed) bool {
 	return pk.width == o.width && pk.n == o.n && pk.bits.Equal(o.bits)
-}
-
-const packedMagic = "BPK1"
-
-// MarshalBinary encodes the packed array with a self-describing header.
-func (pk *Packed) MarshalBinary() ([]byte, error) {
-	payload, err := pk.bits.MarshalBinary()
-	if err != nil {
-		return nil, err
-	}
-	buf := make([]byte, 0, 4+16+len(payload))
-	buf = append(buf, packedMagic...)
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(pk.width))
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(pk.n))
-	return append(buf, payload...), nil
-}
-
-// UnmarshalBinary decodes data written by MarshalBinary.
-func (pk *Packed) UnmarshalBinary(data []byte) error {
-	if len(data) < 20 || string(data[:4]) != packedMagic {
-		return errors.New("bitpack: bad header")
-	}
-	width := int(binary.LittleEndian.Uint64(data[4:12]))
-	n := int(binary.LittleEndian.Uint64(data[12:20]))
-	// Values are uint32, so no valid encoder emits a width above 32; the
-	// bound on n both rejects nonsense and makes width*n below safe from
-	// overflow (32 * 2^56 < 2^63).
-	const maxLen = 1 << 56
-	if width < 1 || width > 32 || n < 0 || n > maxLen {
-		return fmt.Errorf("bitpack: implausible header width=%d n=%d", width, n)
-	}
-	var a bitarray.Array
-	if err := a.UnmarshalBinary(data[20:]); err != nil {
-		return err
-	}
-	if a.Len() != width*n {
-		return fmt.Errorf("bitpack: payload %d bits, want %d", a.Len(), width*n)
-	}
-	*pk = Packed{width: width, n: n, bits: &a}
-	return nil
 }

@@ -200,38 +200,6 @@ func TestPackedBoundsPanics(t *testing.T) {
 	}
 }
 
-func TestPackedMarshalRoundTrip(t *testing.T) {
-	vals := randVals(321, 77777, 8)
-	pk := Pack(vals, 4)
-	data, err := pk.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var got Packed
-	if err := got.UnmarshalBinary(data); err != nil {
-		t.Fatal(err)
-	}
-	if !got.Equal(pk) {
-		t.Fatal("marshal round trip mismatch")
-	}
-}
-
-func TestPackedUnmarshalErrors(t *testing.T) {
-	var pk Packed
-	if err := pk.UnmarshalBinary([]byte("nope")); err == nil {
-		t.Fatal("want header error")
-	}
-	good, _ := Pack([]uint32{1, 2, 3}, 1).MarshalBinary()
-	bad := append([]byte{}, good...)
-	bad[4] = 200 // implausible width
-	if err := pk.UnmarshalBinary(bad); err == nil {
-		t.Fatal("want width error")
-	}
-	if err := pk.UnmarshalBinary(good[:len(good)-1]); err == nil {
-		t.Fatal("want truncation error")
-	}
-}
-
 func TestVarintRoundTrip(t *testing.T) {
 	vals := randVals(1000, 0xFFFFFFFF, 9)
 	got, err := DecodeVarint(EncodeVarint(vals))

@@ -1,50 +1,11 @@
 package csr
 
 import (
-	"bytes"
 	"sort"
 	"testing"
 
 	"csrgraph/internal/edgelist"
 )
-
-// FuzzReadPacked: the packed-CSR file reader consumes untrusted files and
-// must reject corruption with an error, never a panic, and anything it
-// accepts must be safely queryable.
-func FuzzReadPacked(f *testing.F) {
-	var buf bytes.Buffer
-	pk := BuildPacked(paperGraph(), 10, 2)
-	if _, err := pk.WriteTo(&buf); err != nil {
-		f.Fatal(err)
-	}
-	good := buf.Bytes()
-	f.Add(good)
-	// Corrupted variants as seeds.
-	for _, cut := range []int{1, 4, 12, len(good) / 2} {
-		if cut < len(good) {
-			f.Add(good[:cut])
-		}
-	}
-	flipped := append([]byte{}, good...)
-	flipped[8] ^= 0xFF
-	f.Add(flipped)
-	f.Add([]byte("PCSR"))
-	f.Fuzz(func(t *testing.T, data []byte) {
-		got, err := ReadPacked(bytes.NewReader(data))
-		if err != nil {
-			return
-		}
-		// Whatever was accepted must answer queries without panicking.
-		n := got.NumNodes()
-		for u := 0; u < n && u < 64; u++ {
-			_ = got.Degree(uint32(u))
-			_ = got.Row(nil, uint32(u))
-		}
-		if n > 0 {
-			_ = got.SearchRow(0, 0)
-		}
-	})
-}
 
 // FuzzSearchBatch checks the grouped packed search against sort.Search:
 // the fuzzer picks the neighbor width, each byte of degs is one row (its

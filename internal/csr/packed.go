@@ -1,13 +1,7 @@
 package csr
 
 import (
-	"bufio"
-	"bytes"
-	"encoding/binary"
-	"errors"
 	"fmt"
-	"io"
-	"os"
 
 	"csrgraph/internal/bitpack"
 	"csrgraph/internal/edgelist"
@@ -50,9 +44,9 @@ func BuildPacked(l edgelist.List, numNodes, p int) *Packed {
 // the cols length): that is what query row decoding relies on to stay
 // in-bounds, and it touches only the small iA section so a mapped
 // multi-GB graph does not fault in its neighbor pages at load time. The
-// neighbor-value range scan of the legacy reader is NOT run; callers
-// serving untrusted files should add ValidateCols (or a container CRC
-// check) before handing the graph to algorithms that index by neighbor id.
+// neighbor-value range scan is NOT run; callers serving untrusted files
+// should add ValidateCols (mgraph's verified loads do) before handing the
+// graph to algorithms that index by neighbor id.
 func AssemblePacked(off, cols *bitpack.Packed) (*Packed, error) {
 	pk := &Packed{off: off, cols: cols}
 	if err := pk.validateOffsets(); err != nil {
@@ -263,141 +257,6 @@ func (pk *Packed) Equal(o *Packed) bool {
 	return pk.off.Equal(o.off) && pk.cols.Equal(o.cols)
 }
 
-const packedFileMagic = "PCSR"
-
-// ContainerMagic is the magic of the mmap-able binary container format
-// (internal/mgraph). The legacy stream readers in this package recognize it
-// only to direct users to the right tool; mgraph owns the format.
-const ContainerMagic = "CSRC"
-
-// ErrContainerFile reports that a legacy stream reader was handed a binary
-// container file — a format mismatch, not corruption.
-var ErrContainerFile = errors.New("csr: file is a binary graph container, not the legacy stream format (open it with internal/mgraph, csrserver -mmap, or csrstats)")
-
-// partStreamBuf is the chunk size WriteTo streams bitpack payloads through:
-// big enough to amortize bufio copies, small enough to stay cache-resident.
-const partStreamBuf = 32 << 10
-
-// writePartStream writes one bitpack payload in the legacy stream framing
-// (u64 payload length, then the bytes MarshalBinary would produce) without
-// materializing the payload: the words are encoded little-endian through
-// the caller's reused scratch buffer. Byte-for-byte identical to writing
-// part.MarshalBinary.
-func writePartStream(bw *bufio.Writer, part *bitpack.Packed, scratch []byte) (int64, error) {
-	words := part.Bits().Words()
-	payloadLen := (4 + 8 + 8) + (4 + 8 + 8*len(words)) // BPK1 header + BARR header + words
-	var hdr [8 + 4 + 8 + 8 + 4 + 8]byte
-	binary.LittleEndian.PutUint64(hdr[0:], uint64(payloadLen))
-	copy(hdr[8:], "BPK1")
-	binary.LittleEndian.PutUint64(hdr[12:], uint64(part.Width()))
-	binary.LittleEndian.PutUint64(hdr[20:], uint64(part.Len()))
-	copy(hdr[28:], "BARR")
-	binary.LittleEndian.PutUint64(hdr[32:], uint64(part.Bits().Len()))
-	written := int64(0)
-	n, err := bw.Write(hdr[:])
-	written += int64(n)
-	if err != nil {
-		return written, err
-	}
-	for len(words) > 0 {
-		chunk := words
-		if len(chunk) > len(scratch)/8 {
-			chunk = chunk[:len(scratch)/8]
-		}
-		for i, w := range chunk {
-			binary.LittleEndian.PutUint64(scratch[8*i:], w)
-		}
-		n, err := bw.Write(scratch[:8*len(chunk)])
-		written += int64(n)
-		if err != nil {
-			return written, err
-		}
-		words = words[len(chunk):]
-	}
-	return written, nil
-}
-
-// WriteTo serializes the packed CSR: magic, two length-prefixed bitpack
-// payloads. It implements io.WriterTo. The payloads are streamed through a
-// reused chunk buffer — no full-array temporary is built, so writing a
-// multi-GB graph costs O(1) extra memory.
-func (pk *Packed) WriteTo(w io.Writer) (int64, error) {
-	bw := bufio.NewWriter(w)
-	var written int64
-	n, err := bw.WriteString(packedFileMagic)
-	written += int64(n)
-	if err != nil {
-		return written, err
-	}
-	scratch := make([]byte, partStreamBuf)
-	for _, part := range []*bitpack.Packed{pk.off, pk.cols} {
-		m, err := writePartStream(bw, part, scratch)
-		written += m
-		if err != nil {
-			return written, err
-		}
-	}
-	return written, bw.Flush()
-}
-
-// ReadPacked deserializes a packed CSR written by WriteTo. It reads exactly
-// the serialized bytes and no more, so multiple packed CSRs can be read
-// back-to-back from one stream (the temporal format relies on this).
-func ReadPacked(r io.Reader) (*Packed, error) {
-	br := r
-	magic := make([]byte, 4)
-	if _, err := io.ReadFull(br, magic); err != nil {
-		return nil, fmt.Errorf("csr: packed header: %w", err)
-	}
-	if string(magic) == ContainerMagic {
-		return nil, ErrContainerFile
-	}
-	if string(magic) != packedFileMagic {
-		return nil, fmt.Errorf("csr: bad magic %q", magic)
-	}
-	parts := make([]*bitpack.Packed, 2)
-	for i := range parts {
-		var hdr [8]byte
-		if _, err := io.ReadFull(br, hdr[:]); err != nil {
-			return nil, fmt.Errorf("csr: part %d length: %w", i, err)
-		}
-		size := binary.LittleEndian.Uint64(hdr[:])
-		const maxPart = 1 << 36
-		if size > maxPart {
-			return nil, fmt.Errorf("csr: implausible part size %d", size)
-		}
-		// The size comes from an untrusted header: copy incrementally so a
-		// lying header on a short stream errors out instead of provoking a
-		// giant up-front allocation.
-		var payload bytes.Buffer
-		payload.Grow(int(min(size, 1<<20)))
-		if _, err := io.CopyN(&payload, br, int64(size)); err != nil {
-			return nil, fmt.Errorf("csr: part %d payload: %w", i, err)
-		}
-		parts[i] = new(bitpack.Packed)
-		if err := parts[i].UnmarshalBinary(payload.Bytes()); err != nil {
-			return nil, fmt.Errorf("csr: part %d: %w", i, err)
-		}
-	}
-	pk := &Packed{off: parts[0], cols: parts[1]}
-	if err := pk.validate(); err != nil {
-		return nil, err
-	}
-	return pk, nil
-}
-
-// validate checks the structural invariants a freshly deserialized packed
-// CSR must satisfy before queries may trust it: offsets start at 0, are
-// monotone, end exactly at the cols length, and every neighbor id is
-// inside the node space. Without this a corrupt file would panic at query
-// time instead of failing at load time.
-func (pk *Packed) validate() error {
-	if err := pk.validateOffsets(); err != nil {
-		return err
-	}
-	return pk.ValidateCols()
-}
-
 // validateOffsets checks the iA invariants row decoding depends on —
 // offsets start at 0, never decrease, and end exactly at the cols length —
 // touching only the offsets array. This is the load-time check of the
@@ -450,27 +309,4 @@ func (pk *Packed) ValidateColsBound(numNodes uint32) error {
 		}
 	}
 	return nil
-}
-
-// SaveFile writes the packed CSR to path.
-func (pk *Packed) SaveFile(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	_, werr := pk.WriteTo(f)
-	if cerr := f.Close(); werr == nil {
-		werr = cerr
-	}
-	return werr
-}
-
-// LoadPackedFile reads a packed CSR from path.
-func LoadPackedFile(path string) (*Packed, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return ReadPacked(f)
 }

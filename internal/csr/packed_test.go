@@ -1,9 +1,7 @@
 package csr
 
 import (
-	"bytes"
 	"math/rand"
-	"path/filepath"
 	"reflect"
 	"testing"
 )
@@ -91,52 +89,6 @@ func TestPackedSmallerThanMatrixAndEdgeList(t *testing.T) {
 	}
 	if pk.SizeBytes() >= l.SizeBytes() {
 		t.Fatalf("packed %d bytes >= edge list %d bytes", pk.SizeBytes(), l.SizeBytes())
-	}
-}
-
-func TestPackedSerializationRoundTrip(t *testing.T) {
-	l := randomSortedList(1000, 256, 24)
-	pk := BuildPacked(l, 256, 4)
-	var buf bytes.Buffer
-	if _, err := pk.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadPacked(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !got.Equal(pk) {
-		t.Fatal("serialization round trip mismatch")
-	}
-}
-
-func TestReadPackedErrors(t *testing.T) {
-	if _, err := ReadPacked(bytes.NewReader([]byte("XXXX"))); err == nil {
-		t.Fatal("want magic error")
-	}
-	if _, err := ReadPacked(bytes.NewReader([]byte("PC"))); err == nil {
-		t.Fatal("want short header error")
-	}
-	if _, err := ReadPacked(bytes.NewReader([]byte("PCSR\x10\x00\x00\x00\x00\x00\x00\x00"))); err == nil {
-		t.Fatal("want truncated part error")
-	}
-}
-
-func TestPackedFileRoundTrip(t *testing.T) {
-	pk := BuildPacked(paperGraph(), 10, 2)
-	path := filepath.Join(t.TempDir(), "g.pcsr")
-	if err := pk.SaveFile(path); err != nil {
-		t.Fatal(err)
-	}
-	got, err := LoadPackedFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !got.Equal(pk) {
-		t.Fatal("file round trip mismatch")
-	}
-	if _, err := LoadPackedFile(filepath.Join(t.TempDir(), "missing")); err == nil {
-		t.Fatal("want error for missing file")
 	}
 }
 

@@ -1,11 +1,7 @@
 package csr
 
 import (
-	"bufio"
-	"bytes"
-	"encoding/binary"
 	"fmt"
-	"io"
 
 	"csrgraph/internal/bitpack"
 	"csrgraph/internal/edgelist"
@@ -208,74 +204,4 @@ func (pk *PackedWeighted) SizeBytes() int64 {
 // UnpackWeighted expands back to a WeightedMatrix.
 func (pk *PackedWeighted) UnpackWeighted() *WeightedMatrix {
 	return &WeightedMatrix{Matrix: *pk.Packed.Unpack(), Vals: pk.vals.Unpack()}
-}
-
-const packedWeightedMagic = "WCSR"
-
-// WriteTo serializes the packed weighted CSR: magic, the embedded packed
-// CSR (iA, jA), then the length-prefixed packed vA payload. Like
-// Packed.WriteTo, every payload streams through one reused chunk buffer.
-func (pk *PackedWeighted) WriteTo(w io.Writer) (int64, error) {
-	bw := bufio.NewWriter(w)
-	var written int64
-	n, err := bw.WriteString(packedWeightedMagic)
-	written += int64(n)
-	if err != nil {
-		return written, err
-	}
-	n, err = bw.WriteString(packedFileMagic)
-	written += int64(n)
-	if err != nil {
-		return written, err
-	}
-	scratch := make([]byte, partStreamBuf)
-	for _, part := range []*bitpack.Packed{pk.off, pk.cols, pk.vals} {
-		m, err := writePartStream(bw, part, scratch)
-		written += m
-		if err != nil {
-			return written, err
-		}
-	}
-	return written, bw.Flush()
-}
-
-// ReadPackedWeighted deserializes a packed weighted CSR written by
-// WriteTo.
-func ReadPackedWeighted(r io.Reader) (*PackedWeighted, error) {
-	magic := make([]byte, 4)
-	if _, err := io.ReadFull(r, magic); err != nil {
-		return nil, fmt.Errorf("csr: weighted header: %w", err)
-	}
-	if string(magic) == ContainerMagic {
-		return nil, ErrContainerFile
-	}
-	if string(magic) != packedWeightedMagic {
-		return nil, fmt.Errorf("csr: bad weighted magic %q", magic)
-	}
-	base, err := ReadPacked(r)
-	if err != nil {
-		return nil, err
-	}
-	var hdr [8]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, fmt.Errorf("csr: vA length: %w", err)
-	}
-	size := binary.LittleEndian.Uint64(hdr[:])
-	const maxPart = 1 << 36
-	if size > maxPart {
-		return nil, fmt.Errorf("csr: implausible vA size %d", size)
-	}
-	var payload bytes.Buffer
-	payload.Grow(int(min(size, 1<<20)))
-	if _, err := io.CopyN(&payload, r, int64(size)); err != nil {
-		return nil, fmt.Errorf("csr: vA payload: %w", err)
-	}
-	vals := new(bitpack.Packed)
-	if err := vals.UnmarshalBinary(payload.Bytes()); err != nil {
-		return nil, fmt.Errorf("csr: vA: %w", err)
-	}
-	if vals.Len() != base.NumEdges() {
-		return nil, fmt.Errorf("csr: vA has %d values, want %d", vals.Len(), base.NumEdges())
-	}
-	return &PackedWeighted{Packed: *base, vals: vals}, nil
 }

@@ -1,7 +1,6 @@
 package csr
 
 import (
-	"bytes"
 	"math/rand"
 	"reflect"
 	"sort"
@@ -134,45 +133,6 @@ func TestPackedWeightedRowWeights(t *testing.T) {
 	got := pk.RowWeights(nil, 0)
 	if !reflect.DeepEqual(got, []uint32{5, 3}) {
 		t.Fatalf("RowWeights(0) = %v", got)
-	}
-}
-
-func TestPackedWeightedSerialization(t *testing.T) {
-	rng := rand.New(rand.NewSource(51))
-	edges := make([]WeightedEdge, 1000)
-	for i := range edges {
-		edges[i] = WeightedEdge{U: rng.Uint32() % 100, V: rng.Uint32() % 100, W: rng.Uint32() % 500}
-	}
-	m, err := BuildWeighted(edges, 0, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pk := PackWeighted(m, 2)
-	var buf bytes.Buffer
-	if _, err := pk.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadPackedWeighted(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	back := got.UnpackWeighted()
-	if !back.Matrix.Equal(&m.Matrix) || !reflect.DeepEqual(back.Vals, m.Vals) {
-		t.Fatal("weighted serialization round trip mismatch")
-	}
-	// Error paths.
-	if _, err := ReadPackedWeighted(bytes.NewReader([]byte("XXXX"))); err == nil {
-		t.Fatal("want magic error")
-	}
-	if _, err := ReadPackedWeighted(bytes.NewReader([]byte("WC"))); err == nil {
-		t.Fatal("want short header error")
-	}
-	var buf2 bytes.Buffer
-	if _, err := pk.WriteTo(&buf2); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ReadPackedWeighted(bytes.NewReader(buf2.Bytes()[:buf2.Len()-3])); err == nil {
-		t.Fatal("want truncation error")
 	}
 }
 

@@ -1,26 +1,27 @@
 // Package mgraph defines the versioned on-disk binary container for packed
-// CSR graphs and the memory-mapped load path that turns a container file
-// into live query structures without copying.
+// CSR graphs — the repository's one persistence format — and its two load
+// paths: a memory-mapped open that turns a container file into live query
+// structures without copying, and a verified heap read.
 //
-// The legacy stream format (csr.Packed.WriteTo) is a serialization: loading
-// it re-allocates and re-copies every array, so startup cost scales with
-// graph size. The container instead lays each bit-packed array out exactly
-// as its in-memory [[]uint64] backing — little-endian words, 64-byte
-// aligned — so the file can be mmap'd and wrapped in zero-copy views
-// (bitarray.View / bitpack.View over unsafe.Slice of the mapping):
-// multi-GB graphs load in milliseconds, the page cache holds the only copy,
-// and that copy is shared across every process serving the same file.
+// The container lays each bit-packed array out exactly as its in-memory
+// [[]uint64] backing — little-endian words, 64-byte aligned — so the file
+// can be mmap'd and wrapped in zero-copy views (bitarray.View /
+// bitpack.View over unsafe.Slice of the mapping): multi-GB graphs load in
+// milliseconds, the page cache holds the only copy, and that copy is
+// shared across every process serving the same file. ReadFile builds the
+// same views over one aligned heap copy instead, after checking every
+// section CRC and every neighbor id.
 //
 // Layout (all integers little-endian):
 //
 //	offset size field
 //	0      4    magic "CSRC"
 //	4      4    format version (currently 1)
-//	8      4    flags (bit 0 weighted, bit 1 delta-gamma)
+//	8      4    flags (bit 0 weighted, bit 1 delta-gamma, bit 2 temporal)
 //	12     4    section count
 //	16     8    endianness marker 0x0102030405060708
 //	24     8    numNodes
-//	32     8    numEdges
+//	32     8    numEdges (temporal: stored toggles summed over frames)
 //	40     4    CRC-32C of the section table
 //	44     4    CRC-32C of header bytes [0,44)
 //	48     16   zero padding
@@ -34,12 +35,20 @@
 // low bits of a final partial word are zero, the invariant every bitarray
 // constructor maintains and bitarray.View re-checks on load.
 //
-// The container holds one graph in one of three forms, with a canonical
+// The container holds one graph in one of four forms, with a canonical
 // section order so independently produced files are byte-comparable:
 //
 //	packed   (flags 0):    row offsets, neighbors
 //	weighted (flags bit0): row offsets, neighbors, weights
 //	delta    (flags bit1): row offsets, delta-gamma payload
+//	temporal (flags bit2): frame table, frame offsets, frame neighbors
+//
+// The temporal form stores Section IV's differential TCSR, one packed CSR
+// per frame, each with its own widths. The frame table holds three 32-bit
+// values per frame: offsets width, neighbors width, edge count. The two
+// raw-bit sections hold every frame's offsets words and every frame's
+// neighbor words, frame after frame, each frame starting on a word
+// boundary; every frame has exactly numNodes rows.
 //
 // The external-memory builder (extbuild.go) streams edge lists larger than
 // RAM into this same layout via spill files and a k-way merge, emitting a
@@ -56,12 +65,12 @@ import (
 	"csrgraph/internal/bitpack"
 	"csrgraph/internal/csr"
 	"csrgraph/internal/query"
+	"csrgraph/internal/tcsr"
 )
 
 const (
-	// Magic identifies a container file; csr.ContainerMagic is the single
-	// definition so the legacy readers can name the right tool on mismatch.
-	Magic = csr.ContainerMagic
+	// Magic identifies a container file.
+	Magic = "CSRC"
 
 	// Version is the current format version; readers reject anything else.
 	Version = 1
@@ -90,6 +99,7 @@ const (
 const (
 	flagWeighted uint32 = 1 << 0
 	flagDelta    uint32 = 1 << 1
+	flagTemporal uint32 = 1 << 2
 )
 
 // Section kinds.
@@ -98,6 +108,9 @@ const (
 	KindNeighbors    uint32 = 2 // jA: bit-packed neighbor ids, count = numEdges
 	KindWeights      uint32 = 3 // vA: bit-packed weights, count = numEdges
 	KindDeltaPayload uint32 = 4 // delta-gamma bit stream, width 0, count = bits
+	KindFrameTable   uint32 = 5 // per frame: offsets width, neighbors width, edges; width 32
+	KindFrameOffsets uint32 = 6 // every frame's iA words, width 0, count = bits
+	KindFrameCols    uint32 = 7 // every frame's jA words, width 0, count = bits
 )
 
 // KindName returns a human-readable section kind label for tooling.
@@ -111,6 +124,12 @@ func KindName(kind uint32) string {
 		return "weights"
 	case KindDeltaPayload:
 		return "delta-payload"
+	case KindFrameTable:
+		return "frame-table"
+	case KindFrameOffsets:
+		return "frame-offsets"
+	case KindFrameCols:
+		return "frame-neighbors"
 	}
 	return fmt.Sprintf("unknown(%d)", kind)
 }
@@ -122,6 +141,7 @@ const (
 	FormPacked Form = iota
 	FormWeighted
 	FormDelta
+	FormTemporal
 )
 
 // String names the form as csrstats prints it.
@@ -133,14 +153,17 @@ func (f Form) String() string {
 		return "weighted"
 	case FormDelta:
 		return "delta"
+	case FormTemporal:
+		return "temporal"
 	}
 	return fmt.Sprintf("Form(%d)", int(f))
 }
 
 var (
-	// ErrLegacyStream reports a legacy pcsr/wcsr stream file handed to the
-	// container loader — a format mismatch, not corruption.
-	ErrLegacyStream = errors.New("mgraph: legacy stream-format graph file, not a binary container (load with csr.LoadPackedFile, or rebuild with csrconvert -format container)")
+	// ErrLegacyStream reports a file of the retired PCSR/WCSR/TCSR stream
+	// formats handed to the container loader — a format mismatch, not
+	// corruption. No reader for those formats remains.
+	ErrLegacyStream = errors.New("mgraph: legacy stream-format graph file, not a binary container (rebuild it from its edge list with csrconvert)")
 
 	// ErrBigEndianHost reports that the zero-copy word views cannot be
 	// built on this machine: the container stores little-endian words and
@@ -184,6 +207,8 @@ type Meta struct {
 // Form derives the graph form from the header flags.
 func (m *Meta) Form() Form {
 	switch {
+	case m.Flags&flagTemporal != 0:
+		return FormTemporal
 	case m.Flags&flagDelta != 0:
 		return FormDelta
 	case m.Flags&flagWeighted != 0:
@@ -199,6 +224,8 @@ func (f Form) sectionKinds() []uint32 {
 		return []uint32{KindOffsets, KindNeighbors, KindWeights}
 	case FormDelta:
 		return []uint32{KindOffsets, KindDeltaPayload}
+	case FormTemporal:
+		return []uint32{KindFrameTable, KindFrameOffsets, KindFrameCols}
 	}
 	return []uint32{KindOffsets, KindNeighbors}
 }
@@ -229,7 +256,7 @@ func putU64(b []byte, v uint64) {
 func parseMeta(data []byte, size uint64) (*Meta, error) {
 	if len(data) >= 4 {
 		switch string(data[:4]) {
-		case "PCSR", "WCSR":
+		case "PCSR", "WCSR", "TCSR":
 			return nil, ErrLegacyStream
 		}
 	}
@@ -310,6 +337,7 @@ type Container struct {
 	pk   *csr.Packed
 	pw   *csr.PackedWeighted
 	dp   *csr.DeltaPacked
+	tp   *tcsr.Packed
 }
 
 // GraphForm returns which structure the container holds.
@@ -327,15 +355,43 @@ func (c *Container) Packed() *csr.Packed {
 // Weighted returns the weighted view, or nil for unweighted forms.
 func (c *Container) Weighted() *csr.PackedWeighted { return c.pw }
 
-// Delta returns the delta-gamma view, or nil for the packed forms.
+// Delta returns the delta-gamma view, or nil for the other forms.
 func (c *Container) Delta() *csr.DeltaPacked { return c.dp }
 
-// Source returns the query-engine view of whichever form is present.
+// Temporal returns the packed differential TCSR, or nil for the static
+// forms.
+func (c *Container) Temporal() *tcsr.Packed { return c.tp }
+
+// Source returns the query-engine view of whichever static form is
+// present, or nil for FormTemporal, which has no single static graph.
 func (c *Container) Source() query.Source {
-	if c.dp != nil {
+	switch {
+	case c.dp != nil:
 		return c.dp
+	case c.tp != nil:
+		return nil
 	}
 	return c.Packed()
+}
+
+// validateNeighbors is the O(numEdges) half of a verified load: every
+// stored neighbor id must be below nodeSpace, or below the container's own
+// node count when nodeSpace is 0. The delta payload is only CRC-checked.
+func (c *Container) validateNeighbors(nodeSpace int) error {
+	if pk := c.Packed(); pk != nil {
+		if nodeSpace > 0 {
+			return pk.ValidateColsBound(uint32(nodeSpace))
+		}
+		return pk.ValidateCols()
+	}
+	if c.tp != nil {
+		for t := 0; t < c.tp.NumFrames(); t++ {
+			if err := c.tp.Frame(t).ValidateCols(); err != nil {
+				return fmt.Errorf("frame %d: %w", t, err)
+			}
+		}
+	}
+	return nil
 }
 
 // hostLittleEndian reports whether native word loads read little-endian
@@ -380,9 +436,9 @@ func Parse(data []byte, opts ParseOptions) (*Container, error) {
 		// Section views need 8-byte-aligned words. Mappings are page
 		// aligned; an arbitrary caller slice (fuzzing) may not be, so fall
 		// back to one aligned copy.
-		aligned := make([]uint64, (len(data)+7)/8)
-		copy(unsafe.Slice((*byte)(unsafe.Pointer(&aligned[0])), len(data)), data)
-		data = unsafe.Slice((*byte)(unsafe.Pointer(&aligned[0])), len(data))
+		aligned := alignedBytes(len(data))
+		copy(aligned, data)
+		data = aligned
 	}
 	form := meta.Form()
 	kinds := form.sectionKinds()
@@ -403,6 +459,13 @@ func Parse(data []byte, opts ParseOptions) (*Container, error) {
 		}
 	}
 
+	c := &Container{Meta: *meta, form: form}
+	if form == FormTemporal {
+		if c.tp, err = assembleTemporal(data, meta); err != nil {
+			return nil, fmt.Errorf("mgraph: %w", err)
+		}
+		return c, nil
+	}
 	// Packed-element sections must agree with the header counts before the
 	// int conversions below.
 	offSec := &meta.Sections[0]
@@ -414,7 +477,6 @@ func Parse(data []byte, opts ParseOptions) (*Container, error) {
 		return nil, fmt.Errorf("mgraph: offsets section: %w", err)
 	}
 
-	c := &Container{Meta: *meta, form: form}
 	switch form {
 	case FormPacked, FormWeighted:
 		colSec := &meta.Sections[1]

@@ -3,7 +3,9 @@ package mgraph
 import (
 	"fmt"
 	"hash/crc32"
+	"io"
 	"os"
+	"unsafe"
 
 	"csrgraph/internal/obs"
 )
@@ -21,7 +23,8 @@ import (
 // container it built gets its near-zero startup, while corrupt neighbor
 // bits would surface as wrong answers rather than panics in the search
 // paths. For files from untrusted sources, opt into WithVerify, which adds
-// the per-section CRC pass and the O(numEdges) neighbor-range scan.
+// the per-section CRC pass and the O(numEdges) neighbor-range scan — the
+// checks ReadFile always runs.
 type Mapped struct {
 	*Container
 	data   []byte
@@ -62,6 +65,33 @@ func Open(path string, opts ...OpenOption) (*Mapped, error) {
 		o(&cfg)
 	}
 	start := obs.Now()
+	m, err := load(path, cfg, mapFile)
+	if err != nil {
+		return nil, err
+	}
+	m.advise()
+	obs.Tick(mmapLoadSeconds, start)
+	mmapLoadBytes.Set(float64(len(m.data)))
+	return m, nil
+}
+
+// ReadFile reads the container at path into one aligned heap copy and
+// assembles the graph views over it. Unlike Open it always runs the full
+// verify — every section CRC and the neighbor-range scan — so whatever it
+// returns is safe to query, traverse and index per-node state by neighbor
+// id, whoever wrote the file. The copy is owned by the GC; there is nothing
+// to close.
+func ReadFile(path string) (*Container, error) {
+	m, err := load(path, openConfig{verify: true}, readAligned)
+	if err != nil {
+		return nil, err
+	}
+	return m.Container, nil
+}
+
+// load reads or maps path through back, parses it and, when cfg.verify is
+// set, checks the section CRCs and neighbor ids.
+func load(path string, cfg openConfig, back func(*os.File, int64) ([]byte, bool, error)) (*Mapped, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
@@ -82,34 +112,40 @@ func Open(path string, opts ...OpenOption) (*Mapped, error) {
 		}
 		return nil, fmt.Errorf("mgraph: %s: %d bytes is too short for a container", path, size)
 	}
-	data, mapped, err := mapFile(f, size)
+	data, mapped, err := back(f, size)
 	if err != nil {
-		return nil, fmt.Errorf("mgraph: map %s: %w", path, err)
+		return nil, fmt.Errorf("mgraph: read %s: %w", path, err)
 	}
 	c, err := Parse(data, ParseOptions{VerifyCRC: cfg.verify})
-	if err != nil {
-		unmapFile(data, mapped) //csr:errok error path; the parse failure is the error to surface
-		return nil, err
-	}
-	if cfg.verify {
-		if pk := c.Packed(); pk != nil {
-			verr := error(nil)
-			if cfg.nodeSpace > 0 {
-				verr = pk.ValidateColsBound(uint32(cfg.nodeSpace))
-			} else {
-				verr = pk.ValidateCols()
-			}
-			if verr != nil {
-				unmapFile(data, mapped) //csr:errok error path; the validation failure is the error to surface
-				return nil, fmt.Errorf("mgraph: %w", verr)
-			}
+	if err == nil && cfg.verify {
+		if err = c.validateNeighbors(cfg.nodeSpace); err != nil {
+			err = fmt.Errorf("mgraph: %w", err)
 		}
 	}
-	m := &Mapped{Container: c, data: data, mapped: mapped}
-	m.advise()
-	obs.Tick(mmapLoadSeconds, start)
-	mmapLoadBytes.Set(float64(size))
-	return m, nil
+	if err != nil {
+		unmapFile(data, mapped) //csr:errok error path; the parse or validation failure is the error to surface
+		return nil, err
+	}
+	return &Mapped{Container: c, data: data, mapped: mapped}, nil
+}
+
+// alignedBytes returns n zeroed bytes backed by a []uint64, so the section
+// word views over them are 8-byte aligned.
+func alignedBytes(n int) []byte {
+	words := make([]uint64, (n+7)/8)
+	return unsafe.Slice((*byte)(unsafe.Pointer(&words[0])), n)
+}
+
+// readAligned reads size bytes of f into one aligned heap copy: ReadFile's
+// backing, and Open's on platforms without the unix mmap path, where the
+// container still loads and the views still work, just without shared
+// pages or lazy faulting.
+func readAligned(f *os.File, size int64) ([]byte, bool, error) {
+	data := alignedBytes(int(size))
+	if _, err := io.ReadFull(io.NewSectionReader(f, 0, size), data); err != nil {
+		return nil, false, err
+	}
+	return data, false, nil
 }
 
 // advise passes access-pattern hints to the OS: the offsets section is
@@ -122,7 +158,7 @@ func (m *Mapped) advise() {
 	}
 	for i := range m.Sections {
 		s := &m.Sections[i]
-		if s.Kind == KindOffsets {
+		if s.Kind == KindOffsets || s.Kind == KindFrameTable || s.Kind == KindFrameOffsets {
 			adviseRange(m.data, int(s.Offset), int(s.Bytes()), adviseWillNeed)
 		} else {
 			adviseRange(m.data, int(s.Offset), int(s.Bytes()), adviseRandom)
@@ -141,7 +177,7 @@ func (m *Mapped) Close() error {
 	}
 	data, mapped := m.data, m.mapped
 	m.data, m.mapped = nil, false
-	m.pk, m.pw, m.dp = nil, nil, nil
+	m.pk, m.pw, m.dp, m.tp = nil, nil, nil, nil
 	return unmapFile(data, mapped)
 }
 

@@ -391,35 +391,27 @@ func TestReadMetaFile(t *testing.T) {
 	m.Close() //csr:errok test cleanup of a read-only mapping
 }
 
-// TestFormatMismatch pins the two wrong-format errors, both directions.
+// TestFormatMismatch pins the wrong-format error: a file of the retired
+// PCSR/WCSR/TCSR stream formats is named as such by every container
+// entry point, long enough for a header or not.
 func TestFormatMismatch(t *testing.T) {
-	pk, _ := testGraph(t, 200, 800, false)
-
-	// Legacy stream handed to the container loader.
-	var legacy bytes.Buffer
-	if _, err := pk.WriteTo(&legacy); err != nil {
-		t.Fatal(err)
-	}
-	legacyPath := filepath.Join(t.TempDir(), "legacy.pcsr")
-	if err := os.WriteFile(legacyPath, legacy.Bytes(), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Open(legacyPath); !errors.Is(err, ErrLegacyStream) {
-		t.Fatalf("Open(legacy) = %v, want ErrLegacyStream", err)
-	}
-	if _, _, err := ReadMetaFile(legacyPath, false); !errors.Is(err, ErrLegacyStream) {
-		t.Fatalf("ReadMetaFile(legacy) = %v, want ErrLegacyStream", err)
-	}
-
-	// Container handed to the legacy reader.
-	contPath := writeTemp(t, "g.csrc", pk)
-	cf, err := os.Open(contPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cf.Close() //csr:errok read-only test file
-	if _, err := csr.ReadPacked(cf); !errors.Is(err, csr.ErrContainerFile) {
-		t.Fatalf("ReadPacked(container) = %v, want ErrContainerFile", err)
+	for _, magic := range []string{"PCSR", "WCSR", "TCSR"} {
+		for _, size := range []int{4, 256} {
+			data := append([]byte(magic), make([]byte, size-4)...)
+			path := filepath.Join(t.TempDir(), "legacy")
+			if err := os.WriteFile(path, data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := Open(path); !errors.Is(err, ErrLegacyStream) {
+				t.Fatalf("Open(%s, %d B) = %v, want ErrLegacyStream", magic, size, err)
+			}
+			if _, err := ReadFile(path); !errors.Is(err, ErrLegacyStream) {
+				t.Fatalf("ReadFile(%s, %d B) = %v, want ErrLegacyStream", magic, size, err)
+			}
+			if _, _, err := ReadMetaFile(path, false); !errors.Is(err, ErrLegacyStream) {
+				t.Fatalf("ReadMetaFile(%s, %d B) = %v, want ErrLegacyStream", magic, size, err)
+			}
+		}
 	}
 }
 

@@ -2,25 +2,11 @@
 
 package mgraph
 
-import (
-	"io"
-	"os"
-	"unsafe"
-)
+import "os"
 
-// mapFile on platforms without the unix mmap path falls back to one
-// aligned heap copy of the file: the container still loads and the views
-// still work, just without shared pages or lazy faulting. The backing is
-// allocated as []uint64 so the section word views are always 8-byte
-// aligned.
-func mapFile(f *os.File, size int64) ([]byte, bool, error) {
-	words := make([]uint64, (size+7)/8)
-	data := unsafe.Slice((*byte)(unsafe.Pointer(&words[0])), size)
-	if _, err := io.ReadFull(io.NewSectionReader(f, 0, size), data); err != nil {
-		return nil, false, err
-	}
-	return data, false, nil
-}
+// mapFile on platforms without the unix mmap path falls back to the
+// aligned heap copy ReadFile uses.
+func mapFile(f *os.File, size int64) ([]byte, bool, error) { return readAligned(f, size) }
 
 // munmapBytes is a no-op for the heap fallback; the GC owns the copy.
 func munmapBytes(data []byte) error { return nil }

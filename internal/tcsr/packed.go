@@ -1,10 +1,7 @@
 package tcsr
 
 import (
-	"bufio"
-	"encoding/binary"
 	"fmt"
-	"io"
 
 	"csrgraph/internal/csr"
 	"csrgraph/internal/edgelist"
@@ -29,6 +26,19 @@ func (tc *Temporal) Pack(p int) *Packed {
 		frames[t] = csr.PackMatrix(tc.frames[t], 1)
 	})
 	return &Packed{numNodes: tc.numNodes, frames: frames}
+}
+
+// AssemblePacked wraps externally assembled frames — e.g. zero-copy views
+// over a container's frame sections — as a packed TCSR over numNodes
+// nodes. Every frame must have exactly numNodes rows: the queries and the
+// temporal BFS size their per-node state by NumNodes.
+func AssemblePacked(numNodes int, frames []*csr.Packed) (*Packed, error) {
+	for t, f := range frames {
+		if f.NumNodes() != numNodes {
+			return nil, fmt.Errorf("tcsr: frame %d has %d rows, want %d", t, f.NumNodes(), numNodes)
+		}
+	}
+	return &Packed{numNodes: numNodes, frames: frames}, nil
 }
 
 // NumFrames returns the number of time-frames.
@@ -88,63 +98,4 @@ func (pt *Packed) SizeBytes() int64 {
 		total += f.SizeBytes()
 	}
 	return total
-}
-
-const packedFileMagic = "TCSR"
-
-// WriteTo serializes the packed TCSR: magic, node count, frame count, then
-// each frame's packed CSR.
-func (pt *Packed) WriteTo(w io.Writer) (int64, error) {
-	bw := bufio.NewWriter(w)
-	var written int64
-	n, err := bw.WriteString(packedFileMagic)
-	written += int64(n)
-	if err != nil {
-		return written, err
-	}
-	var hdr [16]byte
-	binary.LittleEndian.PutUint64(hdr[0:], uint64(pt.numNodes))
-	binary.LittleEndian.PutUint64(hdr[8:], uint64(len(pt.frames)))
-	n, err = bw.Write(hdr[:])
-	written += int64(n)
-	if err != nil {
-		return written, err
-	}
-	for _, f := range pt.frames {
-		m, err := f.WriteTo(bw)
-		written += m
-		if err != nil {
-			return written, err
-		}
-	}
-	return written, bw.Flush()
-}
-
-// ReadPacked deserializes a packed TCSR written by WriteTo.
-func ReadPacked(r io.Reader) (*Packed, error) {
-	br := bufio.NewReader(r)
-	hdr := make([]byte, 20)
-	if _, err := io.ReadFull(br, hdr); err != nil {
-		return nil, fmt.Errorf("tcsr: header: %w", err)
-	}
-	if string(hdr[:4]) != packedFileMagic {
-		return nil, fmt.Errorf("tcsr: bad magic %q", hdr[:4])
-	}
-	numNodes := int(binary.LittleEndian.Uint64(hdr[4:12]))
-	numFrames := int(binary.LittleEndian.Uint64(hdr[12:20]))
-	const maxFrames = 1 << 30
-	if numNodes < 0 || numFrames < 0 || numFrames > maxFrames {
-		return nil, fmt.Errorf("tcsr: implausible header nodes=%d frames=%d", numNodes, numFrames)
-	}
-	// The frame count comes from an untrusted header: grow with append so a
-	// lying header errors on the stream end instead of allocating up front.
-	frames := make([]*csr.Packed, 0, min(numFrames, 1<<16))
-	for t := 0; t < numFrames; t++ {
-		f, err := csr.ReadPacked(br)
-		if err != nil {
-			return nil, fmt.Errorf("tcsr: frame %d: %w", t, err)
-		}
-		frames = append(frames, f)
-	}
-	return &Packed{numNodes: numNodes, frames: frames}, nil
 }

@@ -1,7 +1,6 @@
 package tcsr
 
 import (
-	"bytes"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -329,34 +328,6 @@ func TestPackedAgreesWithPlain(t *testing.T) {
 	}
 	if pt.SizeBytes() >= tc.SizeBytes() {
 		t.Fatalf("packed %d bytes >= plain %d bytes", pt.SizeBytes(), tc.SizeBytes())
-	}
-}
-
-func TestPackedSerializationRoundTrip(t *testing.T) {
-	events := randomEvents(200, 20, 5, 7)
-	tc, err := BuildFromEvents(events, 20, 5, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pt := tc.Pack(2)
-	var buf bytes.Buffer
-	if _, err := pt.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadPacked(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.NumFrames() != pt.NumFrames() || got.NumNodes() != pt.NumNodes() {
-		t.Fatal("metadata mismatch after round trip")
-	}
-	for tf := 0; tf < pt.NumFrames(); tf++ {
-		if !got.Frame(tf).Equal(pt.Frame(tf)) {
-			t.Fatalf("frame %d mismatch after round trip", tf)
-		}
-	}
-	if _, err := ReadPacked(bytes.NewReader([]byte("XXXX"))); err == nil {
-		t.Fatal("want magic error")
 	}
 }
 

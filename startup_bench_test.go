@@ -4,10 +4,11 @@
 //	BenchmarkStartup — time from "graph file on disk" to "first query
 //	    answerable" on a 10M-edge graph. load=mmap maps the container and
 //	    assembles zero-copy views (page-table setup plus the O(n) offsets
-//	    validation); load=pcsr reads and validates the legacy packed
-//	    stream (full-file read, full allocation); load=rebuild sorts,
-//	    dedups, and bit-packs from the raw edge list — what every server
-//	    start cost before the container format existed.
+//	    validation); load=heap reads the same container into one heap copy
+//	    through the verified reader (full-file read, section CRCs and the
+//	    neighbor-range scan); load=rebuild sorts, dedups, and bit-packs
+//	    from the raw edge list — what every server start cost before the
+//	    container format existed.
 //
 // `make bench-startup` snapshots exactly these sub-benchmarks.
 package csrgraph
@@ -25,15 +26,15 @@ import (
 )
 
 var (
-	startupBenchOnce  sync.Once
-	startupBenchFiles map[string]string // "container"/"legacy" -> path
-	startupBenchList  edgelist.List
-	startupBenchErr   error
+	startupBenchOnce sync.Once
+	startupBenchFile string // the container
+	startupBenchList edgelist.List
+	startupBenchErr  error
 )
 
-// startupBenchSetup builds the 10M-edge graph once and writes it in both
-// on-disk formats; the write happens off every measured clock.
-func startupBenchSetup(b *testing.B) (map[string]string, edgelist.List) {
+// startupBenchSetup builds the 10M-edge graph once and writes it as a
+// container; the write happens off every measured clock.
+func startupBenchSetup(b *testing.B) (string, edgelist.List) {
 	b.Helper()
 	inputs := sortBenchInputs(b)
 	startupBenchOnce.Do(func() {
@@ -47,35 +48,28 @@ func startupBenchSetup(b *testing.B) (map[string]string, edgelist.List) {
 			startupBenchErr = err
 			return
 		}
-		files := map[string]string{
-			"container": filepath.Join(dir, "g.csrc"),
-			"legacy":    filepath.Join(dir, "g.pcsr"),
-		}
-		if err := mgraph.WritePackedFile(files["container"], pk); err != nil {
+		path := filepath.Join(dir, "g.csrc")
+		if err := mgraph.WritePackedFile(path, pk); err != nil {
 			startupBenchErr = err
 			return
 		}
-		if err := pk.SaveFile(files["legacy"]); err != nil {
-			startupBenchErr = err
-			return
-		}
-		startupBenchFiles, startupBenchList = files, src
+		startupBenchFile, startupBenchList = path, src
 	})
 	if startupBenchErr != nil {
 		b.Fatal(startupBenchErr)
 	}
-	return startupBenchFiles, startupBenchList
+	return startupBenchFile, startupBenchList
 }
 
-// BenchmarkStartup is the acceptance benchmark for the mmap path: cold
-// container load versus legacy stream load versus full rebuild, each
+// BenchmarkStartup is the acceptance benchmark for the mmap path: mapped
+// container load versus verified heap load versus full rebuild, each
 // proven live by answering one query before the iteration ends.
 func BenchmarkStartup(b *testing.B) {
-	files, src := startupBenchSetup(b)
+	path, src := startupBenchSetup(b)
 
 	b.Run(fmt.Sprintf("edges=%d/load=mmap", queryBenchEdges), func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			m, err := mgraph.Open(files["container"])
+			m, err := mgraph.Open(path)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -88,13 +82,13 @@ func BenchmarkStartup(b *testing.B) {
 		}
 	})
 
-	b.Run(fmt.Sprintf("edges=%d/load=pcsr", queryBenchEdges), func(b *testing.B) {
+	b.Run(fmt.Sprintf("edges=%d/load=heap", queryBenchEdges), func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			pk, err := csr.LoadPackedFile(files["legacy"])
+			c, err := mgraph.ReadFile(path)
 			if err != nil {
 				b.Fatal(err)
 			}
-			if pk.Degree(0) < 0 {
+			if c.Packed().Degree(0) < 0 {
 				b.Fatal("negative degree")
 			}
 		}

@@ -5,6 +5,7 @@ import (
 	"io"
 
 	"csrgraph/internal/edgelist"
+	"csrgraph/internal/mgraph"
 	"csrgraph/internal/tcsr"
 )
 
@@ -119,16 +120,20 @@ func (ct *CompressedTemporalGraph) ActiveNeighbors(u NodeID, t int) []uint32 {
 // SizeBytes returns the packed payload footprint.
 func (ct *CompressedTemporalGraph) SizeBytes() int64 { return ct.pt.SizeBytes() }
 
-// WriteTo serializes the compressed temporal graph.
-func (ct *CompressedTemporalGraph) WriteTo(w io.Writer) (int64, error) { return ct.pt.WriteTo(w) }
+// SaveFile writes the compressed temporal graph to path as a
+// temporal-form binary container.
+func (ct *CompressedTemporalGraph) SaveFile(path string) error {
+	return mgraph.WriteTemporalFile(path, ct.pt)
+}
 
-// ReadCompressedTemporal deserializes a compressed temporal graph.
-func ReadCompressedTemporal(r io.Reader) (*CompressedTemporalGraph, error) {
-	pt, err := tcsr.ReadPacked(r)
+// LoadCompressedTemporalFile reads a compressed temporal graph written by
+// SaveFile into memory, verified like LoadCompressedFile.
+func LoadCompressedTemporalFile(path string) (*CompressedTemporalGraph, error) {
+	c, err := readContainer(path, mgraph.FormTemporal)
 	if err != nil {
 		return nil, err
 	}
-	return &CompressedTemporalGraph{pt: pt}, nil
+	return &CompressedTemporalGraph{pt: c.Temporal()}, nil
 }
 
 // ActivityQuery asks whether edge (U, V) is active at frame T.

@@ -1,7 +1,7 @@
 package csrgraph
 
 import (
-	"bytes"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -104,15 +104,15 @@ func TestTemporalCompressRoundTrip(t *testing.T) {
 			}
 		}
 	}
-	var buf bytes.Buffer
-	if _, err := ct.WriteTo(&buf); err != nil {
+	path := filepath.Join(t.TempDir(), "t.csrc")
+	if err := ct.SaveFile(path); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadCompressedTemporal(&buf)
+	got, err := LoadCompressedTemporalFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.NumFrames() != ct.NumFrames() || got.NumNodes() != ct.NumNodes() {
+	if got.NumFrames() != ct.NumFrames() || got.NumNodes() != ct.NumNodes() || got.SizeBytes() != ct.SizeBytes() {
 		t.Fatal("round trip metadata mismatch")
 	}
 	if got.Active(0, 1, 3) != ct.Active(0, 1, 3) {

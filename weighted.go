@@ -6,6 +6,7 @@ import (
 	"csrgraph/internal/algo"
 	"csrgraph/internal/csr"
 	"csrgraph/internal/edgelist"
+	"csrgraph/internal/mgraph"
 )
 
 // Weighted graphs: the paper's CSR definition includes a third array, vA,
@@ -123,16 +124,18 @@ func (cg *CompressedWeightedGraph) Decompress() *WeightedGraph {
 	return &WeightedGraph{m: cg.pk.UnpackWeighted(), procs: 1}
 }
 
-// WriteTo serializes the compressed weighted graph.
-func (cg *CompressedWeightedGraph) WriteTo(w io.Writer) (int64, error) {
-	return cg.pk.WriteTo(w)
+// SaveFile writes the compressed weighted graph to path as a binary
+// container.
+func (cg *CompressedWeightedGraph) SaveFile(path string) error {
+	return mgraph.WriteWeightedFile(path, cg.pk)
 }
 
-// ReadCompressedWeighted deserializes a compressed weighted graph.
-func ReadCompressedWeighted(r io.Reader) (*CompressedWeightedGraph, error) {
-	pk, err := csr.ReadPackedWeighted(r)
+// LoadCompressedWeightedFile reads a compressed weighted graph written by
+// SaveFile into memory, verified like LoadCompressedFile.
+func LoadCompressedWeightedFile(path string) (*CompressedWeightedGraph, error) {
+	ct, err := readContainer(path, mgraph.FormWeighted)
 	if err != nil {
 		return nil, err
 	}
-	return &CompressedWeightedGraph{pk: pk}, nil
+	return &CompressedWeightedGraph{pk: ct.Weighted()}, nil
 }

@@ -1,7 +1,7 @@
 package csrgraph
 
 import (
-	"bytes"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -117,11 +117,11 @@ func TestCompressedWeightedSerializationPublic(t *testing.T) {
 		t.Fatal(err)
 	}
 	cg := g.Compress()
-	var buf bytes.Buffer
-	if _, err := cg.WriteTo(&buf); err != nil {
+	path := filepath.Join(t.TempDir(), "w.csrc")
+	if err := cg.SaveFile(path); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadCompressedWeighted(&buf)
+	got, err := LoadCompressedWeightedFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
