@@ -358,12 +358,12 @@ func BenchmarkTCSRCheckpointAblation(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	tc, err := tcsr.BuildFromEvents(events, nodes, frames, 4)
+	pt, err := tcsr.BuildFromEvents(events, nodes, frames, 4)
 	if err != nil {
 		b.Fatal(err)
 	}
 	for _, interval := range []int{1, 8, 64} {
-		ck, err := tcsr.NewCheckpointed(tc, interval, 4)
+		ck, err := pt.Checkpoint(interval, 4)
 		if err != nil {
 			b.Fatal(err)
 		}

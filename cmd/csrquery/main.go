@@ -1,6 +1,5 @@
 // Command csrquery runs queries against a graph container produced by
-// csrconvert, or a temporal container written by
-// CompressedTemporalGraph.SaveFile:
+// csrconvert, or a temporal container written by TemporalGraph.SaveFile:
 //
 //	csrquery -graph g.csrc neighbors 17 42
 //	csrquery -graph g.csrc exists 17:42 9:3

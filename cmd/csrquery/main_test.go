@@ -45,7 +45,7 @@ func temporalFixture(t *testing.T) string {
 		t.Fatal(err)
 	}
 	path := filepath.Join(t.TempDir(), "t.csrc")
-	if err := mgraph.WriteTemporalFile(path, tc.Pack(1)); err != nil {
+	if err := mgraph.WriteTemporalFile(path, tc); err != nil {
 		t.Fatal(err)
 	}
 	return path

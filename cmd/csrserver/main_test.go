@@ -48,7 +48,7 @@ func TestBuildHandlerTemporal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := mgraph.WriteTemporalFile(path, tc.Pack(1)); err != nil {
+	if err := mgraph.WriteTemporalFile(path, tc); err != nil {
 		t.Fatal(err)
 	}
 	h, _, err := buildHandler(serveConfig{temporalPath: path, procs: 2})

@@ -96,7 +96,7 @@ func TestStatsOnContainerInput(t *testing.T) {
 		t.Fatal(err)
 	}
 	temporal := filepath.Join(filepath.Dir(path), "t.csrc")
-	if err := mgraph.WriteTemporalFile(temporal, tc.Pack(1)); err != nil {
+	if err := mgraph.WriteTemporalFile(temporal, tc); err != nil {
 		t.Fatal(err)
 	}
 	if err := run([]string{"-in", temporal, "-meta", "-verify"}); err != nil {

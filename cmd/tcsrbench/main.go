@@ -1,7 +1,7 @@
-// Command tcsrbench measures the time-evolving differential CSR of
-// Section IV: parallel construction time across a processor sweep, the
-// space of the differential form versus full per-frame snapshots
-// (-compare), and activity-query throughput.
+// Command tcsrbench measures the bit-packed time-evolving differential CSR
+// of Section IV: parallel construction time across a processor sweep, the
+// space of the differential form versus full per-frame snapshots and the
+// checkpoint-interval ablation (-compare), and activity-query throughput.
 //
 //	tcsrbench -nodes 20000 -base 100000 -churn 2000 -frames 50 -compare
 package main
@@ -56,12 +56,10 @@ func run(args []string) error {
 	fmt.Println("== TCSR construction time vs processors (Algorithm 5) ==")
 	var t1 time.Duration
 	for _, p := range procs {
-		var tc *tcsr.Temporal
 		best := time.Duration(0)
 		for r := 0; r < *reps; r++ {
 			start := time.Now()
-			tc, err = tcsr.BuildFromEvents(events, *nodes, *frames, p)
-			if err != nil {
+			if _, err := tcsr.BuildFromEvents(events, *nodes, *frames, p); err != nil {
 				return err
 			}
 			if d := time.Since(start); best == 0 || d < best {
@@ -76,26 +74,23 @@ func run(args []string) error {
 			speed = fmt.Sprintf("%.2f%%", 100*float64(t1-best)/float64(t1))
 		}
 		fmt.Printf("p=%-3d  %10v  speed-up %s\n", p, best, speed)
-		_ = tc
 	}
 
-	tc, err := tcsr.BuildFromEvents(events, *nodes, *frames, 4)
+	pt, err := tcsr.BuildFromEvents(events, *nodes, *frames, 4)
 	if err != nil {
 		return err
 	}
-	pt := tc.Pack(4)
+	plain := pt.PlainSizeBytes()
 	fmt.Printf("\ndifferential TCSR: %s plain, %s bit-packed\n",
-		harness.HumanBytes(tc.SizeBytes()), harness.HumanBytes(pt.SizeBytes()))
+		harness.HumanBytes(plain), harness.HumanBytes(pt.SizeBytes()))
 
 	if *compare {
-		full := tc.FullSnapshotSizeBytes()
+		full := pt.FullSnapshotSizeBytes()
 		fmt.Printf("full snapshots:    %s (differential is %.1fx smaller)\n",
-			harness.HumanBytes(full), float64(full)/float64(tc.SizeBytes()))
-	}
+			harness.HumanBytes(full), float64(full)/float64(plain))
 
-	// Checkpoint-interval ablation: query time vs space (the copy+log
-	// trade-off from the related work).
-	if *compare {
+		// Checkpoint-interval ablation: query time vs space (the copy+log
+		// trade-off from the related work).
 		fmt.Println("\n== checkpoint interval ablation (Active query, space vs latency) ==")
 		queriesCk := make([]tcsr.ActivityQuery, 2000)
 		st := *seed
@@ -111,7 +106,7 @@ func run(args []string) error {
 			if interval > *frames {
 				continue
 			}
-			ck, err := tcsr.NewCheckpointed(tc, interval, 4)
+			ck, err := pt.Checkpoint(interval, 4)
 			if err != nil {
 				return err
 			}

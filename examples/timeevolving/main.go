@@ -32,12 +32,16 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// Differential storage vs naive per-frame snapshots.
-	fmt.Printf("differential TCSR: %d KB; full snapshots would be %d KB (%.1fx larger)\n",
+	// Bit-packed differential storage vs naive per-frame snapshots.
+	fmt.Printf("bit-packed differential TCSR: %d KB; uncompressed full snapshots would be %d KB (%.1fx larger)\n",
 		tg.SizeBytes()/1024, tg.FullSnapshotSizeBytes()/1024,
 		float64(tg.FullSnapshotSizeBytes())/float64(tg.SizeBytes()))
-	ct := tg.Compress()
-	fmt.Printf("bit-packed differential: %d KB\n", ct.SizeBytes()/1024)
+	// A checkpoint every 8 frames bounds the frames each query folds.
+	ct, err := tg.Checkpoint(8)
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("with a checkpoint every 8 frames: %d KB\n", ct.SizeBytes()/1024)
 
 	// Track one page's outgoing links through history.
 	page := csrgraph.NodeID(0)

@@ -87,7 +87,7 @@ func TestEndToEndPipeline(t *testing.T) {
 }
 
 // TestEndToEndTemporalPipeline does the same for the temporal side:
-// generate an edit stream, build, compress, serialize, reload, checkpoint
+// generate an edit stream, build (bit-packed), serialize, reload, checkpoint
 // and compare every answer.
 func TestEndToEndTemporalPipeline(t *testing.T) {
 	const (
@@ -103,17 +103,19 @@ func TestEndToEndTemporalPipeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ct := tg.Compress()
-
 	path := filepath.Join(t.TempDir(), "temporal.csrc")
-	if err := ct.SaveFile(path); err != nil {
+	if err := tg.SaveFile(path); err != nil {
 		t.Fatal(err)
 	}
-	reloaded, err := LoadCompressedTemporalFile(path)
+	reloaded, err := LoadTemporalFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ck, err := tg.Checkpoint(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reloadedCk, err := reloaded.Checkpoint(5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,10 +124,10 @@ func TestEndToEndTemporalPipeline(t *testing.T) {
 	for u := uint32(0); u < nodes; u += 41 {
 		for f := 0; f < frames; f += 3 {
 			plain := tg.ActiveNeighbors(u, f)
-			comp := ct.ActiveNeighbors(u, f)
 			rel := reloaded.ActiveNeighbors(u, f)
 			ckd := ck.ActiveNeighbors(u, f)
-			if !reflect.DeepEqual(plain, comp) || !reflect.DeepEqual(plain, rel) || !reflect.DeepEqual(plain, ckd) {
+			relCk := reloadedCk.ActiveNeighbors(u, f)
+			if !reflect.DeepEqual(plain, relCk) || !reflect.DeepEqual(plain, rel) || !reflect.DeepEqual(plain, ckd) {
 				t.Fatalf("node %d frame %d: answer paths disagree", u, f)
 			}
 		}

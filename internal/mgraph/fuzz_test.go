@@ -53,7 +53,7 @@ func FuzzParseContainer(f *testing.F) {
 		if err != nil {
 			f.Fatal(err)
 		}
-		tdata := seed(fmt.Sprintf("t%d.csrc", frames), func(p string) error { return WriteTemporalFile(p, tc.Pack(1)) })
+		tdata := seed(fmt.Sprintf("t%d.csrc", frames), func(p string) error { return WriteTemporalFile(p, tc) })
 		if frames > 1 {
 			lying := append([]byte{}, tdata...)
 			putU64(lying[24:], 2)

@@ -1,6 +1,7 @@
 package mgraph
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -32,7 +33,7 @@ func testTemporal(t testing.TB, nodes, frames int) *tcsr.Packed {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return tc.Pack(2)
+	return tc
 }
 
 // writeTemporalTemp writes pt as a temporal container in the test's temp
@@ -98,6 +99,22 @@ func TestRoundTripTemporal(t *testing.T) {
 		t.Fatalf("ReadFile: %v", err)
 	}
 	sameTemporal(t, "heap", c.Temporal(), want)
+
+	// A reloaded graph is in the paper's form; checkpointing it must give
+	// the graph that checkpointing the built one gives.
+	for _, interval := range []int{1, 3, want.NumFrames()} {
+		wantCk, err := want.Checkpoint(interval, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for how, pt := range map[string]*tcsr.Packed{"mapped": m.Temporal(), "heap": c.Temporal()} {
+			ck, err := pt.Checkpoint(interval, 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameTemporal(t, fmt.Sprintf("%s, interval %d", how, interval), ck, wantCk)
+		}
+	}
 
 	// No frames at all is a valid temporal graph too.
 	empty, err := tcsr.AssemblePacked(5, nil)

@@ -250,7 +250,7 @@ func TestTemporalHandlerMetrics(t *testing.T) {
 		{{U: 0, V: 1}},
 		{{U: 0, V: 1}, {U: 1, V: 2}},
 	}
-	pt := tcsr.BuildFromSnapshots(snaps, 3, 2).Pack(2)
+	pt := tcsr.BuildFromSnapshots(snaps, 3, 2)
 	h := NewTemporal(pt, 2, WithMetrics())
 	defer obs.SetEnabled(false)
 

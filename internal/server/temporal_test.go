@@ -20,7 +20,7 @@ func temporalHandler(t *testing.T) *TemporalHandler {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return NewTemporal(tc.Pack(1), 2)
+	return NewTemporal(tc, 2)
 }
 
 func TestTemporalHealthAndStats(t *testing.T) {

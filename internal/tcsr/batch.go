@@ -15,8 +15,13 @@ type ActivityQuery struct {
 	T    int
 }
 
-// ActiveBatch answers an array of activity queries with p processors.
+// ActiveBatch answers an array of activity queries with p processors. Every
+// query's frame is checked on the caller's goroutine before dispatch, so an
+// out-of-range frame panics there, as in Active, and not in a pool worker.
 func (pt *Packed) ActiveBatch(queries []ActivityQuery, p int) []bool {
+	for _, q := range queries {
+		pt.checkFrame(q.T)
+	}
 	out := make([]bool, len(queries))
 	parallel.For(len(queries), p, func(_ int, r parallel.Range) {
 		for i := r.Start; i < r.End; i++ {
@@ -34,8 +39,11 @@ type NeighborQuery struct {
 }
 
 // ActiveNeighborsBatch answers an array of temporal neighborhood queries
-// with p processors.
+// with p processors, checking every frame first like ActiveBatch.
 func (pt *Packed) ActiveNeighborsBatch(queries []NeighborQuery, p int) [][]uint32 {
+	for _, q := range queries {
+		pt.checkFrame(q.T)
+	}
 	out := make([][]uint32, len(queries))
 	parallel.For(len(queries), p, func(_ int, r parallel.Range) {
 		for i := r.Start; i < r.End; i++ {
@@ -70,17 +78,5 @@ func (pt *Packed) DegreeTimeline(u edgelist.NodeID) []int {
 		}
 		out[t] = active
 	}
-	return out
-}
-
-// ActiveBatch answers activity queries over the plain temporal structure.
-func (tc *Temporal) ActiveBatch(queries []ActivityQuery, p int) []bool {
-	out := make([]bool, len(queries))
-	parallel.For(len(queries), p, func(_ int, r parallel.Range) {
-		for i := r.Start; i < r.End; i++ {
-			q := queries[i]
-			out[i] = tc.Active(q.U, q.V, q.T)
-		}
-	})
 	return out
 }

@@ -3,7 +3,7 @@ package tcsr
 // Differential-pipeline instrumentation, in the same
 // csrgraph_build_stage_seconds family the static CSR pipeline reports
 // under: tcsr_diff is the Figure 5 snapshot-differencing pass
-// (BuildFromSnapshots), tcsr_frames the per-frame build from a sorted
+// (BuildFromSnapshots), tcsr_frames the per-frame build and pack from a sorted
 // event list (BuildFromEvents). tcsr_diff_imbalance mirrors the fill
 // imbalance gauge: slowest worker over mean worker wall time across the
 // differencing team.

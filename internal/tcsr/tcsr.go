@@ -8,7 +8,8 @@
 // differential: frame 0 is an absolute CSR snapshot, every later frame is a
 // CSR of the edges that toggled in that frame. An edge is active at frame t
 // iff it occurs an odd number of times in frames 0..t (the parity rule of
-// Section IV).
+// Section IV). Every frame is bit-packed as it is built: Packed is the one
+// representation, and its checkpoint interval the one knob.
 //
 // Construction is parallel in two ways, mirroring Algorithm 5:
 //
@@ -33,31 +34,14 @@ import (
 	"csrgraph/internal/parallel"
 )
 
-// Temporal is the differential time-evolving CSR. Frame 0 holds the
-// absolute snapshot at t=0; frame i>0 holds the toggle set between frame
-// i-1 and frame i. Both are plain CSR matrices; Pack converts them to the
-// bit-packed form Algorithm 5 returns.
-type Temporal struct {
-	numNodes int
-	frames   []*csr.Matrix
-}
-
-// NumFrames returns the number of time-frames.
-func (tc *Temporal) NumFrames() int { return len(tc.frames) }
-
-// NumNodes returns the node-id space size.
-func (tc *Temporal) NumNodes() int { return tc.numNodes }
-
-// Frame returns the raw differential CSR of frame t (frame 0 is absolute).
-func (tc *Temporal) Frame(t int) *csr.Matrix { return tc.frames[t] }
-
-// BuildFromEvents constructs the differential TCSR from a (t, u, v)-sorted
-// toggle-event list using p processors. Because the events of one frame are
-// already the frame's toggle set, the differential form is the per-frame
-// event CSRs themselves; parallelism divides the event list into chunks,
-// builds each chunk's frame CSRs privately, and merges the at-most-one
-// frame that overlaps each chunk boundary.
-func BuildFromEvents(events edgelist.TemporalList, numNodes, numFrames, p int) (*Temporal, error) {
+// BuildFromEvents constructs the bit-packed differential TCSR from a
+// (t, u, v)-sorted toggle-event list using p processors. Because the events
+// of one frame are already the frame's toggle set, the differential form is
+// the per-frame event CSRs themselves; parallelism divides the event list
+// into chunks, builds each chunk's frame CSRs privately, and merges the
+// at-most-one frame that overlaps each chunk boundary. Each frame is packed
+// as soon as it is built.
+func BuildFromEvents(events edgelist.TemporalList, numNodes, numFrames, p int) (*Packed, error) {
 	if !events.IsSorted() {
 		return nil, fmt.Errorf("tcsr: event list must be sorted by (t, u, v)")
 	}
@@ -65,7 +49,7 @@ func BuildFromEvents(events edgelist.TemporalList, numNodes, numFrames, p int) (
 		numFrames = nf
 	}
 	if numFrames == 0 {
-		return &Temporal{numNodes: numNodes}, nil
+		return newPacked(numNodes, nil), nil
 	}
 	// Slice the event list by frame. Frame starts are found per chunk in
 	// parallel; a frame spanning a boundary is detected because both chunks
@@ -73,7 +57,7 @@ func BuildFromEvents(events edgelist.TemporalList, numNodes, numFrames, p int) (
 	// merge is positional: the frame's full extent is the union of the
 	// parts, computed from the per-chunk first/last frame markers.
 	bounds := frameBounds(events, numFrames, p)
-	frames := make([]*csr.Matrix, numFrames)
+	frames := make([]*csr.Packed, numFrames)
 	start := obs.Now()
 	parallel.ForEach(numFrames, p, func(t int) {
 		part := events[bounds[t]:bounds[t+1]]
@@ -82,10 +66,10 @@ func BuildFromEvents(events edgelist.TemporalList, numNodes, numFrames, p int) (
 			frameEdges[i] = edgelist.Edge{U: ev.U, V: ev.V}
 		}
 		// Events within a frame are (u, v)-sorted by the input invariant.
-		frames[t] = csr.BuildSequential(frameEdges, numNodes)
+		frames[t] = packFrame(frameEdges, numNodes)
 	})
 	obs.Tick(stageFrames, start)
-	return &Temporal{numNodes: numNodes, frames: frames}, nil
+	return newPacked(numNodes, frames), nil
 }
 
 // frameBounds computes, in parallel over p chunks of the event list, the
@@ -118,17 +102,17 @@ func frameBounds(events edgelist.TemporalList, numFrames, p int) []int {
 	return bounds
 }
 
-// BuildFromSnapshots constructs the differential TCSR from a series of
-// absolute per-frame edge sets (each sorted by (u, v)). This is the
+// BuildFromSnapshots constructs the bit-packed differential TCSR from a
+// series of absolute per-frame edge sets (each sorted by (u, v)). This is the
 // Figure 5 pipeline: frames are divided into p chunks; each processor
 // differences the consecutive frame pairs interior to its chunk; the first
 // frame of every chunk is differenced against the last frame of the
 // previous chunk after the barrier (the carry propagation step); chunk 0's
 // first frame is kept absolute.
-func BuildFromSnapshots(snapshots []edgelist.List, numNodes, p int) *Temporal {
-	frames := make([]*csr.Matrix, len(snapshots))
+func BuildFromSnapshots(snapshots []edgelist.List, numNodes, p int) *Packed {
+	frames := make([]*csr.Packed, len(snapshots))
 	if len(snapshots) == 0 {
-		return &Temporal{numNodes: numNodes}
+		return newPacked(numNodes, nil)
 	}
 	chunks := parallel.Chunks(len(snapshots), p)
 	team := parallel.NewTeam(len(chunks))
@@ -144,7 +128,7 @@ func BuildFromSnapshots(snapshots []edgelist.List, numNodes, p int) *Temporal {
 		r := chunks[w.ID()]
 		// Interior pairs: frame i differenced against frame i-1.
 		for t := r.Start + 1; t < r.End; t++ {
-			frames[t] = csr.BuildSequential(symmetricDiff(snapshots[t-1], snapshots[t]), numNodes)
+			frames[t] = packFrame(symmetricDiff(snapshots[t-1], snapshots[t]), numNodes)
 		}
 		if workerNS != nil {
 			workerNS[w.ID()] += time.Since(t0).Nanoseconds()
@@ -156,9 +140,9 @@ func BuildFromSnapshots(snapshots []edgelist.List, numNodes, p int) *Temporal {
 		// which is read-only input, so no further synchronization is needed
 		// after the barrier.
 		if w.ID() == 0 {
-			frames[0] = csr.BuildSequential(snapshots[0], numNodes)
+			frames[0] = packFrame(snapshots[0], numNodes)
 		} else {
-			frames[r.Start] = csr.BuildSequential(symmetricDiff(snapshots[r.Start-1], snapshots[r.Start]), numNodes)
+			frames[r.Start] = packFrame(symmetricDiff(snapshots[r.Start-1], snapshots[r.Start]), numNodes)
 		}
 		if workerNS != nil {
 			workerNS[w.ID()] += time.Since(t1).Nanoseconds()
@@ -168,7 +152,15 @@ func BuildFromSnapshots(snapshots []edgelist.List, numNodes, p int) *Temporal {
 		diffImbalance.Set(obs.ImbalanceRatio(workerNS))
 	}
 	obs.Tick(stageDiff, start)
-	return &Temporal{numNodes: numNodes, frames: frames}
+	return newPacked(numNodes, frames)
+}
+
+// packFrame builds one frame's CSR from its (u, v)-sorted edges and packs
+// it on one processor: frames and checkpoints are built concurrently with
+// each other, so each build stays sequential to keep the goroutine count
+// at p.
+func packFrame(l edgelist.List, numNodes int) *csr.Packed {
+	return csr.PackMatrix(csr.BuildSequential(l, numNodes), 1)
 }
 
 // symmetricDiff returns the sorted symmetric difference of two sorted edge
@@ -194,39 +186,43 @@ func symmetricDiff(a, b edgelist.List) edgelist.List {
 	return out
 }
 
-// Snapshot reconstructs the absolute sorted edge list active at frame t by
-// folding the differential frames 0..t with the parity rule: an edge is
-// active iff it occurs an odd number of times.
-func (tc *Temporal) Snapshot(t int) edgelist.List {
-	if t < 0 || t >= len(tc.frames) {
-		panic(fmt.Sprintf("tcsr: frame %d out of range [0,%d)", t, len(tc.frames)))
+// frameEdges returns frame f's edges in (u, v) order.
+func frameEdges(f *csr.Packed) edgelist.List { return f.Unpack().Edges() }
+
+// fold runs the parity fold over frames 0..last once, calling visit with
+// the absolute sorted edge list active at every frame t in order. The list
+// passed to visit is never written afterwards, so visit may keep it.
+func (pt *Packed) fold(last int, visit func(t int, cur edgelist.List)) {
+	var cur edgelist.List
+	for t := 0; t <= last; t++ {
+		cur = symmetricDiff(cur, frameEdges(pt.frames[t]))
+		visit(t, cur)
 	}
-	cur := tc.frames[0].Edges()
-	for i := 1; i <= t; i++ {
-		cur = symmetricDiff(cur, tc.frames[i].Edges())
-	}
-	return cur
 }
 
-// SnapshotParallel reconstructs the absolute edge list at frame t with p
-// processors: the differential frames 0..t are folded with a parallel tree
-// reduction — symmetric difference is associative and commutative under
-// the parity rule, so chunks of frames reduce independently and the chunk
-// results merge pairwise, mirroring how Figure 5's construction divides
-// frames among processors.
-func (tc *Temporal) SnapshotParallel(t, p int) edgelist.List {
-	if t < 0 || t >= len(tc.frames) {
-		panic(fmt.Sprintf("tcsr: frame %d out of range [0,%d)", t, len(tc.frames)))
+// Snapshot reconstructs the absolute sorted edge list active at frame t
+// with p processors by folding, with the parity rule, the checkpoint that
+// precedes t and the differential frames after it. The fold is a parallel
+// tree reduction: symmetric difference is associative and commutative, so
+// chunks of frames reduce independently and the chunk results merge
+// pairwise, mirroring how Figure 5's construction divides frames among
+// processors. At p = 1 it is the sequential left fold.
+func (pt *Packed) Snapshot(t, p int) edgelist.List {
+	base, from := pt.base(t)
+	// Operand 0 is the base; operand i > 0 is frame from+i-1.
+	operand := func(i int) edgelist.List {
+		if i == 0 {
+			return frameEdges(base)
+		}
+		return frameEdges(pt.frames[from+i-1])
 	}
-	chunks := parallel.Chunks(t+1, p)
-	if len(chunks) <= 1 {
-		return tc.Snapshot(t)
-	}
+	n := t - from + 2
+	chunks := parallel.Chunks(n, p)
 	partials := make([]edgelist.List, len(chunks))
-	parallel.For(t+1, len(chunks), func(c int, r parallel.Range) {
-		cur := tc.frames[r.Start].Edges()
+	parallel.For(n, len(chunks), func(c int, r parallel.Range) {
+		cur := operand(r.Start)
 		for i := r.Start + 1; i < r.End; i++ {
-			cur = symmetricDiff(cur, tc.frames[i].Edges())
+			cur = symmetricDiff(cur, operand(i))
 		}
 		partials[c] = cur
 	})
@@ -246,110 +242,14 @@ func (tc *Temporal) SnapshotParallel(t, p int) edgelist.List {
 	return partials[0]
 }
 
-// Active reports whether edge (u, v) is active at frame t: the parity of
-// its occurrence count over differential frames 0..t. Each frame lookup is
-// a binary search over that frame's CSR row.
-func (tc *Temporal) Active(u, v edgelist.NodeID, t int) bool {
-	if t < 0 || t >= len(tc.frames) {
-		panic(fmt.Sprintf("tcsr: frame %d out of range [0,%d)", t, len(tc.frames)))
-	}
-	count := 0
-	for i := 0; i <= t; i++ {
-		if int(u) < tc.frames[i].NumNodes() && tc.frames[i].HasEdgeBinary(u, v) {
-			count++
-		}
-	}
-	return count%2 == 1
-}
-
-// ActiveNeighbors returns the sorted neighbors of u active at frame t, by
-// parity-merging u's rows across differential frames 0..t.
-func (tc *Temporal) ActiveNeighbors(u edgelist.NodeID, t int) []uint32 {
-	if t < 0 || t >= len(tc.frames) {
-		panic(fmt.Sprintf("tcsr: frame %d out of range [0,%d)", t, len(tc.frames)))
-	}
-	parity := make(map[uint32]int)
-	for i := 0; i <= t; i++ {
-		if int(u) >= tc.frames[i].NumNodes() {
-			continue
-		}
-		for _, v := range tc.frames[i].Neighbors(u) {
-			parity[v]++
-		}
-	}
-	out := make([]uint32, 0, len(parity))
-	for v, c := range parity {
-		if c%2 == 1 {
-			out = append(out, v)
-		}
-	}
-	sortUint32(out)
-	return out
-}
-
-func sortUint32(xs []uint32) {
-	// Insertion sort is fine for typical row sizes; fall back to a simple
-	// quicksort for long rows.
-	if len(xs) < 32 {
-		for i := 1; i < len(xs); i++ {
-			for j := i; j > 0 && xs[j] < xs[j-1]; j-- {
-				xs[j], xs[j-1] = xs[j-1], xs[j]
-			}
-		}
-		return
-	}
-	quickSortUint32(xs)
-}
-
-func quickSortUint32(xs []uint32) {
-	for len(xs) > 16 {
-		pivot := xs[len(xs)/2]
-		i, j := 0, len(xs)-1
-		for i <= j {
-			for xs[i] < pivot {
-				i++
-			}
-			for xs[j] > pivot {
-				j--
-			}
-			if i <= j {
-				xs[i], xs[j] = xs[j], xs[i]
-				i++
-				j--
-			}
-		}
-		if j > len(xs)-i {
-			quickSortUint32(xs[i:])
-			xs = xs[:j+1]
-		} else {
-			quickSortUint32(xs[:j+1])
-			xs = xs[i:]
-		}
-	}
-	for i := 1; i < len(xs); i++ {
-		for j := i; j > 0 && xs[j] < xs[j-1]; j-- {
-			xs[j], xs[j-1] = xs[j-1], xs[j]
-		}
-	}
-}
-
-// SizeBytes returns the total uncompressed differential footprint.
-func (tc *Temporal) SizeBytes() int64 {
+// FullSnapshotSizeBytes returns what storing every frame as an absolute
+// uncompressed CSR would cost — the "space-consuming" baseline Section IV
+// motivates the differential form against: 4 bytes per row offset and per
+// active edge, summed over frames, from one fold over the frames.
+func (pt *Packed) FullSnapshotSizeBytes() int64 {
 	var total int64
-	for _, f := range tc.frames {
-		total += f.SizeBytes()
-	}
-	return total
-}
-
-// FullSnapshotSizeBytes returns what storing every frame as an absolute CSR
-// would cost — the "space-consuming" baseline Section IV motivates the
-// differential form against.
-func (tc *Temporal) FullSnapshotSizeBytes() int64 {
-	var total int64
-	for t := range tc.frames {
-		snap := tc.Snapshot(t)
-		total += int64(len(tc.frames[t].RowOffsets))*4 + int64(len(snap))*4
-	}
+	pt.fold(len(pt.frames)-1, func(_ int, cur edgelist.List) {
+		total += 4*int64(pt.numNodes+1) + 4*int64(len(cur))
+	})
 	return total
 }

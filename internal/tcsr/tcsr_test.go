@@ -3,6 +3,7 @@ package tcsr
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -38,6 +39,28 @@ func simulate(events edgelist.TemporalList, numFrames int) *simulator {
 		s.active[t] = snap
 	}
 	return s
+}
+
+// snapshot returns the (u, v)-sorted edges active after frame t.
+func (s *simulator) snapshot(t int) edgelist.List {
+	out := edgelist.List{}
+	for e := range s.active[t] {
+		out = append(out, e)
+	}
+	out.SortByUV(1)
+	return out
+}
+
+// neighbors returns the sorted ids v with (u, v) active after frame t.
+func (s *simulator) neighbors(u uint32, t int) []uint32 {
+	out := []uint32{}
+	for e := range s.active[t] {
+		if e.U == u {
+			out = append(out, e.V)
+		}
+	}
+	slices.Sort(out)
+	return out
 }
 
 func randomEvents(n, numNodes, numFrames int, seed int64) edgelist.TemporalList {
@@ -111,7 +134,7 @@ func TestBuildFromEventsMatchesSimulator(t *testing.T) {
 			t.Fatal(err)
 		}
 		for tf := 0; tf < numFrames; tf++ {
-			snap := tc.Snapshot(tf)
+			snap := tc.Snapshot(tf, 1)
 			if len(snap) != len(sim.active[tf]) {
 				t.Fatalf("p=%d t=%d: snapshot size %d, want %d", p, tf, len(snap), len(sim.active[tf]))
 			}
@@ -183,7 +206,7 @@ func TestBuildFromSnapshotsRoundTrip(t *testing.T) {
 	for _, p := range []int{1, 2, 4, 8} {
 		tc := BuildFromSnapshots(snaps, 4, p)
 		for tf := range snaps {
-			if got := tc.Snapshot(tf); !reflect.DeepEqual(got, snaps[tf]) {
+			if got := tc.Snapshot(tf, p); !reflect.DeepEqual(got, snaps[tf]) {
 				t.Fatalf("p=%d: Snapshot(%d) = %v, want %v", p, tf, got, snaps[tf])
 			}
 		}
@@ -212,25 +235,28 @@ func TestBuildFromSnapshotsMatchesEvents(t *testing.T) {
 	// though their internal frame CSRs may differ (events within one frame
 	// may cancel pairwise).
 	for tf := 0; tf < numFrames; tf++ {
-		if !reflect.DeepEqual(tcS.Snapshot(tf), tcE.Snapshot(tf)) {
+		if !reflect.DeepEqual(tcS.Snapshot(tf, 1), tcE.Snapshot(tf, 1)) {
 			t.Fatalf("t=%d: snapshot mismatch between construction paths", tf)
 		}
 	}
 }
 
+// TestSnapshotParallelMatchesSequential sweeps the tree fold's processor
+// count, from the sequential fold at p = 1 up to more chunks than frames,
+// against the simulator.
 func TestSnapshotParallelMatchesSequential(t *testing.T) {
 	const numNodes, numFrames = 30, 16
 	events := randomEvents(800, numNodes, numFrames, 9)
+	sim := simulate(events, numFrames)
 	tc, err := BuildFromEvents(events, numNodes, numFrames, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, tf := range []int{0, 1, 7, numFrames - 1} {
-		want := tc.Snapshot(tf)
+		want := sim.snapshot(tf)
 		for _, p := range []int{1, 2, 3, 8, 64} {
-			got := tc.SnapshotParallel(tf, p)
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("t=%d p=%d: parallel snapshot diverges (%d vs %d edges)",
+			if got := tc.Snapshot(tf, p); !reflect.DeepEqual(got, want) {
+				t.Fatalf("t=%d p=%d: snapshot diverges from the simulator (%d vs %d edges)",
 					tf, p, len(got), len(want))
 			}
 		}
@@ -244,7 +270,7 @@ func TestSnapshotParallelOutOfRange(t *testing.T) {
 			t.Fatal("want panic")
 		}
 	}()
-	tc.SnapshotParallel(3, 2)
+	tc.Snapshot(3, 2)
 }
 
 func TestActiveNeighborsMatchesSimulator(t *testing.T) {
@@ -257,18 +283,8 @@ func TestActiveNeighborsMatchesSimulator(t *testing.T) {
 	}
 	for tf := 0; tf < numFrames; tf++ {
 		for u := uint32(0); u < numNodes; u++ {
-			var want []uint32
-			for e := range sim.active[tf] {
-				if e.U == u {
-					want = append(want, e.V)
-				}
-			}
-			sortUint32(want)
-			got := tc.ActiveNeighbors(u, tf)
-			if len(want) == 0 && len(got) == 0 {
-				continue
-			}
-			if !reflect.DeepEqual(got, want) {
+			want := sim.neighbors(u, tf)
+			if got := tc.ActiveNeighbors(u, tf); !reflect.DeepEqual(got, want) {
 				t.Fatalf("ActiveNeighbors(%d, t=%d) = %v, want %v", u, tf, got, want)
 			}
 		}
@@ -296,38 +312,59 @@ func TestSizeDifferentialSmallerThanFull(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tc.SizeBytes() >= tc.FullSnapshotSizeBytes() {
+	// Like for like: both sides uncompressed.
+	if tc.PlainSizeBytes() >= tc.FullSnapshotSizeBytes() {
 		t.Fatalf("differential %d bytes >= full snapshots %d bytes",
-			tc.SizeBytes(), tc.FullSnapshotSizeBytes())
+			tc.PlainSizeBytes(), tc.FullSnapshotSizeBytes())
 	}
 }
 
+// TestPackedAgreesWithPlain checks the packed differential frames against the
+// plain uncompressed snapshots they reconstruct, and that packing takes less
+// space than the same frames unpacked.
 func TestPackedAgreesWithPlain(t *testing.T) {
 	const numNodes, numFrames = 30, 8
 	events := randomEvents(400, numNodes, numFrames, 5)
-	tc, err := BuildFromEvents(events, numNodes, numFrames, 2)
+	pt, err := BuildFromEvents(events, numNodes, numFrames, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pt := tc.Pack(4)
 	if pt.NumFrames() != numFrames || pt.NumNodes() != numNodes {
 		t.Fatal("packed metadata wrong")
+	}
+	plain := make([]map[edgelist.Edge]bool, numFrames)
+	for tf := range plain {
+		plain[tf] = map[edgelist.Edge]bool{}
+		for _, e := range pt.Snapshot(tf, 4) {
+			plain[tf][e] = true
+		}
 	}
 	rng := rand.New(rand.NewSource(6))
 	for i := 0; i < 500; i++ {
 		u, v := rng.Uint32()%numNodes, rng.Uint32()%numNodes
 		tf := rng.Intn(numFrames)
-		if pt.Active(u, v, tf) != tc.Active(u, v, tf) {
+		if pt.Active(u, v, tf) != plain[tf][edgelist.Edge{U: u, V: v}] {
 			t.Fatalf("packed Active(%d,%d,%d) disagrees", u, v, tf)
 		}
 	}
+	last := pt.Snapshot(numFrames-1, 1)
 	for u := uint32(0); u < numNodes; u++ {
-		if !reflect.DeepEqual(pt.ActiveNeighbors(u, numFrames-1), tc.ActiveNeighbors(u, numFrames-1)) {
-			t.Fatalf("packed ActiveNeighbors(%d) disagrees", u)
+		want := []uint32{}
+		for _, e := range last {
+			if e.U == u {
+				want = append(want, e.V)
+			}
+		}
+		got := pt.ActiveNeighbors(u, numFrames-1)
+		if len(got) == 0 && len(want) == 0 {
+			continue
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("packed ActiveNeighbors(%d) = %v, want %v", u, got, want)
 		}
 	}
-	if pt.SizeBytes() >= tc.SizeBytes() {
-		t.Fatalf("packed %d bytes >= plain %d bytes", pt.SizeBytes(), tc.SizeBytes())
+	if pt.SizeBytes() >= pt.PlainSizeBytes() {
+		t.Fatalf("packed %d bytes >= plain %d bytes", pt.SizeBytes(), pt.PlainSizeBytes())
 	}
 }
 
@@ -357,7 +394,7 @@ func TestQuickEventsSnapshot(t *testing.T) {
 			return false
 		}
 		for tf := 0; tf < numFrames; tf++ {
-			snap := tc.Snapshot(tf)
+			snap := tc.Snapshot(tf, int(p%8)+1)
 			if len(snap) != len(sim.active[tf]) {
 				return false
 			}
@@ -374,26 +411,10 @@ func TestQuickEventsSnapshot(t *testing.T) {
 	}
 }
 
-func TestSortUint32(t *testing.T) {
-	rng := rand.New(rand.NewSource(8))
-	for _, n := range []int{0, 1, 5, 31, 32, 100, 1000} {
-		xs := make([]uint32, n)
-		for i := range xs {
-			xs[i] = rng.Uint32() % 50
-		}
-		sortUint32(xs)
-		for i := 1; i < len(xs); i++ {
-			if xs[i] < xs[i-1] {
-				t.Fatalf("n=%d: not sorted at %d", n, i)
-			}
-		}
-	}
-}
-
 func TestFrameBoundsPanicsOutOfRange(t *testing.T) {
 	tc, _ := BuildFromEvents(edgelist.TemporalList{{U: 0, V: 1, T: 0}}, 2, 1, 1)
 	for name, fn := range map[string]func(){
-		"Snapshot":        func() { tc.Snapshot(5) },
+		"Snapshot":        func() { tc.Snapshot(5, 1) },
 		"Active":          func() { tc.Active(0, 1, -1) },
 		"ActiveNeighbors": func() { tc.ActiveNeighbors(0, 9) },
 	} {
@@ -401,6 +422,213 @@ func TestFrameBoundsPanicsOutOfRange(t *testing.T) {
 			defer func() {
 				if recover() == nil {
 					t.Errorf("%s: want panic", name)
+				}
+			}()
+			fn()
+		}()
+	}
+}
+
+// TestFullSnapshotSizeBytesExact checks the one-fold baseline against the
+// simulator: the sum over frames of 4·(N+1) + 4·|active(t)|. The plain
+// differential size is the same sum over each frame's toggles.
+func TestFullSnapshotSizeBytesExact(t *testing.T) {
+	const numNodes, numFrames = 30, 10
+	events := randomEvents(500, numNodes, numFrames, 12)
+	sim := simulate(events, numFrames)
+	tc, err := BuildFromEvents(events, numNodes, numFrames, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want int64
+	for tf := 0; tf < numFrames; tf++ {
+		want += 4*(numNodes+1) + 4*int64(len(sim.active[tf]))
+	}
+	if got := tc.FullSnapshotSizeBytes(); got != want {
+		t.Fatalf("FullSnapshotSizeBytes = %d, want %d", got, want)
+	}
+	wantPlain := 4 * int64(numFrames*(numNodes+1)+len(events))
+	if got := tc.PlainSizeBytes(); got != wantPlain {
+		t.Fatalf("PlainSizeBytes = %d, want %d", got, wantPlain)
+	}
+}
+
+func checkpointFixture(t *testing.T) *Packed {
+	t.Helper()
+	tc, err := BuildFromEvents(randomEvents(1200, 40, 24, 77), 40, 24, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tc
+}
+
+// TestCheckpointedMatchesPlain is the differential table: under every
+// checkpoint interval — dense, uneven, sparse, and the plain paper form
+// (interval >= NumFrames) — every query form answers as the brute-force
+// simulator does. Reloading from a container and then checkpointing is
+// covered by mgraph's TestRoundTripTemporal.
+func TestCheckpointedMatchesPlain(t *testing.T) {
+	const numNodes, numFrames = 24, 12
+	events := randomEvents(700, numNodes, numFrames, 21)
+	sim := simulate(events, numFrames)
+	tc, err := BuildFromEvents(events, numNodes, numFrames, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var aq []ActivityQuery
+	var nq []NeighborQuery
+	var wantActive []bool
+	var wantRows [][]uint32
+	wantDegrees := make([][]int, numNodes)
+	for tf := 0; tf < numFrames; tf++ {
+		for u := uint32(0); u < numNodes; u++ {
+			row := sim.neighbors(u, tf)
+			nq = append(nq, NeighborQuery{U: u, T: tf})
+			wantRows = append(wantRows, row)
+			wantDegrees[u] = append(wantDegrees[u], len(row))
+			for v := uint32(0); v < numNodes; v++ {
+				aq = append(aq, ActivityQuery{U: u, V: v, T: tf})
+				wantActive = append(wantActive, sim.active[tf][edgelist.Edge{U: u, V: v}])
+			}
+		}
+	}
+	for _, interval := range []int{1, 2, 3, 8, numFrames, numFrames + 5} {
+		pt, err := tc.Checkpoint(interval, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for tf := 0; tf < numFrames; tf++ {
+			for _, p := range []int{1, 3} {
+				if got, want := pt.Snapshot(tf, p), sim.snapshot(tf); !reflect.DeepEqual(got, want) {
+					t.Fatalf("interval=%d: Snapshot(%d, p=%d) = %v, want %v", interval, tf, p, got, want)
+				}
+			}
+		}
+		for i, q := range aq {
+			if got := pt.Active(q.U, q.V, q.T); got != wantActive[i] {
+				t.Fatalf("interval=%d: Active(%d, %d, %d) = %v, want %v", interval, q.U, q.V, q.T, got, wantActive[i])
+			}
+		}
+		for i, q := range nq {
+			if got := pt.ActiveNeighbors(q.U, q.T); !reflect.DeepEqual(got, wantRows[i]) {
+				t.Fatalf("interval=%d: ActiveNeighbors(%d, %d) = %v, want %v", interval, q.U, q.T, got, wantRows[i])
+			}
+		}
+		if got := pt.ActiveBatch(aq, 3); !reflect.DeepEqual(got, wantActive) {
+			t.Fatalf("interval=%d: ActiveBatch diverges from the simulator", interval)
+		}
+		if got := pt.ActiveNeighborsBatch(nq, 3); !reflect.DeepEqual(got, wantRows) {
+			t.Fatalf("interval=%d: ActiveNeighborsBatch diverges from the simulator", interval)
+		}
+		for u := uint32(0); u < numNodes; u++ {
+			if got := pt.DegreeTimeline(u); !reflect.DeepEqual(got, wantDegrees[u]) {
+				t.Fatalf("interval=%d: DegreeTimeline(%d) = %v, want %v", interval, u, got, wantDegrees[u])
+			}
+		}
+	}
+}
+
+func TestCheckpointedSpaceGrowsWithDensity(t *testing.T) {
+	tc := checkpointFixture(t)
+	ck1, _ := tc.Checkpoint(1, 2) // checkpoint every frame
+	ck8, _ := tc.Checkpoint(8, 2) // sparse checkpoints
+	if ck1.SizeBytes() <= ck8.SizeBytes() {
+		t.Fatalf("denser checkpoints should cost more: %d vs %d", ck1.SizeBytes(), ck8.SizeBytes())
+	}
+	if ck8.SizeBytes() <= tc.SizeBytes() {
+		t.Fatal("checkpoints must add space over the pure differential")
+	}
+	if paper, _ := ck8.Checkpoint(24, 2); paper.SizeBytes() != tc.SizeBytes() {
+		t.Fatalf("interval >= NumFrames costs %d bytes, want the paper form's %d", paper.SizeBytes(), tc.SizeBytes())
+	}
+}
+
+func TestCheckpointedErrors(t *testing.T) {
+	tc := checkpointFixture(t)
+	if _, err := tc.Checkpoint(0, 2); err == nil {
+		t.Fatal("want error for interval 0")
+	}
+	ck, _ := tc.Checkpoint(4, 2)
+	if ck.NumFrames() != 24 || ck.NumNodes() != 40 {
+		t.Fatal("metadata wrong")
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("want panic for out-of-range frame")
+		}
+	}()
+	ck.Active(0, 1, 99)
+}
+
+func TestCheckpointedEmptyTemporal(t *testing.T) {
+	tc, err := BuildFromEvents(nil, 5, 0, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ck, err := tc.Checkpoint(4, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ck.NumFrames() != 0 || ck.SizeBytes() != 0 || ck.FullSnapshotSizeBytes() != 0 {
+		t.Fatal("empty checkpointed structure wrong")
+	}
+}
+
+func TestActiveBatch(t *testing.T) {
+	tc := checkpointFixture(t)
+	ck, _ := tc.Checkpoint(5, 2)
+	queries := make([]ActivityQuery, 0, 200)
+	for u := uint32(0); u < 40; u += 2 {
+		for tf := 0; tf < 24; tf += 3 {
+			queries = append(queries, ActivityQuery{U: u, V: (u + 1) % 40, T: tf})
+		}
+	}
+	for _, p := range []int{1, 4, 16} {
+		got, got2 := tc.ActiveBatch(queries, p), ck.ActiveBatch(queries, p)
+		for i, q := range queries {
+			want := tc.Active(q.U, q.V, q.T)
+			if got[i] != want || got2[i] != want {
+				t.Fatalf("p=%d: batch result %d diverges", p, i)
+			}
+		}
+	}
+}
+
+func TestActiveNeighborsBatch(t *testing.T) {
+	tc := checkpointFixture(t)
+	ck, _ := tc.Checkpoint(5, 2)
+	queries := []NeighborQuery{{U: 0, T: 0}, {U: 5, T: 10}, {U: 39, T: 23}}
+	for _, p := range []int{1, 3} {
+		got, got2 := tc.ActiveNeighborsBatch(queries, p), ck.ActiveNeighborsBatch(queries, p)
+		for i, q := range queries {
+			want := tc.ActiveNeighbors(q.U, q.T)
+			if !reflect.DeepEqual(got[i], want) || !reflect.DeepEqual(got2[i], want) {
+				t.Fatalf("p=%d: neighbor batch %d = %v / %v, want %v", p, i, got[i], got2[i], want)
+			}
+		}
+	}
+}
+
+// TestBatchOutOfRangeFramePanicsOnCaller is the regression for a batch
+// whose bad frame was found inside a pool worker, where no caller's
+// recover could reach the panic and the process died.
+func TestBatchOutOfRangeFramePanicsOnCaller(t *testing.T) {
+	tc, err := BuildFromEvents(edgelist.TemporalList{{U: 0, V: 1, T: 0}, {U: 1, V: 0, T: 1}}, 2, 2, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	aq := make([]ActivityQuery, 4000)
+	nq := make([]NeighborQuery, 4000)
+	aq[0].T, aq[3999].T = 5, 5
+	nq[0].T, nq[3999].T = 5, 5
+	for name, fn := range map[string]func(){
+		"ActiveBatch":          func() { tc.ActiveBatch(aq, 4) },
+		"ActiveNeighborsBatch": func() { tc.ActiveNeighborsBatch(nq, 4) },
+	} {
+		func() {
+			defer func() {
+				if r := recover(); r != "tcsr: frame 5 out of range [0,2)" {
+					t.Errorf("%s: recovered %v, want the frame range panic", name, r)
 				}
 			}()
 			fn()

@@ -14,11 +14,13 @@ import (
 // t if it has toggled an odd number of times in frames 0..t.
 type TemporalEdge = edgelist.TemporalEdge
 
-// TemporalGraph is the time-evolving differential CSR: frame 0 is stored
-// as an absolute snapshot, later frames as toggle sets. All methods are
+// TemporalGraph is the bit-packed time-evolving differential CSR: frame 0
+// is stored as an absolute snapshot, later frames as toggle sets, every
+// frame bit-packed (Algorithm 5's "BitArray TCSR"). Checkpoint adds
+// absolute snapshots to bound the frames a query folds. All methods are
 // safe for concurrent use.
 type TemporalGraph struct {
-	tc    *tcsr.Temporal
+	pt    *tcsr.Packed
 	procs int
 }
 
@@ -39,11 +41,11 @@ func BuildTemporal(events []TemporalEdge, numFrames int, opts ...Option) (*Tempo
 		}
 		numNodes = c.numNodes
 	}
-	tc, err := tcsr.BuildFromEvents(dedup, numNodes, numFrames, c.procs)
+	pt, err := tcsr.BuildFromEvents(dedup, numNodes, numFrames, c.procs)
 	if err != nil {
 		return nil, err
 	}
-	return &TemporalGraph{tc: tc, procs: c.procs}, nil
+	return &TemporalGraph{pt: pt, procs: c.procs}, nil
 }
 
 // BuildTemporalFromSnapshots constructs a TemporalGraph from a series of
@@ -66,74 +68,64 @@ func BuildTemporalFromSnapshots(snapshots [][]Edge, opts ...Option) (*TemporalGr
 		}
 		numNodes = c.numNodes
 	}
-	return &TemporalGraph{tc: tcsr.BuildFromSnapshots(lists, numNodes, c.procs), procs: c.procs}, nil
+	return &TemporalGraph{pt: tcsr.BuildFromSnapshots(lists, numNodes, c.procs), procs: c.procs}, nil
 }
 
 // NumFrames returns the number of time-frames.
-func (tg *TemporalGraph) NumFrames() int { return tg.tc.NumFrames() }
+func (tg *TemporalGraph) NumFrames() int { return tg.pt.NumFrames() }
 
 // NumNodes returns the node-id space size.
-func (tg *TemporalGraph) NumNodes() int { return tg.tc.NumNodes() }
+func (tg *TemporalGraph) NumNodes() int { return tg.pt.NumNodes() }
 
 // Active reports whether edge (u, v) is active at frame t.
-func (tg *TemporalGraph) Active(u, v NodeID, t int) bool { return tg.tc.Active(u, v, t) }
+func (tg *TemporalGraph) Active(u, v NodeID, t int) bool { return tg.pt.Active(u, v, t) }
 
 // ActiveNeighbors returns the sorted neighbors of u active at frame t.
 func (tg *TemporalGraph) ActiveNeighbors(u NodeID, t int) []uint32 {
-	return tg.tc.ActiveNeighbors(u, t)
+	return tg.pt.ActiveNeighbors(u, t)
 }
 
 // Snapshot returns the full edge set active at frame t, sorted by (u, v).
-func (tg *TemporalGraph) Snapshot(t int) []Edge { return tg.tc.Snapshot(t) }
+func (tg *TemporalGraph) Snapshot(t int) []Edge { return tg.pt.Snapshot(t, tg.procs) }
 
-// SizeBytes returns the uncompressed differential footprint.
-func (tg *TemporalGraph) SizeBytes() int64 { return tg.tc.SizeBytes() }
+// SizeBytes returns the packed footprint: every frame plus any
+// checkpoints.
+func (tg *TemporalGraph) SizeBytes() int64 { return tg.pt.SizeBytes() }
 
 // FullSnapshotSizeBytes returns what storing every frame as an absolute
-// CSR would cost, for comparison against the differential form.
-func (tg *TemporalGraph) FullSnapshotSizeBytes() int64 { return tg.tc.FullSnapshotSizeBytes() }
+// uncompressed CSR would cost, the baseline the differential form is
+// measured against.
+func (tg *TemporalGraph) FullSnapshotSizeBytes() int64 { return tg.pt.FullSnapshotSizeBytes() }
 
-// Compress returns the bit-packed form of the temporal graph.
-func (tg *TemporalGraph) Compress() *CompressedTemporalGraph {
-	return &CompressedTemporalGraph{pt: tg.tc.Pack(tg.procs)}
-}
-
-// CompressedTemporalGraph is the bit-packed differential TCSR.
-type CompressedTemporalGraph struct {
-	pt *tcsr.Packed
-}
-
-// NumFrames returns the number of time-frames.
-func (ct *CompressedTemporalGraph) NumFrames() int { return ct.pt.NumFrames() }
-
-// NumNodes returns the node-id space size.
-func (ct *CompressedTemporalGraph) NumNodes() int { return ct.pt.NumNodes() }
-
-// Active reports whether edge (u, v) is active at frame t.
-func (ct *CompressedTemporalGraph) Active(u, v NodeID, t int) bool { return ct.pt.Active(u, v, t) }
-
-// ActiveNeighbors returns the sorted neighbors of u active at frame t.
-func (ct *CompressedTemporalGraph) ActiveNeighbors(u NodeID, t int) []uint32 {
-	return ct.pt.ActiveNeighbors(u, t)
-}
-
-// SizeBytes returns the packed payload footprint.
-func (ct *CompressedTemporalGraph) SizeBytes() int64 { return ct.pt.SizeBytes() }
-
-// SaveFile writes the compressed temporal graph to path as a
-// temporal-form binary container.
-func (ct *CompressedTemporalGraph) SaveFile(path string) error {
-	return mgraph.WriteTemporalFile(path, ct.pt)
-}
-
-// LoadCompressedTemporalFile reads a compressed temporal graph written by
-// SaveFile into memory, verified like LoadCompressedFile.
-func LoadCompressedTemporalFile(path string) (*CompressedTemporalGraph, error) {
-	c, err := readContainer(path, mgraph.FormTemporal)
+// Checkpoint returns the graph with an absolute snapshot every interval
+// frames, so a point-in-time query folds fewer than interval frames
+// instead of t+1 (the copy+log strategy from the temporal-graph literature
+// the paper builds on). The frames are shared; an interval >= NumFrames is
+// the paper's form.
+func (tg *TemporalGraph) Checkpoint(interval int) (*TemporalGraph, error) {
+	pt, err := tg.pt.Checkpoint(interval, tg.procs)
 	if err != nil {
 		return nil, err
 	}
-	return &CompressedTemporalGraph{pt: c.Temporal()}, nil
+	return &TemporalGraph{pt: pt, procs: tg.procs}, nil
+}
+
+// SaveFile writes the graph's frames to path as a temporal-form binary
+// container. Checkpoints are not stored.
+func (tg *TemporalGraph) SaveFile(path string) error {
+	return mgraph.WriteTemporalFile(path, tg.pt)
+}
+
+// LoadTemporalFile reads a temporal graph written by SaveFile into memory,
+// verified like LoadCompressedFile. The graph is in the paper's form: it
+// has no checkpoints until Checkpoint adds them.
+func LoadTemporalFile(path string, opts ...Option) (*TemporalGraph, error) {
+	c := buildConfig(opts)
+	ct, err := readContainer(path, mgraph.FormTemporal)
+	if err != nil {
+		return nil, err
+	}
+	return &TemporalGraph{pt: ct.Temporal(), procs: c.procs}, nil
 }
 
 // ActivityQuery asks whether edge (U, V) is active at frame T.
@@ -143,53 +135,21 @@ type ActivityQuery = tcsr.ActivityQuery
 type TemporalNeighborQuery = tcsr.NeighborQuery
 
 // ActiveBatch answers many activity queries in parallel.
-func (ct *CompressedTemporalGraph) ActiveBatch(queries []ActivityQuery, procs int) []bool {
-	return ct.pt.ActiveBatch(queries, orDefault(procs, 1))
+func (tg *TemporalGraph) ActiveBatch(queries []ActivityQuery, procs int) []bool {
+	return tg.pt.ActiveBatch(queries, orDefault(procs, 1))
 }
 
 // ActiveNeighborsBatch answers many temporal neighborhood queries in
 // parallel.
-func (ct *CompressedTemporalGraph) ActiveNeighborsBatch(queries []TemporalNeighborQuery, procs int) [][]uint32 {
-	return ct.pt.ActiveNeighborsBatch(queries, orDefault(procs, 1))
+func (tg *TemporalGraph) ActiveNeighborsBatch(queries []TemporalNeighborQuery, procs int) [][]uint32 {
+	return tg.pt.ActiveNeighborsBatch(queries, orDefault(procs, 1))
 }
 
 // DegreeTimeline returns u's active out-degree at every frame in one
 // incremental pass over the differential rows.
-func (ct *CompressedTemporalGraph) DegreeTimeline(u NodeID) []int {
-	return ct.pt.DegreeTimeline(u)
+func (tg *TemporalGraph) DegreeTimeline(u NodeID) []int {
+	return tg.pt.DegreeTimeline(u)
 }
-
-// CheckpointedTemporalGraph trades space for query latency: it keeps the
-// differential frames plus a materialized snapshot every `interval`
-// frames, so point-in-time queries scan at most `interval` frames instead
-// of t+1 (the copy+log strategy from the temporal-graph literature the
-// paper builds on).
-type CheckpointedTemporalGraph struct {
-	ck *tcsr.Checkpointed
-}
-
-// Checkpoint builds snapshot checkpoints every interval frames.
-func (tg *TemporalGraph) Checkpoint(interval int) (*CheckpointedTemporalGraph, error) {
-	ck, err := tcsr.NewCheckpointed(tg.tc, interval, tg.procs)
-	if err != nil {
-		return nil, err
-	}
-	return &CheckpointedTemporalGraph{ck: ck}, nil
-}
-
-// Active reports whether (u, v) is active at frame t.
-func (cg *CheckpointedTemporalGraph) Active(u, v NodeID, t int) bool { return cg.ck.Active(u, v, t) }
-
-// ActiveNeighbors returns the sorted active neighbors of u at frame t.
-func (cg *CheckpointedTemporalGraph) ActiveNeighbors(u NodeID, t int) []uint32 {
-	return cg.ck.ActiveNeighbors(u, t)
-}
-
-// NumFrames returns the number of time-frames.
-func (cg *CheckpointedTemporalGraph) NumFrames() int { return cg.ck.NumFrames() }
-
-// SizeBytes returns the differential payload plus checkpoint overhead.
-func (cg *CheckpointedTemporalGraph) SizeBytes() int64 { return cg.ck.SizeBytes() }
 
 // ReadTemporalEdgeList parses "u v t" lines (with '#' comments) into
 // temporal toggle events.

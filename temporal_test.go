@@ -1,6 +1,8 @@
 package csrgraph
 
 import (
+	"bytes"
+	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
@@ -93,30 +95,40 @@ func TestTemporalCompressRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ct := tg.Compress()
-	if ct.SizeBytes() >= tg.SizeBytes() {
-		t.Fatalf("compressed %d >= plain %d", ct.SizeBytes(), tg.SizeBytes())
+	if plain := tg.pt.PlainSizeBytes(); tg.SizeBytes() >= plain {
+		t.Fatalf("compressed %d >= plain %d", tg.SizeBytes(), plain)
 	}
-	for u := uint32(0); u < 60; u += 7 {
-		for f := 0; f < 8; f += 3 {
-			if !reflect.DeepEqual(ct.ActiveNeighbors(u, f), tg.ActiveNeighbors(u, f)) {
-				t.Fatalf("compressed ActiveNeighbors(%d,%d) disagrees", u, f)
-			}
-		}
-	}
-	path := filepath.Join(t.TempDir(), "t.csrc")
-	if err := ct.SaveFile(path); err != nil {
+	dir := t.TempDir()
+	path, ckPath := filepath.Join(dir, "t.csrc"), filepath.Join(dir, "ck.csrc")
+	if err := tg.SaveFile(path); err != nil {
 		t.Fatal(err)
 	}
-	got, err := LoadCompressedTemporalFile(path)
+	got, err := LoadTemporalFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.NumFrames() != ct.NumFrames() || got.NumNodes() != ct.NumNodes() || got.SizeBytes() != ct.SizeBytes() {
+	if got.NumFrames() != tg.NumFrames() || got.NumNodes() != tg.NumNodes() || got.SizeBytes() != tg.SizeBytes() {
 		t.Fatal("round trip metadata mismatch")
 	}
-	if got.Active(0, 1, 3) != ct.Active(0, 1, 3) {
-		t.Fatal("round trip query mismatch")
+	for u := uint32(0); u < 60; u += 7 {
+		for f := 0; f < 8; f += 3 {
+			if !reflect.DeepEqual(got.ActiveNeighbors(u, f), tg.ActiveNeighbors(u, f)) {
+				t.Fatalf("reloaded ActiveNeighbors(%d,%d) disagrees", u, f)
+			}
+		}
+	}
+	// Checkpoints are not stored: a checkpointed graph saves the same bytes.
+	ck, err := tg.Checkpoint(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ck.SaveFile(ckPath); err != nil {
+		t.Fatal(err)
+	}
+	a, errA := os.ReadFile(path)
+	b, errB := os.ReadFile(ckPath)
+	if errA != nil || errB != nil || !bytes.Equal(a, b) {
+		t.Fatalf("checkpointed graph saved different bytes (%v, %v)", errA, errB)
 	}
 }
 
@@ -129,8 +141,9 @@ func TestTemporalDifferentialSmaller(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tg.SizeBytes() >= tg.FullSnapshotSizeBytes() {
-		t.Fatalf("differential %d >= full %d", tg.SizeBytes(), tg.FullSnapshotSizeBytes())
+	// Like for like: both sides uncompressed.
+	if plain := tg.pt.PlainSizeBytes(); plain >= tg.FullSnapshotSizeBytes() {
+		t.Fatalf("differential %d >= full %d", plain, tg.FullSnapshotSizeBytes())
 	}
 }
 
@@ -186,17 +199,16 @@ func TestTemporalBatchQueriesPublic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ct := tg.Compress()
 	queries := []ActivityQuery{
 		{U: 0, V: 1, T: 0}, {U: 1, V: 2, T: 2}, {U: 1, V: 2, T: 3},
 	}
-	got := ct.ActiveBatch(queries, 2)
+	got := tg.ActiveBatch(queries, 2)
 	want := []bool{true, false, true}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("ActiveBatch = %v, want %v", got, want)
 	}
 	nq := []TemporalNeighborQuery{{U: 1, T: 3}, {U: 1, T: 2}}
-	rows := ct.ActiveNeighborsBatch(nq, 2)
+	rows := tg.ActiveNeighborsBatch(nq, 2)
 	if !reflect.DeepEqual(rows[0], []uint32{2}) || len(rows[1]) != 0 {
 		t.Fatalf("ActiveNeighborsBatch = %v", rows)
 	}
@@ -207,8 +219,7 @@ func TestDegreeTimelinePublic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ct := tg.Compress()
-	got := ct.DegreeTimeline(1)
+	got := tg.DegreeTimeline(1)
 	// Node 1: edge (1,2) present at frames 0,1, deleted at 2, re-added at 3.
 	want := []int{1, 1, 0, 1}
 	if !reflect.DeepEqual(got, want) {
@@ -216,8 +227,8 @@ func TestDegreeTimelinePublic(t *testing.T) {
 	}
 	// Cross-check against ActiveNeighbors per frame.
 	for f := 0; f < 4; f++ {
-		if got[f] != len(ct.ActiveNeighbors(1, f)) {
-			t.Fatalf("frame %d: timeline %d != neighbors %d", f, got[f], len(ct.ActiveNeighbors(1, f)))
+		if got[f] != len(tg.ActiveNeighbors(1, f)) {
+			t.Fatalf("frame %d: timeline %d != neighbors %d", f, got[f], len(tg.ActiveNeighbors(1, f)))
 		}
 	}
 }
