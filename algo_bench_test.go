@@ -6,7 +6,7 @@
 //	    symmetrized uniform and power-law graphs; both are kept, each wins
 //	    on a different caller. `go run ./cmd/benchcompare -baseline legacy
 //	    -new frontier` prints the delta table.
-//	BenchmarkKCore — Julienne-style bucketed peeling (algo=bucket).
+//	BenchmarkKCore — level-synchronous peeling (algo=bucket).
 //
 // `make bench-algo` snapshots exactly these into the BENCH_<date>.json
 // trajectory.
@@ -74,8 +74,9 @@ func BenchmarkBFSFrontier(b *testing.B) {
 	}
 }
 
-// BenchmarkKCore times bucketed peeling over the frontier core. The lone
-// arm keeps its algo=bucket name so the BENCH_*.json series continues.
+// BenchmarkKCore times CoreNumbersBucketed, now level-synchronous peeling
+// on exact degree crossings. The lone arm keeps the algo=bucket name of
+// the bucketed peel it replaced, so the BENCH_*.json series continues.
 func BenchmarkKCore(b *testing.B) {
 	graphs := algoBenchSetup(b)
 	for _, dist := range []string{"uniform", "powerlaw"} {

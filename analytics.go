@@ -176,9 +176,9 @@ func TopKBetweenness(scores []float64, k int) (nodes []uint32, vals []float64) {
 }
 
 // CoreNumbers returns the k-core number of every node of a symmetrized
-// graph, computed by bucketed peeling over the frontier core: work is
-// proportional to the peeled edges instead of rescanning all nodes at
-// every core level.
+// graph, computed by level-synchronous peeling: each level jumps to the
+// minimum live degree, and a vertex joins a peel round when a decrement
+// lands exactly on the level. Work is O(m+n).
 func (g *Graph) CoreNumbers(procs int) []uint32 {
 	return algo.CoreNumbersBucketed(g.m, orDefault(procs, g.procs))
 }
@@ -227,8 +227,8 @@ func (cg *CompressedGraph) TwoHopNeighbors(u NodeID, procs int) []uint32 {
 	return algo.TwoHopNeighbors(cg.pk, u, orDefault(procs, cg.procs))
 }
 
-// CoreNumbers returns k-core numbers over the compressed graph (bucketed
-// peeling on the frontier core).
+// CoreNumbers returns k-core numbers over the compressed graph
+// (level-synchronous peeling, as Graph.CoreNumbers).
 func (cg *CompressedGraph) CoreNumbers(procs int) []uint32 {
 	return algo.CoreNumbersBucketed(cg.pk, orDefault(procs, cg.procs))
 }

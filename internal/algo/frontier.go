@@ -1,12 +1,13 @@
 // Traversals on the frontier core (internal/frontier): BFS with
-// sparse/dense switching, SCC's reachability sweeps and bucketed k-core
-// peeling, the analytics where the core measured faster than a
-// hand-rolled loop. Components, closeness and betweenness are the
-// reverse case and stay loops (bfs.go, closeness.go, betweenness.go;
-// timings in DESIGN.md §13).
+// sparse/dense switching and SCC's reachability sweeps, plus k-core
+// peeling as a fused specialization of its sparse round: the analytics
+// where the frontier shape measured faster than a hand-rolled loop.
+// Components, closeness and betweenness are the reverse case and stay
+// loops (bfs.go, closeness.go, betweenness.go; timings in DESIGN.md §13).
 package algo
 
 import (
+	"math"
 	"sync/atomic"
 
 	"csrgraph/internal/edgelist"
@@ -56,27 +57,30 @@ func reachableWithinFrontier(g, gT query.Source, src uint32, inSubset []int32, g
 	return out
 }
 
-// removedDeg is the sentinel stored in the induced-degree array when a
-// vertex is peeled: far above any bucket window, and with enough headroom
-// that the at-most-m further decrements can never bring it back below one.
-const removedDeg = int32(1) << 30
-
-// serialPeelEdges bounds the frontier size a peel round processes
-// serially: below it the parallel dispatch plus the switch from plain to
-// lock-prefixed degree updates costs more than the edges.
+// serialPeelEdges bounds the edges a peel subround processes serially:
+// below it the parallel dispatch and the contended read-modify-write
+// decrements cost more than the edges.
 const serialPeelEdges = 2048
 
 // CoreNumbersBucketed computes k-core numbers of a symmetrized graph by
-// bucketed peeling (Julienne-style, arXiv:2502.08042): vertices sit in a
-// lazy bucket structure keyed by induced degree, the lowest bucket pops as
-// a frontier, and one traversal round batches the degree decrements
-// (fetch-and-add) of the peeled vertices' neighbors, which are then
-// re-bucketed at their clamped new degree. The round is a fused
-// specialization of the sparse EdgeMap shape (Julienne's nghCount): the
-// per-edge work is one fetch-and-add, too cheap to pay a closure call per
-// edge, and per-worker output buffers persist across the thousands of
-// rounds a peel runs. Work is proportional to the peeled edges, with no
-// per-level rescan of all vertices.
+// level-synchronous peeling on exact degree crossings (the level/subround
+// shape of arXiv:2502.08042, with a compacted scan in place of its bucket
+// structure). deg holds each vertex's induced degree. A peeled vertex's
+// degree never exceeds its core and a live vertex's degree exceeds the
+// previous level, so deg <= k marks a vertex peeled. Each level scans the
+// remaining vertices twice, in id order: once to drop the peeled ones and
+// find the minimum live degree, which becomes k (levels with no vertex are
+// skipped), and once to split off the vertices at degree k. Subrounds then
+// peel that frontier: a neighbour is decremented only while its degree is
+// above k, and the one decrement that lands exactly on k moves it to the
+// next subround, so each vertex joins exactly once with no claiming or
+// dedup. A vertex meets at most core+2 scans of each kind and the cores
+// sum to at most m, so the scan work is O(m+n), and the subrounds do one
+// decrement per peeled edge. The subround is a fused specialization of the
+// sparse EdgeMap shape (GBBS's nghCount): the per-edge work is too cheap
+// to pay a closure call per edge, and per-worker output buffers persist
+// across the hundreds of subrounds a peel runs. The exported name predates
+// the rewrite and is kept for its callers.
 func CoreNumbersBucketed(g query.Source, p int) []uint32 {
 	p = clampProcs(p)
 	n := g.NumNodes()
@@ -85,88 +89,89 @@ func CoreNumbersBucketed(g query.Source, p int) []uint32 {
 		return core
 	}
 	deg := make([]atomic.Int32, n)
-	pri := make([]uint32, n)
 	parallel.For(n, p, func(_ int, r parallel.Range) {
 		for u := r.Start; u < r.End; u++ {
-			d := g.Degree(uint32(u))
-			deg[u].Store(int32(d))
-			pri[u] = uint32(d)
+			deg[u].Store(int32(g.Degree(uint32(u))))
 		}
 	})
-	b := frontier.NewBuckets(pri)
-	// Overflow vertices (degree at or above the open window) never need
-	// exact re-bucketing, so decrements to them skip the emission path
-	// entirely; the reshard recovers their true priority from deg. On
-	// power-law graphs this turns the vast majority of decrements — edges
-	// into high-degree hubs — into a load+add.
-	b.SetPriorityFn(func(v uint32) uint32 { return uint32(deg[v].Load()) })
-	// Touched-vertex emissions are NOT deduplicated: a vertex decremented
-	// twice in one round appears twice in outs, and the second re-bucket is
-	// a no-op (Update returns early on an unchanged priority). Duplicate
-	// appends are cheaper than any per-edge claiming protocol.
+	rem := make([]uint32, n)
+	for i := range rem {
+		rem[i] = uint32(i)
+	}
+	var ids, next []uint32
 	bufs := make([][]uint32, p) // per-worker row-decode scratch, reused across rounds
-	outs := make([][]uint32, p) // per-worker touched-vertex buffers, reused across rounds
-	for {
-		k, ids := b.PopMin(p)
-		if ids == nil {
+	outs := make([][]uint32, p) // per-worker next-subround buffers, reused across rounds
+	for k := int32(-1); ; {
+		live, lo := rem[:0], int32(math.MaxInt32)
+		for _, v := range rem {
+			if d := deg[v].Load(); d > k {
+				live = append(live, v)
+				lo = min(lo, d)
+			}
+		}
+		if len(live) == 0 {
 			return core
 		}
-		kk := k // per-round snapshot: pool bodies must not read the loop counter
-		edges := 0
-		for _, v := range ids {
-			core[v] = kk
-			// Peeled vertices park at a sentinel degree far above any window,
-			// so the single >= top test below also filters them — no separate
-			// removed check on the per-edge path. The slack below the sentinel
-			// absorbs every future decrement (at most m in total).
-			deg[v].Store(removedDeg)
-			edges += g.Degree(v)
-		}
-		top := int32(b.WindowTop()) // fixed for the round; PopMin already reshard-advanced
-		// One decrement per peeled edge; removed neighbors and neighbors
-		// still in overflow need no re-bucketing and exit on the single
-		// >= top compare.
-		if p == 1 || edges <= serialPeelEdges {
-			// Serial round: single-goroutine, so degree updates can be plain
-			// load/store on the atomic slots.
-			buf, out := bufs[0], outs[0][:0]
-			for _, u := range ids {
-				buf = g.Row(buf, u)
-				for _, d := range buf {
-					nd := deg[d].Load() - 1
-					deg[d].Store(nd)
-					if nd < top {
-						out = append(out, d)
-					}
-				}
+		k = lo
+		ids, rem = ids[:0], live[:0]
+		for _, v := range live {
+			if deg[v].Load() == k {
+				ids = append(ids, v)
+			} else {
+				rem = append(rem, v)
 			}
-			bufs[0], outs[0] = buf, out
-		} else {
-			grain := 1 + len(ids)*serialPeelEdges/(edges*4)
-			parallel.ForDynamic(len(ids), p, grain, func(w int, r parallel.Range) {
-				// Workers grab many ranges per round; out extends the
-				// worker's buffer across grabs and is reset between rounds.
-				buf, out := bufs[w], outs[w]
-				for i := r.Start; i < r.End; i++ {
-					buf = g.Row(buf, ids[i])
+		}
+		kk := k // per-level snapshot: pool bodies must not read the loop counter
+		for len(ids) > 0 {
+			edges := 0
+			for _, v := range ids {
+				core[v] = uint32(kk)
+				edges += g.Degree(v)
+			}
+			next = next[:0]
+			if p == 1 || edges <= serialPeelEdges {
+				// Serial subround: one goroutine, so a Load and a Store
+				// stand in for the Add.
+				buf := bufs[0]
+				for _, u := range ids {
+					buf = g.Row(buf, u)
 					for _, d := range buf {
-						if deg[d].Add(-1) < top {
-							out = append(out, d)
+						if nd := deg[d].Load() - 1; nd >= kk {
+							deg[d].Store(nd)
+							if nd == kk {
+								next = append(next, d)
+							}
 						}
 					}
 				}
-				bufs[w], outs[w] = buf, out
-			})
-		}
-		for w := 0; w < p; w++ {
-			for _, v := range outs[w] {
-				nd := deg[v].Load()
-				if nd < int32(kk) {
-					nd = int32(kk)
+				bufs[0] = buf
+			} else {
+				grain := 1 + len(ids)*serialPeelEdges/(edges*4)
+				parallel.ForDynamic(len(ids), p, grain, func(w int, r parallel.Range) {
+					// Workers grab many ranges per subround; out extends the
+					// worker's buffer across grabs and is drained below.
+					buf, out := bufs[w], outs[w]
+					for i := r.Start; i < r.End; i++ {
+						buf = g.Row(buf, ids[i])
+						for _, d := range buf {
+							// The Load spares peeled vertices a locked write.
+							// Racing decrements may overshoot below kk; the
+							// Add results are distinct, so exactly one lands
+							// on kk, and an overshot vertex still reads as
+							// peeled (deg <= k) from here on.
+							if deg[d].Load() > kk && deg[d].Add(-1) == kk {
+								out = append(out, d)
+							}
+						}
+					}
+					bufs[w], outs[w] = buf, out
+				})
+				for w := range outs {
+					next = append(next, outs[w]...)
+					outs[w] = outs[w][:0]
 				}
-				b.Update(v, uint32(nd))
 			}
-			outs[w] = outs[w][:0]
+			ids, next = next, ids
 		}
 	}
 }

@@ -133,7 +133,7 @@ func TestCoreNumbersBucketedMatchesBaseline(t *testing.T) {
 			want := coreReference(m)
 			for _, p := range []int{1, 2, 8} {
 				if got := CoreNumbersBucketed(m, p); !reflect.DeepEqual(got, want) {
-					t.Fatalf("%s sym=%v p=%d: bucketed core numbers diverge", name, sym, p)
+					t.Fatalf("%s sym=%v p=%d: core numbers diverge", name, sym, p)
 				}
 			}
 		}

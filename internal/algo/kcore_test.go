@@ -7,6 +7,8 @@ import (
 
 	"csrgraph/internal/csr"
 	"csrgraph/internal/edgelist"
+	"csrgraph/internal/gen"
+	"csrgraph/internal/query"
 )
 
 func TestCoreNumbersK4WithTail(t *testing.T) {
@@ -95,6 +97,102 @@ func TestCoreNumbersMatchesReference(t *testing.T) {
 			}
 		}
 	}
+}
+
+// hubsAndLeaves is the contended shape for a parallel peel round: hubs
+// 0..hubs-1, a clique of 2*hubs members (hub h adjacent to members 2h and
+// 2h+1), and leaves adjacent to every hub. The leaves peel at k = hubs in
+// one round of leaves*hubs edges, and every one of them decrements every
+// hub, so the hubs cross k from many workers at once. A hub that joined the
+// next subround twice would decrement its clique members twice and drag
+// their core below the clique's.
+func hubsAndLeaves(hubs, leaves int) *csr.Matrix {
+	cliq := 2 * hubs
+	var edges []edgelist.Edge
+	for i := 0; i < cliq; i++ {
+		for j := i + 1; j < cliq; j++ {
+			edges = append(edges, edgelist.Edge{U: uint32(hubs + i), V: uint32(hubs + j)})
+		}
+	}
+	for h := 0; h < hubs; h++ {
+		edges = append(edges,
+			edgelist.Edge{U: uint32(h), V: uint32(hubs + 2*h)},
+			edgelist.Edge{U: uint32(h), V: uint32(hubs + 2*h + 1)})
+		for l := 0; l < leaves; l++ {
+			edges = append(edges, edgelist.Edge{U: uint32(h), V: uint32(hubs + cliq + l)})
+		}
+	}
+	return buildGraph(edges, hubs+cliq+leaves, true)
+}
+
+// TestCoreNumbersParallelRounds runs peel subrounds above serialPeelEdges,
+// which the small fixtures never reach, on the plain matrix and its packed
+// form.
+func TestCoreNumbersParallelRounds(t *testing.T) {
+	rmat, err := gen.RMAT(13, 60000, gen.DefaultRMAT, 0x6b63, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const hubs, leaves = 4, 5000
+	if hubs*leaves <= serialPeelEdges {
+		t.Fatalf("the leaf round of %d edges would run serially", hubs*leaves)
+	}
+	hl := hubsAndLeaves(hubs, leaves)
+	want := coreReference(hl)
+	for v, c := range want {
+		wantCore := uint32(hubs) // hubs and leaves
+		if v >= hubs && v < 3*hubs {
+			wantCore = 2*hubs - 1 // clique members
+		}
+		if c != wantCore {
+			t.Fatalf("reference core of node %d = %d, want %d", v, c, wantCore)
+		}
+	}
+	for name, m := range map[string]*csr.Matrix{
+		"rmat13":      buildGraph(rmat, 1<<13, true),
+		"hubs+leaves": hl,
+	} {
+		want := coreReference(m)
+		for form, src := range map[string]query.Source{"plain": m, "packed": csr.PackMatrix(m, 2)} {
+			for _, p := range []int{1, 2, 8} {
+				if got := CoreNumbersBucketed(src, p); !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s %s p=%d: core numbers diverge from the reference", name, form, p)
+				}
+			}
+		}
+	}
+}
+
+// FuzzCoreNumbers checks the peel at p = 1, 2 and 4 against the sequential
+// reference on an R-MAT graph of scale 4-12 or a uniform random graph of
+// as many nodes, symmetric or directed, with up to 16383 edges: enough
+// that some inputs peel subrounds above serialPeelEdges in parallel.
+func FuzzCoreNumbers(f *testing.F) {
+	f.Add(uint64(1), uint8(0), uint16(3000), true)
+	f.Add(uint64(2), uint8(8), uint16(16000), true)
+	f.Add(uint64(3), uint8(0x85), uint16(9000), true)
+	f.Add(uint64(4), uint8(0x02), uint16(700), false)
+	f.Fuzz(func(t *testing.T, seed uint64, shape uint8, edges uint16, sym bool) {
+		scale := 4 + int(shape&0x7f)%9
+		n, m := 1<<scale, int(edges&0x3fff)
+		var g *csr.Matrix
+		if shape&0x80 == 0 {
+			l, err := gen.RMAT(scale, m, gen.DefaultRMAT, seed, 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			g = buildGraph(l, n, sym)
+		} else {
+			g = randomGraph(n, m, int64(seed), sym)
+		}
+		want := coreReference(g)
+		for _, p := range []int{1, 2, 4} {
+			if got := CoreNumbersBucketed(g, p); !reflect.DeepEqual(got, want) {
+				t.Fatalf("scale=%d edges=%d rmat=%v sym=%v p=%d: core numbers diverge from the reference",
+					scale, m, shape&0x80 == 0, sym, p)
+			}
+		}
+	})
 }
 
 func TestLocalClusteringTriangle(t *testing.T) {

@@ -12,5 +12,4 @@ var (
 	roundDenseSeconds  = obs.GetDurationHistogram(`csrgraph_frontier_round_seconds{mode="dense"}`)
 	switchToDense      = obs.GetCounter(`csrgraph_frontier_switch_total{to="dense"}`)
 	switchToSparse     = obs.GetCounter(`csrgraph_frontier_switch_total{to="sparse"}`)
-	bucketsPopped      = obs.GetCounter(`csrgraph_frontier_buckets_popped_total`)
 )
