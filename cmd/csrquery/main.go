@@ -1,17 +1,20 @@
 // Command csrquery runs queries against a graph container produced by
-// csrconvert, or a temporal container written by TemporalGraph.SaveFile:
+// csrconvert or TemporalGraph.SaveFile. The container's header says
+// whether it holds a static or a temporal graph, and that picks the
+// subcommands:
 //
 //	csrquery -graph g.csrc neighbors 17 42
 //	csrquery -graph g.csrc exists 17:42 9:3
 //	csrquery -graph g.csrc degree 17
 //	csrquery -graph g.csrc stats
-//	csrquery -temporal t.csrc active 17:42:3 9:3:0
-//	csrquery -temporal t.csrc tneighbors 17 3
-//	csrquery -temporal t.csrc stats
+//	csrquery -graph t.csrc active 17:42:3 9:3:0
+//	csrquery -graph t.csrc tneighbors 17 3
+//	csrquery -graph t.csrc stats
 //
 // The container is read into memory and verified (section checksums and
 // neighbor ids) before any query runs. Batched queries run in parallel
-// across -procs processors (Section V of the paper).
+// across -procs processors (Section V of the paper), with the engine
+// csrserver answers through.
 //
 // With -server the query goes to a running csrserver instead, and -trace
 // additionally prints the request's per-stage latency breakdown (the server
@@ -43,8 +46,7 @@ func main() {
 
 func run(args []string) error {
 	fs := flag.NewFlagSet("csrquery", flag.ContinueOnError)
-	graphPath := fs.String("graph", "", "packed or weighted graph container")
-	temporalPath := fs.String("temporal", "", "temporal graph container (mutually exclusive with -graph)")
+	graphPath := fs.String("graph", "", "graph container, static or temporal")
 	procs := fs.Int("procs", 4, "processors for batched queries")
 	serverURL := fs.String("server", "", "query a running csrserver at this base URL instead of a local file")
 	traceOn := fs.Bool("trace", false, "with -server: trace the request and print its per-stage latency breakdown")
@@ -53,90 +55,86 @@ func run(args []string) error {
 	}
 	rest := fs.Args()
 	if *serverURL != "" {
-		if *graphPath != "" || *temporalPath != "" {
-			return fmt.Errorf("-server is mutually exclusive with -graph and -temporal")
+		if *graphPath != "" {
+			return fmt.Errorf("-server is mutually exclusive with -graph")
 		}
 		return runRemote(*serverURL, *traceOn, rest, os.Stdout)
 	}
 	if *traceOn {
 		return fmt.Errorf("-trace needs -server: local queries have no trace recorder")
 	}
-	if *temporalPath != "" {
-		if *graphPath != "" {
-			return fmt.Errorf("-graph and -temporal are mutually exclusive")
-		}
-		return runTemporal(*temporalPath, rest, *procs)
-	}
 	if *graphPath == "" {
-		return fmt.Errorf("-graph or -temporal is required")
+		return fmt.Errorf("-graph is required")
 	}
-	if len(rest) == 0 {
-		return fmt.Errorf("need a subcommand: neighbors, exists, degree or stats")
-	}
-
 	c, err := mgraph.ReadFile(*graphPath)
 	if err != nil {
 		return err
 	}
-	pk := c.Packed()
-	if pk == nil {
-		return fmt.Errorf("%s holds a %s graph; -graph needs a packed or weighted one", *graphPath, c.GraphForm())
+	if c.GraphForm() == mgraph.FormTemporal {
+		return runTemporal(c.Temporal(), rest, *procs)
 	}
+	return runStatic(c, rest, *procs)
+}
 
+// runStatic dispatches subcommands over a static container, answering
+// through its query source whatever its form.
+func runStatic(c *mgraph.Container, rest []string, procs int) error {
+	const subcommands = "neighbors, exists, degree or stats"
+	if len(rest) == 0 {
+		return fmt.Errorf("need a subcommand: %s", subcommands)
+	}
+	src := c.Source()
 	switch rest[0] {
 	case "stats":
-		fmt.Printf("nodes:         %d\n", pk.NumNodes())
-		fmt.Printf("edges:         %d\n", pk.NumEdges())
-		fmt.Printf("payload:       %s\n", harness.HumanBytes(pk.SizeBytes()))
-		fmt.Printf("neighbor bits: %d\n", pk.NumBits())
-		fmt.Printf("offset bits:   %d\n", pk.OffsetBits())
+		fmt.Printf("nodes:         %d\n", src.NumNodes())
+		fmt.Printf("edges:         %d\n", c.NumEdges)
+		if pk := c.Packed(); pk != nil {
+			fmt.Printf("payload:       %s\n", harness.HumanBytes(pk.SizeBytes()))
+			fmt.Printf("neighbor bits: %d\n", pk.NumBits())
+			fmt.Printf("offset bits:   %d\n", pk.OffsetBits())
+		} else {
+			fmt.Printf("payload:       %s\n", harness.HumanBytes(c.Delta().SizeBytes()))
+		}
 		return nil
 	case "neighbors":
-		nodes, err := parseNodes(rest[1:], pk.NumNodes())
+		nodes, err := parseNodes(rest[1:], src.NumNodes())
 		if err != nil {
 			return err
 		}
-		results := query.NeighborsBatch(pk, nodes, *procs)
+		results := query.NeighborsBatch(src, nodes, procs)
 		for i, u := range nodes {
 			fmt.Printf("%d: %v\n", u, results[i])
 		}
 		return nil
 	case "degree":
-		nodes, err := parseNodes(rest[1:], pk.NumNodes())
+		nodes, err := parseNodes(rest[1:], src.NumNodes())
 		if err != nil {
 			return err
 		}
-		results := query.CountBatch(pk, nodes, *procs)
+		results := query.CountBatch(src, nodes, procs)
 		for i, u := range nodes {
 			fmt.Printf("%d: %d\n", u, results[i])
 		}
 		return nil
 	case "exists":
-		edges, err := parseEdges(rest[1:], pk.NumNodes())
+		edges, err := parseEdges(rest[1:], src.NumNodes())
 		if err != nil {
 			return err
 		}
-		results := query.EdgesExistBatchBinary(pk, edges, *procs)
+		results := query.EdgesExistBatchSearch(src, edges, procs)
 		for i, e := range edges {
 			fmt.Printf("%d -> %d: %v\n", e.U, e.V, results[i])
 		}
 		return nil
 	}
-	return fmt.Errorf("unknown subcommand %q", rest[0])
+	return fmt.Errorf("unknown subcommand %q for a %s graph; want %s", rest[0], c.GraphForm(), subcommands)
 }
 
 // runTemporal dispatches subcommands over a temporal container.
-func runTemporal(path string, rest []string, procs int) error {
+func runTemporal(pt *tcsr.Packed, rest []string, procs int) error {
+	const subcommands = "active, tneighbors or stats"
 	if len(rest) == 0 {
-		return fmt.Errorf("need a subcommand: active, tneighbors or stats")
-	}
-	c, err := mgraph.ReadFile(path)
-	if err != nil {
-		return err
-	}
-	pt := c.Temporal()
-	if pt == nil {
-		return fmt.Errorf("%s holds a %s graph; -temporal needs a temporal one", path, c.GraphForm())
+		return fmt.Errorf("need a subcommand: %s", subcommands)
 	}
 	switch rest[0] {
 	case "stats":
@@ -182,10 +180,10 @@ func runTemporal(path string, rest []string, procs int) error {
 		if int(u) >= pt.NumNodes() || tf < 0 || tf >= pt.NumFrames() {
 			return fmt.Errorf("node %d / frame %d out of range", u, tf)
 		}
-		fmt.Printf("%d at frame %d: %v\n", u, tf, pt.ActiveNeighbors(uint32(u), tf))
+		fmt.Printf("%d at frame %d: %v\n", u, tf, pt.ActiveNeighbors(nil, uint32(u), tf))
 		return nil
 	}
-	return fmt.Errorf("unknown temporal subcommand %q", rest[0])
+	return fmt.Errorf("unknown subcommand %q for a temporal graph; want %s", rest[0], subcommands)
 }
 
 func parseNodes(args []string, numNodes int) ([]edgelist.NodeID, error) {

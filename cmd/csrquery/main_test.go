@@ -1,11 +1,15 @@
 package main
 
 import (
+	"io"
+	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"csrgraph/internal/csr"
 	"csrgraph/internal/edgelist"
+	"csrgraph/internal/gen"
 	"csrgraph/internal/mgraph"
 	"csrgraph/internal/tcsr"
 )
@@ -35,6 +39,71 @@ func TestQuerySubcommands(t *testing.T) {
 	}
 }
 
+// TestDeltaAnswersLikePacked: a delta container and its packed twin print
+// the same neighbors, degrees and existence answers, and stats prints bit
+// widths for the packed one only.
+func TestDeltaAnswersLikePacked(t *testing.T) {
+	l, err := gen.RMAT(8, 2000, gen.DefaultRMAT, 5, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := csr.Build(l.Prepared(false, 2), 256, 2)
+	dir := t.TempDir()
+	packed, delta := filepath.Join(dir, "p.csrc"), filepath.Join(dir, "d.csrc")
+	if err := mgraph.WritePackedFile(packed, csr.PackMatrix(m, 2)); err != nil {
+		t.Fatal(err)
+	}
+	if err := mgraph.WriteDeltaFile(delta, csr.PackDelta(m, 2)); err != nil {
+		t.Fatal(err)
+	}
+	for _, sub := range [][]string{
+		{"neighbors", "0", "1", "17", "255", "0"},
+		{"degree", "0", "1", "17", "255"},
+		{"exists", "0:1", "1:0", "17:4", "255:255", "3:200", "0:0"},
+	} {
+		want := stdout(t, append([]string{"-graph", packed, "-procs", "2"}, sub...)...)
+		if got := stdout(t, append([]string{"-graph", delta, "-procs", "2"}, sub...)...); got != want {
+			t.Fatalf("%s: delta printed\n%s\npacked printed\n%s", sub[0], got, want)
+		}
+	}
+	for path, widths := range map[string]bool{packed: true, delta: false} {
+		out := stdout(t, "-graph", path, "stats")
+		if got := strings.Contains(out, "neighbor bits"); got != widths {
+			t.Fatalf("%s stats prints widths = %v, want %v:\n%s", filepath.Base(path), got, widths, out)
+		}
+	}
+}
+
+// stdout runs csrquery with args and returns what it printed.
+func stdout(t *testing.T, args ...string) string {
+	t.Helper()
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close() //csr:errok read end of a pipe; close cannot lose data
+	printed := make(chan string)
+	go func() {
+		b, err := io.ReadAll(r) // returns once w is closed below
+		if err != nil {
+			t.Error(err)
+		}
+		printed <- string(b)
+	}()
+	saved := os.Stdout
+	os.Stdout = w
+	runErr := run(args)
+	os.Stdout = saved
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	out := <-printed
+	if runErr != nil {
+		t.Fatalf("%v: %v", args, runErr)
+	}
+	return out
+}
+
 func temporalFixture(t *testing.T) string {
 	t.Helper()
 	events := edgelist.TemporalList{
@@ -54,9 +123,9 @@ func temporalFixture(t *testing.T) string {
 func TestTemporalSubcommands(t *testing.T) {
 	path := temporalFixture(t)
 	for name, args := range map[string][]string{
-		"stats":      {"-temporal", path, "stats"},
-		"active":     {"-temporal", path, "active", "0:1:0", "0:1:1"},
-		"tneighbors": {"-temporal", path, "tneighbors", "1", "1"},
+		"stats":      {"-graph", path, "stats"},
+		"active":     {"-graph", path, "active", "0:1:0", "0:1:1"},
+		"tneighbors": {"-graph", path, "tneighbors", "1", "1"},
 	} {
 		if err := run(args); err != nil {
 			t.Errorf("%s: %v", name, err)
@@ -67,16 +136,16 @@ func TestTemporalSubcommands(t *testing.T) {
 func TestTemporalErrors(t *testing.T) {
 	path := temporalFixture(t)
 	for name, args := range map[string][]string{
-		"both inputs":      {"-graph", "x", "-temporal", path, "stats"},
-		"no subcommand":    {"-temporal", path},
-		"bad subcommand":   {"-temporal", path, "zap"},
-		"bad active query": {"-temporal", path, "active", "1:2"},
-		"active range":     {"-temporal", path, "active", "0:1:99"},
-		"no active args":   {"-temporal", path, "active"},
-		"tneighbors usage": {"-temporal", path, "tneighbors", "1"},
-		"tneighbors range": {"-temporal", path, "tneighbors", "9", "0"},
-		"missing file":     {"-temporal", "/nonexistent.csrc", "stats"},
-		"static container": {"-temporal", packedFixture(t), "stats"},
+		"no subcommand":     {"-graph", path},
+		"bad subcommand":    {"-graph", path, "zap"},
+		"static subcommand": {"-graph", path, "neighbors", "0"},
+		"bad active query":  {"-graph", path, "active", "1:2"},
+		"active range":      {"-graph", path, "active", "0:1:99"},
+		"no active args":    {"-graph", path, "active"},
+		"tneighbors usage":  {"-graph", path, "tneighbors", "1"},
+		"tneighbors range":  {"-graph", path, "tneighbors", "9", "0"},
+		"missing file":      {"-graph", "/nonexistent.csrc", "stats"},
+		"static container":  {"-graph", packedFixture(t), "active", "0:1:0"},
 	} {
 		if err := run(args); err == nil {
 			t.Errorf("%s: want error", name)
@@ -98,7 +167,7 @@ func TestQueryErrors(t *testing.T) {
 		"bad edge u":        {"-graph", path, "exists", "x:1"},
 		"bad edge v":        {"-graph", path, "exists", "1:x"},
 		"missing file":      {"-graph", "/nonexistent.csrc", "stats"},
-		"temporal graph":    {"-graph", temporalFixture(t), "stats"},
+		"temporal graph":    {"-graph", temporalFixture(t), "degree", "0"},
 	} {
 		if err := run(args); err == nil {
 			t.Errorf("%s: want error", name)

@@ -5,27 +5,28 @@
 //	csrserver -graph g.csrc -addr :8080 -procs 8 -cache-mb 64
 //	csrserver -graph g.csrc -mmap
 //	csrserver -graph g.shards.json -replicas 2
-//	csrserver -temporal t.csrc -addr :8080
+//	csrserver -graph t.csrc -addr :8080
 //	csrserver -graph g.csrc -metrics -pprof -log-format json
 //
 // Every graph file is a container (csrconvert -out g.csrc), or a shard
-// manifest (csrconvert -partition). Without -mmap the container is read
-// into memory and verified — section checksums and neighbor ids — before
-// serving; a -temporal graph always is. With -mmap it is memory-mapped and
-// served zero-copy, so startup cost is page-table setup instead of a full
-// file read — build once, serve many; -verify then adds the same checksum
-// and bounds pass over the mapping.
+// manifest (csrconvert -partition). The container's header says whether
+// it holds a static or a temporal graph, and that picks the endpoints.
+// Without -mmap the container is read into memory and verified — section
+// checksums and neighbor ids — before serving. With -mmap it is
+// memory-mapped and served zero-copy, so startup cost is page-table setup
+// instead of a full file read — build once, serve many; -verify then adds
+// the same checksum and bounds pass over the mapping.
 //
 // Static endpoints: /healthz, /stats, /neighbors?nodes=...,
 // /degree?nodes=..., /exists?edges=u:v,..., /bfs?src=n, and
 // /analytics/bfs?src=n&src=m,... (batched frontier BFS with per-traversal
-// round stats). Every graph is served through the scatter-gather router, a
-// single graph as one shard. -cache-mb is the budget of the engines'
-// decoded-row tables for /neighbors rows (split across the shards of a
-// sharded graph; each table's slot array, 8 bytes per row, counts against
-// it); /exists searches the packed rows in place.
+// round stats). Every static graph is served through the scatter-gather
+// router, a single graph as one shard. -cache-mb is the budget of the
+// engines' decoded-row tables for /neighbors rows (split across the shards
+// of a sharded graph; each table's slot array, 8 bytes per row, counts
+// against it); /exists searches the packed rows in place.
 // Temporal endpoints: /healthz, /stats, /active?queries=u:v:t,...,
-// /neighbors?node=u&frame=t, /bfs?src=u&frame=t.
+// /neighbors?node=u&frame=t, /bfs?src=u&frame=t (no -shards).
 // Observability: -metrics mounts GET /metrics (Prometheus text), -pprof
 // mounts GET /debug/pprof/, and -log-format selects structured access
 // logging (text, json, or off). -trace-sample enables request tracing:
@@ -55,7 +56,6 @@ import (
 	"csrgraph/internal/csr"
 	"csrgraph/internal/harness"
 	"csrgraph/internal/mgraph"
-	"csrgraph/internal/query"
 	"csrgraph/internal/server"
 	"csrgraph/internal/shard"
 	"csrgraph/internal/trace"
@@ -78,14 +78,13 @@ var gcBallast []byte
 func main() {
 	gcBallast = make([]byte, gcHeadroom)
 	fs := flag.NewFlagSet("csrserver", flag.ExitOnError)
-	graphPath := fs.String("graph", "", "graph container, or shard manifest (.shards.json)")
-	temporalPath := fs.String("temporal", "", "temporal graph container (mutually exclusive with -graph)")
+	graphPath := fs.String("graph", "", "graph container, static or temporal, or shard manifest (.shards.json)")
 	addr := fs.String("addr", ":8080", "listen address")
 	procs := fs.Int("procs", 4, "processors per query batch")
 	cacheMB := fs.Int("cache-mb", 64, "decoded-row table budget for /neighbors rows, in MiB, split across the shards; 8 bytes per node of slot array count against it (0 disables); /exists searches the packed rows and never uses it")
 	mmapOn := fs.Bool("mmap", false, "memory-map the -graph container instead of reading it into memory")
 	verify := fs.Bool("verify", false, "with -mmap or a manifest: checksum sections and bounds-check neighbors before serving (heap loads always do)")
-	shards := fs.Int("shards", 0, "serve through the sharded tier: cut -graph into K edge-balanced shards (0 = serve the whole graph as one shard, no copy; implied by a manifest -graph)")
+	shards := fs.Int("shards", 0, "serve through the sharded tier: cut a static -graph into K edge-balanced shards (0 = serve the whole graph as one shard, no copy; implied by a manifest -graph)")
 	replicas := fs.Int("replicas", 1, "replica engines per shard (sharded tier only)")
 	metrics := fs.Bool("metrics", false, "collect metrics and serve GET /metrics (Prometheus text)")
 	pprofOn := fs.Bool("pprof", false, "serve GET /debug/pprof/ profiling endpoints")
@@ -108,14 +107,13 @@ func main() {
 	}
 	opts = append(opts, tropt...)
 	handler, desc, err := buildHandler(serveConfig{
-		graphPath:    *graphPath,
-		temporalPath: *temporalPath,
-		procs:        *procs,
-		cacheMB:      *cacheMB,
-		mmapOn:       *mmapOn,
-		verify:       *verify,
-		shards:       *shards,
-		replicas:     *replicas,
+		graphPath: *graphPath,
+		procs:     *procs,
+		cacheMB:   *cacheMB,
+		mmapOn:    *mmapOn,
+		verify:    *verify,
+		shards:    *shards,
+		replicas:  *replicas,
 	}, opts...)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "csrserver:", err)
@@ -181,93 +179,70 @@ func traceOption(sample string, buf int, slow time.Duration) ([]server.Option, e
 
 // serveConfig is the resolved flag set buildHandler dispatches on.
 type serveConfig struct {
-	graphPath, temporalPath string
-	procs, cacheMB          int
-	mmapOn, verify          bool
-	shards, replicas        int
+	graphPath        string
+	procs, cacheMB   int
+	mmapOn, verify   bool
+	shards, replicas int
 }
 
-// buildHandler resolves the flag combination into an http.Handler.
+// buildHandler resolves the flag combination into an http.Handler. A
+// container is opened once, and its form picks the handler: temporal, or
+// static through the router of one shard or of -shards K.
 func buildHandler(c serveConfig, opts ...server.Option) (http.Handler, string, error) {
-	graphPath, temporalPath := c.graphPath, c.temporalPath
-	procs, cacheMB := c.procs, c.cacheMB
-	mmapOn, verify := c.mmapOn, c.verify
-	manifest := graphPath != "" && shard.IsManifestPath(graphPath)
 	switch {
-	case graphPath != "" && temporalPath != "":
-		return nil, "", fmt.Errorf("-graph and -temporal are mutually exclusive")
-	case temporalPath != "" && c.shards > 0:
-		return nil, "", fmt.Errorf("-shards needs -graph: the sharded tier serves static graphs")
-	case mmapOn && graphPath == "":
-		return nil, "", fmt.Errorf("-mmap needs -graph")
-	case manifest:
+	case c.graphPath == "":
+		return nil, "", fmt.Errorf("-graph is required")
+	case shard.IsManifestPath(c.graphPath):
 		return buildManifestHandler(c, opts...)
-	case graphPath != "" && c.shards > 0:
-		src, desc, err := openSource(graphPath, mmapOn, verify)
-		if err != nil {
-			return nil, "", err
-		}
-		part, pks, err := shard.PartitionSource(src, c.shards, procs)
-		if err != nil {
-			return nil, "", err
-		}
-		rt, err := buildRouter(part, pks, c)
-		if err != nil {
-			return nil, "", err
-		}
-		return server.NewSharded(rt, procs, opts...),
-			fmt.Sprintf("%s, %d shards x %d replicas", desc, c.shards, c.replicas), nil
-	case graphPath != "":
-		src, desc, err := openSource(graphPath, mmapOn, verify)
-		if err != nil {
-			return nil, "", err
-		}
-		opts = append(opts, server.WithRowCache(int64(cacheMB)<<20))
-		return server.New(src, procs, opts...), desc, nil
-	case temporalPath != "":
-		c, err := mgraph.ReadFile(temporalPath)
-		if err != nil {
-			return nil, "", err
-		}
-		pt := c.Temporal()
-		if pt == nil {
-			return nil, "", fmt.Errorf("%s holds a %s graph; -temporal needs a temporal one", temporalPath, c.GraphForm())
-		}
-		desc := fmt.Sprintf("%d nodes / %d frames (temporal)", pt.NumNodes(), pt.NumFrames())
-		return server.NewTemporal(pt, procs, opts...), desc, nil
 	}
-	return nil, "", fmt.Errorf("one of -graph or -temporal is required")
+	g, backing, err := openContainer(c.graphPath, c.mmapOn, c.verify)
+	if err != nil {
+		return nil, "", err
+	}
+	if g.GraphForm() == mgraph.FormTemporal {
+		if c.shards > 0 {
+			return nil, "", fmt.Errorf("-shards needs a static graph; %s holds a temporal one", c.graphPath)
+		}
+		pt := g.Temporal()
+		desc := fmt.Sprintf("%d nodes / %d frames (temporal container, %s)", pt.NumNodes(), pt.NumFrames(), backing)
+		return server.NewTemporal(pt, c.procs, opts...), desc, nil
+	}
+	src := g.Source()
+	desc := fmt.Sprintf("%d nodes / %d edges (%s container, %s)", src.NumNodes(), g.NumEdges, g.GraphForm(), backing)
+	if c.shards == 0 {
+		opts = append(opts, server.WithRowCache(int64(c.cacheMB)<<20))
+		return server.New(src, c.procs, opts...), desc, nil
+	}
+	part, pks, err := shard.PartitionSource(src, c.shards, c.procs)
+	if err != nil {
+		return nil, "", err
+	}
+	rt, err := buildRouter(part, pks, c)
+	if err != nil {
+		return nil, "", err
+	}
+	return server.NewSharded(rt, c.procs, opts...),
+		fmt.Sprintf("%s, %d shards x %d replicas", desc, c.shards, c.replicas), nil
 }
 
-// openSource loads a whole static graph container as a query source:
-// mapped with -mmap, otherwise read into memory and verified. A mapping
-// lives for the whole process — the handler's query source aliases it, and
-// the process exit unmaps.
-func openSource(graphPath string, mmapOn, verify bool) (query.Source, string, error) {
-	var c *mgraph.Container
-	backing := "heap"
-	if mmapOn {
-		var mopts []mgraph.OpenOption
-		if verify {
-			mopts = append(mopts, mgraph.WithVerify())
-		}
-		m, err := mgraph.Open(graphPath, mopts...)
-		if err != nil {
-			return nil, "", err
-		}
-		c, backing = m.Container, "mmap, "+harness.HumanBytes(m.SizeBytes())
-	} else {
-		var err error
-		if c, err = mgraph.ReadFile(graphPath); err != nil {
-			return nil, "", err
-		}
+// openContainer loads a whole graph container, static or temporal: mapped
+// with -mmap, otherwise read into memory and verified. A mapping lives for
+// the whole process — the handler's graph aliases it, and the process exit
+// unmaps.
+func openContainer(path string, mmapOn, verify bool) (*mgraph.Container, string, error) {
+	if !mmapOn {
+		g, err := mgraph.ReadFile(path)
+		return g, "heap", err
 	}
-	src := c.Source()
-	if src == nil {
-		return nil, "", fmt.Errorf("%s holds a %s graph; serve it with -temporal", graphPath, c.GraphForm())
+	var mopts []mgraph.OpenOption
+	if verify {
+		mopts = append(mopts, mgraph.WithVerify())
 	}
-	return src, fmt.Sprintf("%d nodes / %d edges (%s container, %s)",
-		src.NumNodes(), c.NumEdges, c.GraphForm(), backing), nil
+	m, err := mgraph.Open(path, mopts...)
+	if err != nil {
+		return nil, "", err
+	}
+	return m.Container, "mmap, " + harness.HumanBytes(m.SizeBytes()), nil
 }
 
 // buildManifestHandler serves an offline-partitioned graph: every shard

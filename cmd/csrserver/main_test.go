@@ -15,6 +15,7 @@ import (
 	"csrgraph/internal/bitpack"
 	"csrgraph/internal/csr"
 	"csrgraph/internal/edgelist"
+	"csrgraph/internal/gen"
 	"csrgraph/internal/mgraph"
 	"csrgraph/internal/obs"
 	"csrgraph/internal/tcsr"
@@ -51,7 +52,9 @@ func TestBuildHandlerTemporal(t *testing.T) {
 	if err := mgraph.WriteTemporalFile(path, tc); err != nil {
 		t.Fatal(err)
 	}
-	h, _, err := buildHandler(serveConfig{temporalPath: path, procs: 2})
+	// -graph serves a temporal container with the temporal endpoints, and a
+	// static one without them.
+	h, _, err := buildHandler(serveConfig{graphPath: path, procs: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,16 +63,63 @@ func TestBuildHandlerTemporal(t *testing.T) {
 	if rec.Code != 200 {
 		t.Fatalf("active = %d: %s", rec.Code, rec.Body.String())
 	}
-	// A temporal container is not a -graph, nor a static one a -temporal.
-	if _, _, err := buildHandler(serveConfig{graphPath: path, procs: 2}); err == nil {
-		t.Fatal("-graph served a temporal container")
-	}
 	static := filepath.Join(dir, "g.csrc")
 	if err := mgraph.WritePackedFile(static, csr.BuildPacked(edgelist.List{{U: 0, V: 1}}, 2, 1)); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := buildHandler(serveConfig{temporalPath: static, procs: 2}); err == nil {
-		t.Fatal("-temporal served a static container")
+	h, _, err = buildHandler(serveConfig{graphPath: static, procs: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec = httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest("GET", "/active?queries=0:1:0", nil))
+	if rec.Code != 404 {
+		t.Fatalf("static container: /active = %d, want 404", rec.Code)
+	}
+}
+
+// TestBuildHandlerTemporalBackings: a temporal -graph answers the same
+// bodies read into memory, mapped, and mapped and verified.
+func TestBuildHandlerTemporalBackings(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "t.csrc")
+	events, err := gen.TemporalStream(60, 400, 20, 5, 3, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pt, err := tcsr.BuildFromEvents(events, 60, 5, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := mgraph.WriteTemporalFile(path, pt); err != nil {
+		t.Fatal(err)
+	}
+	urls := []string{
+		"/active?queries=0:1:0,3:4:2,59:0:4,7:8:1", "/active?queries=0:1:5", "/neighbors?node=3&frame=2",
+		"/neighbors?node=59&frame=4", "/bfs?src=0&frame=4", "/bfs?src=17&frame=1", "/bfs?src=60&frame=0",
+	}
+	var want []string
+	for _, c := range []serveConfig{
+		{graphPath: path, procs: 2},
+		{graphPath: path, procs: 2, mmapOn: true},
+		{graphPath: path, procs: 2, mmapOn: true, verify: true},
+	} {
+		h, desc, err := buildHandler(c)
+		if err != nil {
+			t.Fatalf("%+v: %v", c, err)
+		}
+		if c.mmapOn != strings.Contains(desc, "mmap") {
+			t.Fatalf("%+v: description %q", c, desc)
+		}
+		for i, url := range urls {
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, httptest.NewRequest("GET", url, nil))
+			got := fmt.Sprintf("%d %s", rec.Code, rec.Body)
+			if len(want) < len(urls) {
+				want = append(want, got)
+			} else if got != want[i] {
+				t.Fatalf("%+v %s: %s, heap read %s", c, url, got, want[i])
+			}
+		}
 	}
 }
 
@@ -111,18 +161,22 @@ func TestBuildHandlerTemporalBadFrames(t *testing.T) {
 	if err := os.WriteFile(lying, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := buildHandler(serveConfig{temporalPath: lying, procs: 2}); err == nil {
-		t.Fatal("loaded a temporal file whose frame has 10 rows under nodes=2")
-	}
 	wild := filepath.Join(dir, "wild.csrc")
 	oneEdgeTemporal(t, wild, 2, 9)
-	if _, _, err := buildHandler(serveConfig{temporalPath: wild, procs: 2}); err == nil {
-		t.Fatal("loaded a temporal file with neighbor 9 under nodes=2")
+	for _, c := range []serveConfig{{procs: 2}, {procs: 2, mmapOn: true, verify: true}} {
+		c.graphPath = lying
+		if _, _, err := buildHandler(c); err == nil {
+			t.Fatalf("%+v: loaded a temporal file whose frame has 10 rows under nodes=2", c)
+		}
+		c.graphPath = wild
+		if _, _, err := buildHandler(c); err == nil {
+			t.Fatalf("%+v: loaded a temporal file with neighbor 9 under nodes=2", c)
+		}
 	}
 
 	good := filepath.Join(dir, "good.csrc")
 	oneEdgeTemporal(t, good, 10, 9)
-	h, _, err := buildHandler(serveConfig{temporalPath: good, procs: 2})
+	h, _, err := buildHandler(serveConfig{graphPath: good, procs: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,14 +293,8 @@ func TestBuildHandlerErrors(t *testing.T) {
 	if _, _, err := buildHandler(serveConfig{procs: 2}); err == nil {
 		t.Fatal("want error for no input")
 	}
-	if _, _, err := buildHandler(serveConfig{graphPath: "a", temporalPath: "b", procs: 2}); err == nil {
-		t.Fatal("want error for both inputs")
-	}
 	if _, _, err := buildHandler(serveConfig{graphPath: "/nonexistent.csrc", procs: 2}); err == nil {
 		t.Fatal("want error for missing graph file")
-	}
-	if _, _, err := buildHandler(serveConfig{temporalPath: "/nonexistent.csrc", procs: 2}); err == nil {
-		t.Fatal("want error for missing temporal file")
 	}
 }
 
@@ -284,7 +332,6 @@ func TestBuildHandlerMmap(t *testing.T) {
 		for _, c := range []serveConfig{
 			{graphPath: legacy, procs: 2, cacheMB: 1, mmapOn: true},
 			{graphPath: legacy, procs: 2, cacheMB: 1},
-			{temporalPath: legacy, procs: 2},
 		} {
 			if _, _, err := buildHandler(c); !errors.Is(err, mgraph.ErrLegacyStream) {
 				t.Fatalf("%s file, %+v: %v, want ErrLegacyStream", magic, c, err)

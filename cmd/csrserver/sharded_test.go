@@ -119,9 +119,12 @@ func TestBuildHandlerManifest(t *testing.T) {
 // TestBuildHandlerShardErrors pins the flag-conflict contract around the
 // sharded tier.
 func TestBuildHandlerShardErrors(t *testing.T) {
-	plain, manifest := writeShardedGraph(t, t.TempDir(), 50, 400, 4)
-	if _, _, err := buildHandler(serveConfig{temporalPath: "t.csrc", procs: 2, shards: 2}); err == nil {
-		t.Fatal("want error for -temporal with -shards")
+	dir := t.TempDir()
+	plain, manifest := writeShardedGraph(t, dir, 50, 400, 4)
+	temporal := filepath.Join(dir, "t.csrc")
+	oneEdgeTemporal(t, temporal, 2, 1)
+	if _, _, err := buildHandler(serveConfig{graphPath: temporal, procs: 2, shards: 2}); err == nil {
+		t.Fatal("want error for -shards on a temporal -graph")
 	}
 	// -shards matching the manifest's count is allowed; a mismatch is not.
 	if _, _, err := buildHandler(serveConfig{graphPath: manifest, procs: 2, shards: 4}); err != nil {

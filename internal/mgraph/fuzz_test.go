@@ -82,7 +82,7 @@ func FuzzParseContainer(f *testing.F) {
 		if pt := c.Temporal(); pt != nil {
 			n, last := pt.NumNodes(), pt.NumFrames()-1
 			for u := 0; u < n && u < 64 && last >= 0; u++ {
-				_ = pt.ActiveNeighbors(uint32(u), last)
+				_ = pt.ActiveNeighbors(nil, uint32(u), last)
 				_ = pt.Active(uint32(u), uint32(n-1), last)
 				for t := 0; t <= last; t++ {
 					_ = pt.Frame(t).Row(nil, uint32(u))

@@ -65,7 +65,7 @@ func sameTemporal(t *testing.T, how string, got, want *tcsr.Packed) {
 	n := uint32(want.NumNodes())
 	for f := 0; f < want.NumFrames(); f++ {
 		for u := uint32(0); u < n; u++ {
-			if a, b := got.ActiveNeighbors(u, f), want.ActiveNeighbors(u, f); !reflect.DeepEqual(a, b) {
+			if a, b := got.ActiveNeighbors(nil, u, f), want.ActiveNeighbors(nil, u, f); !reflect.DeepEqual(a, b) {
 				t.Fatalf("%s: ActiveNeighbors(%d, %d) = %v, want %v", how, u, f, a, b)
 			}
 			for v := uint32(0); v < n; v += 7 {

@@ -1,6 +1,6 @@
 // HTTP-layer observability: option plumbing shared by the static and
-// temporal handlers, the per-endpoint instrumentation middleware, the
-// Prometheus /metrics endpoint, opt-in pprof mounting, and structured
+// temporal forms of Handler, the per-endpoint instrumentation middleware,
+// the Prometheus /metrics endpoint, opt-in pprof mounting, and structured
 // access logging.
 //
 // Per-endpoint series (latency histogram + response counters by status
@@ -43,7 +43,7 @@ type config struct {
 // searches the rows in place and never reads or fills it. The counters
 // appear under shards[0].replicas[0].cache in /stats and as
 // csrgraph_rowcache_*{shard="0",replica="0"} series in /metrics.
-// NewSharded and temporal handlers ignore it.
+// NewSharded and NewTemporal ignore it.
 func WithRowCache(maxBytes int64) Option {
 	return func(c *config) { c.cacheBytes = maxBytes }
 }
@@ -130,6 +130,8 @@ func opForPath(path string) trace.Op {
 		return trace.OpBFS
 	case "/analytics/bfs":
 		return trace.OpAnalyticsBFS
+	case "/active":
+		return trace.OpActive
 	}
 	return trace.OpOther
 }

@@ -236,7 +236,8 @@ func TestWriteJSONEncodeFailure(t *testing.T) {
 		t.Fatal("successful encode counted as failure")
 	}
 
-	writeJSON(log, httptest.NewRecorder(), func() {}) // funcs are not JSON-encodable
+	h := &Handler{o: newHTTPObs(config{accessLog: log})}
+	h.writeJSON(httptest.NewRecorder(), func() {}) // funcs are not JSON-encodable
 	if jsonEncodeErrors.Value() != before+1 {
 		t.Fatalf("encode failure not counted: %d -> %d", before, jsonEncodeErrors.Value())
 	}

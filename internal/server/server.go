@@ -1,22 +1,27 @@
-// Package server exposes a compressed CSR graph over HTTP — the "social
+// Package server exposes a compressed graph over HTTP — the "social
 // network with millions of users querying at once" scenario of Section V.
 // Incoming query batches are answered with the parallel querying
-// algorithms; responses are JSON. Every handler answers through the
-// scatter-gather router of internal/shard: New serves one graph as a
-// one-shard router, NewSharded a router the caller built. Each shard
-// engine's decoded-row table (WithRowCache for New) serves /neighbors rows;
-// /exists always searches the packed rows in place.
+// algorithms; responses are JSON. New serves one static graph as a
+// one-shard scatter-gather router (internal/shard), NewSharded a router the
+// caller built, and NewTemporal a time-evolving TCSR (Section IV); all
+// three build the same Handler. Each shard engine's decoded-row table
+// (WithRowCache for New) serves /neighbors rows; /exists always searches
+// the packed rows in place.
 //
 // Endpoints:
 //
-//	GET /stats                         graph metadata
-//	GET /neighbors?nodes=1,2,3         Algorithm 6 batch
-//	GET /degree?nodes=1,2,3            degree batch
-//	GET /exists?edges=1:2,3:4          Algorithm 7 batch
-//	GET /bfs?src=7                     hop distances from src
-//	GET /analytics/bfs?src=7&src=9,12  batched BFS with per-traversal round stats
+//	GET /healthz, /stats               liveness and graph metadata
+//	GET /neighbors?nodes=1,2,3         static: Algorithm 6 batch
+//	GET /degree?nodes=1,2,3            static: degree batch
+//	GET /exists?edges=1:2,3:4          static: Algorithm 7 batch
+//	GET /bfs?src=7                     static: hop distances from src
+//	GET /analytics/bfs?src=7&src=9,12  static: batched BFS with per-traversal round stats
+//	GET /active?queries=u:v:t,...      temporal: batched activity queries
+//	GET /neighbors?node=u&frame=t      temporal: active neighbors of u at frame t
+//	GET /bfs?src=u&frame=t             temporal: hop distances over the frame's active edges
 //	GET /metrics                       Prometheus exposition (WithMetrics)
 //	GET /debug/pprof/...               profiling (WithPprof)
+//	GET /debug/traces[/summary]        retained request traces (WithTracing)
 package server
 
 import (
@@ -34,6 +39,7 @@ import (
 	"csrgraph/internal/obs"
 	"csrgraph/internal/query"
 	"csrgraph/internal/shard"
+	"csrgraph/internal/tcsr"
 	"csrgraph/internal/trace"
 )
 
@@ -64,15 +70,17 @@ var (
 	bfsRounds  = obs.GetHistogram("csrgraph_http_bfs_rounds")
 )
 
-// Handler serves queries over one immutable graph through the
-// scatter-gather router. Batch validation happens twice by design: the
-// handler rejects early with a proper 400, and the router revalidates
-// because it is also a library entry point.
+// Handler serves queries over one immutable graph: a static graph through
+// the scatter-gather router, or a temporal one. Batch validation happens
+// twice by design: the handler rejects early with a proper 400, and the
+// router revalidates because it is also a library entry point.
 type Handler struct {
-	rt    *shard.Router
-	procs int
-	mux   *http.ServeMux
-	o     *httpObs
+	rt      *shard.Router // nil for a temporal graph
+	pt      *tcsr.Packed  // nil for a static graph
+	queries grammar[tcsr.ActivityQuery]
+	procs   int
+	mux     *http.ServeMux
+	o       *httpObs
 }
 
 // New builds a Handler answering from g with the given parallelism, through
@@ -93,26 +101,16 @@ func New(g query.Source, procs int, opts ...Option) *Handler {
 	if err != nil {
 		panic(err) // the engine has exactly the partition's row count
 	}
-	return newHandler(rt, procs, cfg)
+	return NewSharded(rt, procs, opts...)
 }
 
 // NewSharded builds a Handler answering through the scatter-gather router.
 // Row-table budgets are per shard engine (set at engine build), so
 // WithRowCache is ignored here; the other options apply unchanged.
 func NewSharded(rt *shard.Router, procs int, opts ...Option) *Handler {
-	if procs < 1 {
-		procs = 1
-	}
-	return newHandler(rt, procs, newConfig(opts))
-}
-
-func newHandler(rt *shard.Router, procs int, cfg config) *Handler {
-	h := &Handler{
-		rt:    rt,
-		procs: procs,
-		mux:   http.NewServeMux(),
-		o:     newHTTPObs(cfg),
-	}
+	cfg := newConfig(opts)
+	h := newHandler(procs, cfg)
+	h.rt = rt
 	h.o.handle(h.mux, "GET /healthz", h.healthz)
 	h.o.handle(h.mux, "GET /stats", h.stats)
 	h.o.handle(h.mux, "GET /neighbors", h.neighbors)
@@ -120,8 +118,24 @@ func newHandler(rt *shard.Router, procs int, cfg config) *Handler {
 	h.o.handle(h.mux, "GET /exists", h.exists)
 	h.o.handle(h.mux, "GET /bfs", h.bfs)
 	h.o.handle(h.mux, "GET /analytics/bfs", h.analyticsBFS)
+	h.mountObs(cfg, h.rowTableMetrics)
+	return h
+}
+
+// newHandler is the graph-free part of every constructor; the caller sets
+// the graph, mounts its routes, then calls mountObs.
+func newHandler(procs int, cfg config) *Handler {
+	if procs < 1 {
+		procs = 1
+	}
+	return &Handler{procs: procs, mux: http.NewServeMux(), o: newHTTPObs(cfg)}
+}
+
+// mountObs mounts the observability endpoints every Handler shares, extra
+// adding its graph's series to /metrics.
+func (h *Handler) mountObs(cfg config, extra func(io.Writer)) {
 	if cfg.metrics {
-		h.o.mountMetrics(h.mux, h.rowTableMetrics)
+		h.o.mountMetrics(h.mux, extra)
 	}
 	if cfg.pprof {
 		mountPprof(h.mux)
@@ -142,7 +156,6 @@ func newHandler(rt *shard.Router, procs int, cfg config) *Handler {
 			)
 		})
 	}
-	return h
 }
 
 // healthz reports liveness plus per-shard readiness: always 200 with
@@ -447,16 +460,12 @@ func (h *Handler) parseNodes(s string) ([]edgelist.NodeID, error) {
 // time an encode error surfaces, so the response cannot be repaired — but
 // the failure is counted (csrgraph_http_json_encode_errors_total) and
 // logged at warn, where it used to vanish in an empty return.
-func writeJSON(log *slog.Logger, w http.ResponseWriter, v any) {
+func (h *Handler) writeJSON(w http.ResponseWriter, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	if err := json.NewEncoder(w).Encode(v); err != nil {
 		jsonEncodeErrors.Inc()
-		log.Warn("json encode failed", "err", err)
+		h.o.errLog().Warn("json encode failed", "err", err)
 	}
-}
-
-func (h *Handler) writeJSON(w http.ResponseWriter, v any) {
-	writeJSON(h.o.errLog(), w, v)
 }
 
 func httpError(w http.ResponseWriter, code int, err error) {

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"errors"
 	"fmt"
 	"net/http"
 	"strconv"
@@ -10,59 +11,63 @@ import (
 	"csrgraph/internal/algo"
 	"csrgraph/internal/frontier"
 	"csrgraph/internal/tcsr"
+	"csrgraph/internal/trace"
 )
 
-// TemporalHandler serves point-in-time queries over a packed differential
-// TCSR (Section IV), batched in parallel.
-//
-// Endpoints:
-//
-//	GET /healthz                          liveness
-//	GET /stats                            frame and node counts
-//	GET /active?queries=u:v:t,...         batched activity queries
-//	GET /neighbors?node=u&frame=t         active neighbors of u at frame t
-//	GET /bfs?src=u&frame=t                hop distances over the frame's active edges
-type TemporalHandler struct {
-	pt    *tcsr.Packed
-	procs int
-	mux   *http.ServeMux
-	o     *httpObs
-}
-
-// NewTemporal builds a TemporalHandler answering from pt. It accepts the
-// same observability options as New; WithRowCache is ignored.
-func NewTemporal(pt *tcsr.Packed, procs int, opts ...Option) *TemporalHandler {
-	if procs < 1 {
-		procs = 1
-	}
+// NewTemporal builds a Handler answering point-in-time queries over a
+// packed differential TCSR (Section IV), batched in parallel. It takes the
+// options New does; WithRowCache has nothing to cache and is ignored.
+func NewTemporal(pt *tcsr.Packed, procs int, opts ...Option) *Handler {
 	cfg := newConfig(opts)
-	h := &TemporalHandler{pt: pt, procs: procs, mux: http.NewServeMux(), o: newHTTPObs(cfg)}
+	h := newHandler(procs, cfg)
+	h.pt, h.queries = pt, queryGrammar(pt.NumFrames())
 	h.o.handle(h.mux, "GET /healthz", func(w http.ResponseWriter, r *http.Request) {
 		h.writeJSON(w, map[string]bool{"ok": true})
 	})
-	h.o.handle(h.mux, "GET /stats", h.stats)
+	h.o.handle(h.mux, "GET /stats", h.temporalStats)
 	h.o.handle(h.mux, "GET /active", h.active)
-	h.o.handle(h.mux, "GET /neighbors", h.neighbors)
-	h.o.handle(h.mux, "GET /bfs", h.bfs)
-	if cfg.metrics {
-		h.o.mountMetrics(h.mux, nil)
-	}
-	if cfg.pprof {
-		mountPprof(h.mux)
-	}
+	h.o.handle(h.mux, "GET /neighbors", h.frameNeighbors)
+	h.o.handle(h.mux, "GET /bfs", h.frameBFS)
+	h.mountObs(cfg, nil)
 	return h
 }
 
-func (h *TemporalHandler) writeJSON(w http.ResponseWriter, v any) {
-	writeJSON(h.o.errLog(), w, v)
+// queryGrammar is the /active grammar over frames frames: items are
+// "u:v:t", both ids below the node count and t below frames.
+func queryGrammar(frames int) grammar[tcsr.ActivityQuery] {
+	return grammar[tcsr.ActivityQuery]{
+		key: "queries",
+		// No hand scanner: every item takes the tolerant decoder, which
+		// /active used before it shared the batch path.
+		scan: func(dst []tcsr.ActivityQuery, _ string, pos int, _ uint64) (int, int, scanState) {
+			if len(dst) == 0 {
+				return 0, pos, scanFull
+			}
+			return 0, pos, scanSlow
+		},
+		item: func(part string, n int) (q tcsr.ActivityQuery, err error) {
+			fields := strings.Split(strings.TrimSpace(part), ":")
+			if len(fields) != 3 {
+				return q, fmt.Errorf("bad query %q, want u:v:t", part)
+			}
+			u, err1 := strconv.ParseUint(fields[0], 10, 32)
+			v, err2 := strconv.ParseUint(fields[1], 10, 32)
+			t, err3 := strconv.Atoi(fields[2])
+			switch {
+			case err1 != nil || err2 != nil || err3 != nil:
+				err = fmt.Errorf("bad query %q", part)
+			case t < 0 || t >= frames:
+				err = fmt.Errorf("frame %d out of range [0,%d)", t, frames)
+			case int(u) >= n || int(v) >= n:
+				err = fmt.Errorf("query %q out of node range [0,%d)", part, n)
+			}
+			return tcsr.ActivityQuery{U: uint32(u), V: uint32(v), T: t}, err
+		},
+		missing: errors.New("missing queries parameter"),
+	}
 }
 
-// ServeHTTP implements http.Handler.
-func (h *TemporalHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	h.mux.ServeHTTP(w, r)
-}
-
-func (h *TemporalHandler) stats(w http.ResponseWriter, r *http.Request) {
+func (h *Handler) temporalStats(w http.ResponseWriter, r *http.Request) {
 	h.writeJSON(w, map[string]any{
 		"nodes":          h.pt.NumNodes(),
 		"frames":         h.pt.NumFrames(),
@@ -72,52 +77,47 @@ func (h *TemporalHandler) stats(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-func (h *TemporalHandler) active(w http.ResponseWriter, r *http.Request) {
-	raw := r.URL.Query().Get("queries")
-	if raw == "" {
-		httpError(w, http.StatusBadRequest, fmt.Errorf("missing queries parameter"))
+// active answers a batch of activity queries with the batch endpoints'
+// shape: scan into pooled memory, answer, append the body, write once.
+func (h *Handler) active(w http.ResponseWriter, r *http.Request) {
+	tr := trace.FromContext(r.Context())
+	sc := wirePool.Get().(*wireScratch)
+	defer wirePool.Put(sc)
+	p := tr.Now()
+	var err error
+	sc.queries, err = parseBatch(sc.queries, r.URL.RawQuery, &h.queries, h.pt.NumNodes())
+	tr.Span(trace.StageParse, len(sc.queries), p)
+	if err != nil {
+		httpError(w, http.StatusBadRequest, err)
 		return
 	}
-	parts := strings.Split(raw, ",")
-	if len(parts) > maxBatch {
-		httpError(w, http.StatusBadRequest, fmt.Errorf("batch of %d exceeds limit %d", len(parts), maxBatch))
-		return
-	}
-	queries := make([]tcsr.ActivityQuery, len(parts))
-	for i, part := range parts {
-		fields := strings.Split(strings.TrimSpace(part), ":")
-		if len(fields) != 3 {
-			httpError(w, http.StatusBadRequest, fmt.Errorf("bad query %q, want u:v:t", part))
-			return
-		}
-		u, err1 := strconv.ParseUint(fields[0], 10, 32)
-		v, err2 := strconv.ParseUint(fields[1], 10, 32)
-		t, err3 := strconv.Atoi(fields[2])
-		if err1 != nil || err2 != nil || err3 != nil {
-			httpError(w, http.StatusBadRequest, fmt.Errorf("bad query %q", part))
-			return
-		}
-		if t < 0 || t >= h.pt.NumFrames() {
-			httpError(w, http.StatusBadRequest,
-				fmt.Errorf("frame %d out of range [0,%d)", t, h.pt.NumFrames()))
-			return
-		}
-		if int(u) >= h.pt.NumNodes() || int(v) >= h.pt.NumNodes() {
-			httpError(w, http.StatusBadRequest,
-				fmt.Errorf("query %q out of node range [0,%d)", part, h.pt.NumNodes()))
-			return
-		}
-		queries[i] = tcsr.ActivityQuery{U: uint32(u), V: uint32(v), T: t}
-	}
-	results := h.pt.ActiveBatch(queries, h.procs)
-	out := make([]map[string]any, len(queries))
-	for i, q := range queries {
-		out[i] = map[string]any{"u": q.U, "v": q.V, "t": q.T, "active": results[i]}
-	}
-	h.writeJSON(w, out)
+	x := tr.Now()
+	results := h.pt.ActiveBatch(sc.queries, h.procs)
+	tr.Span(trace.StageExec, len(results), x)
+	e := tr.Now()
+	sc.buf = appendActive(sc.buf[:0], sc.queries, results)
+	tr.Span(trace.StageEncode, len(results), e)
+	h.writeBody(w, sc, tr)
 }
 
-func (h *TemporalHandler) neighbors(w http.ResponseWriter, r *http.Request) {
+// appendActive appends the /active body: the objects encoding/json makes
+// of {u, v, t, active}, keys sorted, in query order.
+func appendActive(b []byte, queries []tcsr.ActivityQuery, active []bool) []byte {
+	b = append(b, '[')
+	for k, q := range queries {
+		if k > 0 {
+			b = append(b, ',')
+		}
+		b = strconv.AppendBool(append(b, `{"active":`...), active[k])
+		b = strconv.AppendInt(append(b, `,"t":`...), int64(q.T), 10)
+		b = strconv.AppendUint(append(b, `,"u":`...), uint64(q.U), 10)
+		b = strconv.AppendUint(append(b, `,"v":`...), uint64(q.V), 10)
+		b = append(b, '}')
+	}
+	return append(b, "]\n"...)
+}
+
+func (h *Handler) frameNeighbors(w http.ResponseWriter, r *http.Request) {
 	u, err1 := strconv.ParseUint(r.URL.Query().Get("node"), 10, 32)
 	t, err2 := strconv.Atoi(r.URL.Query().Get("frame"))
 	if err1 != nil || err2 != nil {
@@ -128,31 +128,28 @@ func (h *TemporalHandler) neighbors(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, fmt.Errorf("node %d / frame %d out of range", u, t))
 		return
 	}
-	row := h.pt.ActiveNeighbors(uint32(u), t)
-	if row == nil {
-		row = []uint32{}
-	}
-	h.writeJSON(w, map[string]any{"node": u, "frame": t, "neighbors": row})
+	h.writeJSON(w, map[string]any{"node": u, "frame": t, "neighbors": h.pt.ActiveNeighbors(nil, uint32(u), t)})
 }
 
 // frameSource adapts one TCSR frame to the frontier core's graph surface:
 // rows are the frame's active neighbor sets. No edge count is exposed, so
-// traversals stay in push mode (no transpose exists for a frame either).
+// traversals stay in push mode (no transpose exists for a frame either),
+// and push mode never asks for a Degree.
 type frameSource struct {
 	pt *tcsr.Packed
 	t  int
 }
 
 func (f frameSource) NumNodes() int       { return f.pt.NumNodes() }
-func (f frameSource) Degree(u uint32) int { return len(f.pt.ActiveNeighbors(u, f.t)) }
+func (f frameSource) Degree(u uint32) int { return len(f.pt.ActiveNeighbors(nil, u, f.t)) }
 func (f frameSource) Row(dst []uint32, u uint32) []uint32 {
-	return f.pt.ActiveNeighbors(u, f.t)
+	return f.pt.ActiveNeighbors(dst, u, f.t)
 }
 
-// bfs answers point-in-time hop distances: a frontier BFS over the edges
-// active at the requested frame. Out-of-range src or frame is a 400, like
-// every other malformed request on this handler.
-func (h *TemporalHandler) bfs(w http.ResponseWriter, r *http.Request) {
+// frameBFS answers point-in-time hop distances: a frontier BFS over the
+// edges active at the requested frame. Out-of-range src or frame is a 400,
+// like every other malformed request.
+func (h *Handler) frameBFS(w http.ResponseWriter, r *http.Request) {
 	if h.pt.NumNodes() > maxBFSNodes {
 		httpError(w, http.StatusRequestEntityTooLarge,
 			fmt.Errorf("graph too large for the bfs endpoint (%d nodes)", h.pt.NumNodes()))

@@ -1,15 +1,21 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
+	"log/slog"
 	"net/http"
+	"strings"
 	"testing"
+	"time"
 
 	"csrgraph/internal/edgelist"
+	"csrgraph/internal/gen"
 	"csrgraph/internal/tcsr"
+	"csrgraph/internal/trace"
 )
 
-func temporalHandler(t *testing.T) *TemporalHandler {
+func temporalHandler(t *testing.T) *Handler {
 	t.Helper()
 	events := edgelist.TemporalList{
 		{U: 0, V: 1, T: 0}, {U: 1, V: 2, T: 0},
@@ -93,6 +99,28 @@ func TestTemporalNeighbors(t *testing.T) {
 	}
 }
 
+// TestTemporalProbeBodies pins bodies the handler gave before it joined
+// Handler, byte for byte.
+func TestTemporalProbeBodies(t *testing.T) {
+	h := temporalHandler(t)
+	for _, c := range []struct {
+		url  string
+		code int
+		body string
+	}{
+		{"/active?queries=0:1:0,1:2:2", 200, `[{"active":true,"t":0,"u":0,"v":1},{"active":true,"t":2,"u":1,"v":2}]` + "\n"},
+		{"/neighbors?node=0&frame=2", 200, `{"frame":2,"neighbors":[1],"node":0}` + "\n"},
+		{"/neighbors?node=2&frame=0", 200, `{"frame":0,"neighbors":[],"node":2}` + "\n"},
+		{"/bfs?src=0&frame=2", 200, `{"distances":[0,1,2],"frame":2,"reached":3,"rounds":3,"src":0}` + "\n"},
+		{"/active?queries=0:1:+1", 400, `{"error":"bad query \"0:1: 1\""}` + "\n"},
+	} {
+		rec, body := get(t, h, c.url)
+		if rec.Code != c.code || body != c.body {
+			t.Errorf("%s: %d %q, want %d %q", c.url, rec.Code, body, c.code, c.body)
+		}
+	}
+}
+
 func TestTemporalBadRequests(t *testing.T) {
 	h := temporalHandler(t)
 	for _, url := range []string{
@@ -164,6 +192,76 @@ func TestTemporalBFSBadRequests(t *testing.T) {
 		rec, body := get(t, h, url)
 		if rec.Code != http.StatusBadRequest {
 			t.Fatalf("%s: status %d, want 400: %s", url, rec.Code, body)
+		}
+	}
+}
+
+// TestTemporalTraced: a temporal Handler built WithTracing serves
+// /debug/traces, where an /active trace carries the batch endpoints'
+// parse, exec, encode and write spans, and logs slow queries.
+func TestTemporalTraced(t *testing.T) {
+	rec := trace.NewRecorder(trace.RecorderConfig{SlowThreshold: time.Nanosecond})
+	var buf bytes.Buffer
+	tc, err := tcsr.BuildFromEvents(edgelist.TemporalList{{U: 0, V: 1, T: 0}, {U: 1, V: 2, T: 1}}, 3, 2, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := NewTemporal(tc, 2, WithTracing(rec), WithAccessLog(slog.New(slog.NewJSONHandler(&buf, nil))))
+	r, id := getTraced(t, h, "/active?queries=0:1:0,1:2:1,1:2:0")
+	if r.Code != 200 || len(id) != 16 {
+		t.Fatalf("traced /active: code %d, id %q", r.Code, id)
+	}
+	tj := fetchTrace(t, h, id)
+	if tj.Op != trace.OpActive {
+		t.Fatalf("op = %v", tj.Op)
+	}
+	stages := map[trace.Stage]int{}
+	for _, sp := range tj.Spans {
+		stages[sp.Stage] = int(sp.Items)
+	}
+	for _, st := range []trace.Stage{trace.StageParse, trace.StageExec, trace.StageEncode} {
+		if stages[st] != 3 {
+			t.Fatalf("stage %v items = %d, want 3: %+v", st, stages[st], tj.Spans)
+		}
+	}
+	if stages[trace.StageWrite] != r.Body.Len() {
+		t.Fatalf("write span items = %d, want the %d body bytes", stages[trace.StageWrite], r.Body.Len())
+	}
+	if r, body := get(t, h, "/debug/traces/summary?op=active"); r.Code != 200 || !strings.Contains(body, `"active"`) {
+		t.Fatalf("summary: %d %s", r.Code, body)
+	}
+	if !strings.Contains(buf.String(), `"msg":"slow query"`) || !strings.Contains(buf.String(), id) {
+		t.Fatalf("no slow query record for %s:\n%s", id, buf.String())
+	}
+}
+
+// TestFrameRowReusesBuffer: a /bfs?frame=t traversal decodes each row into
+// the buffer it passes back, so a warm frameSource.Row allocates nothing.
+func TestFrameRowReusesBuffer(t *testing.T) {
+	events, err := gen.TemporalStream(300, 3000, 100, 8, 3, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pt, err := tcsr.BuildFromEvents(events, 300, 8, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, interval := range []int{8, 3} {
+		ck, err := pt.Checkpoint(interval, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f := frameSource{pt: ck, t: 7}
+		var buf []uint32
+		for u := uint32(0); u < 300; u++ {
+			buf = f.Row(buf, u)
+		}
+		if allocs := testing.AllocsPerRun(20, func() {
+			for u := uint32(0); u < 300; u++ {
+				buf = f.Row(buf, u)
+			}
+		}); allocs != 0 {
+			t.Fatalf("interval %d: warm Row allocates %.1f times per pass", interval, allocs)
 		}
 	}
 }

@@ -1,11 +1,12 @@
-// Wire path of the batch endpoints (/exists, /degree, /neighbors), DESIGN.md
-// "Wire path": a scanner that decodes the query string's decimal items
-// straight into a pooled slice, and encoders that write the JSON body into a
-// pooled byte buffer sent with one Write. Every accepted request gets the
-// bytes encoding/json produced for []map[string]any (keys in sorted order,
-// "[]" for an empty row, a trailing newline); every refused request gets the
-// status and error text the strings.Split parsers gave. wire_test.go keeps
-// both as the reference it is tested against.
+// Wire path of the batch endpoints (/exists, /degree, /neighbors, and the
+// temporal /active), DESIGN.md "Wire path": a scanner that decodes the
+// query string's decimal items straight into a pooled slice, and encoders
+// that write the JSON body into a pooled byte buffer sent with one Write.
+// Every accepted request gets the bytes encoding/json produced for
+// []map[string]any (keys in sorted order, "[]" for an empty row, a trailing
+// newline); every refused request gets the status and error text the
+// strings.Split parsers gave. wire_test.go keeps both as the reference it
+// is tested against.
 package server
 
 import (
@@ -22,6 +23,7 @@ import (
 
 	"csrgraph/internal/edgelist"
 	"csrgraph/internal/obs"
+	"csrgraph/internal/tcsr"
 	"csrgraph/internal/trace"
 )
 
@@ -29,10 +31,11 @@ import (
 // the response body. It holds numbers and bytes of its own only — nothing
 // of the request survives the Put.
 type wireScratch struct {
-	nodes []edgelist.NodeID
-	edges []edgelist.Edge
-	buf   []byte
-	clen  [1]string // the Content-Length header's value slice
+	nodes   []edgelist.NodeID
+	edges   []edgelist.Edge
+	queries []tcsr.ActivityQuery
+	buf     []byte
+	clen    [1]string // the Content-Length header's value slice
 }
 
 var wirePool = sync.Pool{New: func() any { return new(wireScratch) }}
@@ -40,7 +43,7 @@ var wirePool = sync.Pool{New: func() any { return new(wireScratch) }}
 // maxPooledBuf is the largest response buffer that goes back to the pool.
 // A larger one is dropped after its reply, so resident memory does not
 // grow with the largest reply ever sent. (The item slices are bounded by
-// maxBatch: 800 KB of edges.)
+// maxBatch: 800 KB of edges, 1.6 MB of activity queries.)
 const maxPooledBuf = 1 << 20
 
 // jsonContentType is the Content-Type value of every batch reply, shared:

@@ -16,7 +16,12 @@ import (
 	"strings"
 	"testing"
 
+	"csrgraph/internal/algo"
+	"csrgraph/internal/csr"
 	"csrgraph/internal/edgelist"
+	"csrgraph/internal/frontier"
+	"csrgraph/internal/gen"
+	"csrgraph/internal/tcsr"
 )
 
 // The wire path this package had before wire.go, kept as the reference the
@@ -73,6 +78,39 @@ func refParseEdges(s string, n int) ([]edgelist.Edge, error) {
 		out[i] = edgelist.Edge{U: uint32(u), V: uint32(v)}
 	}
 	return out, nil
+}
+
+// refParseActive is the /active parser of the handler before it joined the
+// wire path, the reference the queries grammar is held against.
+func refParseActive(s string, n, frames int) ([]tcsr.ActivityQuery, error) {
+	if s == "" {
+		return nil, fmt.Errorf("missing queries parameter")
+	}
+	parts := strings.Split(s, ",")
+	if len(parts) > maxBatch {
+		return nil, fmt.Errorf("batch of %d exceeds limit %d", len(parts), maxBatch)
+	}
+	queries := make([]tcsr.ActivityQuery, len(parts))
+	for i, part := range parts {
+		fields := strings.Split(strings.TrimSpace(part), ":")
+		if len(fields) != 3 {
+			return nil, fmt.Errorf("bad query %q, want u:v:t", part)
+		}
+		u, err1 := strconv.ParseUint(fields[0], 10, 32)
+		v, err2 := strconv.ParseUint(fields[1], 10, 32)
+		t, err3 := strconv.Atoi(fields[2])
+		if err1 != nil || err2 != nil || err3 != nil {
+			return nil, fmt.Errorf("bad query %q", part)
+		}
+		if t < 0 || t >= frames {
+			return nil, fmt.Errorf("frame %d out of range [0,%d)", t, frames)
+		}
+		if int(u) >= n || int(v) >= n {
+			return nil, fmt.Errorf("query %q out of node range [0,%d)", part, n)
+		}
+		queries[i] = tcsr.ActivityQuery{U: uint32(u), V: uint32(v), T: t}
+	}
+	return queries, nil
 }
 
 func refQueryGet(rawQuery, key string) string {
@@ -646,15 +684,20 @@ func FuzzPutRow(f *testing.F) {
 }
 
 // FuzzParseBatch holds the scanner against the reference on arbitrary
-// query strings and node counts: the same items, or the same refusal.
+// query strings, node counts and frame counts: the same items, or the same
+// refusal.
 func FuzzParseBatch(f *testing.F) {
 	for _, seed := range []string{
 		"nodes=1,2,3", "edges=1:2,3:4", "nodes=1%2C2&edges=1%3A2", "nodes=+1&edges=1:2+", "nodes=1;2&nodes=3",
 		"edges=1:2:3", "nodes=4294967295&edges=0:4294967295", "nodes=&edges=", "%6eodes=1&%65dges=1:1", "nodes=1,,2&edges=,",
+		"queries=0:1:0,4:3:2", "queries=0:1:+1", "queries=0:1:%2B1", "queries=%200:1:2%20,1:2:0", "queries=0:1:0;1:2:0&queries=1:1:1",
+		"queries=0:1:-1", "queries=0:1:-0", "queries=0:1:+0", "queries=5:0:0", "queries=0:4294967296:0", "queries=0:1:3",
+		"queries=0:1:99999999999999999999", "queries=0:1", "queries=0:1:2:3", "queries=::", "queries=0:1:0,", "%71ueries=1:1:1",
+		"queries=" + strings.Repeat(",", maxBatch),
 	} {
-		f.Add(seed, uint32(5))
+		f.Add(seed, uint32(5), uint8(3))
 	}
-	f.Fuzz(func(t *testing.T, rawQuery string, n uint32) {
+	f.Fuzz(func(t *testing.T, rawQuery string, n uint32, frames uint8) {
 		wantNodes, wantErr := refParseNodes(refQueryGet(rawQuery, "nodes"), int(n))
 		gotNodes, gotErr := parseBatch(nil, rawQuery, &nodeGrammar, int(n))
 		compareParse(t, rawQuery, wantNodes, gotNodes, wantErr, gotErr)
@@ -662,6 +705,10 @@ func FuzzParseBatch(f *testing.F) {
 		// A dirty pooled slice must not show through.
 		gotEdges, gotErr := parseBatch(make([]edgelist.Edge, 3, 5), rawQuery, &edgeGrammar, int(n))
 		compareParse(t, rawQuery, wantEdges, gotEdges, wantErr, gotErr)
+		wantQueries, wantErr := refParseActive(refQueryGet(rawQuery, "queries"), int(n), int(frames))
+		g := queryGrammar(int(frames))
+		gotQueries, gotErr := parseBatch(make([]tcsr.ActivityQuery, 2, 3), rawQuery, &g, int(n))
+		compareParse(t, rawQuery, wantQueries, gotQueries, wantErr, gotErr)
 	})
 }
 
@@ -677,5 +724,136 @@ func compareParse[T comparable](t *testing.T, rawQuery string, want, got []T, wa
 		if got[i] != want[i] {
 			t.Fatalf("%q: item %d is %v, reference %v", rawQuery, i, got[i], want[i])
 		}
+	}
+}
+
+// refTemporalResponse answers path?rawQuery the way the temporal handler
+// did before it joined Handler: url.Values and strings.Split parsing, one
+// map per item through encoding/json. Answers come from snaps, each
+// frame's Snapshot built into a plain CSR, not from the packed frames the
+// handler reads.
+func refTemporalResponse(t testing.TB, snaps []*csr.Matrix, path, rawQuery string) (int, string) {
+	t.Helper()
+	fail := func(err error) (int, string) {
+		return http.StatusBadRequest, refJSON(t, map[string]string{"error": err.Error()})
+	}
+	n, frames := snaps[0].NumNodes(), len(snaps)
+	q := (&url.URL{RawQuery: rawQuery}).Query()
+	switch path {
+	case "/active":
+		queries, err := refParseActive(q.Get("queries"), n, frames)
+		if err != nil {
+			return fail(err)
+		}
+		out := make([]map[string]any, len(queries))
+		for i, qu := range queries {
+			active := slices.Contains(snaps[qu.T].Neighbors(qu.U), qu.V)
+			out[i] = map[string]any{"u": qu.U, "v": qu.V, "t": qu.T, "active": active}
+		}
+		return http.StatusOK, refJSON(t, out)
+	case "/neighbors":
+		u, err1 := strconv.ParseUint(q.Get("node"), 10, 32)
+		tf, err2 := strconv.Atoi(q.Get("frame"))
+		if err1 != nil || err2 != nil {
+			return fail(fmt.Errorf("need numeric node and frame parameters"))
+		}
+		if int(u) >= n || tf < 0 || tf >= frames {
+			return fail(fmt.Errorf("node %d / frame %d out of range", u, tf))
+		}
+		row := append([]uint32{}, snaps[tf].Neighbors(uint32(u))...)
+		return http.StatusOK, refJSON(t, map[string]any{"node": u, "frame": tf, "neighbors": row})
+	case "/bfs":
+		src, err1 := strconv.ParseUint(q.Get("src"), 10, 32)
+		tf, err2 := strconv.Atoi(q.Get("frame"))
+		if err1 != nil || err2 != nil {
+			return fail(fmt.Errorf("need numeric src and frame parameters"))
+		}
+		if int(src) >= n {
+			return fail(fmt.Errorf("src %d out of range [0,%d)", src, n))
+		}
+		if tf < 0 || tf >= frames {
+			return fail(fmt.Errorf("frame %d out of range [0,%d)", tf, frames))
+		}
+		dist, st := algo.BFSFrontierStats(snaps[tf], nil, uint32(src), frontier.DefaultPolicy(), 2)
+		reached := 0
+		for _, d := range dist {
+			if d != algo.Unreached {
+				reached++
+			}
+		}
+		return http.StatusOK, refJSON(t, map[string]any{
+			"src": src, "frame": tf, "reached": reached, "rounds": st.Rounds, "distances": dist,
+		})
+	}
+	t.Fatalf("no reference for %s", path)
+	return 0, ""
+}
+
+// checkTemporalAgainstRef holds one temporal request's status and body
+// against the reference.
+func checkTemporalAgainstRef(t *testing.T, h *Handler, snaps []*csr.Matrix, path, rawQuery string) {
+	t.Helper()
+	wantCode, wantBody := refTemporalResponse(t, snaps, path, rawQuery)
+	rec := serve(h, path, rawQuery)
+	if rec.Code != wantCode || rec.Body.String() != wantBody {
+		t.Fatalf("%s?%.120s: %d %.300q, reference %d %.300q", path, rawQuery, rec.Code, rec.Body.String(), wantCode, wantBody)
+	}
+	if ct := rec.Header().Get("Content-Type"); ct != "application/json" {
+		t.Fatalf("%s?%.120s: Content-Type %q", path, rawQuery, ct)
+	}
+}
+
+// TestTemporalBodiesMatchReference sends random /active, /neighbors and
+// /bfs requests, in range and out, to a temporal Handler over a churning
+// stream, and a table of malformed and escaped /active queries: same
+// status, same bytes as the reference. So /bfs?frame=t distances are those
+// of a BFS over the frame's Snapshot.
+func TestTemporalBodiesMatchReference(t *testing.T) {
+	const nodes, frames = 200, 6
+	events, err := gen.TemporalStream(nodes, 1200, 60, frames, 3, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pt, err := tcsr.BuildFromEvents(events, nodes, frames, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := NewTemporal(pt, 2)
+	snaps := make([]*csr.Matrix, frames)
+	for tf := range snaps {
+		snaps[tf] = csr.Build(pt.Snapshot(tf, 2), nodes, 2)
+	}
+	rng := rand.New(rand.NewSource(11))
+	id := func() int { return rng.Intn(nodes + 2) } // now and then out of range
+	frame := func() int { return rng.Intn(frames+2) - 1 }
+	for round := 0; round < 40; round++ {
+		items := make([]string, 1+rng.Intn(50))
+		for i := range items {
+			items[i] = fmt.Sprintf("%d:%d:%d", id()%nodes, id()%nodes, rng.Intn(frames))
+		}
+		if round%4 == 3 {
+			items[rng.Intn(len(items))] = fmt.Sprintf("%d:%d:%d", id(), id(), frame())
+		}
+		checkTemporalAgainstRef(t, h, snaps, "/active", "queries="+strings.Join(items, ","))
+		checkTemporalAgainstRef(t, h, snaps, "/neighbors", fmt.Sprintf("node=%d&frame=%d", id(), frame()))
+		checkTemporalAgainstRef(t, h, snaps, "/bfs", fmt.Sprintf("src=%d&frame=%d", id(), frame()))
+	}
+	for tf := 0; tf < frames; tf++ {
+		checkTemporalAgainstRef(t, h, snaps, "/bfs", fmt.Sprintf("src=0&frame=%d", tf))
+	}
+	for _, q := range []string{
+		"", "queries", "queries=", "x=1", "queries=0:1:0", "queries=0:1:+1", "queries=0:1:%2B1", "queries=+0:1:1",
+		"queries=0:1:-1", "queries=0:1:-0", "queries=0:1:+0", "queries=0:1:6", "queries=0:200:0", "queries=200:0:0",
+		"queries=0:1:99999999999999999999", "queries=4294967296:0:0", "queries=0:1", "queries=0:1:2:3", "queries=::",
+		"queries=0:1:0,", "queries=,0:1:0", "queries=0:1:0,,1:2:3", "queries=%200:1:2%20,1:2:0", "queries=0:1:2 , 3:4:5",
+		"queries=0%3A1%3A2", "queries=0:1:0;1:2:0", "queries=0:1:0;1:2:0&queries=1:1:1", "queries=0:1:2%", "queries=0:1:2%zz",
+		"%71ueries=1:1:1", "queries=0:1:0&queries=x", "queries=007:0008:00005", "queries=0:1:0x1", "queries=a:b:c",
+		"queries=" + overLimit("0:1:0"), "queries=" + overLimit("0:1:0")[6:],
+	} {
+		checkTemporalAgainstRef(t, h, snaps, "/active", q)
+	}
+	for _, q := range []string{"", "node=0", "frame=0", "node=0&frame=", "node=-1&frame=0", "node=+1&frame=0", "node=1&frame=+1", "node=1&frame=-1"} {
+		checkTemporalAgainstRef(t, h, snaps, "/neighbors", q)
+		checkTemporalAgainstRef(t, h, snaps, "/bfs", strings.Replace(q, "node", "src", 1))
 	}
 }

@@ -13,42 +13,26 @@ import (
 // rows, relabeled to dense local ids, with neighbor ids left global (see
 // the package comment for why). Range shards alias m's Cols — the cut is
 // row-contiguous, so only the rebased offsets are materialized — while mod
-// shards gather their strided rows through a parallel copy.
+// shards gather their strided rows through SplitSource's parallel copy.
 func Split(m *csr.Matrix, part *Partition, p int) ([]*csr.Matrix, error) {
 	if m.NumNodes() != part.NumNodes() {
 		return nil, fmt.Errorf("shard: partition covers %d nodes, graph has %d", part.NumNodes(), m.NumNodes())
 	}
+	if part.Strategy() != StrategyRange {
+		return SplitSource(m, part, p)
+	}
 	out := make([]*csr.Matrix, part.NumShards())
 	for s := range out {
-		if part.Strategy() == StrategyRange {
-			lo, hi := part.Bounds(s)
-			off := make([]uint32, hi-lo+1)
-			base := m.RowOffsets[lo]
-			for i := range off {
-				off[i] = m.RowOffsets[int(lo)+i] - base
-			}
-			out[s] = &csr.Matrix{
-				RowOffsets: off,
-				Cols:       m.Cols[base:m.RowOffsets[hi]],
-			}
-			continue
+		lo, hi := part.Bounds(s)
+		off := make([]uint32, hi-lo+1)
+		base := m.RowOffsets[lo]
+		for i := range off {
+			off[i] = m.RowOffsets[int(lo)+i] - base
 		}
-		ns := part.ShardNodes(s)
-		deg := make([]uint32, ns)
-		sl := s
-		parallel.For(ns, p, func(_ int, r parallel.Range) {
-			for i := r.Start; i < r.End; i++ {
-				deg[i] = uint32(m.Degree(part.ToGlobal(sl, uint32(i))))
-			}
-		})
-		off := prefixsum.Offsets(deg, p)
-		cols := make([]uint32, off[ns])
-		parallel.For(ns, p, func(_ int, r parallel.Range) {
-			for i := r.Start; i < r.End; i++ {
-				copy(cols[off[i]:off[i+1]], m.Neighbors(part.ToGlobal(sl, uint32(i))))
-			}
-		})
-		out[s] = &csr.Matrix{RowOffsets: off, Cols: cols}
+		out[s] = &csr.Matrix{
+			RowOffsets: off,
+			Cols:       m.Cols[base:m.RowOffsets[hi]],
+		}
 	}
 	return out, nil
 }

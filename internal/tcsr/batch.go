@@ -47,7 +47,7 @@ func (pt *Packed) ActiveNeighborsBatch(queries []NeighborQuery, p int) [][]uint3
 	out := make([][]uint32, len(queries))
 	parallel.For(len(queries), p, func(_ int, r parallel.Range) {
 		for i := r.Start; i < r.End; i++ {
-			out[i] = pt.ActiveNeighbors(queries[i].U, queries[i].T)
+			out[i] = pt.ActiveNeighbors(nil, queries[i].U, queries[i].T)
 		}
 	})
 	return out

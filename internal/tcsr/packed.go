@@ -116,18 +116,24 @@ func (pt *Packed) Active(u, v edgelist.NodeID, t int) bool {
 
 // ActiveNeighbors returns the sorted neighbors of u active at frame t: the
 // ids that occur an odd number of times across the checkpoint's row and
-// the later differential rows up to t.
-func (pt *Packed) ActiveNeighbors(u edgelist.NodeID, t int) []uint32 {
+// the later differential rows up to t. The rows are gathered into dst's
+// backing array, grown as needed, so a caller that passes its last result
+// back decodes without allocating; the result is never nil.
+func (pt *Packed) ActiveNeighbors(dst []uint32, u edgelist.NodeID, t int) []uint32 {
 	ck, from := pt.base(t)
-	out := []uint32{}
+	out := dst[:0]
+	if out == nil {
+		out = []uint32{}
+	}
 	if int(u) >= pt.numNodes {
 		return out
 	}
 	out = ck.Row(out, u)
-	var row []uint32
 	for i := from; i <= t; i++ {
-		row = pt.frames[i].Row(row, u)
-		out = append(out, row...)
+		f := pt.frames[i]
+		n, d := len(out), f.Degree(u)
+		out = slices.Grow(out, d)[:n+d]
+		f.Row(out[n:], u)
 	}
 	slices.Sort(out)
 	// Keep each id whose run of equal ids has odd length.

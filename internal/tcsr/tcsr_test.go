@@ -116,10 +116,10 @@ func TestPaperFigure4(t *testing.T) {
 			t.Errorf("Active(%d,%d,t=%d) = %v, want %v", c.u, c.v, c.t, got, c.want)
 		}
 	}
-	if got := tc.ActiveNeighbors(1, 2); len(got) != 0 {
+	if got := tc.ActiveNeighbors(nil, 1, 2); len(got) != 0 {
 		t.Errorf("ActiveNeighbors(1, t=2) = %v, want empty", got)
 	}
-	if got := tc.ActiveNeighbors(1, 3); !reflect.DeepEqual(got, []uint32{2}) {
+	if got := tc.ActiveNeighbors(nil, 1, 3); !reflect.DeepEqual(got, []uint32{2}) {
 		t.Errorf("ActiveNeighbors(1, t=3) = %v, want [2]", got)
 	}
 }
@@ -284,7 +284,7 @@ func TestActiveNeighborsMatchesSimulator(t *testing.T) {
 	for tf := 0; tf < numFrames; tf++ {
 		for u := uint32(0); u < numNodes; u++ {
 			want := sim.neighbors(u, tf)
-			if got := tc.ActiveNeighbors(u, tf); !reflect.DeepEqual(got, want) {
+			if got := tc.ActiveNeighbors(nil, u, tf); !reflect.DeepEqual(got, want) {
 				t.Fatalf("ActiveNeighbors(%d, t=%d) = %v, want %v", u, tf, got, want)
 			}
 		}
@@ -355,7 +355,7 @@ func TestPackedAgreesWithPlain(t *testing.T) {
 				want = append(want, e.V)
 			}
 		}
-		got := pt.ActiveNeighbors(u, numFrames-1)
+		got := pt.ActiveNeighbors(nil, u, numFrames-1)
 		if len(got) == 0 && len(want) == 0 {
 			continue
 		}
@@ -416,7 +416,7 @@ func TestFrameBoundsPanicsOutOfRange(t *testing.T) {
 	for name, fn := range map[string]func(){
 		"Snapshot":        func() { tc.Snapshot(5, 1) },
 		"Active":          func() { tc.Active(0, 1, -1) },
-		"ActiveNeighbors": func() { tc.ActiveNeighbors(0, 9) },
+		"ActiveNeighbors": func() { tc.ActiveNeighbors(nil, 0, 9) },
 	} {
 		func() {
 			defer func() {
@@ -510,7 +510,7 @@ func TestCheckpointedMatchesPlain(t *testing.T) {
 			}
 		}
 		for i, q := range nq {
-			if got := pt.ActiveNeighbors(q.U, q.T); !reflect.DeepEqual(got, wantRows[i]) {
+			if got := pt.ActiveNeighbors(nil, q.U, q.T); !reflect.DeepEqual(got, wantRows[i]) {
 				t.Fatalf("interval=%d: ActiveNeighbors(%d, %d) = %v, want %v", interval, q.U, q.T, got, wantRows[i])
 			}
 		}
@@ -601,7 +601,7 @@ func TestActiveNeighborsBatch(t *testing.T) {
 	for _, p := range []int{1, 3} {
 		got, got2 := tc.ActiveNeighborsBatch(queries, p), ck.ActiveNeighborsBatch(queries, p)
 		for i, q := range queries {
-			want := tc.ActiveNeighbors(q.U, q.T)
+			want := tc.ActiveNeighbors(nil, q.U, q.T)
 			if !reflect.DeepEqual(got[i], want) || !reflect.DeepEqual(got2[i], want) {
 				t.Fatalf("p=%d: neighbor batch %d = %v / %v, want %v", p, i, got[i], got2[i], want)
 			}

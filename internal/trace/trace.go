@@ -102,12 +102,13 @@ const (
 	OpDegree
 	OpBFS
 	OpAnalyticsBFS
+	OpActive
 
 	// NumOps bounds per-op configuration arrays.
 	NumOps
 )
 
-var opNames = [NumOps]string{"other", "exists", "neighbors", "degree", "bfs", "analytics_bfs"}
+var opNames = [NumOps]string{"other", "exists", "neighbors", "degree", "bfs", "analytics_bfs", "active"}
 
 // String returns the op's wire name.
 func (o Op) String() string {

@@ -82,7 +82,7 @@ func (tg *TemporalGraph) Active(u, v NodeID, t int) bool { return tg.pt.Active(u
 
 // ActiveNeighbors returns the sorted neighbors of u active at frame t.
 func (tg *TemporalGraph) ActiveNeighbors(u NodeID, t int) []uint32 {
-	return tg.pt.ActiveNeighbors(u, t)
+	return tg.pt.ActiveNeighbors(nil, u, t)
 }
 
 // Snapshot returns the full edge set active at frame t, sorted by (u, v).
