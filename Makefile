@@ -7,7 +7,7 @@ GO ?= go
 # lower-variance trajectory points.
 BENCHTIME ?= 100ms
 
-.PHONY: all build build-cross generate generate-check test test-race race vet fmt fmt-check lint lint-timing lint-json bench-test bench bench-quick bench-json bench-obs bench-trace bench-compare bench-compare-query bench-compare-algo bench-compare-shard bench-startup bench-shard fuzz fuzz-smoke experiments clean
+.PHONY: all build build-cross generate generate-check test test-race race vet fmt fmt-check lint lint-timing lint-json bench-test bench bench-quick bench-json bench-obs bench-algo bench-trace bench-compare bench-compare-query bench-compare-algo bench-compare-shard bench-startup bench-shard fuzz fuzz-smoke experiments clean
 
 all: build generate-check vet lint test test-race bench-test
 
@@ -114,7 +114,7 @@ bench-obs:
 		| $(GO) run ./cmd/benchjson > BENCH_$$(date +%Y-%m-%d)$(BENCH_SUFFIX).json
 
 # Traversal-analytics snapshot: the frontier core (BFS sparse↔dense
-# switching vs the push-only BFS, bucketed k-core) at 10M edges, appended
+# switching vs the push-only BFS, level-peel k-core) at 10M edges, appended
 # to the BENCH_<date>.json trajectory. Pair the BFS arms with
 # `go run ./cmd/benchcompare -baseline legacy -new frontier`.
 bench-algo:
@@ -198,10 +198,13 @@ fuzz:
 fuzz-smoke:
 	$(MAKE) fuzz FUZZTIME=10s
 
-# Regenerate the paper artifacts (Table II, Figures 6-7, CSV, SVG).
+# Regenerate the paper artifacts (Table II, Figures 6-7, CSV, SVG, the
+# Section V query table and the Section IV numbers). Construction is timed
+# over the host's processor sweep: 1, doubling, up to GOMAXPROCS.
 experiments:
-	$(GO) run ./cmd/csrbench -experiment all -scale 64 -reps 3 \
+	$(GO) run ./cmd/csrbench -experiment all -scale 64 -reps 9 \
 		-csv results_scale64.csv -svg .
+	$(GO) run ./cmd/csrbench -experiment queries -graph LiveJournal -scale 64 -reps 9
 	$(GO) run ./cmd/tcsrbench -nodes 20000 -base 100000 -churn 2000 \
 		-frames 50 -compare
 

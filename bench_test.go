@@ -1,11 +1,10 @@
 // Benchmarks regenerating the paper's evaluation artifacts, one per table
 // and figure (see DESIGN.md §4 and EXPERIMENTS.md for the mapping):
 //
-//	BenchmarkTable2Construction — Table II's time column: packed-CSR
-//	    construction per registry graph per processor count. Compression
-//	    ratios are attached as custom metrics (edgelist_bytes_per_csr_byte).
-//	BenchmarkFig6Series — Figure 6: the same construction sweep organized
-//	    as time-vs-processors series (wall clock on this host).
+//	BenchmarkTable2Construction — Table II's time column and Figure 6's
+//	    series: packed-CSR construction per registry graph per processor
+//	    count. Compression ratios are attached as custom metrics
+//	    (edgelist_bytes_per_csr_byte).
 //	BenchmarkFig7Speedup — Figure 7: speed-up percentages reported as
 //	    custom metrics against the measured p=1 run.
 //	BenchmarkQueryThroughput — Section V's motivation: batched query
@@ -20,10 +19,13 @@
 //
 // The graphs are the registry stand-ins at 1/512 of the paper's sizes so
 // `go test -bench .` completes quickly; use cmd/csrbench for full sweeps.
+// The construction benchmarks sweep harness.Sweep(GOMAXPROCS): 1,
+// doubling, up to the host's processor count (set it with -cpu).
 package csrgraph
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -63,11 +65,12 @@ func benchSetup(b *testing.B) []*harness.Instance {
 	return benchInstances
 }
 
-// BenchmarkTable2Construction regenerates Table II's measurement cells.
+// BenchmarkTable2Construction regenerates Table II's measurement cells,
+// which are also Figure 6's series points.
 func BenchmarkTable2Construction(b *testing.B) {
 	for _, inst := range benchSetup(b) {
 		pk := csr.BuildPacked(inst.Edges, inst.NumNodes, 1)
-		for _, p := range harness.ProcessorCounts {
+		for _, p := range harness.Sweep(runtime.GOMAXPROCS(0)) {
 			b.Run(fmt.Sprintf("%s/p=%d", inst.Spec.Name, p), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
 					csr.BuildPacked(inst.Edges, inst.NumNodes, p)
@@ -78,47 +81,22 @@ func BenchmarkTable2Construction(b *testing.B) {
 	}
 }
 
-// BenchmarkFig6Series regenerates Figure 6: construction time versus
-// processors, one sub-benchmark per series point.
-func BenchmarkFig6Series(b *testing.B) {
+// BenchmarkFig7Speedup regenerates Figure 7: the wall-clock speed-up (%)
+// of each processor count's ns/op over the p=1 time (median of three
+// builds), attached as a custom metric.
+func BenchmarkFig7Speedup(b *testing.B) {
 	for _, inst := range benchSetup(b) {
-		for _, p := range harness.ProcessorCounts {
-			b.Run(fmt.Sprintf("%s/procs=%d", inst.Spec.Name, p), func(b *testing.B) {
+		t1 := harness.MedianOf(3, func() { csr.BuildPacked(inst.Edges, inst.NumNodes, 1) })
+		for _, p := range harness.Sweep(runtime.GOMAXPROCS(0))[1:] {
+			b.Run(fmt.Sprintf("%s/p=%d", inst.Spec.Name, p), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
 					csr.BuildPacked(inst.Edges, inst.NumNodes, p)
 				}
-			})
-		}
-	}
-}
-
-// BenchmarkFig7Speedup regenerates Figure 7: the speed-up (%) of each
-// processor count over the measured p=1 time, attached as a custom metric.
-// On a single-core host the wall-clock speed-up is near zero; the
-// work-span model's view is reported alongside (model_speedup_pct), which
-// is what cmd/csrbench -mode model prints.
-func BenchmarkFig7Speedup(b *testing.B) {
-	for _, inst := range benchSetup(b) {
-		t1 := measureOnce(func() { csr.BuildPacked(inst.Edges, inst.NumNodes, 1) })
-		model := harness.Calibrate(t1, inst.NumNodes, len(inst.Edges))
-		for _, p := range harness.ProcessorCounts[1:] {
-			b.Run(fmt.Sprintf("%s/p=%d", inst.Spec.Name, p), func(b *testing.B) {
-				var tp time.Duration
-				for i := 0; i < b.N; i++ {
-					tp = measureOnce(func() { csr.BuildPacked(inst.Edges, inst.NumNodes, p) })
-				}
+				tp := b.Elapsed() / time.Duration(b.N)
 				b.ReportMetric(100*float64(t1-tp)/float64(t1), "wallclock_speedup_pct")
-				tm := model.SimulateConstruction(inst.NumNodes, len(inst.Edges), p)
-				b.ReportMetric(100*float64(t1-tm)/float64(t1), "model_speedup_pct")
 			})
 		}
 	}
-}
-
-func measureOnce(fn func()) time.Duration {
-	start := time.Now()
-	fn()
-	return time.Since(start)
 }
 
 // BenchmarkQueryThroughput compares batched queries on the compressed CSR

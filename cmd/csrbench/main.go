@@ -7,10 +7,9 @@
 //
 // Inputs are seeded R-MAT stand-ins for the SNAP datasets, scaled down by
 // -scale (64 by default; -scale 1 is paper-size and needs several GB of
-// memory). -mode wallclock times the real goroutine implementation; -mode
-// model (default) calibrates on a real p=1 run and derives the p-sweep
-// from the work-span cost model, which reproduces the scaling shape even
-// on hosts with few cores.
+// memory). Every time is the median wall clock of -reps runs of the real
+// goroutine implementation; the processor sweep defaults to 1, doubling,
+// up to GOMAXPROCS, and -procs asks for other counts.
 package main
 
 import (
@@ -19,8 +18,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"strconv"
-	"strings"
 
 	"csrgraph/internal/harness"
 )
@@ -36,9 +33,8 @@ func run(args []string) error {
 	fs := flag.NewFlagSet("csrbench", flag.ContinueOnError)
 	experiment := fs.String("experiment", "all", "table2, fig6, fig7, queries, scaling or all")
 	scale := fs.Int("scale", 64, "divide the paper's graph sizes by this factor (1 = full size)")
-	modeStr := fs.String("mode", "model", "wallclock or model")
 	reps := fs.Int("reps", 3, "median-of-k repetitions per measurement")
-	procsStr := fs.String("procs", "1,4,8,16,64", "comma-separated processor counts")
+	procsStr := fs.String("procs", "", "comma-separated processor counts (default 1, doubling, up to GOMAXPROCS)")
 	graph := fs.String("graph", "", "run a single registry graph (default: all four)")
 	csvPath := fs.String("csv", "", "also write results as CSV to this path")
 	svgDir := fs.String("svg", "", "also write fig6.svg and fig7.svg into this directory")
@@ -47,11 +43,7 @@ func run(args []string) error {
 		return err
 	}
 
-	mode, err := harness.ParseMode(*modeStr)
-	if err != nil {
-		return err
-	}
-	procs, err := parseProcs(*procsStr)
+	procs, err := harness.ParseProcs(*procsStr)
 	if err != nil {
 		return err
 	}
@@ -105,13 +97,9 @@ func run(args []string) error {
 		if err != nil {
 			return err
 		}
-		fmt.Fprintf(os.Stderr, "measuring %s (%d nodes, %d edges, mode=%s)...\n",
-			spec.Name, inst.NumNodes, len(inst.Edges), mode)
-		res, err := harness.RunConstruction(inst, procs, mode, *reps)
-		if err != nil {
-			return err
-		}
-		results = append(results, res)
+		fmt.Fprintf(os.Stderr, "measuring %s (%d nodes, %d edges, p in %v)...\n",
+			spec.Name, inst.NumNodes, len(inst.Edges), procs)
+		results = append(results, harness.RunConstruction(inst, procs, *reps))
 	}
 
 	switch *experiment {
@@ -174,19 +162,4 @@ func run(args []string) error {
 		}
 	}
 	return nil
-}
-
-func parseProcs(s string) ([]int, error) {
-	var out []int
-	for _, part := range strings.Split(s, ",") {
-		p, err := strconv.Atoi(strings.TrimSpace(part))
-		if err != nil || p < 1 {
-			return nil, fmt.Errorf("bad processor count %q", part)
-		}
-		out = append(out, p)
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("empty processor list")
-	}
-	return out, nil
 }

@@ -3,19 +3,39 @@ package main
 import (
 	"os"
 	"path/filepath"
-	"reflect"
+	"runtime"
 	"strings"
 	"testing"
+
+	"csrgraph/internal/harness"
 )
 
+// TestParseProcs: -procs goes through harness.ParseProcs, white space and
+// all, and without it the sweep is the host's.
 func TestParseProcs(t *testing.T) {
-	got, err := parseProcs("1, 4,8")
-	if err != nil || !reflect.DeepEqual(got, []int{1, 4, 8}) {
-		t.Fatalf("got %v, %v", got, err)
+	for procs, rows := range map[string]int{
+		" 1, 2": 2,
+		"":      len(harness.Sweep(runtime.GOMAXPROCS(0))),
+	} {
+		csv := filepath.Join(t.TempDir(), "out.csv")
+		args := []string{"-experiment", "table2", "-scale", "512", "-reps", "1", "-graph", "WebNotreDame", "-csv", csv}
+		if procs != "" {
+			args = append(args, "-procs", procs)
+		}
+		if err := run(args); err != nil {
+			t.Fatalf("-procs %q: %v", procs, err)
+		}
+		data, err := os.ReadFile(csv)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := strings.Count(string(data), "\n") - 1; got != rows {
+			t.Fatalf("-procs %q: %d rows, want %d:\n%s", procs, got, rows, data)
+		}
 	}
-	for _, bad := range []string{"", "0", "x", "4,-1"} {
-		if _, err := parseProcs(bad); err == nil {
-			t.Errorf("%q: want error", bad)
+	for _, bad := range []string{"0", "x", "4,-1"} {
+		if err := run([]string{"-procs", bad, "-scale", "512"}); err == nil {
+			t.Errorf("-procs %q: want error", bad)
 		}
 	}
 }
@@ -24,7 +44,7 @@ func TestRunSmallSweep(t *testing.T) {
 	csv := filepath.Join(t.TempDir(), "out.csv")
 	err := run([]string{
 		"-experiment", "all", "-scale", "512", "-reps", "1",
-		"-procs", "1,4", "-graph", "WebNotreDame", "-csv", csv,
+		"-procs", "1,2", "-graph", "WebNotreDame", "-csv", csv,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -59,7 +79,7 @@ func TestRunQueriesExperiment(t *testing.T) {
 func TestRunErrors(t *testing.T) {
 	for name, args := range map[string][]string{
 		"bad experiment": {"-experiment", "nope", "-scale", "512", "-graph", "WebNotreDame", "-reps", "1"},
-		"bad mode":       {"-mode", "psychic", "-scale", "512"},
+		"unknown -mode":  {"-mode", "psychic", "-scale", "512"},
 		"bad graph":      {"-graph", "Friendster", "-scale", "512"},
 		"bad procs":      {"-procs", "zero", "-scale", "512"},
 		"bad scale":      {"-scale", "0"},

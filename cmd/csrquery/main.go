@@ -28,7 +28,6 @@ import (
 	"fmt"
 	"os"
 	"strconv"
-	"strings"
 
 	"csrgraph/internal/edgelist"
 	"csrgraph/internal/harness"
@@ -97,7 +96,7 @@ func runStatic(c *mgraph.Container, rest []string, procs int) error {
 		}
 		return nil
 	case "neighbors":
-		nodes, err := parseNodes(rest[1:], src.NumNodes())
+		nodes, err := parseItems(rest[1:], src.NumNodes(), edgelist.ParseNodeItem, "node id")
 		if err != nil {
 			return err
 		}
@@ -107,7 +106,7 @@ func runStatic(c *mgraph.Container, rest []string, procs int) error {
 		}
 		return nil
 	case "degree":
-		nodes, err := parseNodes(rest[1:], src.NumNodes())
+		nodes, err := parseItems(rest[1:], src.NumNodes(), edgelist.ParseNodeItem, "node id")
 		if err != nil {
 			return err
 		}
@@ -117,7 +116,7 @@ func runStatic(c *mgraph.Container, rest []string, procs int) error {
 		}
 		return nil
 	case "exists":
-		edges, err := parseEdges(rest[1:], src.NumNodes())
+		edges, err := parseItems(rest[1:], src.NumNodes(), edgelist.ParseEdgeItem, "u:v pair")
 		if err != nil {
 			return err
 		}
@@ -143,25 +142,11 @@ func runTemporal(pt *tcsr.Packed, rest []string, procs int) error {
 		fmt.Printf("payload: %s\n", harness.HumanBytes(pt.SizeBytes()))
 		return nil
 	case "active":
-		if len(rest) < 2 {
-			return fmt.Errorf("need at least one u:v:t query")
-		}
-		queries := make([]tcsr.ActivityQuery, len(rest)-1)
-		for i, a := range rest[1:] {
-			parts := strings.Split(a, ":")
-			if len(parts) != 3 {
-				return fmt.Errorf("bad query %q, want u:v:t", a)
-			}
-			u, err1 := strconv.ParseUint(parts[0], 10, 32)
-			v, err2 := strconv.ParseUint(parts[1], 10, 32)
-			tf, err3 := strconv.Atoi(parts[2])
-			if err1 != nil || err2 != nil || err3 != nil {
-				return fmt.Errorf("bad query %q", a)
-			}
-			if int(u) >= pt.NumNodes() || int(v) >= pt.NumNodes() || tf < 0 || tf >= pt.NumFrames() {
-				return fmt.Errorf("query %q out of range (%d nodes, %d frames)", a, pt.NumNodes(), pt.NumFrames())
-			}
-			queries[i] = tcsr.ActivityQuery{U: uint32(u), V: uint32(v), T: tf}
+		queries, err := parseItems(rest[1:], pt.NumNodes(), func(a string, n int) (tcsr.ActivityQuery, error) {
+			return tcsr.ParseQueryItem(a, n, pt.NumFrames())
+		}, "u:v:t query")
+		if err != nil {
+			return err
 		}
 		results := pt.ActiveBatch(queries, procs)
 		for i, q := range queries {
@@ -186,46 +171,19 @@ func runTemporal(pt *tcsr.Packed, rest []string, procs int) error {
 	return fmt.Errorf("unknown subcommand %q for a temporal graph; want %s", rest[0], subcommands)
 }
 
-func parseNodes(args []string, numNodes int) ([]edgelist.NodeID, error) {
+// parseItems decodes a subcommand's arguments with the item grammar the
+// server's batch endpoints use: one item per argument, n the node count.
+func parseItems[T any](args []string, n int, item func(string, int) (T, error), what string) ([]T, error) {
 	if len(args) == 0 {
-		return nil, fmt.Errorf("need at least one node id")
+		return nil, fmt.Errorf("need at least one %s", what)
 	}
-	out := make([]edgelist.NodeID, len(args))
+	out := make([]T, len(args))
 	for i, a := range args {
-		v, err := strconv.ParseUint(a, 10, 32)
+		v, err := item(a, n)
 		if err != nil {
-			return nil, fmt.Errorf("bad node id %q: %w", a, err)
+			return nil, err
 		}
-		if int(v) >= numNodes {
-			return nil, fmt.Errorf("node %d out of range [0,%d)", v, numNodes)
-		}
-		out[i] = uint32(v)
-	}
-	return out, nil
-}
-
-func parseEdges(args []string, numNodes int) ([]edgelist.Edge, error) {
-	if len(args) == 0 {
-		return nil, fmt.Errorf("need at least one u:v pair")
-	}
-	out := make([]edgelist.Edge, len(args))
-	for i, a := range args {
-		parts := strings.SplitN(a, ":", 2)
-		if len(parts) != 2 {
-			return nil, fmt.Errorf("bad edge %q, want u:v", a)
-		}
-		u, err := strconv.ParseUint(parts[0], 10, 32)
-		if err != nil {
-			return nil, fmt.Errorf("bad edge %q: %w", a, err)
-		}
-		v, err := strconv.ParseUint(parts[1], 10, 32)
-		if err != nil {
-			return nil, fmt.Errorf("bad edge %q: %w", a, err)
-		}
-		if int(u) >= numNodes || int(v) >= numNodes {
-			return nil, fmt.Errorf("edge %q out of range [0,%d)", a, numNodes)
-		}
-		out[i] = edgelist.Edge{U: uint32(u), V: uint32(v)}
+		out[i] = v
 	}
 	return out, nil
 }

@@ -174,3 +174,31 @@ func TestQueryErrors(t *testing.T) {
 		}
 	}
 }
+
+// TestItemGrammar: the batch subcommands decode their arguments with the
+// server's item grammar, so white space around an item is accepted and a
+// refused item gets the server's error text.
+func TestItemGrammar(t *testing.T) {
+	static, temporal := packedFixture(t), temporalFixture(t)
+	for _, args := range [][]string{
+		{"-graph", static, "neighbors", " 0 ", "2\t"},
+		{"-graph", static, "exists", " 0:1"},
+		{"-graph", temporal, "active", "0:1:1 "},
+	} {
+		if err := run(args); err != nil {
+			t.Errorf("%q: %v", args[2:], err)
+		}
+	}
+	for want, args := range map[string][]string{
+		`node 99 out of range [0,3)`:            {"-graph", static, "degree", "99"},
+		`bad edge "12", want u:v`:               {"-graph", static, "exists", "12"},
+		`edge "9:9" out of range [0,3)`:         {"-graph", static, "exists", "9:9"},
+		`frame 99 out of range [0,2)`:           {"-graph", temporal, "active", "0:1:99"},
+		`query "5:1:0" out of node range [0,3)`: {"-graph", temporal, "active", "5:1:0"},
+		`bad query "1:2", want u:v:t`:           {"-graph", temporal, "active", "1:2"},
+	} {
+		if err := run(args); err == nil || err.Error() != want {
+			t.Errorf("%q: got %v, want %s", args[2:], err, want)
+		}
+	}
+}

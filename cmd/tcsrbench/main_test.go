@@ -1,16 +1,17 @@
 package main
 
-import (
-	"reflect"
-	"testing"
-)
+import "testing"
 
+// TestParseProcs: -procs goes through harness.ParseProcs, white space and
+// all, and without it the sweep is the host's.
 func TestParseProcs(t *testing.T) {
-	got, err := parseProcs("1,2")
-	if err != nil || !reflect.DeepEqual(got, []int{1, 2}) {
-		t.Fatalf("got %v, %v", got, err)
+	small := []string{"-nodes", "200", "-base", "1000", "-churn", "50", "-frames", "6", "-reps", "1", "-queries", "10"}
+	for _, extra := range [][]string{nil, {"-procs", " 1, 2"}} {
+		if err := run(append(extra, small...)); err != nil {
+			t.Fatalf("%v: %v", extra, err)
+		}
 	}
-	if _, err := parseProcs("1,zero"); err == nil {
+	if err := run(append([]string{"-procs", "1,zero"}, small...)); err == nil {
 		t.Fatal("want error")
 	}
 }

@@ -10,6 +10,8 @@ package edgelist
 import (
 	"fmt"
 	"sort"
+	"strconv"
+	"strings"
 
 	"csrgraph/internal/parallel"
 )
@@ -28,6 +30,40 @@ func (e Edge) Less(o Edge) bool {
 		return e.U < o.U
 	}
 	return e.V < o.V
+}
+
+// ParseNodeItem decodes one node id of a query batch, "u" with
+// surrounding white space allowed, and checks it against the node count n.
+func ParseNodeItem(part string, n int) (NodeID, error) {
+	v, err := strconv.ParseUint(strings.TrimSpace(part), 10, 32)
+	if err != nil {
+		return 0, fmt.Errorf("bad node id %q", part)
+	}
+	if int(v) >= n {
+		return 0, fmt.Errorf("node %d out of range [0,%d)", v, n)
+	}
+	return NodeID(v), nil
+}
+
+// ParseEdgeItem decodes one edge of a query batch, "u:v" with surrounding
+// white space allowed, and checks both ids against the node count n.
+func ParseEdgeItem(part string, n int) (Edge, error) {
+	us, vs, ok := strings.Cut(strings.TrimSpace(part), ":")
+	if !ok {
+		return Edge{}, fmt.Errorf("bad edge %q, want u:v", part)
+	}
+	u, err := strconv.ParseUint(us, 10, 32)
+	if err != nil {
+		return Edge{}, fmt.Errorf("bad edge %q", part)
+	}
+	v, err := strconv.ParseUint(vs, 10, 32)
+	if err != nil {
+		return Edge{}, fmt.Errorf("bad edge %q", part)
+	}
+	if int(u) >= n || int(v) >= n {
+		return Edge{}, fmt.Errorf("edge %q out of range [0,%d)", part, n)
+	}
+	return Edge{U: NodeID(u), V: NodeID(v)}, nil
 }
 
 // List is a sequence of directed edges.

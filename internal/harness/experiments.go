@@ -2,32 +2,43 @@ package harness
 
 import (
 	"fmt"
-	"sort"
+	"runtime"
+	"slices"
+	"strconv"
+	"strings"
 	"time"
 
 	"csrgraph/internal/csr"
 )
 
-// Mode selects how construction time at p > 1 is obtained.
-type Mode string
-
-const (
-	// ModeWallClock times the real goroutine implementation with time.Now.
-	// Honest, but cannot show parallel speed-up on a machine with fewer
-	// cores than p.
-	ModeWallClock Mode = "wallclock"
-	// ModeModel runs the real implementation once at p=1 for calibration
-	// and derives T(p) from the work-span cost model (costmodel.go).
-	ModeModel Mode = "model"
-)
-
-// ParseMode validates a mode string.
-func ParseMode(s string) (Mode, error) {
-	switch Mode(s) {
-	case ModeWallClock, ModeModel:
-		return Mode(s), nil
+// Sweep is the default processor sweep for a host of maxProcs
+// processors: 1, then doubling, always ending at maxProcs ([1 2 4 6] for 6).
+func Sweep(maxProcs int) []int {
+	out := []int{1}
+	for p := 2; p < maxProcs; p *= 2 {
+		out = append(out, p)
 	}
-	return "", fmt.Errorf("harness: unknown mode %q (want wallclock or model)", s)
+	if maxProcs > 1 {
+		out = append(out, maxProcs)
+	}
+	return out
+}
+
+// ParseProcs parses a comma-separated processor list; the empty string
+// selects Sweep(runtime.GOMAXPROCS(0)).
+func ParseProcs(s string) ([]int, error) {
+	if s == "" {
+		return Sweep(runtime.GOMAXPROCS(0)), nil
+	}
+	var out []int
+	for _, part := range strings.Split(s, ",") {
+		p, err := strconv.Atoi(strings.TrimSpace(part))
+		if err != nil || p < 1 {
+			return nil, fmt.Errorf("bad processor count %q", part)
+		}
+		out = append(out, p)
+	}
+	return out, nil
 }
 
 // Measurement is one (graph, p) cell of Table II.
@@ -52,61 +63,76 @@ type Result struct {
 	Rows               []Measurement
 }
 
-// medianOf runs fn k times and returns the median duration. k is forced
+// MedianOf runs fn k times and returns the median wall time. k is forced
 // odd and at least 1.
-func medianOf(k int, fn func()) time.Duration {
-	if k < 1 {
-		k = 1
-	}
-	if k%2 == 0 {
-		k++
-	}
-	times := make([]time.Duration, k)
+func MedianOf(k int, fn func()) time.Duration {
+	times := make([]time.Duration, oddReps(k))
 	for i := range times {
-		start := time.Now()
-		fn()
-		times[i] = time.Since(start)
+		times[i] = timeRun(fn)
 	}
-	sort.Slice(times, func(i, j int) bool { return times[i] < times[j] })
-	return times[k/2]
+	return median(times)
+}
+
+// TimeSweep times build at every processor count of procs, median of reps
+// runs each, and gives each row its speed-up over p = 1 (timed even when
+// procs lacks it). The counts take turns within each repetition, so a slow
+// spell of a shared host lands on all of them alike.
+func TimeSweep(procs []int, reps int, build func(p int)) []Measurement {
+	times := make([][]time.Duration, len(procs)+1) // [0] is p = 1, [i+1] is procs[i]
+	for range oddReps(reps) {
+		times[0] = append(times[0], timeRun(func() { build(1) }))
+		for i, p := range procs {
+			if p > 1 {
+				times[i+1] = append(times[i+1], timeRun(func() { build(p) }))
+			}
+		}
+	}
+	t1 := median(times[0])
+	rows := make([]Measurement, 0, len(procs))
+	for i, p := range procs {
+		m := Measurement{Procs: p, Time: t1}
+		if p > 1 {
+			m.Time = median(times[i+1])
+		}
+		if t1 > 0 {
+			m.SpeedupP = 100 * float64(t1-m.Time) / float64(t1)
+		}
+		rows = append(rows, m)
+	}
+	return rows
+}
+
+func oddReps(k int) int { return max(k, 1) | 1 }
+
+// timeRun returns fn's wall time, run on a freshly collected heap so that
+// no earlier run's garbage is collected on its clock.
+func timeRun(fn func()) time.Duration {
+	runtime.GC()
+	start := time.Now()
+	fn()
+	return time.Since(start)
+}
+
+func median(times []time.Duration) time.Duration {
+	slices.Sort(times)
+	return times[len(times)/2]
 }
 
 // RunConstruction measures packed-CSR construction for one instance across
 // the processor sweep. reps is the median-of-k repetition count.
-func RunConstruction(inst *Instance, procs []int, mode Mode, reps int) (*Result, error) {
-	res := &Result{
+func RunConstruction(inst *Instance, procs []int, reps int) *Result {
+	return &Result{
 		Spec:               inst.Spec,
 		Scale:              inst.Scale,
 		NumNodes:           inst.NumNodes,
 		NumEdges:           len(inst.Edges),
 		EdgeListSize:       inst.Edges.TextSizeBytes(),
 		EdgeListBinarySize: inst.Edges.SizeBytes(),
+		CSRSize:            csr.BuildPacked(inst.Edges, inst.NumNodes, 1).SizeBytes(),
+		Rows: TimeSweep(procs, reps, func(p int) {
+			csr.BuildPacked(inst.Edges, inst.NumNodes, p)
+		}),
 	}
-	pk := csr.BuildPacked(inst.Edges, inst.NumNodes, 1)
-	res.CSRSize = pk.SizeBytes()
-
-	t1 := medianOf(reps, func() { csr.BuildPacked(inst.Edges, inst.NumNodes, 1) })
-	model := Calibrate(t1, inst.NumNodes, len(inst.Edges))
-
-	for _, p := range procs {
-		var t time.Duration
-		switch {
-		case p == 1:
-			t = t1
-		case mode == ModeWallClock:
-			t = medianOf(reps, func() { csr.BuildPacked(inst.Edges, inst.NumNodes, p) })
-		case mode == ModeModel:
-			t = model.SimulateConstruction(inst.NumNodes, len(inst.Edges), p)
-		default:
-			return nil, fmt.Errorf("harness: unknown mode %q", mode)
-		}
-		m := Measurement{Procs: p, Time: t}
-		if p > 1 && t1 > 0 {
-			m.SpeedupP = 100 * float64(t1-t) / float64(t1)
-		}
-		res.Rows = append(res.Rows, m)
-	}
-	return res, nil
 }
 
 // ScalePoint is one measurement of the scaling experiment.
@@ -130,7 +156,7 @@ func RunScaling(spec GraphSpec, scales []int, reps, genProcs int) ([]ScalePoint,
 		if err != nil {
 			return nil, err
 		}
-		t := medianOf(reps, func() { csr.BuildPacked(inst.Edges, inst.NumNodes, 1) })
+		t := MedianOf(reps, func() { csr.BuildPacked(inst.Edges, inst.NumNodes, 1) })
 		pt := ScalePoint{
 			Scale:    s,
 			NumNodes: inst.NumNodes,
@@ -141,24 +167,6 @@ func RunScaling(spec GraphSpec, scales []int, reps, genProcs int) ([]ScalePoint,
 			pt.NsPerEdge = float64(t.Nanoseconds()) / float64(pt.NumEdges)
 		}
 		out = append(out, pt)
-	}
-	return out, nil
-}
-
-// RunAll generates every registry graph at the given scale and measures the
-// full Table II sweep.
-func RunAll(scale int, procs []int, mode Mode, reps, genProcs int) ([]*Result, error) {
-	var out []*Result
-	for _, spec := range Registry {
-		inst, err := spec.Generate(scale, genProcs)
-		if err != nil {
-			return nil, fmt.Errorf("harness: generate %s: %w", spec.Name, err)
-		}
-		res, err := RunConstruction(inst, procs, mode, reps)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, res)
 	}
 	return out, nil
 }

@@ -2,9 +2,9 @@ package harness
 
 import (
 	"bytes"
+	"reflect"
 	"strings"
 	"testing"
-	"time"
 )
 
 func TestFindRegistry(t *testing.T) {
@@ -55,104 +55,59 @@ func TestRmatScaleFor(t *testing.T) {
 	}
 }
 
-func TestParseMode(t *testing.T) {
-	if m, err := ParseMode("model"); err != nil || m != ModeModel {
-		t.Fatal("model mode should parse")
-	}
-	if m, err := ParseMode("wallclock"); err != nil || m != ModeWallClock {
-		t.Fatal("wallclock mode should parse")
-	}
-	if _, err := ParseMode("magic"); err == nil {
-		t.Fatal("want error for unknown mode")
-	}
-}
-
-func TestCostModelShape(t *testing.T) {
-	// Calibrate a synthetic model and verify the Figure 6/7 shape: time
-	// strictly decreases with p, with diminishing returns.
-	cm := Calibrate(100*time.Millisecond, 100_000, 1_500_000)
-	var prev time.Duration
-	var prevGain float64
-	for i, p := range []int{1, 4, 8, 16, 64} {
-		tp := cm.SimulateConstruction(100_000, 1_500_000, p)
-		if i > 0 {
-			if tp >= prev {
-				t.Fatalf("T(%d) = %v not below T(prev) = %v", p, tp, prev)
-			}
-			gain := float64(prev - tp)
-			if i > 1 && gain > prevGain {
-				t.Fatalf("gain grew from %v to %v at p=%d; expected diminishing returns", prevGain, gain, p)
-			}
-			prevGain = gain
+func TestSweep(t *testing.T) {
+	for _, tc := range []struct {
+		max  int
+		want []int
+	}{
+		{1, []int{1}},
+		{2, []int{1, 2}},
+		{3, []int{1, 2, 3}},
+		{6, []int{1, 2, 4, 6}},
+		{64, []int{1, 2, 4, 8, 16, 32, 64}},
+	} {
+		got := Sweep(tc.max)
+		if !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("Sweep(%d) = %v, want %v", tc.max, got, tc.want)
 		}
-		prev = tp
-	}
-	// p=1 prediction matches the calibration input (within float rounding
-	// of the per-op cost; no barriers/spawns are charged at p=1).
-	got := cm.SimulateConstruction(100_000, 1_500_000, 1)
-	if diff := got - 100*time.Millisecond; diff < -time.Millisecond || diff > time.Millisecond {
-		t.Fatalf("p=1 model = %v, want ~100ms", got)
-	}
-	// Speed-up at 64 processors lands in the paper's observed band (60-97%).
-	t64 := cm.SimulateConstruction(100_000, 1_500_000, 64)
-	speedup := 100 * float64(100*time.Millisecond-t64) / float64(100*time.Millisecond)
-	if speedup < 60 || speedup > 99 {
-		t.Fatalf("model speed-up at p=64 = %.1f%%, outside the paper's band", speedup)
+		for i := 1; i < len(got); i++ {
+			if got[i] <= got[i-1] {
+				t.Errorf("Sweep(%d) = %v does not ascend strictly", tc.max, got)
+			}
+		}
 	}
 }
 
-func TestCostModelDegenerate(t *testing.T) {
-	cm := Calibrate(0, 0, 0)
-	if d := cm.SimulateConstruction(0, 0, 4); d < 0 {
-		t.Fatalf("negative simulated time %v", d)
+func TestParseProcs(t *testing.T) {
+	got, err := ParseProcs("1, 4,8")
+	if err != nil || !reflect.DeepEqual(got, []int{1, 4, 8}) {
+		t.Fatalf("got %v, %v", got, err)
 	}
-	if d := cm.SimulateConstruction(10, 10, 0); d < 0 {
-		t.Fatal("p=0 must clamp to 1")
+	if got, err := ParseProcs(""); err != nil || len(got) == 0 || got[0] != 1 {
+		t.Fatalf("empty list: got %v, %v, want the host sweep", got, err)
+	}
+	for _, bad := range []string{" ", "0", "x", "4,-1", "1,,2"} {
+		if _, err := ParseProcs(bad); err == nil {
+			t.Errorf("%q: want error", bad)
+		}
 	}
 }
 
 func TestMedianOf(t *testing.T) {
 	calls := 0
-	medianOf(5, func() { calls++ })
+	MedianOf(5, func() { calls++ })
 	if calls != 5 {
 		t.Fatalf("ran %d times, want 5", calls)
 	}
 	calls = 0
-	medianOf(0, func() { calls++ }) // clamps to 1
+	MedianOf(0, func() { calls++ }) // clamps to 1
 	if calls != 1 {
 		t.Fatalf("ran %d times, want 1", calls)
 	}
 	calls = 0
-	medianOf(2, func() { calls++ }) // forced odd
+	MedianOf(2, func() { calls++ }) // forced odd
 	if calls != 3 {
 		t.Fatalf("ran %d times, want 3", calls)
-	}
-}
-
-func TestRunConstructionModelMode(t *testing.T) {
-	g, _ := Find("WebNotreDame")
-	// Scale 16, not 64: the model charges ~2.5 µs of spawns per processor,
-	// so p=8 beats p=4 only when the calibrated p=1 build takes over
-	// ~80 µs, which the 64x-reduced graph missed on fast hosts.
-	inst, err := g.Generate(16, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := RunConstruction(inst, []int{1, 4, 8}, ModeModel, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Rows) != 3 {
-		t.Fatalf("%d rows", len(res.Rows))
-	}
-	if res.CSRSize <= 0 || res.CSRSize >= res.EdgeListSize {
-		t.Fatalf("CSR size %d should be positive and below edge list %d", res.CSRSize, res.EdgeListSize)
-	}
-	if res.Rows[0].SpeedupP != 0 {
-		t.Fatal("p=1 row must have no speedup")
-	}
-	if res.Rows[1].SpeedupP <= 0 || res.Rows[2].SpeedupP <= res.Rows[1].SpeedupP {
-		t.Fatalf("speedups not increasing: %+v", res.Rows)
 	}
 }
 
@@ -162,14 +117,32 @@ func TestRunConstructionWallClockMode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := RunConstruction(inst, []int{1, 2}, ModeWallClock, 1)
-	if err != nil {
-		t.Fatal(err)
+	res := RunConstruction(inst, []int{1, 2}, 1)
+	if len(res.Rows) != 2 {
+		t.Fatalf("%d rows", len(res.Rows))
+	}
+	if res.CSRSize <= 0 || res.CSRSize >= res.EdgeListSize {
+		t.Fatalf("CSR size %d should be positive and below edge list %d", res.CSRSize, res.EdgeListSize)
+	}
+	if res.Rows[0].SpeedupP != 0 {
+		t.Fatal("p=1 row must have no speedup")
 	}
 	for _, m := range res.Rows {
 		if m.Time <= 0 {
 			t.Fatalf("non-positive wall time at p=%d", m.Procs)
 		}
+	}
+}
+
+func TestTimeSweep(t *testing.T) {
+	calls := map[int]int{}
+	rows := TimeSweep([]int{2, 4}, 3, func(p int) { calls[p]++ })
+	if len(rows) != 2 || rows[0].Procs != 2 || rows[1].Procs != 4 {
+		t.Fatalf("rows = %+v", rows)
+	}
+	// p = 1 is timed as the speed-up base even when procs lacks it.
+	if calls[1] != 3 || calls[2] != 3 || calls[4] != 3 {
+		t.Fatalf("calls = %v, want 3 per p", calls)
 	}
 }
 
@@ -208,11 +181,7 @@ func TestRenderers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := RunConstruction(inst, []int{1, 4, 64}, ModeModel, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	results := []*Result{res}
+	results := []*Result{RunConstruction(inst, []int{1, 2, 4}, 1)}
 
 	var buf bytes.Buffer
 	if err := RenderTable2(&buf, results); err != nil {

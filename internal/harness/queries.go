@@ -58,8 +58,8 @@ func RunQueryComparison(inst *Instance, numQueries, procs, reps int) []QueryResu
 	}
 	out := make([]QueryResult, 0, len(entries))
 	for _, e := range entries {
-		nt := medianOf(reps, func() { query.NeighborsBatch(e.g, nodes, procs) })
-		et := medianOf(reps, func() { query.EdgesExistBatchBinary(e.g, probes, procs) })
+		nt := MedianOf(reps, func() { query.NeighborsBatch(e.g, nodes, procs) })
+		et := MedianOf(reps, func() { query.EdgesExistBatchBinary(e.g, probes, procs) })
 		out = append(out, QueryResult{
 			Structure:    e.name,
 			SizeBytes:    e.size,

@@ -38,9 +38,6 @@ var Registry = []GraphSpec{
 		Params: gen.RMATParams{A: 0.45, B: 0.22, C: 0.22, D: 0.11}, Seed: 0x44},
 }
 
-// ProcessorCounts is Table II's processor sweep.
-var ProcessorCounts = []int{1, 4, 8, 16, 64}
-
 // Find returns the registry entry with the given name.
 func Find(name string) (GraphSpec, error) {
 	for _, g := range Registry {

@@ -13,11 +13,7 @@ func svgFixture(t *testing.T) []*Result {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := RunConstruction(inst, []int{1, 4, 16}, ModeModel, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return []*Result{res}
+	return []*Result{RunConstruction(inst, []int{1, 2, 4}, 1)}
 }
 
 func TestRenderFigSVGs(t *testing.T) {

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"net/http"
 	"strconv"
-	"strings"
 	"time"
 
 	"csrgraph/internal/algo"
@@ -45,23 +44,8 @@ func queryGrammar(frames int) grammar[tcsr.ActivityQuery] {
 			}
 			return 0, pos, scanSlow
 		},
-		item: func(part string, n int) (q tcsr.ActivityQuery, err error) {
-			fields := strings.Split(strings.TrimSpace(part), ":")
-			if len(fields) != 3 {
-				return q, fmt.Errorf("bad query %q, want u:v:t", part)
-			}
-			u, err1 := strconv.ParseUint(fields[0], 10, 32)
-			v, err2 := strconv.ParseUint(fields[1], 10, 32)
-			t, err3 := strconv.Atoi(fields[2])
-			switch {
-			case err1 != nil || err2 != nil || err3 != nil:
-				err = fmt.Errorf("bad query %q", part)
-			case t < 0 || t >= frames:
-				err = fmt.Errorf("frame %d out of range [0,%d)", t, frames)
-			case int(u) >= n || int(v) >= n:
-				err = fmt.Errorf("query %q out of node range [0,%d)", part, n)
-			}
-			return tcsr.ActivityQuery{U: uint32(u), V: uint32(v), T: t}, err
+		item: func(part string, n int) (tcsr.ActivityQuery, error) {
+			return tcsr.ParseQueryItem(part, n, frames)
 		},
 		missing: errors.New("missing queries parameter"),
 	}

@@ -74,8 +74,8 @@ type grammar[T any] struct {
 }
 
 var (
-	nodeGrammar = grammar[edgelist.NodeID]{"nodes", scanNodes, parseNodeItem, errors.New("missing nodes parameter")}
-	edgeGrammar = grammar[edgelist.Edge]{"edges", scanEdges, parseEdgeItem, errors.New("missing edges parameter")}
+	nodeGrammar = grammar[edgelist.NodeID]{"nodes", scanNodes, edgelist.ParseNodeItem, errors.New("missing nodes parameter")}
+	edgeGrammar = grammar[edgelist.Edge]{"edges", scanEdges, edgelist.ParseEdgeItem, errors.New("missing edges parameter")}
 )
 
 // scanUint decodes the decimal run at s[i:], returning its value and the
@@ -141,36 +141,6 @@ func scanEdges(dst []edgelist.Edge, s string, pos int, n uint64) (k, next int, s
 		}
 		pos = j + 1
 	}
-}
-
-func parseNodeItem(part string, n int) (edgelist.NodeID, error) {
-	v, err := strconv.ParseUint(strings.TrimSpace(part), 10, 32)
-	if err != nil {
-		return 0, fmt.Errorf("bad node id %q", part)
-	}
-	if int(v) >= n {
-		return 0, fmt.Errorf("node %d out of range [0,%d)", v, n)
-	}
-	return edgelist.NodeID(v), nil
-}
-
-func parseEdgeItem(part string, n int) (edgelist.Edge, error) {
-	us, vs, ok := strings.Cut(strings.TrimSpace(part), ":")
-	if !ok {
-		return edgelist.Edge{}, fmt.Errorf("bad edge %q, want u:v", part)
-	}
-	u, err := strconv.ParseUint(us, 10, 32)
-	if err != nil {
-		return edgelist.Edge{}, fmt.Errorf("bad edge %q", part)
-	}
-	v, err := strconv.ParseUint(vs, 10, 32)
-	if err != nil {
-		return edgelist.Edge{}, fmt.Errorf("bad edge %q", part)
-	}
-	if int(u) >= n || int(v) >= n {
-		return edgelist.Edge{}, fmt.Errorf("edge %q out of range [0,%d)", part, n)
-	}
-	return edgelist.Edge{U: edgelist.NodeID(u), V: edgelist.NodeID(v)}, nil
 }
 
 // parseBatch decodes the first g.key value of rawQuery — the one

@@ -1,6 +1,10 @@
 package tcsr
 
 import (
+	"fmt"
+	"strconv"
+	"strings"
+
 	"csrgraph/internal/edgelist"
 	"csrgraph/internal/parallel"
 )
@@ -13,6 +17,28 @@ import (
 type ActivityQuery struct {
 	U, V edgelist.NodeID
 	T    int
+}
+
+// ParseQueryItem decodes one activity query of a batch, "u:v:t" with
+// surrounding white space allowed, and checks the ids against the node
+// count n and t against the frame count frames.
+func ParseQueryItem(part string, n, frames int) (q ActivityQuery, err error) {
+	fields := strings.Split(strings.TrimSpace(part), ":")
+	if len(fields) != 3 {
+		return q, fmt.Errorf("bad query %q, want u:v:t", part)
+	}
+	u, err1 := strconv.ParseUint(fields[0], 10, 32)
+	v, err2 := strconv.ParseUint(fields[1], 10, 32)
+	t, err3 := strconv.Atoi(fields[2])
+	switch {
+	case err1 != nil || err2 != nil || err3 != nil:
+		err = fmt.Errorf("bad query %q", part)
+	case t < 0 || t >= frames:
+		err = fmt.Errorf("frame %d out of range [0,%d)", t, frames)
+	case int(u) >= n || int(v) >= n:
+		err = fmt.Errorf("query %q out of node range [0,%d)", part, n)
+	}
+	return ActivityQuery{U: uint32(u), V: uint32(v), T: t}, err
 }
 
 // ActiveBatch answers an array of activity queries with p processors. Every
