@@ -191,6 +191,7 @@ fuzz:
 	$(GO) test -fuzz FuzzParseContainer -fuzztime $(FUZZTIME) ./internal/mgraph/
 	$(GO) test -fuzz FuzzEdgeMap -fuzztime $(FUZZTIME) ./internal/frontier/
 	$(GO) test -fuzz FuzzCoreNumbers -fuzztime $(FUZZTIME) ./internal/algo/
+	$(GO) test -fuzz FuzzTriangles -fuzztime $(FUZZTIME) ./internal/algo/
 	$(GO) test -fuzz FuzzParseBatch -fuzztime $(FUZZTIME) ./internal/server/
 	$(GO) test -fuzz FuzzPutRow -fuzztime $(FUZZTIME) ./internal/server/
 

@@ -7,6 +7,9 @@
 //	    on a different caller. `go run ./cmd/benchcompare -baseline legacy
 //	    -new frontier` prints the delta table.
 //	BenchmarkKCore — level-synchronous peeling (algo=bucket).
+//	BenchmarkTriangles — the degree-oriented triangle kernel behind
+//	    CountTriangles (arm=count) and LocalClustering (arm=clustering)
+//	    on a scale-18 symmetrized R-MAT, over the host's processor sweep.
 //
 // `make bench-algo` snapshots exactly these into the BENCH_<date>.json
 // trajectory.
@@ -20,6 +23,8 @@ import (
 
 	"csrgraph/internal/algo"
 	"csrgraph/internal/csr"
+	"csrgraph/internal/gen"
+	"csrgraph/internal/harness"
 )
 
 // algoBenchProcs is the worker count both variants of every algo benchmark
@@ -86,5 +91,42 @@ func BenchmarkKCore(b *testing.B) {
 				algo.CoreNumbersBucketed(m, algoBenchProcs)
 			}
 		})
+	}
+}
+
+var (
+	triangleBenchOnce sync.Once
+	triangleBench     *csr.Matrix
+)
+
+// BenchmarkTriangles times CountTriangles and LocalClustering at every p of
+// harness.Sweep(GOMAXPROCS) on a symmetrized R-MAT of scale 18 and 2M
+// generated edges, self-loops kept (3.76M stored, 17.7M triangles): skewed
+// enough that hub rows dominate a kernel that merges full rows, small
+// enough for ten alternating parent/change pairs.
+func BenchmarkTriangles(b *testing.B) {
+	triangleBenchOnce.Do(func() {
+		l, err := gen.RMAT(18, 2_000_000, gen.DefaultRMAT, 42, 4)
+		if err != nil {
+			panic(err)
+		}
+		g, err := Build(l, WithProcs(4), WithSymmetrize(), WithNumNodes(1<<18))
+		if err != nil {
+			panic(err)
+		}
+		triangleBench = g.m
+	})
+	for _, arm := range []string{"count", "clustering"} {
+		for _, p := range harness.Sweep(runtime.GOMAXPROCS(0)) {
+			b.Run(fmt.Sprintf("arm=%s/p=%d", arm, p), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					if arm == "count" {
+						algo.CountTriangles(triangleBench, p)
+					} else {
+						algo.LocalClustering(triangleBench, p)
+					}
+				}
+			})
+		}
 	}
 }

@@ -67,7 +67,8 @@ func (g *Graph) PageRank(damping float64, maxIter int, tol float64, procs int) [
 	return algo.PageRank(g.m, damping, maxIter, tol, orDefault(procs, g.procs))
 }
 
-// CountTriangles returns the number of triangles in a symmetrized graph.
+// CountTriangles returns the number of triangles in a symmetrized graph;
+// self-loops are ignored.
 func (g *Graph) CountTriangles(procs int) int64 {
 	return algo.CountTriangles(g.m, orDefault(procs, g.procs))
 }
@@ -183,13 +184,15 @@ func (g *Graph) CoreNumbers(procs int) []uint32 {
 	return algo.CoreNumbersBucketed(g.m, orDefault(procs, g.procs))
 }
 
-// LocalClustering returns every node's local clustering coefficient.
+// LocalClustering returns every node's local clustering coefficient. A
+// self-loop counts neither as a neighbor nor in the degree.
 func (g *Graph) LocalClustering(procs int) []float64 {
 	return algo.LocalClustering(g.m, orDefault(procs, g.procs))
 }
 
 // GlobalClustering returns the average local clustering coefficient over
-// nodes with degree >= 2, and how many such nodes there are.
+// nodes with degree >= 2, self-loops aside, and how many such nodes there
+// are.
 func (g *Graph) GlobalClustering(procs int) (float64, int) {
 	return algo.GlobalClustering(g.m, orDefault(procs, g.procs))
 }

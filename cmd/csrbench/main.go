@@ -80,12 +80,14 @@ func run(args []string) error {
 			if err != nil {
 				return err
 			}
-			fmt.Printf("== %s: batched query throughput (procs=%d) ==\n", spec.Name, *genProcs)
-			qr := harness.RunQueryComparison(inst, 20000, *genProcs, *reps)
-			if err := harness.RenderQueryComparison(os.Stdout, spec.Name, qr); err != nil {
-				return err
+			for _, p := range procs {
+				fmt.Printf("== %s: batched query throughput (procs=%d) ==\n", spec.Name, p)
+				qr := harness.RunQueryComparison(inst, 20000, p, *reps)
+				if err := harness.RenderQueryComparison(os.Stdout, spec.Name, qr); err != nil {
+					return err
+				}
+				fmt.Println()
 			}
-			fmt.Println()
 		}
 		return nil
 	}

@@ -27,7 +27,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strconv"
 
 	"csrgraph/internal/edgelist"
 	"csrgraph/internal/harness"
@@ -157,15 +156,15 @@ func runTemporal(pt *tcsr.Packed, rest []string, procs int) error {
 		if len(rest) != 3 {
 			return fmt.Errorf("usage: tneighbors <node> <frame>")
 		}
-		u, err1 := strconv.ParseUint(rest[1], 10, 32)
-		tf, err2 := strconv.Atoi(rest[2])
-		if err1 != nil || err2 != nil {
-			return fmt.Errorf("bad node/frame")
+		u, err := edgelist.ParseNodeItem(rest[1], pt.NumNodes())
+		if err != nil {
+			return err
 		}
-		if int(u) >= pt.NumNodes() || tf < 0 || tf >= pt.NumFrames() {
-			return fmt.Errorf("node %d / frame %d out of range", u, tf)
+		tf, err := tcsr.ParseFrameItem(rest[2], pt.NumFrames())
+		if err != nil {
+			return err
 		}
-		fmt.Printf("%d at frame %d: %v\n", u, tf, pt.ActiveNeighbors(nil, uint32(u), tf))
+		fmt.Printf("%d at frame %d: %v\n", u, tf, pt.ActiveNeighbors(nil, u, tf))
 		return nil
 	}
 	return fmt.Errorf("unknown subcommand %q for a temporal graph; want %s", rest[0], subcommands)

@@ -184,21 +184,28 @@ func TestItemGrammar(t *testing.T) {
 		{"-graph", static, "neighbors", " 0 ", "2\t"},
 		{"-graph", static, "exists", " 0:1"},
 		{"-graph", temporal, "active", "0:1:1 "},
+		{"-graph", temporal, "tneighbors", " 0", "1 "},
 	} {
 		if err := run(args); err != nil {
 			t.Errorf("%q: %v", args[2:], err)
 		}
 	}
-	for want, args := range map[string][]string{
-		`node 99 out of range [0,3)`:            {"-graph", static, "degree", "99"},
-		`bad edge "12", want u:v`:               {"-graph", static, "exists", "12"},
-		`edge "9:9" out of range [0,3)`:         {"-graph", static, "exists", "9:9"},
-		`frame 99 out of range [0,2)`:           {"-graph", temporal, "active", "0:1:99"},
-		`query "5:1:0" out of node range [0,3)`: {"-graph", temporal, "active", "5:1:0"},
-		`bad query "1:2", want u:v:t`:           {"-graph", temporal, "active", "1:2"},
+	for _, c := range []struct {
+		want string
+		args []string
+	}{
+		{`node 99 out of range [0,3)`, []string{"-graph", static, "degree", "99"}},
+		{`bad edge "12", want u:v`, []string{"-graph", static, "exists", "12"}},
+		{`edge "9:9" out of range [0,3)`, []string{"-graph", static, "exists", "9:9"}},
+		{`frame 99 out of range [0,2)`, []string{"-graph", temporal, "active", "0:1:99"}},
+		{`query "5:1:0" out of node range [0,3)`, []string{"-graph", temporal, "active", "5:1:0"}},
+		{`bad query "1:2", want u:v:t`, []string{"-graph", temporal, "active", "1:2"}},
+		{`node 9 out of range [0,3)`, []string{"-graph", temporal, "tneighbors", "9", "0"}},
+		{`frame 99 out of range [0,2)`, []string{"-graph", temporal, "tneighbors", "0", "99"}},
+		{`bad frame "x"`, []string{"-graph", temporal, "tneighbors", "0", "x"}},
 	} {
-		if err := run(args); err == nil || err.Error() != want {
-			t.Errorf("%q: got %v, want %s", args[2:], err, want)
+		if err := run(c.args); err == nil || err.Error() != c.want {
+			t.Errorf("%q: got %v, want %s", c.args[2:], err, c.want)
 		}
 	}
 }

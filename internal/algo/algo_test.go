@@ -9,6 +9,7 @@ import (
 
 	"csrgraph/internal/csr"
 	"csrgraph/internal/edgelist"
+	"csrgraph/internal/query"
 )
 
 // buildGraph makes a CSR from explicit edges (symmetrized when sym).
@@ -255,8 +256,18 @@ func TestCountTriangles(t *testing.T) {
 
 // trianglesReference brute-forces all triples.
 func trianglesReference(m *csr.Matrix) int64 {
+	var sum int64
+	for _, t := range triangleCountsReference(m) {
+		sum += t
+	}
+	return sum / 3
+}
+
+// triangleCountsReference brute-forces all triples of distinct nodes, so
+// self-loops never count, and returns the triangles through each node.
+func triangleCountsReference(m *csr.Matrix) []int64 {
 	n := m.NumNodes()
-	var count int64
+	tri := make([]int64, n)
 	for a := 0; a < n; a++ {
 		for b := a + 1; b < n; b++ {
 			if !m.HasEdgeBinary(uint32(a), uint32(b)) {
@@ -264,12 +275,40 @@ func trianglesReference(m *csr.Matrix) int64 {
 			}
 			for c := b + 1; c < n; c++ {
 				if m.HasEdgeBinary(uint32(b), uint32(c)) && m.HasEdgeBinary(uint32(a), uint32(c)) {
-					count++
+					tri[a]++
+					tri[b]++
+					tri[c]++
 				}
 			}
 		}
 	}
-	return count
+	return tri
+}
+
+// clusteringReference derives the local coefficients and their average
+// from triangleCountsReference and each node's loop-free degree.
+func clusteringReference(m *csr.Matrix) ([]float64, float64, int) {
+	tri := triangleCountsReference(m)
+	cc := make([]float64, len(tri))
+	var sum float64
+	count := 0
+	for u := range tri {
+		d := 0
+		for _, w := range m.Neighbors(uint32(u)) {
+			if w != uint32(u) {
+				d++
+			}
+		}
+		if d >= 2 {
+			cc[u] = float64(2*tri[u]) / float64(d*(d-1))
+			sum += cc[u]
+			count++
+		}
+	}
+	if count == 0 {
+		return cc, 0, 0
+	}
+	return cc, sum / float64(count), count
 }
 
 func TestCountTrianglesMatchesBruteForce(t *testing.T) {
@@ -280,6 +319,47 @@ func TestCountTrianglesMatchesBruteForce(t *testing.T) {
 			t.Fatalf("p=%d: triangles = %d, want %d", p, got, want)
 		}
 	}
+}
+
+// FuzzTriangles checks CountTriangles, LocalClustering and
+// GlobalClustering against the brute-force oracle on random symmetrized
+// graphs of up to 256 nodes with self-loops, empty rows and an isolated
+// tail of ids, plain and packed, at p = 1, 2 and 4.
+func FuzzTriangles(f *testing.F) {
+	f.Add(uint64(1), uint8(40), uint16(300), uint8(5))
+	f.Add(uint64(2), uint8(255), uint16(3000), uint8(0))
+	f.Add(uint64(3), uint8(6), uint16(30), uint8(9))
+	f.Add(uint64(4), uint8(120), uint16(100), uint8(40))
+	f.Fuzz(func(t *testing.T, seed uint64, nodes uint8, edges uint16, loops uint8) {
+		n := 1 + int(nodes)
+		live := 1 + int(seed%uint64(n)) // ids >= live form the isolated tail
+		rng := rand.New(rand.NewSource(int64(seed)))
+		var es []edgelist.Edge
+		for i := 0; i < int(edges%4096); i++ {
+			es = append(es, edgelist.Edge{U: uint32(rng.Intn(live)), V: uint32(rng.Intn(live))})
+		}
+		for i := 0; i < int(loops); i++ {
+			u := uint32(rng.Intn(live))
+			es = append(es, edgelist.Edge{U: u, V: u})
+		}
+		m := buildGraph(es, n, true)
+		total := trianglesReference(m)
+		cc, avg, count := clusteringReference(m)
+		for form, src := range map[string]query.Source{"plain": m, "packed": csr.PackMatrix(m, 2)} {
+			for _, p := range []int{1, 2, 4} {
+				if got := CountTriangles(src, p); got != total {
+					t.Fatalf("%s p=%d: triangles = %d, want %d", form, p, got, total)
+				}
+				if got := LocalClustering(src, p); !reflect.DeepEqual(got, cc) {
+					t.Fatalf("%s p=%d: local clustering diverges from the reference", form, p)
+				}
+				if gotAvg, gotCount := GlobalClustering(src, p); gotAvg != avg || gotCount != count {
+					t.Fatalf("%s p=%d: global clustering = %g over %d, want %g over %d",
+						form, p, gotAvg, gotCount, avg, count)
+				}
+			}
+		}
+	})
 }
 
 func TestDegrees(t *testing.T) {

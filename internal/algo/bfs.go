@@ -198,51 +198,3 @@ func PageRank(g query.Source, damping float64, maxIter int, tol float64, p int) 
 	}
 	return rank
 }
-
-// CountTriangles returns the number of triangles (unordered node triples
-// with all three edges present) in a symmetrized graph, using the standard
-// forward/ordered-merge algorithm parallelized over nodes: for every edge
-// (u, w) with u < w, count common neighbors of u and w that exceed w.
-func CountTriangles(g query.Source, p int) int64 {
-	p = clampProcs(p)
-	n := g.NumNodes()
-	var total atomic.Int64
-	parallel.For(n, p, func(_ int, r parallel.Range) {
-		var rowU, rowW []uint32
-		var local int64
-		for u := r.Start; u < r.End; u++ {
-			rowU = g.Row(rowU, uint32(u))
-			for _, w := range rowU {
-				if w <= uint32(u) {
-					continue
-				}
-				rowW = g.Row(rowW, w)
-				local += countCommonAbove(rowU, rowW, w)
-			}
-		}
-		total.Add(local)
-	})
-	return total.Load()
-}
-
-// countCommonAbove counts values present in both ascending slices that are
-// strictly greater than floor.
-func countCommonAbove(a, b []uint32, floor uint32) int64 {
-	var count int64
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] == b[j]:
-			if a[i] > floor {
-				count++
-			}
-			i++
-			j++
-		case a[i] < b[j]:
-			i++
-		default:
-			j++
-		}
-	}
-	return count
-}

@@ -196,13 +196,18 @@ func FuzzCoreNumbers(f *testing.F) {
 }
 
 func TestLocalClusteringTriangle(t *testing.T) {
-	// Triangle: every node's coefficient is 1.
-	m := buildGraph([]edgelist.Edge{{U: 0, V: 1}, {U: 1, V: 2}, {U: 0, V: 2}}, 3, true)
-	for _, p := range []int{1, 2} {
-		cc := LocalClustering(m, p)
-		for u, c := range cc {
-			if math.Abs(c-1) > 1e-12 {
-				t.Fatalf("p=%d: cc[%d] = %g, want 1", p, u, c)
+	// Triangle: every node's coefficient is 1, with or without a self-loop
+	// on every node (a loop is neither a neighbor nor in the degree).
+	tri := []edgelist.Edge{{U: 0, V: 1}, {U: 1, V: 2}, {U: 0, V: 2}}
+	loops := append([]edgelist.Edge{{U: 0, V: 0}, {U: 1, V: 1}, {U: 2, V: 2}}, tri...)
+	for _, edges := range [][]edgelist.Edge{tri, loops} {
+		m := buildGraph(edges, 3, true)
+		for _, p := range []int{1, 2} {
+			cc := LocalClustering(m, p)
+			for u, c := range cc {
+				if math.Abs(c-1) > 1e-12 {
+					t.Fatalf("%d edges, p=%d: cc[%d] = %g, want 1", len(edges), p, u, c)
+				}
 			}
 		}
 	}
@@ -241,6 +246,16 @@ func TestGlobalClustering(t *testing.T) {
 	empty := buildGraph(nil, 3, false)
 	if avg, count := GlobalClustering(empty, 2); avg != 0 || count != 0 {
 		t.Fatal("empty clustering wrong")
+	}
+	// Triangle 0-1-2 plus pendant 3 on 0, with a self-loop on 3: node 3's
+	// loop-free degree is 1, so it is left out; node 0 closes 1 of 3 pairs.
+	looped := buildGraph([]edgelist.Edge{
+		{U: 0, V: 1}, {U: 1, V: 2}, {U: 0, V: 2}, {U: 0, V: 3}, {U: 3, V: 3},
+	}, 4, true)
+	for _, p := range []int{1, 2} {
+		if avg, count := GlobalClustering(looped, p); count != 3 || math.Abs(avg-7.0/9) > 1e-12 {
+			t.Fatalf("p=%d: with a loop avg=%g count=%d, want 7/9 over 3", p, avg, count)
+		}
 	}
 }
 

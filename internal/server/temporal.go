@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"csrgraph/internal/algo"
+	"csrgraph/internal/edgelist"
 	"csrgraph/internal/frontier"
 	"csrgraph/internal/tcsr"
 	"csrgraph/internal/trace"
@@ -102,17 +103,24 @@ func appendActive(b []byte, queries []tcsr.ActivityQuery, active []bool) []byte 
 }
 
 func (h *Handler) frameNeighbors(w http.ResponseWriter, r *http.Request) {
-	u, err1 := strconv.ParseUint(r.URL.Query().Get("node"), 10, 32)
-	t, err2 := strconv.Atoi(r.URL.Query().Get("frame"))
-	if err1 != nil || err2 != nil {
-		httpError(w, http.StatusBadRequest, fmt.Errorf("need numeric node and frame parameters"))
+	u, t, err := h.parseNodeFrame(r, "node")
+	if err != nil {
+		httpError(w, http.StatusBadRequest, err)
 		return
 	}
-	if int(u) >= h.pt.NumNodes() || t < 0 || t >= h.pt.NumFrames() {
-		httpError(w, http.StatusBadRequest, fmt.Errorf("node %d / frame %d out of range", u, t))
-		return
+	h.writeJSON(w, map[string]any{"node": u, "frame": t, "neighbors": h.pt.ActiveNeighbors(nil, u, t)})
+}
+
+// parseNodeFrame decodes a point-in-time request's node (under the
+// parameter name key) and frame with the batch endpoints' item decoders.
+func (h *Handler) parseNodeFrame(r *http.Request, key string) (uint32, int, error) {
+	q := r.URL.Query()
+	u, err := edgelist.ParseNodeItem(q.Get(key), h.pt.NumNodes())
+	if err != nil {
+		return 0, 0, err
 	}
-	h.writeJSON(w, map[string]any{"node": u, "frame": t, "neighbors": h.pt.ActiveNeighbors(nil, uint32(u), t)})
+	t, err := tcsr.ParseFrameItem(q.Get("frame"), h.pt.NumFrames())
+	return u, t, err
 }
 
 // frameSource adapts one TCSR frame to the frontier core's graph surface:
@@ -139,23 +147,12 @@ func (h *Handler) frameBFS(w http.ResponseWriter, r *http.Request) {
 			fmt.Errorf("graph too large for the bfs endpoint (%d nodes)", h.pt.NumNodes()))
 		return
 	}
-	src, err1 := strconv.ParseUint(r.URL.Query().Get("src"), 10, 32)
-	t, err2 := strconv.Atoi(r.URL.Query().Get("frame"))
-	if err1 != nil || err2 != nil {
-		httpError(w, http.StatusBadRequest, fmt.Errorf("need numeric src and frame parameters"))
+	src, t, err := h.parseNodeFrame(r, "src")
+	if err != nil {
+		httpError(w, http.StatusBadRequest, err)
 		return
 	}
-	if int(src) >= h.pt.NumNodes() {
-		httpError(w, http.StatusBadRequest,
-			fmt.Errorf("src %d out of range [0,%d)", src, h.pt.NumNodes()))
-		return
-	}
-	if t < 0 || t >= h.pt.NumFrames() {
-		httpError(w, http.StatusBadRequest,
-			fmt.Errorf("frame %d out of range [0,%d)", t, h.pt.NumFrames()))
-		return
-	}
-	dist, st := algo.BFSFrontierStats(frameSource{pt: h.pt, t: t}, nil, uint32(src), frontier.DefaultPolicy(), h.procs)
+	dist, st := algo.BFSFrontierStats(frameSource{pt: h.pt, t: t}, nil, src, frontier.DefaultPolicy(), h.procs)
 	bfsRounds.Observe(int64(st.Rounds))
 	reached := 0
 	for _, d := range dist {

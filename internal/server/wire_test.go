@@ -729,9 +729,10 @@ func compareParse[T comparable](t *testing.T, rawQuery string, want, got []T, wa
 
 // refTemporalResponse answers path?rawQuery the way the temporal handler
 // did before it joined Handler: url.Values and strings.Split parsing, one
-// map per item through encoding/json. Answers come from snaps, each
-// frame's Snapshot built into a plain CSR, not from the packed frames the
-// handler reads.
+// map per item through encoding/json, except that /neighbors and /bfs
+// decode node and frame with the batch items' texts (refNodeFrame).
+// Answers come from snaps, each frame's Snapshot built into a plain CSR,
+// not from the packed frames the handler reads.
 func refTemporalResponse(t testing.TB, snaps []*csr.Matrix, path, rawQuery string) (int, string) {
 	t.Helper()
 	fail := func(err error) (int, string) {
@@ -752,27 +753,16 @@ func refTemporalResponse(t testing.TB, snaps []*csr.Matrix, path, rawQuery strin
 		}
 		return http.StatusOK, refJSON(t, out)
 	case "/neighbors":
-		u, err1 := strconv.ParseUint(q.Get("node"), 10, 32)
-		tf, err2 := strconv.Atoi(q.Get("frame"))
-		if err1 != nil || err2 != nil {
-			return fail(fmt.Errorf("need numeric node and frame parameters"))
-		}
-		if int(u) >= n || tf < 0 || tf >= frames {
-			return fail(fmt.Errorf("node %d / frame %d out of range", u, tf))
+		u, tf, err := refNodeFrame(q, "node", n, frames)
+		if err != nil {
+			return fail(err)
 		}
 		row := append([]uint32{}, snaps[tf].Neighbors(uint32(u))...)
 		return http.StatusOK, refJSON(t, map[string]any{"node": u, "frame": tf, "neighbors": row})
 	case "/bfs":
-		src, err1 := strconv.ParseUint(q.Get("src"), 10, 32)
-		tf, err2 := strconv.Atoi(q.Get("frame"))
-		if err1 != nil || err2 != nil {
-			return fail(fmt.Errorf("need numeric src and frame parameters"))
-		}
-		if int(src) >= n {
-			return fail(fmt.Errorf("src %d out of range [0,%d)", src, n))
-		}
-		if tf < 0 || tf >= frames {
-			return fail(fmt.Errorf("frame %d out of range [0,%d)", tf, frames))
+		src, tf, err := refNodeFrame(q, "src", n, frames)
+		if err != nil {
+			return fail(err)
 		}
 		dist, st := algo.BFSFrontierStats(snaps[tf], nil, uint32(src), frontier.DefaultPolicy(), 2)
 		reached := 0
@@ -787,6 +777,28 @@ func refTemporalResponse(t testing.TB, snaps []*csr.Matrix, path, rawQuery strin
 	}
 	t.Fatalf("no reference for %s", path)
 	return 0, ""
+}
+
+// refNodeFrame decodes a point-in-time request's node (parameter key) and
+// frame, white space around each allowed, with the batch items' texts.
+func refNodeFrame(q url.Values, key string, n, frames int) (uint64, int, error) {
+	raw := q.Get(key)
+	u, err := strconv.ParseUint(strings.TrimSpace(raw), 10, 32)
+	if err != nil {
+		return 0, 0, fmt.Errorf("bad node id %q", raw)
+	}
+	if int(u) >= n {
+		return 0, 0, fmt.Errorf("node %d out of range [0,%d)", u, n)
+	}
+	raw = q.Get("frame")
+	tf, err := strconv.Atoi(strings.TrimSpace(raw))
+	if err != nil {
+		return 0, 0, fmt.Errorf("bad frame %q", raw)
+	}
+	if tf < 0 || tf >= frames {
+		return 0, 0, fmt.Errorf("frame %d out of range [0,%d)", tf, frames)
+	}
+	return u, tf, nil
 }
 
 // checkTemporalAgainstRef holds one temporal request's status and body

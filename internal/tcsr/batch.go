@@ -29,16 +29,29 @@ func ParseQueryItem(part string, n, frames int) (q ActivityQuery, err error) {
 	}
 	u, err1 := strconv.ParseUint(fields[0], 10, 32)
 	v, err2 := strconv.ParseUint(fields[1], 10, 32)
-	t, err3 := strconv.Atoi(fields[2])
-	switch {
-	case err1 != nil || err2 != nil || err3 != nil:
-		err = fmt.Errorf("bad query %q", part)
-	case t < 0 || t >= frames:
-		err = fmt.Errorf("frame %d out of range [0,%d)", t, frames)
-	case int(u) >= n || int(v) >= n:
+	// White space inside an item is malformed, and ParseFrameItem accepts
+	// it around a frame, so the field must first parse as a bare integer.
+	if _, err3 := strconv.Atoi(fields[2]); err1 != nil || err2 != nil || err3 != nil {
+		return q, fmt.Errorf("bad query %q", part)
+	}
+	t, err := ParseFrameItem(fields[2], frames)
+	if err == nil && (int(u) >= n || int(v) >= n) {
 		err = fmt.Errorf("query %q out of node range [0,%d)", part, n)
 	}
 	return ActivityQuery{U: uint32(u), V: uint32(v), T: t}, err
+}
+
+// ParseFrameItem decodes one frame index, with surrounding white space
+// allowed, and checks it against the frame count frames.
+func ParseFrameItem(part string, frames int) (int, error) {
+	t, err := strconv.Atoi(strings.TrimSpace(part))
+	if err != nil {
+		return 0, fmt.Errorf("bad frame %q", part)
+	}
+	if t < 0 || t >= frames {
+		return t, fmt.Errorf("frame %d out of range [0,%d)", t, frames)
+	}
+	return t, nil
 }
 
 // ActiveBatch answers an array of activity queries with p processors. Every
