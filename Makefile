@@ -7,7 +7,7 @@ GO ?= go
 # lower-variance trajectory points.
 BENCHTIME ?= 100ms
 
-.PHONY: all build build-cross generate generate-check test test-race race vet fmt fmt-check lint lint-timing lint-json bench-test bench bench-quick bench-json bench-obs bench-algo bench-trace bench-compare bench-compare-query bench-compare-algo bench-compare-shard bench-startup bench-shard fuzz fuzz-smoke experiments clean
+.PHONY: all build build-cross generate generate-check test test-race race vet fmt fmt-check lint lint-timing lint-json bench-test bench bench-quick bench-json bench-obs bench-algo bench-trace bench-compare bench-compare-query bench-compare-shard bench-startup bench-shard fuzz fuzz-smoke experiments clean
 
 all: build generate-check vet lint test test-race bench-test
 
@@ -113,10 +113,10 @@ bench-obs:
 	$(GO) test -run '^$$' -bench Obs -benchmem -benchtime $(BENCHTIME) -json . ./internal/obs \
 		| $(GO) run ./cmd/benchjson > BENCH_$$(date +%Y-%m-%d)$(BENCH_SUFFIX).json
 
-# Traversal-analytics snapshot: the frontier core (BFS sparse↔dense
-# switching vs the push-only BFS, level-peel k-core) at 10M edges, appended
-# to the BENCH_<date>.json trajectory. Pair the BFS arms with
-# `go run ./cmd/benchcompare -baseline legacy -new frontier`.
+# Traversal-analytics snapshot: the frontier core's BFS (sparse↔dense
+# switching) and level-peel k-core at 10M edges, appended to the
+# BENCH_<date>.json trajectory. Compare two snapshots with
+# `go run ./cmd/benchcompare -filter 'BFSFrontier|KCore' old.json new.json`.
 bench-algo:
 	$(GO) test -run '^$$' -bench 'BenchmarkBFSFrontier|BenchmarkKCore' -benchmem -benchtime $(BENCHTIME) -json . \
 		| $(GO) run ./cmd/benchjson > BENCH_$$(date +%Y-%m-%d)$(BENCH_SUFFIX).json
@@ -142,15 +142,6 @@ bench-compare-query:
 	$(GO) test -run '^$$' -bench 'BenchmarkEdgesExistBatch' \
 		-benchtime $(BENCHTIME) . \
 		| $(GO) run ./cmd/benchcompare -baseline linear -new search
-
-# Frontier-vs-baseline regression gate: pairs the algo= variants of the
-# BFS suite (legacy push-only vs frontier BFS). The speedup columns are the
-# numbers DESIGN.md §13 quotes; CI documents this as the pre-merge gate for
-# algorithm changes.
-bench-compare-algo:
-	$(GO) test -run '^$$' -bench 'BenchmarkBFSFrontier' \
-		-benchtime $(BENCHTIME) . \
-		| $(GO) run ./cmd/benchcompare -baseline legacy -new frontier
 
 # Sharded serving-tier snapshot: the scatter-gather router's aggregate
 # batch throughput across shard counts (shards=1|2|4|8) against the

@@ -1,11 +1,9 @@
 // Traversal-analytics benchmarks on the frontier core (internal/frontier)
 // at 10M edges.
 //
-//	BenchmarkBFSFrontier — the hand-rolled push-only BFS (algo=legacy) vs
-//	    the frontier core with sparse↔dense switching (algo=frontier) on
-//	    symmetrized uniform and power-law graphs; both are kept, each wins
-//	    on a different caller. `go run ./cmd/benchcompare -baseline legacy
-//	    -new frontier` prints the delta table.
+//	BenchmarkBFSFrontier — the frontier core's BFS with sparse↔dense
+//	    switching (algo=frontier) on symmetrized uniform and power-law
+//	    graphs.
 //	BenchmarkKCore — level-synchronous peeling (algo=bucket).
 //	BenchmarkTriangles — the degree-oriented triangle kernel behind
 //	    CountTriangles (arm=count) and LocalClustering (arm=clustering)
@@ -27,10 +25,10 @@ import (
 	"csrgraph/internal/harness"
 )
 
-// algoBenchProcs is the worker count both variants of every algo benchmark
-// run with: the machine's actual parallelism. Oversubscribing a CPU-bound
-// traversal (the suite's usual fixed 4) measures scheduler churn, not the
-// algorithm, on smaller hosts.
+// algoBenchProcs is the worker count every algo benchmark runs with: the
+// machine's actual parallelism. Oversubscribing a CPU-bound traversal (the
+// suite's usual fixed 4) measures scheduler churn, not the algorithm, on
+// smaller hosts.
 var algoBenchProcs = runtime.GOMAXPROCS(0)
 
 var (
@@ -40,7 +38,7 @@ var (
 
 // algoBenchSetup builds symmetrized 10M-edge CSRs once per distribution
 // from the construction benchmarks' deterministic edge lists. Symmetric
-// graphs are their own transpose, so the frontier variants run dense
+// graphs are their own transpose, so the frontier traversals run dense
 // (pull) rounds without building one.
 func algoBenchSetup(b *testing.B) map[string]*csr.Matrix {
 	b.Helper()
@@ -59,23 +57,18 @@ func algoBenchSetup(b *testing.B) map[string]*csr.Matrix {
 	return algoBench
 }
 
-// BenchmarkBFSFrontier compares the hand-rolled push-only BFS against the
-// frontier core's direction-switching traversal from a fixed source.
+// BenchmarkBFSFrontier times the frontier core's direction-switching
+// traversal from a fixed source. The arm keeps its algo=frontier name so
+// the BENCH_*.json series continues.
 func BenchmarkBFSFrontier(b *testing.B) {
 	graphs := algoBenchSetup(b)
 	for _, dist := range []string{"uniform", "powerlaw"} {
 		m := graphs[dist]
-		for _, variant := range []string{"legacy", "frontier"} {
-			b.Run(fmt.Sprintf("dist=%s/edges=%d/algo=%s", dist, queryBenchEdges, variant), func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					if variant == "legacy" {
-						algo.BFS(m, 1, algoBenchProcs)
-					} else {
-						algo.BFSFrontier(m, m, 1, algoBenchProcs)
-					}
-				}
-			})
-		}
+		b.Run(fmt.Sprintf("dist=%s/edges=%d/algo=frontier", dist, queryBenchEdges), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				algo.BFSFrontier(m, m, 1, algoBenchProcs)
+			}
+		})
 	}
 }
 

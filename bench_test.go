@@ -251,13 +251,14 @@ func BenchmarkAnalytics(b *testing.B) {
 	m := csr.Build(sym, n, 4)
 	pk := csr.PackMatrix(m, 4)
 	for name, g := range map[string]query.Source{"csr": m, "packed": pk} {
+		// bfs is the frontier core's push-only BFS, dobfs the same core
+		// switching to pull rounds (the graph is symmetric, so it is its
+		// own transpose).
 		b.Run("bfs/"+name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				algo.BFS(g, 0, 4)
+				algo.BFSFrontier(g, nil, 0, 4)
 			}
 		})
-		// dobfs is the frontier core's direction-optimizing BFS (the graph
-		// is symmetric, so it is its own transpose).
 		b.Run("dobfs/"+name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				algo.BFSFrontier(g, g, 0, 4)

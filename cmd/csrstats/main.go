@@ -13,7 +13,8 @@
 // header without loading the arrays; -meta stops there, otherwise the
 // container is memory-mapped and analyzed like any other graph. A temporal
 // container has no single static graph to analyze, so only its metadata
-// prints.
+// prints. Triangles, clustering and k-core are defined on symmetric graphs
+// only: on a directed graph -heavy prints that it skipped them.
 package main
 
 import (
@@ -22,6 +23,7 @@ import (
 	"io"
 	"os"
 	"strings"
+	"sync/atomic"
 	"time"
 
 	"csrgraph/internal/algo"
@@ -29,8 +31,18 @@ import (
 	"csrgraph/internal/edgelist"
 	"csrgraph/internal/harness"
 	"csrgraph/internal/mgraph"
+	"csrgraph/internal/parallel"
 	"csrgraph/internal/query"
 )
+
+// graph is what csrstats analyzes. Every static form (the plain CSR and
+// the container's packed and delta forms) knows its edge count and answers
+// single existence probes, which the symmetry check needs.
+type graph interface {
+	query.Source
+	NumEdges() int
+	SearchRow(u, v edgelist.NodeID) bool
+}
 
 func main() {
 	if err := run(os.Args[1:]); err != nil {
@@ -44,7 +56,7 @@ func run(args []string) error {
 	in := fs.String("in", "", "input graph (required): .txt/.bin edge list or .csrc container")
 	procs := fs.Int("procs", 4, "processors")
 	symmetrize := fs.Bool("symmetrize", false, "add reverse edges (edge-list inputs only)")
-	heavy := fs.Bool("heavy", true, "include triangles, clustering and k-core (O(m^1.5)-ish)")
+	heavy := fs.Bool("heavy", true, "include triangles, clustering and k-core, on symmetric graphs (O(m^1.5)-ish)")
 	metaOnly := fs.Bool("meta", false, "container inputs: print header metadata only, do not load the graph")
 	verify := fs.Bool("verify", false, "container inputs: checksum every section payload")
 	if err := fs.Parse(args); err != nil {
@@ -54,7 +66,7 @@ func run(args []string) error {
 		return fmt.Errorf("-in is required")
 	}
 
-	var g query.Source
+	var g graph
 	var sizeBytes int64
 	switch {
 	case isContainer(*in):
@@ -73,7 +85,8 @@ func run(args []string) error {
 			return err
 		}
 		defer m.Close() //csr:errok read-only mapping; nothing to lose on close
-		if g = m.Source(); g == nil {
+		var ok bool
+		if g, ok = m.Source().(graph); !ok {
 			return fmt.Errorf("%s holds a %s graph; only -meta applies", *in, m.GraphForm())
 		}
 		sizeBytes = m.SizeBytes()
@@ -91,12 +104,8 @@ func run(args []string) error {
 	start := time.Now()
 	st := algo.Degrees(g, *procs)
 	nodes := g.NumNodes()
-	edges := 0
-	for i, c := range st.Histogram {
-		edges += i * c
-	}
 	fmt.Printf("nodes:      %d\n", nodes)
-	fmt.Printf("edges:      ~%d (histogram-capped)\n", edges)
+	fmt.Printf("edges:      %d\n", g.NumEdges())
 	fmt.Printf("storage:    %s\n", harness.HumanBytes(sizeBytes))
 	fmt.Printf("degree:     min %d, mean %.2f, max %d, isolated %d\n",
 		st.Min, st.Mean, st.Max, st.Isolated)
@@ -115,7 +124,12 @@ func run(args []string) error {
 	fmt.Printf("components: %d (largest %d nodes, %.1f%%)\n",
 		len(compSizes), largest, 100*float64(largest)/float64(max(nodes, 1)))
 
-	if *heavy {
+	switch {
+	case !*heavy:
+	case !symmetric(g, *procs):
+		fmt.Println("heavy:      skipped triangles, clustering and k-core: the graph is directed " +
+			"(-symmetrize for edge lists, csrconvert -symmetrize for containers)")
+	default:
 		tri := algo.CountTriangles(g, *procs)
 		avgCC, ccNodes := algo.GlobalClustering(g, *procs)
 		core := algo.CoreNumbersBucketed(g, *procs)
@@ -131,6 +145,25 @@ func run(args []string) error {
 	}
 	fmt.Printf("analyzed in %v with %d processors\n", time.Since(start), *procs)
 	return nil
+}
+
+// symmetric reports whether g stores (v, u) for every stored (u, v), in one
+// parallel pass of existence probes that stops at the first one-way edge.
+func symmetric(g graph, p int) bool {
+	var oneWay atomic.Bool
+	parallel.For(g.NumNodes(), p, func(_ int, r parallel.Range) {
+		var row []uint32
+		for u := r.Start; u < r.End && !oneWay.Load(); u++ {
+			row = g.Row(row, uint32(u))
+			for _, v := range row {
+				if !g.SearchRow(v, uint32(u)) {
+					oneWay.Store(true)
+					return
+				}
+			}
+		}
+	})
+	return !oneWay.Load()
 }
 
 // isContainer reports whether path is a binary graph container, by

@@ -10,13 +10,13 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"csrgraph/internal/edgelist"
+	"csrgraph/internal/frontier"
 	"csrgraph/internal/parallel"
 	"csrgraph/internal/query"
 )
 
 // Unreached marks a node not reached by a traversal.
-const Unreached = int32(-1)
+const Unreached = frontier.Unreached
 
 // clampProcs normalizes a caller-supplied processor count: every exported
 // algorithm sizes per-processor scratch arrays by p, so p must be >= 1.
@@ -25,58 +25,6 @@ func clampProcs(p int) int {
 		return 1
 	}
 	return p
-}
-
-// BFS returns the hop distance from src to every node (Unreached for
-// unreachable nodes), computed with a level-synchronous parallel breadth-
-// first search: each frontier is split across p processors, discovered
-// nodes are claimed with an atomic compare-and-swap so every node is
-// adopted by exactly one parent, and per-processor next-frontier slices
-// are concatenated between levels.
-func BFS(g query.Source, src edgelist.NodeID, p int) []int32 {
-	p = clampProcs(p)
-	n := g.NumNodes()
-	dist := make([]int32, n)
-	for i := range dist {
-		dist[i] = Unreached
-	}
-	if int(src) >= n {
-		return dist
-	}
-	// atomicDist aliases dist so CAS claims are race-free.
-	atomicDist := make([]atomic.Int32, n)
-	for i := range atomicDist {
-		atomicDist[i].Store(Unreached)
-	}
-	atomicDist[src].Store(0)
-
-	frontier := []uint32{src}
-	for level := int32(1); len(frontier) > 0; level++ {
-		nexts := make([][]uint32, p)
-		lvl := level // per-round snapshot: pool bodies must not read the loop counter
-		parallel.For(len(frontier), p, func(c int, r parallel.Range) {
-			var buf []uint32
-			var local []uint32
-			for i := r.Start; i < r.End; i++ {
-				buf = g.Row(buf, frontier[i])
-				for _, w := range buf {
-					if atomicDist[w].Load() == Unreached &&
-						atomicDist[w].CompareAndSwap(Unreached, lvl) {
-						local = append(local, w)
-					}
-				}
-			}
-			nexts[c] = local
-		})
-		frontier = frontier[:0]
-		for _, local := range nexts {
-			frontier = append(frontier, local...)
-		}
-	}
-	for i := range dist {
-		dist[i] = atomicDist[i].Load()
-	}
-	return dist
 }
 
 // ConnectedComponents labels every node with the smallest node id in its

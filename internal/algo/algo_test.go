@@ -63,9 +63,9 @@ func TestBFSPathGraph(t *testing.T) {
 	edges := []edgelist.Edge{{U: 0, V: 1}, {U: 1, V: 2}, {U: 2, V: 3}, {U: 3, V: 4}}
 	m := buildGraph(edges, 6, true) // node 5 isolated
 	for _, p := range []int{1, 2, 4} {
-		dist := BFS(m, 0, p)
+		dist := BFSFrontier(m, nil, 0, p)
 		want := []int32{0, 1, 2, 3, 4, Unreached}
-		if !reflect.DeepEqual(dist, want) {
+		if !reflect.DeepEqual(dist, want) || !reflect.DeepEqual(bfsReference(m, 0), want) {
 			t.Fatalf("p=%d: dist = %v, want %v", p, dist, want)
 		}
 	}
@@ -76,7 +76,7 @@ func TestBFSMatchesReference(t *testing.T) {
 		m := randomGraph(300, 1200, seed, true)
 		want := bfsReference(m, 0)
 		for _, p := range []int{1, 3, 8} {
-			got := BFS(m, 0, p)
+			got := BFSFrontier(m, nil, 0, p)
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("seed=%d p=%d: BFS diverges from reference", seed, p)
 			}
@@ -88,14 +88,17 @@ func TestBFSOnPackedCSR(t *testing.T) {
 	m := randomGraph(200, 800, 4, true)
 	pk := csr.PackMatrix(m, 2)
 	want := bfsReference(m, 7)
-	if got := BFS(pk, 7, 4); !reflect.DeepEqual(got, want) {
+	if got := BFSFrontier(pk, nil, 7, 4); !reflect.DeepEqual(got, want) {
 		t.Fatal("BFS over packed CSR diverges")
 	}
 }
 
 func TestBFSSourceOutOfRange(t *testing.T) {
 	m := buildGraph([]edgelist.Edge{{U: 0, V: 1}}, 2, false)
-	dist := BFS(m, 99, 2)
+	dist := BFSFrontier(m, nil, 99, 2)
+	if !reflect.DeepEqual(dist, bfsReference(m, 99)) {
+		t.Fatalf("out-of-range source: %v", dist)
+	}
 	for _, d := range dist {
 		if d != Unreached {
 			t.Fatal("out-of-range source must reach nothing")
@@ -401,14 +404,6 @@ func TestTwoHopNeighbors(t *testing.T) {
 	}
 }
 
-func TestReachableCount(t *testing.T) {
-	edges := []edgelist.Edge{{U: 0, V: 1}, {U: 1, V: 2}}
-	m := buildGraph(edges, 5, false)
-	if got := ReachableCount(m, 0, 2); got != 3 {
-		t.Fatalf("reachable = %d, want 3", got)
-	}
-}
-
 func TestSortUint32(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	for _, n := range []int{0, 1, 2, 3, 17, 100, 1023} {
@@ -435,7 +430,7 @@ func TestQuickBFSInvariant(t *testing.T) {
 			edges = append(edges, edgelist.Edge{U: uint32(pairs[i]) % n, V: uint32(pairs[i+1]) % n})
 		}
 		m := buildGraph(edges, n, true)
-		dist := BFS(m, 0, int(p))
+		dist := BFSFrontier(m, nil, 0, int(p))
 		if !reflect.DeepEqual(dist, bfsReference(m, 0)) {
 			return false
 		}

@@ -135,7 +135,7 @@ func Modularity(g query.Source, labels []uint32, p int) float64 {
 // the diameter. Disconnected remainders are ignored; returns 0 for graphs
 // where src reaches nothing else.
 func EstimateDiameter(g query.Source, src uint32, p int) int32 {
-	dist := BFS(g, src, p)
+	dist := BFSFrontier(g, nil, src, p)
 	far, best := src, int32(0)
 	for u, d := range dist {
 		if d != Unreached && d > best {
@@ -145,7 +145,7 @@ func EstimateDiameter(g query.Source, src uint32, p int) int32 {
 	if best == 0 {
 		return 0
 	}
-	dist2 := BFS(g, far, p)
+	dist2 := BFSFrontier(g, nil, far, p)
 	ecc := int32(0)
 	for _, d := range dist2 {
 		if d != Unreached && d > ecc {

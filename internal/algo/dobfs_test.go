@@ -102,8 +102,8 @@ func TestDOBFSOutOfRangeSource(t *testing.T) {
 	}
 }
 
-// Property: the hybrid BFS equals plain BFS on random symmetric graphs for
-// any p.
+// Property: the hybrid BFS equals the sequential reference on random
+// symmetric graphs for any p.
 func TestQuickDOBFS(t *testing.T) {
 	f := func(pairs []uint16, p uint8) bool {
 		const n = 32
@@ -113,7 +113,7 @@ func TestQuickDOBFS(t *testing.T) {
 		}
 		m := buildGraph(edges, n, true)
 		got, _ := BFSFrontierStats(m, m, 0, frontier.DefaultPolicy(), int(p))
-		return reflect.DeepEqual(got, BFS(m, 0, 2))
+		return reflect.DeepEqual(got, bfsReference(m, 0))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
 		t.Fatal(err)

@@ -1,9 +1,10 @@
 // Traversals on the frontier core (internal/frontier): BFS with
 // sparse/dense switching and SCC's reachability sweeps, plus k-core
-// peeling as a fused specialization of its sparse round: the analytics
-// where the frontier shape measured faster than a hand-rolled loop.
-// Components, closeness and betweenness are the reverse case and stay
-// loops (bfs.go, closeness.go, betweenness.go; timings in DESIGN.md §13).
+// peeling as a fused specialization of its sparse round. BFS is the one
+// hop-distance traversal: the diameter estimate, BFS ordering and the
+// sharded router all run it. Components, closeness and betweenness
+// measured faster as hand-rolled loops and stay loops (algo.go,
+// closeness.go, betweenness.go; timings in DESIGN.md §13).
 package algo
 
 import (
@@ -19,8 +20,8 @@ import (
 // BFSFrontier computes BFS hop distances on the frontier core with the
 // default switching policy. gT enables dense (pull) rounds; pass nil for a
 // push-only traversal (arbitrary directed graphs without a transpose at
-// hand) or the graph itself when it is symmetric. Output is identical to
-// BFS, the hand-rolled push-only loop.
+// hand) or the graph itself when it is symmetric; the distances are the
+// same either way.
 func BFSFrontier(g, gT query.Source, src edgelist.NodeID, p int) []int32 {
 	dist, _ := BFSFrontierStats(g, gT, src, frontier.DefaultPolicy(), p)
 	return dist

@@ -40,8 +40,8 @@ func diffGraphs(t *testing.T, sym bool) map[string]*csr.Matrix {
 
 func TestBFSFrontierMatchesBaseline(t *testing.T) {
 	for name, m := range diffGraphs(t, true) {
+		want := bfsReference(m, 0)
 		for _, p := range []int{1, 2, 8} {
-			want := BFS(m, 0, p)
 			if got := BFSFrontier(m, nil, 0, p); !reflect.DeepEqual(got, want) {
 				t.Fatalf("%s p=%d: push-only frontier BFS diverges", name, p)
 			}

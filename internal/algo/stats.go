@@ -114,19 +114,6 @@ func TwoHopNeighbors(g query.Source, u uint32, p int) []uint32 {
 	return out
 }
 
-// ReachableCount returns how many nodes BFS reaches from src (including
-// src).
-func ReachableCount(g query.Source, src uint32, p int) int {
-	dist := BFS(g, src, p)
-	count := 0
-	for _, d := range dist {
-		if d != Unreached {
-			count++
-		}
-	}
-	return count
-}
-
 var sortPool = sync.Pool{New: func() any { return []uint32(nil) }}
 
 // sortUint32 sorts ascending (simple bottom-up merge sort to avoid pulling

@@ -74,8 +74,8 @@ func TestRoundTripPacked(t *testing.T) {
 			t.Fatalf("SearchRow(%d,%d) diverges", u, v)
 		}
 	}
-	want := algo.BFS(pk, 0, 4)
-	have := algo.BFS(m.Source(), 0, 4)
+	want := algo.BFSFrontier(pk, nil, 0, 4)
+	have := algo.BFSFrontier(m.Source(), nil, 0, 4)
 	for i := range want {
 		if want[i] != have[i] {
 			t.Fatalf("BFS level[%d] = %d, want %d", i, have[i], want[i])
@@ -492,7 +492,7 @@ func TestConcurrentQueriesOnMapped(t *testing.T) {
 				row = got.Row(row[:0], u)
 				got.SearchRow(u, uint32(rng.Intn(got.NumNodes())))
 			}
-			algo.BFS(m.Source(), uint32(seed), 2)
+			algo.BFSFrontier(m.Source(), nil, uint32(seed), 2)
 		}(int64(g))
 	}
 	wg.Wait()

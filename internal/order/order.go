@@ -61,7 +61,7 @@ func ByDegree(m *csr.Matrix, p int) *Permutation {
 // ones.
 func ByBFS(m *csr.Matrix, src edgelist.NodeID, p int) *Permutation {
 	n := m.NumNodes()
-	dist := algo.BFS(m, src, p)
+	dist := algo.BFSFrontier(m, nil, src, p)
 	old := make([]uint32, n)
 	for i := range old {
 		old[i] = uint32(i)

@@ -424,15 +424,14 @@ func (h *Handler) analyticsBFS(w http.ResponseWriter, r *http.Request) {
 }
 
 // bfsResult runs one BFS from src through the router (the frontier core's
-// push traversal at one shard, the per-round exchange across several) and
-// folds it into the response shape shared by /bfs and /analytics/bfs. Both
-// traversals only push, so every round is sparse.
+// traversal over every shard's rows) and folds it and its round breakdown
+// into the response shape shared by /bfs and /analytics/bfs.
 func (h *Handler) bfsResult(src edgelist.NodeID, tr *trace.Trace) (map[string]any, error) {
-	dist, rounds, err := h.rt.BFSTraced(src, tr)
+	dist, st, err := h.rt.BFSTraced(src, tr)
 	if err != nil {
 		return nil, err
 	}
-	bfsRounds.Observe(int64(rounds))
+	bfsRounds.Observe(int64(st.Rounds))
 	reached := 0
 	for _, d := range dist {
 		if d != algo.Unreached {
@@ -442,9 +441,9 @@ func (h *Handler) bfsResult(src edgelist.NodeID, tr *trace.Trace) (map[string]an
 	return map[string]any{
 		"src":           src,
 		"reached":       reached,
-		"rounds":        rounds,
-		"sparse_rounds": rounds,
-		"dense_rounds":  0,
+		"rounds":        st.Rounds,
+		"sparse_rounds": st.SparseRounds,
+		"dense_rounds":  st.DenseRounds,
 		"distances":     dist,
 	}, nil
 }

@@ -388,8 +388,9 @@ func TestDebugTracesErrors(t *testing.T) {
 	}
 }
 
-// TestTracedBFS: a forced BFS trace through the router records exec legs
-// and per-round absorb spans.
+// TestTracedBFS: a forced BFS trace through a four-shard router records
+// one queue_wait span per shard and exactly one exec span, whose Extra is
+// the body's round count.
 func TestTracedBFS(t *testing.T) {
 	rec := trace.NewRecorder(trace.RecorderConfig{})
 	_, sharded := shardedPair(t, 60, 600, 4, WithTracing(rec))
@@ -397,20 +398,32 @@ func TestTracedBFS(t *testing.T) {
 	if r.Code != 200 {
 		t.Fatalf("bfs -> %d", r.Code)
 	}
+	var body struct {
+		Rounds int64 `json:"rounds"`
+	}
+	if err := json.Unmarshal(r.Body.Bytes(), &body); err != nil || body.Rounds == 0 {
+		t.Fatalf("bfs body: %v: %s", err, r.Body)
+	}
 	tj := fetchTrace(t, sharded, id)
 	if tj.Op != trace.OpBFS {
 		t.Fatalf("op = %v", tj.Op)
 	}
-	var execs, absorbs int
+	waits := map[int16]int{}
+	var execs []trace.Span
 	for _, sp := range tj.Spans {
 		switch sp.Stage {
+		case trace.StageQueueWait:
+			waits[sp.Shard]++
 		case trace.StageExec:
-			execs++
-		case trace.StageAbsorb:
-			absorbs++
+			execs = append(execs, sp)
 		}
 	}
-	if execs == 0 || absorbs == 0 {
-		t.Fatalf("bfs trace: %d execs, %d absorbs: %+v", execs, absorbs, tj.Spans)
+	for s := int16(0); s < 4; s++ {
+		if waits[s] != 1 {
+			t.Fatalf("bfs trace: shard %d has %d queue_wait spans: %+v", s, waits[s], tj.Spans)
+		}
+	}
+	if len(waits) != 4 || len(execs) != 1 || execs[0].Shard != -1 || execs[0].Extra != body.Rounds {
+		t.Fatalf("bfs trace: %d queue_wait shards, execs %+v, rounds %d", len(waits), execs, body.Rounds)
 	}
 }

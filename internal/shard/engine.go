@@ -150,11 +150,6 @@ func (e *Engine) EdgesExist(edges []edgelist.Edge) []bool {
 	return query.EdgesExistBatchSearch(e.src, edges, e.procs)
 }
 
-// Row decodes one local row (BFS expansion path); dst is grown as needed.
-func (e *Engine) Row(dst []uint32, local edgelist.NodeID) []uint32 {
-	return e.src.Row(dst, local)
-}
-
 // enter/leave bracket a leg execution for the load signal.
 func (e *Engine) enter() { e.inflight.Add(1) }
 func (e *Engine) leave() { e.inflight.Add(-1) }

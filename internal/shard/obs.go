@@ -24,7 +24,7 @@ var (
 	// into the caller's slice at the original indices.
 	mergeSeconds = obs.GetDurationHistogram("csrgraph_shard_merge_seconds")
 
-	// bfsRounds is the per-traversal round count of the distributed BFS.
+	// bfsRounds is the per-traversal round count of the routed BFS.
 	bfsRounds = obs.GetHistogram("csrgraph_shard_bfs_rounds")
 )
 

@@ -17,8 +17,8 @@
 // only the owned rows, relabeled to dense local ids, while neighbor ids
 // stay GLOBAL. Existence probes and row decodes therefore need no reverse
 // translation on the way out — a decoded row is already in global id space
-// — and the per-round BFS exchange routes discovered global ids straight
-// to their owners.
+// — and one replica per shard, read through ToLocal, is the whole graph,
+// which BFS traverses as one.
 package shard
 
 import (

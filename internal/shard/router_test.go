@@ -64,10 +64,6 @@ func TestRouterDifferential(t *testing.T) {
 	probes, wantExists := testProbes(t, m, 900, 12)
 	wantRows := query.NeighborsBatch(pk, ids, 1)
 	wantDeg := query.CountBatch(pk, ids, 1)
-	wantDist := algo.BFS(pk, 3, 1)
-	// One round per non-empty frontier, at every shard count: the exchange
-	// at K > 1 and the frontier core at K = 1 count alike.
-	wantRounds := int(slices.Max(wantDist)) + 1
 
 	for _, k := range []int{1, 2, 4, 8} {
 		for _, replicas := range []int{1, 2} {
@@ -93,16 +89,7 @@ func TestRouterDifferential(t *testing.T) {
 			if !reflect.DeepEqual(gotExists, wantExists) {
 				t.Fatalf("k=%d r=%d: EdgesExistBatch differs", k, replicas)
 			}
-			gotDist, rounds, err := rt.BFS(3)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(gotDist, wantDist) {
-				t.Fatalf("k=%d r=%d: BFS distances differ", k, replicas)
-			}
-			if rounds != wantRounds {
-				t.Fatalf("k=%d r=%d: BFS took %d rounds, want %d", k, replicas, rounds, wantRounds)
-			}
+			checkBFS(t, rt, pk, 3)
 			// Run the warm pass too: cached rows must not change answers.
 			gotExists, err = rt.EdgesExistBatch(probes)
 			if err != nil {
@@ -112,6 +99,25 @@ func TestRouterDifferential(t *testing.T) {
 				t.Fatalf("k=%d r=%d: warm EdgesExistBatch differs", k, replicas)
 			}
 		}
+	}
+}
+
+// checkBFS pins the router's traversal from src to the frontier core on
+// the unsharded graph pk (itself pinned to a sequential BFS in
+// internal/algo): the same distances, and one round per non-empty
+// frontier.
+func checkBFS(t *testing.T, rt *Router, pk query.Source, src edgelist.NodeID) {
+	t.Helper()
+	want := algo.BFSFrontier(pk, nil, src, 1)
+	dist, rounds, err := rt.BFS(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(dist, want) {
+		t.Fatalf("%d shards: BFS from %d: distances differ", rt.NumShards(), src)
+	}
+	if wantRounds := int(slices.Max(want)) + 1; rounds != wantRounds {
+		t.Fatalf("%d shards: BFS from %d took %d rounds, want %d", rt.NumShards(), src, rounds, wantRounds)
 	}
 }
 
@@ -312,13 +318,7 @@ func TestRouterEmptyShard(t *testing.T) {
 	if want := query.NeighborsBatch(pk, ids, 1); !reflect.DeepEqual(got, want) {
 		t.Fatal("empty shard broke NeighborsBatch")
 	}
-	dist, _, err := rt.BFS(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := algo.BFS(pk, 0, 1); !reflect.DeepEqual(dist, want) {
-		t.Fatal("empty shard broke BFS")
-	}
+	checkBFS(t, rt, pk, 0)
 }
 
 // TestRouterSingleShardBatch sends a batch that lands entirely in one
@@ -362,9 +362,6 @@ func TestRouterOutOfRange(t *testing.T) {
 	if _, _, err := rt.BFS(n); err == nil {
 		t.Fatal("BFS accepted out-of-range source")
 	}
-	if _, err := rt.BFSBatch([]edgelist.NodeID{0, n}); err == nil {
-		t.Fatal("BFSBatch accepted out-of-range source")
-	}
 }
 
 // TestRouterEmptyBatch: zero-length batches return empty results, no error.
@@ -379,62 +376,115 @@ func TestRouterEmptyBatch(t *testing.T) {
 	}
 }
 
-// TestRouterBFSBatch checks the batch wrapper preserves order.
+// TestRouterBFSBatch runs several sources through one router in order:
+// each traversal starts from a clean slate.
 func TestRouterBFSBatch(t *testing.T) {
 	m := testMatrix(t, 150, 2000, 20)
 	rt := buildRouter(t, m, 4, 1, 0)
 	pk := csr.PackMatrix(m, 1)
-	srcs := []edgelist.NodeID{0, 7, 149}
-	got, err := rt.BFSBatch(srcs)
+	for _, src := range []edgelist.NodeID{0, 7, 149, 0} {
+		checkBFS(t, rt, pk, src)
+	}
+}
+
+// TestRouterBFSConcurrent runs traversals beside batches whose large legs
+// go to goroutines of their own, on a router that admits one leg per shard
+// at a time: a traversal holds every shard's slot while batch legs hold
+// one each, so this is the test that would hang on a lock-order cycle.
+// Answers still match, and every slot and replica is released after.
+func TestRouterBFSConcurrent(t *testing.T) {
+	m := testMatrix(t, 400, 6000, 25)
+	pk := csr.PackMatrix(m, 1)
+	part, pks, err := PartitionSource(pk, 4, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
+	engines := make([][]*Engine, len(pks))
+	for s, spk := range pks {
+		engines[s] = NewReplicas(s, 2, spk, EngineConfig{})
+	}
+	rt, err := NewRouter(part, engines, RouterConfig{MaxInflight: 1, MaxLeg: 2 * legHandoff})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ids := make([]edgelist.NodeID, 4000)
+	for i := range ids {
+		ids[i] = uint32(i*7) % uint32(m.NumNodes())
+	}
+	wantRows := query.NeighborsBatch(pk, ids, 1)
+	srcs := []edgelist.NodeID{0, 3, 99}
+	wantDist := make([][]int32, len(srcs))
 	for i, src := range srcs {
-		if want := algo.BFS(pk, src, 1); !reflect.DeepEqual(got[i], want) {
-			t.Fatalf("BFSBatch[%d] (src %d) differs", i, src)
+		wantDist[i] = algo.BFSFrontier(pk, nil, src, 1)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 6; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for pass := 0; pass < 5; pass++ {
+				if g%2 == 0 {
+					i := (g/2 + pass) % len(srcs)
+					if dist, _, err := rt.BFS(srcs[i]); err != nil || !reflect.DeepEqual(dist, wantDist[i]) {
+						t.Errorf("goroutine %d: BFS from %d differs (%v)", g, srcs[i], err)
+					}
+				} else if rows, err := rt.NeighborsBatch(ids); err != nil || !reflect.DeepEqual(rows, wantRows) {
+					t.Errorf("goroutine %d: NeighborsBatch differs (%v)", g, err)
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	for s := 0; s < rt.NumShards(); s++ {
+		if q := rt.QueueDepth(s); q != 0 {
+			t.Errorf("shard %d: %d legs still admitted", s, q)
+		}
+		for _, e := range rt.Replicas(s) {
+			if n := e.Inflight(); n != 0 {
+				t.Errorf("shard %d replica %d: %d legs still in flight", s, e.Replica(), n)
+			}
 		}
 	}
 }
 
-// TestRouterModStrategy runs the differential through a mod partition —
-// strided ownership instead of ranges.
+// TestRouterModStrategy runs the differential through mod partitions —
+// strided ownership instead of ranges — across shard and replica counts.
 func TestRouterModStrategy(t *testing.T) {
 	m := testMatrix(t, 300, 4000, 21)
 	pk := csr.PackMatrix(m, 1)
-	part, err := Mod(m.NumNodes(), 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ms, err := SplitSource(pk, part, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	engines := make([][]*Engine, len(ms))
-	for s, sm := range ms {
-		engines[s] = []*Engine{NewEngine(s, 0, csr.PackMatrix(sm, 1), EngineConfig{CacheBytes: 1 << 18})}
-	}
-	rt, err := NewRouter(part, engines, RouterConfig{MaxLeg: 32})
-	if err != nil {
-		t.Fatal(err)
-	}
 	rng := rand.New(rand.NewSource(22))
 	ids := make([]edgelist.NodeID, 400)
 	for i := range ids {
 		ids[i] = rng.Uint32() % uint32(m.NumNodes())
 	}
-	got, err := rt.NeighborsBatch(ids)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := query.NeighborsBatch(pk, ids, 1); !reflect.DeepEqual(got, want) {
-		t.Fatal("mod partition broke NeighborsBatch")
-	}
-	dist, _, err := rt.BFS(5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := algo.BFS(pk, 5, 1); !reflect.DeepEqual(dist, want) {
-		t.Fatal("mod partition broke BFS")
+	want := query.NeighborsBatch(pk, ids, 1)
+	for _, k := range []int{1, 2, 3, 4, 8} {
+		for _, replicas := range []int{1, 2} {
+			part, err := Mod(m.NumNodes(), k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ms, err := SplitSource(pk, part, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			engines := make([][]*Engine, len(ms))
+			for s, sm := range ms {
+				engines[s] = NewReplicas(s, replicas, csr.PackMatrix(sm, 1), EngineConfig{CacheBytes: 1 << 18})
+			}
+			rt, err := NewRouter(part, engines, RouterConfig{MaxLeg: 32})
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := rt.NeighborsBatch(ids)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("k=%d r=%d: mod partition broke NeighborsBatch", k, replicas)
+			}
+			checkBFS(t, rt, pk, 5)
+		}
 	}
 }
 

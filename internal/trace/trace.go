@@ -47,13 +47,12 @@ const (
 	// StageQueueWait is one leg's wait on its shard's admission semaphore
 	// — time spent queued behind the shard's MaxInflight bound.
 	StageQueueWait
-	// StageExec is one leg's execution on a replica engine.
+	// StageExec is one leg's execution on a replica engine, or a BFS's
+	// traversal over every shard's rows (shard -1).
 	StageExec
 	// StageMerge is one leg's scatter of results back into the
 	// caller-visible slice.
 	StageMerge
-	// StageAbsorb is one distributed-BFS round's frontier absorb phase.
-	StageAbsorb
 	// StageEncode is a batch endpoint appending its JSON body into the
 	// pooled response buffer.
 	StageEncode
@@ -65,7 +64,7 @@ const (
 
 var stageNames = [numStages]string{
 	"parse", "group", "queue_wait", "exec", "merge",
-	"absorb", "encode", "write",
+	"encode", "write",
 }
 
 // String returns the stage's wire name.
@@ -135,13 +134,13 @@ func ParseOp(s string) Op {
 
 // MaxSpans bounds one trace's span array. Sized for a full scatter-gather
 // batch on an 8-shard router (parse + group + 8×(queue_wait, exec, merge))
-// with headroom for multi-leg shards; BFS traces with many rounds truncate
-// (counted in TruncatedSpans) rather than grow.
+// with headroom for multi-leg shards; a trace that outgrows it truncates
+// (counted in TruncatedSpans) rather than grows.
 const MaxSpans = 48
 
 // Span is one measured stage. Shard and Replica are -1 when the stage is
 // not shard-scoped; Items is the element count the stage covered; Extra is
-// stage-specific (row-table hits for exec legs on the existence path).
+// stage-specific (the rounds for a BFS's exec span, 0 elsewhere).
 // Offset is nanoseconds from the trace start, so spans reconstruct a
 // timeline without absolute clocks.
 type Span struct {
