@@ -146,15 +146,18 @@ bench-compare-query:
 # Sharded serving-tier snapshot: the scatter-gather router's aggregate
 # batch throughput across shard counts (shards=1|2|4|8) against the
 # single-engine baseline (shards=single), appended to the BENCH_<date>.json
-# trajectory like bench-json. The powerlaw EdgesExistBatch pairing is the
-# tier's acceptance number (DESIGN.md §14).
+# trajectory like bench-json. Each K is cut the way csrconvert -partition
+# cuts offline (CutByEdges, Split, one packed container per shard). The
+# powerlaw EdgesExistBatch pairing is the tier's acceptance number
+# (DESIGN.md §14).
 bench-shard:
 	$(GO) test -run '^$$' -bench 'BenchmarkShardEdgesExistBatch|BenchmarkShardNeighborsBatch' \
 		-benchmem -benchtime $(BENCHTIME) -json . \
 		| $(GO) run ./cmd/benchjson > BENCH_$$(date +%Y-%m-%d)$(BENCH_SUFFIX).json
 
 # Sharded-vs-single delta tables: pairs the shards= variants of the
-# serving-tier suites (single-engine baseline vs the 8-shard router).
+# serving-tier suites (single-engine baseline vs the router over the
+# offline 8-shard cut).
 bench-compare-shard:
 	$(GO) test -run '^$$' -bench 'BenchmarkShardEdgesExistBatch|BenchmarkShardNeighborsBatch' \
 		-benchtime $(BENCHTIME) . \

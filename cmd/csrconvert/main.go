@@ -106,7 +106,7 @@ func runPartition(m *csr.Matrix, out string, k, procs int, rawSize int64, inputE
 	if err != nil {
 		return err
 	}
-	shards, err := shard.Split(m, part, procs)
+	shards, err := shard.Split(m, part)
 	if err != nil {
 		return err
 	}
@@ -116,7 +116,7 @@ func runPartition(m *csr.Matrix, out string, k, procs int, rawSize int64, inputE
 	}
 	elapsed := time.Since(start)
 	fmt.Printf("input:    %d edges, %s\n", inputEdges, harness.HumanBytes(rawSize))
-	fmt.Printf("cut:      %d edge-balanced shards (%s strategy)\n", k, mf.Strategy)
+	fmt.Printf("cut:      %d edge-balanced range shards\n", k)
 	for s, sh := range mf.Shards {
 		fmt.Printf("  shard %d: [%d, %d) %d nodes, %d edges -> %s\n", s, sh.Lo, sh.Hi, sh.Nodes, sh.Edges, sh.File)
 	}

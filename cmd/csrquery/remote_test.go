@@ -22,14 +22,19 @@ func tracedServer(t *testing.T) *httptest.Server {
 		l[i] = edgelist.Edge{U: rng.Uint32() % 40, V: rng.Uint32() % 40}
 	}
 	l.SortByUV(1)
-	pk := csr.BuildPacked(l.Dedup(), 40, 2)
-	part, pks, err := shard.PartitionSource(pk, 4, 2)
+	// Cut as csrconvert -partition 4 does: CutByEdges, Split, PackMatrix.
+	m := csr.Build(l.Dedup(), 40, 2)
+	part, err := shard.CutByEdges(m.RowOffsets, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ms, err := shard.Split(m, part)
 	if err != nil {
 		t.Fatal(err)
 	}
 	engines := make([][]*shard.Engine, 4)
-	for s, spk := range pks {
-		engines[s] = shard.NewReplicas(s, 1, spk, shard.EngineConfig{})
+	for s, sm := range ms {
+		engines[s] = shard.NewReplicas(s, 1, csr.PackMatrix(sm, 2), shard.EngineConfig{})
 	}
 	rt, err := shard.NewRouter(part, engines, shard.RouterConfig{})
 	if err != nil {

@@ -9,8 +9,10 @@
 //	csrserver -graph g.csrc -metrics -pprof -log-format json
 //
 // Every graph file is a container (csrconvert -out g.csrc), or a shard
-// manifest (csrconvert -partition). The container's header says whether
-// it holds a static or a temporal graph, and that picks the endpoints.
+// manifest (csrconvert -partition K), the one sharded form: K edge-balanced
+// vertex ranges cut offline, each shard a container mapped on its own and
+// served by -replicas engines. The container's header says whether it
+// holds a static or a temporal graph, and that picks the endpoints.
 // Without -mmap the container is read into memory and verified — section
 // checksums and neighbor ids — before serving. With -mmap it is
 // memory-mapped and served zero-copy, so startup cost is page-table setup
@@ -21,12 +23,12 @@
 // /degree?nodes=..., /exists?edges=u:v,..., /bfs?src=n, and
 // /analytics/bfs?src=n&src=m,... (batched frontier BFS with per-traversal
 // round stats). Every static graph is served through the scatter-gather
-// router, a single graph as one shard. -cache-mb is the budget of the
+// router, a single container as one shard over the whole graph, no copy. -cache-mb is the budget of the
 // engines' decoded-row tables for /neighbors rows (split across the shards
 // of a sharded graph; each table's slot array, 8 bytes per row, counts
 // against it); /exists searches the packed rows in place.
 // Temporal endpoints: /healthz, /stats, /active?queries=u:v:t,...,
-// /neighbors?node=u&frame=t, /bfs?src=u&frame=t (no -shards).
+// /neighbors?node=u&frame=t, /bfs?src=u&frame=t.
 // Observability: -metrics mounts GET /metrics (Prometheus text), -pprof
 // mounts GET /debug/pprof/, and -log-format selects structured access
 // logging (text, json, or off). -trace-sample enables request tracing:
@@ -53,7 +55,6 @@ import (
 	"strings"
 	"time"
 
-	"csrgraph/internal/csr"
 	"csrgraph/internal/harness"
 	"csrgraph/internal/mgraph"
 	"csrgraph/internal/server"
@@ -84,8 +85,7 @@ func main() {
 	cacheMB := fs.Int("cache-mb", 64, "decoded-row table budget for /neighbors rows, in MiB, split across the shards; 8 bytes per node of slot array count against it (0 disables); /exists searches the packed rows and never uses it")
 	mmapOn := fs.Bool("mmap", false, "memory-map the -graph container instead of reading it into memory")
 	verify := fs.Bool("verify", false, "with -mmap or a manifest: checksum sections and bounds-check neighbors before serving (heap loads always do)")
-	shards := fs.Int("shards", 0, "serve through the sharded tier: cut a static -graph into K edge-balanced shards (0 = serve the whole graph as one shard, no copy; implied by a manifest -graph)")
-	replicas := fs.Int("replicas", 1, "replica engines per shard (sharded tier only)")
+	replicas := fs.Int("replicas", 1, "replica engines per shard (manifest -graph only)")
 	metrics := fs.Bool("metrics", false, "collect metrics and serve GET /metrics (Prometheus text)")
 	pprofOn := fs.Bool("pprof", false, "serve GET /debug/pprof/ profiling endpoints")
 	logFormat := fs.String("log-format", "off", "access log format: text, json, or off")
@@ -112,7 +112,6 @@ func main() {
 		cacheMB:   *cacheMB,
 		mmapOn:    *mmapOn,
 		verify:    *verify,
-		shards:    *shards,
 		replicas:  *replicas,
 	}, opts...)
 	if err != nil {
@@ -179,15 +178,16 @@ func traceOption(sample string, buf int, slow time.Duration) ([]server.Option, e
 
 // serveConfig is the resolved flag set buildHandler dispatches on.
 type serveConfig struct {
-	graphPath        string
-	procs, cacheMB   int
-	mmapOn, verify   bool
-	shards, replicas int
+	graphPath      string
+	procs, cacheMB int
+	mmapOn, verify bool
+	replicas       int
 }
 
 // buildHandler resolves the flag combination into an http.Handler. A
-// container is opened once, and its form picks the handler: temporal, or
-// static through the router of one shard or of -shards K.
+// manifest is served through the router of its shards; a container is
+// opened once, and its form picks the handler: temporal, or static
+// through the router of one shard over the whole graph, with no copy.
 func buildHandler(c serveConfig, opts ...server.Option) (http.Handler, string, error) {
 	switch {
 	case c.graphPath == "":
@@ -200,29 +200,14 @@ func buildHandler(c serveConfig, opts ...server.Option) (http.Handler, string, e
 		return nil, "", err
 	}
 	if g.GraphForm() == mgraph.FormTemporal {
-		if c.shards > 0 {
-			return nil, "", fmt.Errorf("-shards needs a static graph; %s holds a temporal one", c.graphPath)
-		}
 		pt := g.Temporal()
 		desc := fmt.Sprintf("%d nodes / %d frames (temporal container, %s)", pt.NumNodes(), pt.NumFrames(), backing)
 		return server.NewTemporal(pt, c.procs, opts...), desc, nil
 	}
 	src := g.Source()
 	desc := fmt.Sprintf("%d nodes / %d edges (%s container, %s)", src.NumNodes(), g.NumEdges, g.GraphForm(), backing)
-	if c.shards == 0 {
-		opts = append(opts, server.WithRowCache(int64(c.cacheMB)<<20))
-		return server.New(src, c.procs, opts...), desc, nil
-	}
-	part, pks, err := shard.PartitionSource(src, c.shards, c.procs)
-	if err != nil {
-		return nil, "", err
-	}
-	rt, err := buildRouter(part, pks, c)
-	if err != nil {
-		return nil, "", err
-	}
-	return server.NewSharded(rt, c.procs, opts...),
-		fmt.Sprintf("%s, %d shards x %d replicas", desc, c.shards, c.replicas), nil
+	opts = append(opts, server.WithRowCache(int64(c.cacheMB)<<20))
+	return server.New(src, c.procs, opts...), desc, nil
 }
 
 // openContainer loads a whole graph container, static or temporal: mapped
@@ -254,9 +239,6 @@ func buildManifestHandler(c serveConfig, opts ...server.Option) (http.Handler, s
 	if err != nil {
 		return nil, "", err
 	}
-	if c.shards > 0 && c.shards != len(mf.Shards) {
-		return nil, "", fmt.Errorf("-shards %d conflicts with the manifest's %d shards", c.shards, len(mf.Shards))
-	}
 	part, err := mf.Partition()
 	if err != nil {
 		return nil, "", err
@@ -265,35 +247,23 @@ func buildManifestHandler(c serveConfig, opts ...server.Option) (http.Handler, s
 	if err != nil {
 		return nil, "", err
 	}
-	// The mappings live for the whole process; exit unmaps.
-	pks := make([]*csr.Packed, len(maps))
+	// The mappings live for the whole process; exit unmaps. Replicas share
+	// their shard's mapping, and the -cache-mb budget for /neighbors rows
+	// is divided across the shards, so the total row-table footprint
+	// matches the flag at any shard count.
+	replicas := max(c.replicas, 1)
+	perShard := (int64(c.cacheMB) << 20) / int64(len(maps))
+	engines := make([][]*shard.Engine, len(maps))
 	for s, m := range maps {
-		pks[s] = m.Packed()
-	}
-	rt, err := buildRouter(part, pks, c)
-	if err != nil {
-		return nil, "", err
-	}
-	desc := fmt.Sprintf("%d nodes / %d edges (%d shards x %d replicas, mmap, %s cut)",
-		mf.Nodes, mf.Edges, len(mf.Shards), c.replicas, mf.Strategy)
-	return server.NewSharded(rt, c.procs, opts...), desc, nil
-}
-
-// buildRouter assembles the replica engines and router over per-shard
-// packed sources. The -cache-mb budget for /neighbors rows is divided
-// across the shards so the total row-table footprint matches the flag at
-// any shard count.
-func buildRouter(part *shard.Partition, pks []*csr.Packed, c serveConfig) (*shard.Router, error) {
-	replicas := c.replicas
-	if replicas < 1 {
-		replicas = 1
-	}
-	perShard := (int64(c.cacheMB) << 20) / int64(len(pks))
-	engines := make([][]*shard.Engine, len(pks))
-	for s, pk := range pks {
-		engines[s] = shard.NewReplicas(s, replicas, pk, shard.EngineConfig{CacheBytes: perShard})
+		engines[s] = shard.NewReplicas(s, replicas, m.Packed(), shard.EngineConfig{CacheBytes: perShard})
 	}
 	// Verified flows to /healthz: with -verify the shard payloads were
 	// checksum-checked at load, and readiness reporting says so.
-	return shard.NewRouter(part, engines, shard.RouterConfig{Verified: c.verify})
+	rt, err := shard.NewRouter(part, engines, shard.RouterConfig{Verified: c.verify})
+	if err != nil {
+		return nil, "", err
+	}
+	desc := fmt.Sprintf("%d nodes / %d edges (%d shards x %d replicas, mmap, range cut)",
+		mf.Nodes, mf.Edges, len(mf.Shards), replicas)
+	return server.NewSharded(rt, c.procs, opts...), desc, nil
 }

@@ -259,18 +259,12 @@ func TestTraceOption(t *testing.T) {
 // handler and reads it back from /debug/traces — the csrserver analogue of
 // the curl quick-start in the README.
 func TestBuildHandlerTraced(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "g.csrc")
-	l := edgelist.List{{U: 0, V: 1}, {U: 1, V: 2}, {U: 2, V: 3}, {U: 3, V: 0}}
-	pk := csr.BuildPacked(l, 4, 2)
-	if err := mgraph.WritePackedFile(path, pk); err != nil {
-		t.Fatal(err)
-	}
+	_, manifest := writeShardedGraph(t, t.TempDir(), 50, 400, 2)
 	opts, err := traceOption("force", 64, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	h, _, err := buildHandler(serveConfig{graphPath: path, procs: 2, cacheMB: 1, shards: 2, replicas: 1}, opts...)
+	h, _, err := buildHandler(serveConfig{graphPath: manifest, procs: 2, cacheMB: 1, replicas: 1}, opts...)
 	if err != nil {
 		t.Fatal(err)
 	}

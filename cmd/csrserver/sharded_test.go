@@ -3,7 +3,9 @@ package main
 import (
 	"encoding/json"
 	"math/rand"
+	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -15,7 +17,8 @@ import (
 )
 
 // writeShardedGraph builds one random graph and writes it to dir twice: a
-// plain packed container, and a 4-shard manifest plus per-shard containers.
+// plain packed container, and, cut the way csrconvert -partition k cuts it,
+// a k-shard manifest plus per-shard containers.
 func writeShardedGraph(t *testing.T, dir string, n, m, k int) (plain, manifest string) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(7))
@@ -34,7 +37,7 @@ func writeShardedGraph(t *testing.T, dir string, n, m, k int) (plain, manifest s
 	if err != nil {
 		t.Fatal(err)
 	}
-	shards, err := shard.Split(mx, part, 2)
+	shards, err := shard.Split(mx, part)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,40 +48,70 @@ func writeShardedGraph(t *testing.T, dir string, n, m, k int) (plain, manifest s
 	return plain, manifest
 }
 
-// TestBuildHandlerSharded cuts a plain graph in process with -shards and
-// checks the handler serves the sharded stats topology.
+// TestBuildHandlerSharded serves a 4-shard manifest with 2 replicas per
+// shard: /stats shows the topology, and every query endpoint answers with
+// the bytes of the same graph served whole, read into memory or mapped.
 func TestBuildHandlerSharded(t *testing.T) {
-	plain, _ := writeShardedGraph(t, t.TempDir(), 50, 400, 4)
-	h, desc, err := buildHandler(serveConfig{graphPath: plain, procs: 2, cacheMB: 4, shards: 4, replicas: 2})
+	plain, manifest := writeShardedGraph(t, t.TempDir(), 50, 400, 4)
+	h, desc, err := buildHandler(serveConfig{graphPath: manifest, procs: 2, cacheMB: 4, replicas: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(desc, "4 shards x 2 replicas") {
 		t.Fatalf("desc = %q", desc)
 	}
-	rec := httptest.NewRecorder()
-	h.ServeHTTP(rec, httptest.NewRequest("GET", "/stats", nil))
-	if rec.Code != 200 {
-		t.Fatalf("stats = %d: %s", rec.Code, rec.Body.String())
+	status, body := serve(h, "/stats")
+	if status != 200 {
+		t.Fatalf("stats = %d: %s", status, body)
 	}
 	var out struct {
-		Nodes    int    `json:"nodes"`
-		Strategy string `json:"strategy"`
-		Shards   []struct {
+		Nodes  int `json:"nodes"`
+		Shards []struct {
 			Replicas []struct{} `json:"replicas"`
 		} `json:"shards"`
 	}
-	if err := json.Unmarshal(rec.Body.Bytes(), &out); err != nil {
+	if err := json.Unmarshal([]byte(body), &out); err != nil {
 		t.Fatal(err)
 	}
-	if out.Nodes != 50 || out.Strategy != "range" || len(out.Shards) != 4 {
-		t.Fatalf("stats = %s", rec.Body.String())
+	if out.Nodes != 50 || len(out.Shards) != 4 {
+		t.Fatalf("stats = %s", body)
 	}
 	for s, sh := range out.Shards {
 		if len(sh.Replicas) != 2 {
 			t.Fatalf("shard %d has %d replicas, want 2", s, len(sh.Replicas))
 		}
 	}
+	urls := []string{
+		"/neighbors?nodes=0,7,14,21,28,35,42,49",
+		"/degree?nodes=0,1,2,3,4,49",
+		"/exists?edges=0:1,10:20,49:0,13:13",
+		"/bfs?src=0",
+		"/bfs?src=37",
+		"/analytics/bfs?src=0&src=11,49",
+	}
+	for _, mmapOn := range []bool{false, true} {
+		whole, _, err := buildHandler(serveConfig{graphPath: plain, procs: 2, cacheMB: 4, mmapOn: mmapOn})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, url := range urls {
+			wantStatus, want := serve(whole, url)
+			gotStatus, got := serve(h, url)
+			if wantStatus != 200 || gotStatus != 200 {
+				t.Fatalf("mmap=%v %s: status %d whole, %d sharded", mmapOn, url, wantStatus, gotStatus)
+			}
+			if got != want {
+				t.Fatalf("mmap=%v %s: bodies differ:\n%s\nvs whole\n%s", mmapOn, url, got, want)
+			}
+		}
+	}
+}
+
+// serve runs one GET through h and returns its status and body.
+func serve(h http.Handler, url string) (int, string) {
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest("GET", url, nil))
+	return rec.Code, rec.Body.String()
 }
 
 // TestBuildHandlerManifest serves from an offline cut and checks the
@@ -116,30 +149,24 @@ func TestBuildHandlerManifest(t *testing.T) {
 	}
 }
 
-// TestBuildHandlerShardErrors pins the flag-conflict contract around the
-// sharded tier.
+// TestBuildHandlerShardErrors pins the manifest contract: a manifest whose
+// shard file is gone fails before serving, and a cut into more shards than
+// nodes serves, its empty shards never routed to.
 func TestBuildHandlerShardErrors(t *testing.T) {
 	dir := t.TempDir()
-	plain, manifest := writeShardedGraph(t, dir, 50, 400, 4)
-	temporal := filepath.Join(dir, "t.csrc")
-	oneEdgeTemporal(t, temporal, 2, 1)
-	if _, _, err := buildHandler(serveConfig{graphPath: temporal, procs: 2, shards: 2}); err == nil {
-		t.Fatal("want error for -shards on a temporal -graph")
+	_, manifest := writeShardedGraph(t, dir, 50, 400, 4)
+	if err := os.Remove(filepath.Join(dir, "g.shards.s3.csrc")); err != nil {
+		t.Fatal(err)
 	}
-	// -shards matching the manifest's count is allowed; a mismatch is not.
-	if _, _, err := buildHandler(serveConfig{graphPath: manifest, procs: 2, shards: 4}); err != nil {
-		t.Fatalf("matching -shards rejected: %v", err)
+	if _, _, err := buildHandler(serveConfig{graphPath: manifest, procs: 2}); err == nil || !strings.Contains(err.Error(), "shard 3") {
+		t.Fatalf("manifest missing a shard file = %v, want an error naming shard 3", err)
 	}
-	if _, _, err := buildHandler(serveConfig{graphPath: manifest, procs: 2, shards: 8}); err == nil ||
-		!strings.Contains(err.Error(), "conflicts") {
-		t.Fatalf("mismatched -shards = %v, want conflict error", err)
-	}
-	if _, _, err := buildHandler(serveConfig{graphPath: "/nonexistent.csrc", procs: 2, shards: 2}); err == nil {
-		t.Fatal("want error for missing graph with -shards")
-	}
-	// More shards than nodes is legal: the cut yields empty shards the
-	// router never routes to.
-	if _, _, err := buildHandler(serveConfig{graphPath: plain, procs: 2, shards: 51}); err != nil {
+	_, wide := writeShardedGraph(t, t.TempDir(), 50, 400, 51)
+	h, _, err := buildHandler(serveConfig{graphPath: wide, procs: 2, cacheMB: 4})
+	if err != nil {
 		t.Fatalf("51-shard cut of a 50-node graph rejected: %v", err)
+	}
+	if status, body := serve(h, "/neighbors?nodes=0,25,49"); status != 200 {
+		t.Fatalf("51-shard cut: neighbors = %d: %s", status, body)
 	}
 }

@@ -65,9 +65,11 @@ func TestStatsErrors(t *testing.T) {
 func containerFixture(t *testing.T) string {
 	t.Helper()
 	dir := t.TempDir()
+	// A triangle and a pendant edge, symmetric, sorted by (u, v) as
+	// csr.BuildPacked requires for searchable rows.
 	l := edgelist.List{
-		{U: 0, V: 1}, {U: 1, V: 0}, {U: 1, V: 2}, {U: 2, V: 1},
-		{U: 0, V: 2}, {U: 2, V: 0}, {U: 3, V: 4}, {U: 4, V: 3},
+		{U: 0, V: 1}, {U: 0, V: 2}, {U: 1, V: 0}, {U: 1, V: 2},
+		{U: 2, V: 0}, {U: 2, V: 1}, {U: 3, V: 4}, {U: 4, V: 3},
 	}
 	path := filepath.Join(dir, "g.csrc")
 	if err := mgraph.WritePackedFile(path, csr.BuildPacked(l, 5, 1)); err != nil {

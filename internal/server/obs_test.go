@@ -12,7 +12,6 @@ import (
 	"csrgraph/internal/csr"
 	"csrgraph/internal/edgelist"
 	"csrgraph/internal/obs"
-	"csrgraph/internal/shard"
 	"csrgraph/internal/tcsr"
 )
 
@@ -28,19 +27,10 @@ func testGraph() *csr.Packed {
 // over the shards, and uptime.
 func TestStatsObservabilityFields(t *testing.T) {
 	pk := testGraph()
-	part, pks, err := shard.PartitionSource(pk, 4, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	engines := make([][]*shard.Engine, len(pks))
+	rt := cutRouter(t, pk.Unpack(), 4, 0)
 	size := int64(0)
-	for s, spk := range pks {
-		engines[s] = shard.NewReplicas(s, 1, spk, shard.EngineConfig{})
-		size += spk.SizeBytes()
-	}
-	rt, err := shard.NewRouter(part, engines, shard.RouterConfig{})
-	if err != nil {
-		t.Fatal(err)
+	for s := 0; s < rt.NumShards(); s++ {
+		size += rt.Replicas(s)[0].Source().(*csr.Packed).SizeBytes()
 	}
 	for name, c := range map[string]struct {
 		h    *Handler

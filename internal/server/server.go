@@ -199,7 +199,6 @@ func (h *Handler) stats(w http.ResponseWriter, r *http.Request) {
 		"nodes":          h.numNodes(),
 		"procs":          h.procs,
 		"uptime_seconds": time.Since(h.o.start).Seconds(),
-		"strategy":       h.rt.Partition().Strategy().String(),
 		"shards":         h.topology(),
 	}
 	edges, size := 0, int64(0)

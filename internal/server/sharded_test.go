@@ -30,20 +30,32 @@ func shardedPair(t *testing.T, n, m, k int, opts ...Option) (single, sharded *Ha
 func handlerPair(t *testing.T, l edgelist.List, n, k int, opts ...Option) (single, sharded *Handler) {
 	t.Helper()
 	l.SortByUV(1)
-	pk := csr.BuildPacked(l.Dedup(), n, 2)
-	part, pks, err := shard.PartitionSource(pk, k, 2)
+	m := csr.Build(l.Dedup(), n, 2)
+	return New(csr.PackMatrix(m, 2), 2, opts...), NewSharded(cutRouter(t, m, k, 1<<18), 2, opts...)
+}
+
+// cutRouter cuts m into k shards the way csrconvert -partition does
+// (CutByEdges, Split, one csr.PackMatrix per shard) and routes over one
+// replica of each, with cacheBytes of row table per shard.
+func cutRouter(t *testing.T, m *csr.Matrix, k int, cacheBytes int64) *shard.Router {
+	t.Helper()
+	part, err := shard.CutByEdges(m.RowOffsets, k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ms, err := shard.Split(m, part)
 	if err != nil {
 		t.Fatal(err)
 	}
 	engines := make([][]*shard.Engine, k)
-	for s, spk := range pks {
-		engines[s] = shard.NewReplicas(s, 1, spk, shard.EngineConfig{CacheBytes: 1 << 18})
+	for s, sm := range ms {
+		engines[s] = shard.NewReplicas(s, 1, csr.PackMatrix(sm, 2), shard.EngineConfig{CacheBytes: cacheBytes})
 	}
 	rt, err := shard.NewRouter(part, engines, shard.RouterConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return New(pk, 2, opts...), NewSharded(rt, 2, opts...)
+	return rt
 }
 
 // TestShardedEndpointsDifferential is the whole-handler differential: New
@@ -120,9 +132,8 @@ func TestShardedStatsTopology(t *testing.T) {
 		t.Fatal(body)
 	}
 	var out struct {
-		Nodes    int    `json:"nodes"`
-		Strategy string `json:"strategy"`
-		Shards   []struct {
+		Nodes  int `json:"nodes"`
+		Shards []struct {
 			Shard      int `json:"shard"`
 			Lo         int `json:"lo"`
 			Hi         int `json:"hi"`
@@ -140,7 +151,7 @@ func TestShardedStatsTopology(t *testing.T) {
 	if err := json.Unmarshal([]byte(body), &out); err != nil {
 		t.Fatalf("%v in %s", err, body)
 	}
-	if out.Nodes != 60 || out.Strategy != "range" || len(out.Shards) != 4 {
+	if out.Nodes != 60 || len(out.Shards) != 4 {
 		t.Fatalf("stats = %s", body)
 	}
 	totalNodes, cachedHits := 0, int64(0)

@@ -49,7 +49,6 @@ func (r *Router) BFSTraced(src edgelist.NodeID, tr *trace.Trace) ([]int32, front
 		dist, st = frontier.BFS(v, nil, src, frontier.DefaultPolicy(), p)
 		tr.LegSpan(trace.StageExec, -1, -1, 1, int64(st.Rounds), x)
 	})
-	bfsRounds.Observe(int64(st.Rounds))
 	return dist, st, nil
 }
 

@@ -17,7 +17,7 @@ import (
 // paths relative to the manifest so the whole set moves as a directory.
 type Manifest struct {
 	Version  int             `json:"version"`
-	Strategy string          `json:"strategy"`
+	Strategy string          `json:"strategy"` // always "range"
 	Nodes    int             `json:"nodes"`
 	Edges    int             `json:"edges"`
 	Shards   []ManifestShard `json:"shards"`
@@ -26,7 +26,7 @@ type Manifest struct {
 // ManifestShard is one shard's entry: its container file and owned range.
 type ManifestShard struct {
 	File  string `json:"file"`
-	Lo    uint32 `json:"lo"` // first owned global id (range strategy)
+	Lo    uint32 `json:"lo"` // first owned global id
 	Hi    uint32 `json:"hi"` // one past the last owned global id
 	Nodes int    `json:"nodes"`
 	Edges int    `json:"edges"`
@@ -34,6 +34,11 @@ type ManifestShard struct {
 
 // ManifestVersion is the current manifest schema version.
 const ManifestVersion = 1
+
+// manifestStrategy is the one cut a manifest describes: contiguous,
+// edge-balanced vertex ranges. The field stays in the schema so every
+// manifest written so far still loads.
+const manifestStrategy = "range"
 
 // IsManifestPath sniffs whether path is a shard manifest rather than a
 // graph file: manifests are JSON objects, every graph format starts with a
@@ -64,7 +69,7 @@ func WriteShards(manifestPath string, shards []*csr.Matrix, part *Partition, pro
 	stem := strings.TrimSuffix(filepath.Base(manifestPath), filepath.Ext(manifestPath))
 	mf := &Manifest{
 		Version:  ManifestVersion,
-		Strategy: part.Strategy().String(),
+		Strategy: manifestStrategy,
 		Nodes:    part.NumNodes(),
 	}
 	for s, m := range shards {
@@ -115,29 +120,23 @@ func LoadManifest(path string) (*Manifest, error) {
 	return &mf, nil
 }
 
-// Partition reconstructs the Partition the manifest was cut with.
+// Partition reconstructs the range partition the manifest was cut with.
 func (mf *Manifest) Partition() (*Partition, error) {
-	st, err := ParseStrategy(mf.Strategy)
-	if err != nil {
-		return nil, err
+	if mf.Strategy != manifestStrategy {
+		return nil, fmt.Errorf("shard: manifest strategy %q is not supported (want %q)", mf.Strategy, manifestStrategy)
 	}
-	switch st {
-	case StrategyMod:
-		return Mod(mf.Nodes, len(mf.Shards))
-	default:
-		bounds := make([]uint32, len(mf.Shards)+1)
-		for s, sh := range mf.Shards {
-			bounds[s] = sh.Lo
-			bounds[s+1] = sh.Hi
-			if s > 0 && sh.Lo != mf.Shards[s-1].Hi {
-				return nil, fmt.Errorf("shard: manifest ranges not contiguous at shard %d", s)
-			}
+	bounds := make([]uint32, len(mf.Shards)+1)
+	for s, sh := range mf.Shards {
+		bounds[s] = sh.Lo
+		bounds[s+1] = sh.Hi
+		if s > 0 && sh.Lo != mf.Shards[s-1].Hi {
+			return nil, fmt.Errorf("shard: manifest ranges not contiguous at shard %d", s)
 		}
-		if int(bounds[len(bounds)-1]) != mf.Nodes {
-			return nil, fmt.Errorf("shard: manifest ranges end at %d, want %d nodes", bounds[len(bounds)-1], mf.Nodes)
-		}
-		return Range(bounds)
 	}
+	if int(bounds[len(bounds)-1]) != mf.Nodes {
+		return nil, fmt.Errorf("shard: manifest ranges end at %d, want %d nodes", bounds[len(bounds)-1], mf.Nodes)
+	}
+	return Range(bounds)
 }
 
 // OpenShards maps every shard container listed in the manifest (paths

@@ -23,9 +23,6 @@ var (
 	// mergeSeconds times the merge step — scattering one leg's results back
 	// into the caller's slice at the original indices.
 	mergeSeconds = obs.GetDurationHistogram("csrgraph_shard_merge_seconds")
-
-	// bfsRounds is the per-traversal round count of the routed BFS.
-	bfsRounds = obs.GetHistogram("csrgraph_shard_bfs_rounds")
 )
 
 // legSecondsHist registers (idempotently, via the registry) the per-shard

@@ -1,11 +1,12 @@
-// Package shard implements the serving tier: a partitioner that cuts one
-// graph into K independent vertex shards, per-shard query engines (each
-// with its own packed CSR, decoded-row table for Neighbors, and
-// admission-bounded concurrency), and a stateless scatter-gather router
-// that splits batch requests by shard ownership, fans them out with bounded
-// in-flight per shard, and merges results as they arrive while preserving
-// input order. A one-shard router over a whole graph is how the plain
-// server serves it.
+// Package shard implements the serving tier: an edge-balanced range cut of
+// one graph into K independent vertex shards, written offline as one
+// container per shard plus a manifest (csrconvert -partition); per-shard
+// query engines, each with its own packed CSR, decoded-row table for
+// Neighbors, and admission-bounded concurrency; and a stateless
+// scatter-gather router that splits batch requests by shard ownership,
+// fans them out with bounded in-flight per shard, and merges results as
+// they arrive while preserving input order. A one-shard router over a
+// whole graph is how the plain server serves it.
 //
 // The design lifts the PR-3 dynamic-grain scheduling ideas one level up:
 // within a shard, batches are still work-stealing scheduled over the packed
@@ -13,12 +14,12 @@
 // instead of indices. Shards are plain mgraph containers, so they mmap
 // independently, reload gracefully, and share pages across replicas.
 //
-// Ownership model: shard s owns a set of global vertex ids; its CSR stores
-// only the owned rows, relabeled to dense local ids, while neighbor ids
-// stay GLOBAL. Existence probes and row decodes therefore need no reverse
-// translation on the way out — a decoded row is already in global id space
-// — and one replica per shard, read through ToLocal, is the whole graph,
-// which BFS traverses as one.
+// Ownership model: shard s owns a contiguous range of global vertex ids;
+// its CSR stores only the owned rows, relabeled to dense local ids, while
+// neighbor ids stay GLOBAL. Existence probes and row decodes therefore need
+// no reverse translation on the way out — a decoded row is already in
+// global id space — and one replica per shard, read through ToLocal, is the
+// whole graph, which BFS traverses as one.
 package shard
 
 import (
@@ -28,52 +29,15 @@ import (
 	"csrgraph/internal/edgelist"
 )
 
-// Strategy names how global vertex ids map to shards.
-type Strategy uint8
-
-const (
-	// StrategyRange assigns contiguous vertex ranges [bounds[s], bounds[s+1])
-	// to shard s. Combined with an edge-balanced cut (CutByEdges) and an
-	// internal/order relabeling, ranges keep each shard's rows contiguous in
-	// the source graph — splits are near-zero-copy and probes grouped by
-	// shard touch one compact region.
-	StrategyRange Strategy = iota
-	// StrategyMod assigns vertex u to shard u % K with local id u / K — a
-	// hash-style cut that balances vertices (not edges) with O(1) math and
-	// no boundary table. Useful when ids are already randomly assigned.
-	StrategyMod
-)
-
-// String names the strategy as manifests spell it.
-func (s Strategy) String() string {
-	switch s {
-	case StrategyRange:
-		return "range"
-	case StrategyMod:
-		return "mod"
-	}
-	return fmt.Sprintf("Strategy(%d)", uint8(s))
-}
-
-// ParseStrategy inverts String.
-func ParseStrategy(s string) (Strategy, error) {
-	switch s {
-	case "range":
-		return StrategyRange, nil
-	case "mod":
-		return StrategyMod, nil
-	}
-	return 0, fmt.Errorf("shard: unknown strategy %q (range, mod)", s)
-}
-
-// Partition maps the global vertex space [0, n) onto k shards. It is
-// immutable and safe for concurrent use; ShardOf/ToLocal are the ownership
-// lookups on the router's split path.
+// Partition maps the global vertex space [0, n) onto k shards as
+// contiguous ranges: shard s owns [bounds[s], bounds[s+1]), so its rows
+// are contiguous in the source graph and a probe's local id is one
+// subtraction. It is immutable and safe for concurrent use;
+// ShardOf/ToLocal are the ownership lookups on the router's split path.
 type Partition struct {
-	strategy Strategy
-	n        int
-	k        int
-	bounds   []uint32 // range strategy: k+1 ascending cut points, [0 .. n]
+	n      int
+	k      int
+	bounds []uint32 // k+1 ascending cut points, [0 .. n]
 }
 
 // NumShards returns k.
@@ -81,17 +45,6 @@ func (p *Partition) NumShards() int { return p.k }
 
 // NumNodes returns the global vertex count.
 func (p *Partition) NumNodes() int { return p.n }
-
-// Strategy returns the id→shard mapping family.
-func (p *Partition) Strategy() Strategy { return p.strategy }
-
-// Mod builds the u%k partition of n vertices.
-func Mod(n, k int) (*Partition, error) {
-	if n < 0 || k < 1 {
-		return nil, fmt.Errorf("shard: invalid mod partition n=%d k=%d", n, k)
-	}
-	return &Partition{strategy: StrategyMod, n: n, k: k}, nil
-}
 
 // Range builds a partition from explicit cut points: shard s owns
 // [bounds[s], bounds[s+1]). bounds must be ascending, start at 0, and end
@@ -108,12 +61,7 @@ func Range(bounds []uint32) (*Partition, error) {
 	}
 	b := make([]uint32, len(bounds))
 	copy(b, bounds)
-	return &Partition{
-		strategy: StrategyRange,
-		n:        int(b[len(b)-1]),
-		k:        len(b) - 1,
-		bounds:   b,
-	}, nil
+	return &Partition{n: int(b[len(b)-1]), k: len(b) - 1, bounds: b}, nil
 }
 
 // CutByEdges cuts the vertex space into k ranges balancing EDGES per shard,
@@ -155,9 +103,6 @@ func CutByEdges(rowOffsets []uint32, k int) (*Partition, error) {
 //
 //csr:hotpath
 func (p *Partition) ShardOf(u edgelist.NodeID) int {
-	if p.strategy == StrategyMod {
-		return int(u) % p.k
-	}
 	if p.k <= 16 && p.n < 1<<31 {
 		// Serving-tier K: count the interior cut points at or below u with
 		// no data-dependent branches — the bounds live in one or two
@@ -186,9 +131,6 @@ func (p *Partition) ShardOf(u edgelist.NodeID) int {
 //
 //csr:hotpath
 func (p *Partition) ToLocal(u edgelist.NodeID) (int, edgelist.NodeID) {
-	if p.strategy == StrategyMod {
-		return int(u) % p.k, u / uint32(p.k)
-	}
 	s := p.ShardOf(u)
 	return s, u - p.bounds[s]
 }
@@ -199,38 +141,15 @@ func (p *Partition) ToLocal(u edgelist.NodeID) (int, edgelist.NodeID) {
 //
 //csr:hotpath
 func (p *Partition) localIn(s int, u edgelist.NodeID) edgelist.NodeID {
-	if p.strategy == StrategyMod {
-		return u / uint32(p.k)
-	}
 	return u - p.bounds[s]
-}
-
-// ToGlobal inverts ToLocal for shard s.
-func (p *Partition) ToGlobal(s int, local edgelist.NodeID) edgelist.NodeID {
-	if p.strategy == StrategyMod {
-		return local*uint32(p.k) + uint32(s)
-	}
-	return p.bounds[s] + local
 }
 
 // ShardNodes returns the number of vertices shard s owns.
 func (p *Partition) ShardNodes(s int) int {
-	if p.strategy == StrategyMod {
-		// Vertices s, s+k, s+2k, ... below n.
-		if s >= p.n {
-			return 0
-		}
-		return (p.n - s + p.k - 1) / p.k
-	}
 	return int(p.bounds[s+1] - p.bounds[s])
 }
 
-// Bounds returns shard s's owned range [lo, hi) for the range strategy;
-// for mod partitions it returns (s, n) — the stride description — and
-// callers should branch on Strategy before interpreting it.
+// Bounds returns shard s's owned range [lo, hi).
 func (p *Partition) Bounds(s int) (lo, hi edgelist.NodeID) {
-	if p.strategy == StrategyMod {
-		return uint32(s), uint32(p.n)
-	}
 	return p.bounds[s], p.bounds[s+1]
 }

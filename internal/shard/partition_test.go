@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"os"
 	"reflect"
+	"strings"
 	"testing"
 
 	"csrgraph/internal/csr"
@@ -47,22 +48,9 @@ func checkRoundTrip(t *testing.T, p *Partition) {
 		if int(l) >= p.ShardNodes(s) {
 			t.Fatalf("ToLocal(%d) local %d out of shard %d's %d rows", u, l, s, p.ShardNodes(s))
 		}
-		if g := p.ToGlobal(s, l); g != u {
-			t.Fatalf("ToGlobal(ToLocal(%d)) = %d", u, g)
+		if lo, _ := p.Bounds(s); lo+l != u {
+			t.Fatalf("ToLocal(%d) = (%d, %d), but shard %d starts at %d", u, s, l, s, lo)
 		}
-	}
-}
-
-func TestModPartition(t *testing.T) {
-	for _, k := range []int{1, 2, 3, 8} {
-		p, err := Mod(103, k)
-		if err != nil {
-			t.Fatal(err)
-		}
-		checkRoundTrip(t, p)
-	}
-	if _, err := Mod(10, 0); err == nil {
-		t.Fatal("Mod(10, 0) should fail")
 	}
 }
 
@@ -122,85 +110,38 @@ func maxDegree(m *csr.Matrix) uint32 {
 	return max
 }
 
-func TestParseStrategy(t *testing.T) {
-	for _, st := range []Strategy{StrategyRange, StrategyMod} {
-		got, err := ParseStrategy(st.String())
-		if err != nil || got != st {
-			t.Fatalf("ParseStrategy(%q) = %v, %v", st.String(), got, err)
-		}
-	}
-	if _, err := ParseStrategy("nope"); err == nil {
-		t.Fatal("ParseStrategy(nope) should fail")
-	}
-}
-
-// TestSplit checks both strategies rebuild the exact rows under local ids.
+// TestSplit checks the edge-balanced cut rebuilds the exact rows under
+// local ids.
 func TestSplit(t *testing.T) {
 	m := testMatrix(t, 300, 4000, 2)
 	for _, k := range []int{1, 2, 4, 8} {
-		parts := map[string]*Partition{}
-		if p, err := CutByEdges(m.RowOffsets, k); err == nil {
-			parts["range"] = p
-		} else {
+		part, err := CutByEdges(m.RowOffsets, k)
+		if err != nil {
 			t.Fatal(err)
 		}
-		if p, err := Mod(m.NumNodes(), k); err == nil {
-			parts["mod"] = p
-		} else {
+		shards, err := Split(m, part)
+		if err != nil {
 			t.Fatal(err)
 		}
-		for name, part := range parts {
-			shards, err := Split(m, part, 2)
-			if err != nil {
-				t.Fatal(err)
+		for u := uint32(0); u < uint32(m.NumNodes()); u++ {
+			s, l := part.ToLocal(u)
+			got := shards[s].Neighbors(l)
+			want := m.Neighbors(u)
+			if len(got) != len(want) || (len(got) > 0 && !reflect.DeepEqual(got, want)) {
+				t.Fatalf("k=%d: shard row for %d differs", k, u)
 			}
-			for u := uint32(0); u < uint32(m.NumNodes()); u++ {
-				s, l := part.ToLocal(u)
-				got := shards[s].Neighbors(l)
-				want := m.Neighbors(u)
-				if len(got) != len(want) || (len(got) > 0 && !reflect.DeepEqual(got, want)) {
-					t.Fatalf("k=%d %s: shard row for %d differs", k, name, u)
-				}
-			}
-		}
-	}
-}
-
-// TestSplitSource checks the packed-input path agrees with the matrix path.
-func TestSplitSource(t *testing.T) {
-	m := testMatrix(t, 200, 3000, 3)
-	pk := csr.PackMatrix(m, 1)
-	part, err := CutSourceByEdges(pk, 4, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fromMatrix, err := Split(m, part, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fromSource, err := SplitSource(pk, part, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for s := range fromMatrix {
-		if !reflect.DeepEqual(fromMatrix[s].RowOffsets, fromSource[s].RowOffsets) ||
-			!reflect.DeepEqual(fromMatrix[s].Cols, fromSource[s].Cols) {
-			t.Fatalf("shard %d differs between Split and SplitSource", s)
 		}
 	}
 }
 
 func TestSplitSizeMismatch(t *testing.T) {
 	m := testMatrix(t, 50, 200, 4)
-	part, err := Mod(51, 2)
+	part, err := Range([]uint32{0, 25, 51})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Split(m, part, 1); err == nil {
+	if _, err := Split(m, part); err == nil {
 		t.Fatal("Split with mismatched node count should fail")
-	}
-	if _, err := SplitSource(csr.PackMatrix(m, 1), part, 1); err == nil {
-		t.Fatal("SplitSource with mismatched node count should fail")
 	}
 }
 
@@ -210,7 +151,7 @@ func TestManifestRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	shards, err := Split(m, part, 1)
+	shards, err := Split(m, part)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -278,5 +219,12 @@ func TestLoadManifestRejectsBadInput(t *testing.T) {
 	if _, err := LoadManifest(write("gap.json",
 		`{"version":1,"strategy":"range","nodes":10,"shards":[{"file":"a","lo":0,"hi":4},{"file":"b","lo":5,"hi":10}]}`)); err == nil {
 		t.Fatal("non-contiguous ranges should fail")
+	}
+	// Every cut is an edge-balanced range: a strided manifest is refused by
+	// name, though its ranges are well formed.
+	if _, err := LoadManifest(write("mod.json",
+		`{"version":1,"strategy":"mod","nodes":10,"shards":[{"file":"a","lo":0,"hi":4},{"file":"b","lo":4,"hi":10}]}`)); err == nil ||
+		!strings.Contains(err.Error(), `"mod"`) {
+		t.Fatalf("mod strategy: err = %v, want a refusal naming \"mod\"", err)
 	}
 }

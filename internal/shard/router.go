@@ -12,31 +12,16 @@ import (
 	"csrgraph/internal/trace"
 )
 
-// RouterConfig bounds the scatter-gather fan-out.
+// RouterConfig describes the shards a router serves.
 type RouterConfig struct {
-	// MaxInflight is the number of legs a shard executes concurrently;
-	// further legs queue on the shard's admission semaphore (default
-	// max(4, GOMAXPROCS), so a one-shard router never caps the batches a
-	// machine can run at once).
-	MaxInflight int
-	// MaxLeg caps the items per leg. Large batches aimed at one shard are
-	// cut into several legs so a single request cannot monopolize a shard
-	// (default 1024).
-	MaxLeg int
 	// Verified records whether the shard payloads' checksums were verified
 	// at load time (csrserver -verify); /healthz reports it per shard.
 	Verified bool
 }
 
-func (c RouterConfig) withDefaults() RouterConfig {
-	if c.MaxInflight < 1 {
-		c.MaxInflight = max(4, runtime.GOMAXPROCS(0))
-	}
-	if c.MaxLeg < 1 {
-		c.MaxLeg = 1024
-	}
-	return c
-}
+// maxLeg caps the items per leg: large batches aimed at one shard are cut
+// into several legs so a single request cannot monopolize a shard.
+const maxLeg = 1024
 
 // shardState is the router's per-shard serving state: the replica set, the
 // admission semaphore, and the shard's observability series.
@@ -94,19 +79,22 @@ type Router struct {
 	part    *Partition
 	shards  []*shardState
 	cfg     RouterConfig
+	maxLeg  int       // items per leg: the maxLeg constant, smaller in tests
 	scratch sync.Pool // *groupScratch, reused across batches
 }
 
 // NewRouter builds a router over engines[shard][replica]. Every shard needs
 // at least one replica, and each replica's row count must match the
-// partition's idea of the shard.
+// partition's idea of the shard. Each shard executes at most
+// max(4, GOMAXPROCS) legs at once and queues the rest on an admission
+// semaphore, so a one-shard router never caps the batches a machine can
+// run at once.
 func NewRouter(part *Partition, engines [][]*Engine, cfg RouterConfig) (*Router, error) {
 	if len(engines) != part.NumShards() {
 		return nil, fmt.Errorf("shard: %d engine sets for a %d-shard partition", len(engines), part.NumShards())
 	}
-	cfg = cfg.withDefaults()
 	k := part.NumShards()
-	r := &Router{part: part, shards: make([]*shardState, len(engines)), cfg: cfg}
+	r := &Router{part: part, shards: make([]*shardState, len(engines)), cfg: cfg, maxLeg: maxLeg}
 	r.scratch.New = func() any {
 		return &groupScratch{offs: make([]int32, k+1), next: make([]int32, k)}
 	}
@@ -122,7 +110,7 @@ func NewRouter(part *Partition, engines [][]*Engine, cfg RouterConfig) (*Router,
 		}
 		r.shards[s] = &shardState{
 			engines:    replicas,
-			sem:        make(chan struct{}, cfg.MaxInflight),
+			sem:        make(chan struct{}, max(4, runtime.GOMAXPROCS(0))),
 			depth:      queueDepthGauge(s),
 			depthMax:   queueDepthMaxGauge(s),
 			legSeconds: legSecondsHist(s),
@@ -233,14 +221,14 @@ func runLeg(l leg, tr *trace.Trace, exec func(l leg)) {
 }
 
 // makeLegs cuts sc's shard-grouped positions [offs[s], offs[s+1]) into legs
-// of at most MaxLeg items, in sc's own leg list. Empty shards contribute no
+// of at most r.maxLeg items, in sc's own leg list. Empty shards contribute no
 // legs.
 func (r *Router) makeLegs(sc *groupScratch) []leg {
 	legs := sc.legs[:0]
 	for s := range r.shards {
 		lo, hi := int(sc.offs[s]), int(sc.offs[s+1])
 		for lo < hi {
-			end := lo + r.cfg.MaxLeg
+			end := lo + r.maxLeg
 			if end > hi {
 				end = hi
 			}

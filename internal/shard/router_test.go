@@ -14,22 +14,39 @@ import (
 	"csrgraph/internal/query"
 )
 
-// buildRouter partitions m into k edge-balanced shards with r replicas each
-// and the given per-engine cache budget.
-func buildRouter(t *testing.T, m *csr.Matrix, k, replicas int, cacheBytes int64) *Router {
+// cutShards cuts m into k packed shards the way csrconvert -partition
+// does: CutByEdges, then Split, then one csr.PackMatrix per shard.
+func cutShards(t testing.TB, m *csr.Matrix, k int) (*Partition, []*csr.Packed) {
 	t.Helper()
-	part, pks, err := PartitionSource(csr.PackMatrix(m, 1), k, 2)
+	part, err := CutByEdges(m.RowOffsets, k)
 	if err != nil {
 		t.Fatal(err)
 	}
+	ms, err := Split(m, part)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pks := make([]*csr.Packed, len(ms))
+	for s, sm := range ms {
+		pks[s] = csr.PackMatrix(sm, 1)
+	}
+	return part, pks
+}
+
+// buildRouter partitions m into k edge-balanced shards with r replicas each
+// and the given per-engine cache budget, cutting legs at 64 items.
+func buildRouter(t *testing.T, m *csr.Matrix, k, replicas int, cacheBytes int64) *Router {
+	t.Helper()
+	part, pks := cutShards(t, m, k)
 	engines := make([][]*Engine, k)
 	for s, pk := range pks {
 		engines[s] = NewReplicas(s, replicas, pk, EngineConfig{CacheBytes: cacheBytes})
 	}
-	rt, err := NewRouter(part, engines, RouterConfig{MaxLeg: 64})
+	rt, err := NewRouter(part, engines, RouterConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	rt.maxLeg = 64
 	return rt
 }
 
@@ -189,10 +206,7 @@ func (s slowSource) Degree(u edgelist.NodeID) int {
 // completion-order.
 func TestRouterOrderingUnderSlowShard(t *testing.T) {
 	m := testMatrix(t, 200, 3000, 13)
-	part, pks, err := PartitionSource(csr.PackMatrix(m, 1), 4, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	part, pks := cutShards(t, m, 4)
 	engines := make([][]*Engine, 4)
 	for s, pk := range pks {
 		var src query.Source = pk
@@ -203,10 +217,11 @@ func TestRouterOrderingUnderSlowShard(t *testing.T) {
 	}
 	// Legs of 300: above legHandoff, so every shard's first leg runs on a
 	// goroutine of its own beside the caller's.
-	rt, err := NewRouter(part, engines, RouterConfig{MaxLeg: 300})
+	rt, err := NewRouter(part, engines, RouterConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	rt.maxLeg = 300
 
 	refPk := csr.PackMatrix(m, 1)
 	rng := rand.New(rand.NewSource(14))
@@ -242,7 +257,7 @@ func TestRouterLegHandoff(t *testing.T) {
 	m := testMatrix(t, 400, 6000, 19)
 	pk := csr.PackMatrix(m, 1)
 	rt := buildRouter(t, m, 4, 2, 1<<20)
-	rt.cfg.MaxLeg = 2 * legHandoff
+	rt.maxLeg = 2 * legHandoff
 	rng := rand.New(rand.NewSource(20))
 	ids := make([]edgelist.NodeID, 0, 3000)
 	for s, count := range []int{1400, 7, 1200, 3} {
@@ -295,7 +310,7 @@ func TestRouterEmptyShard(t *testing.T) {
 		t.Fatal(err)
 	}
 	pk := csr.PackMatrix(m, 1)
-	ms, err := SplitSource(pk, part, 1)
+	ms, err := Split(m, part)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -395,17 +410,18 @@ func TestRouterBFSBatch(t *testing.T) {
 func TestRouterBFSConcurrent(t *testing.T) {
 	m := testMatrix(t, 400, 6000, 25)
 	pk := csr.PackMatrix(m, 1)
-	part, pks, err := PartitionSource(pk, 4, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	part, pks := cutShards(t, m, 4)
 	engines := make([][]*Engine, len(pks))
 	for s, spk := range pks {
 		engines[s] = NewReplicas(s, 2, spk, EngineConfig{})
 	}
-	rt, err := NewRouter(part, engines, RouterConfig{MaxInflight: 1, MaxLeg: 2 * legHandoff})
+	rt, err := NewRouter(part, engines, RouterConfig{})
 	if err != nil {
 		t.Fatal(err)
+	}
+	rt.maxLeg = 2 * legHandoff
+	for _, st := range rt.shards {
+		st.sem = make(chan struct{}, 1)
 	}
 	ids := make([]edgelist.NodeID, 4000)
 	for i := range ids {
@@ -447,47 +463,6 @@ func TestRouterBFSConcurrent(t *testing.T) {
 	}
 }
 
-// TestRouterModStrategy runs the differential through mod partitions —
-// strided ownership instead of ranges — across shard and replica counts.
-func TestRouterModStrategy(t *testing.T) {
-	m := testMatrix(t, 300, 4000, 21)
-	pk := csr.PackMatrix(m, 1)
-	rng := rand.New(rand.NewSource(22))
-	ids := make([]edgelist.NodeID, 400)
-	for i := range ids {
-		ids[i] = rng.Uint32() % uint32(m.NumNodes())
-	}
-	want := query.NeighborsBatch(pk, ids, 1)
-	for _, k := range []int{1, 2, 3, 4, 8} {
-		for _, replicas := range []int{1, 2} {
-			part, err := Mod(m.NumNodes(), k)
-			if err != nil {
-				t.Fatal(err)
-			}
-			ms, err := SplitSource(pk, part, 1)
-			if err != nil {
-				t.Fatal(err)
-			}
-			engines := make([][]*Engine, len(ms))
-			for s, sm := range ms {
-				engines[s] = NewReplicas(s, replicas, csr.PackMatrix(sm, 1), EngineConfig{CacheBytes: 1 << 18})
-			}
-			rt, err := NewRouter(part, engines, RouterConfig{MaxLeg: 32})
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := rt.NeighborsBatch(ids)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("k=%d r=%d: mod partition broke NeighborsBatch", k, replicas)
-			}
-			checkBFS(t, rt, pk, 5)
-		}
-	}
-}
-
 // TestReplicaSpread checks multi-replica shards actually spread legs: with
 // round-robin tiebreak over equal loads, both replicas must see traffic.
 func TestReplicaSpread(t *testing.T) {
@@ -515,10 +490,7 @@ func TestReplicaSpread(t *testing.T) {
 // TestNewRouterValidation pins the constructor's shape checks.
 func TestNewRouterValidation(t *testing.T) {
 	m := testMatrix(t, 100, 1000, 25)
-	part, pks, err := PartitionSource(csr.PackMatrix(m, 1), 2, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	part, pks := cutShards(t, m, 2)
 	if _, err := NewRouter(part, [][]*Engine{{NewEngine(0, 0, pks[0], EngineConfig{})}}, RouterConfig{}); err == nil {
 		t.Fatal("wrong shard count accepted")
 	}
@@ -540,10 +512,7 @@ func TestNewRouterValidation(t *testing.T) {
 // hand-off has to be set against.
 func BenchmarkLegHandoff(b *testing.B) {
 	m := testMatrix(b, 4000, 120000, 21)
-	part, pks, err := PartitionSource(csr.PackMatrix(m, 1), 2, 1)
-	if err != nil {
-		b.Fatal(err)
-	}
+	part, pks := cutShards(b, m, 2)
 	engines := make([][]*Engine, 2)
 	for s, pk := range pks {
 		engines[s] = NewReplicas(s, 1, pk, EngineConfig{CacheBytes: 32 << 20})

@@ -45,7 +45,7 @@ const (
 	// local-id rewrite).
 	StageGroup
 	// StageQueueWait is one leg's wait on its shard's admission semaphore
-	// — time spent queued behind the shard's MaxInflight bound.
+	// — time spent queued behind the shard's in-flight bound.
 	StageQueueWait
 	// StageExec is one leg's execution on a replica engine, or a BFS's
 	// traversal over every shard's rows (shard -1).

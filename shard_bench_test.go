@@ -20,6 +20,7 @@ import (
 	"sync"
 	"testing"
 
+	"csrgraph/internal/csr"
 	"csrgraph/internal/query"
 	"csrgraph/internal/shard"
 )
@@ -35,24 +36,29 @@ var (
 )
 
 // shardBenchSetup cuts the 10M-edge benchmark graphs into routers for every
-// shard count once; replicas are 1 (replication spreads load, not
-// throughput, on one machine).
+// shard count once, the way csrconvert -partition cuts a graph offline
+// (CutByEdges, Split, one csr.PackMatrix per shard); replicas are 1
+// (replication spreads load, not throughput, on one machine).
 func shardBenchSetup(b *testing.B) map[string]map[int]*shard.Router {
 	b.Helper()
 	graphs := queryBenchSetup(b)
 	shardBenchOnce.Do(func() {
 		shardBenchRouters = map[string]map[int]*shard.Router{}
 		for _, dist := range []string{"uniform", "powerlaw"} {
-			g := graphs[dist]
+			m := graphs[dist].pk.Unpack()
 			shardBenchRouters[dist] = map[int]*shard.Router{}
 			for _, k := range []int{1, 2, 4, 8} {
-				part, pks, err := shard.PartitionSource(g.pk, k, 4)
+				part, err := shard.CutByEdges(m.RowOffsets, k)
+				if err != nil {
+					panic(err)
+				}
+				ms, err := shard.Split(m, part)
 				if err != nil {
 					panic(err)
 				}
 				engines := make([][]*shard.Engine, k)
-				for s, pk := range pks {
-					engines[s] = shard.NewReplicas(s, 1, pk, shard.EngineConfig{
+				for s, sm := range ms {
+					engines[s] = shard.NewReplicas(s, 1, csr.PackMatrix(sm, 4), shard.EngineConfig{
 						CacheBytes: shardBenchCacheBytes / int64(k),
 					})
 				}
