@@ -4,7 +4,8 @@
 //	BenchmarkBFSFrontier — the frontier core's BFS with sparse↔dense
 //	    switching (algo=frontier) on symmetrized uniform and power-law
 //	    graphs.
-//	BenchmarkKCore — level-synchronous peeling (algo=bucket).
+//	BenchmarkKCore — level-synchronous peeling (algo=bucket), also on
+//	    lib-pipeline's scale-18 power-law graph (dist=rmat18).
 //	BenchmarkTriangles — the degree-oriented triangle kernel behind
 //	    CountTriangles (arm=count) and LocalClustering (arm=clustering)
 //	    on a scale-18 symmetrized R-MAT, over the host's processor sweep.
@@ -16,6 +17,7 @@ package csrgraph
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 
@@ -72,9 +74,17 @@ func BenchmarkBFSFrontier(b *testing.B) {
 	}
 }
 
+var (
+	kcoreBenchOnce sync.Once
+	kcoreBench     *csr.Matrix
+)
+
 // BenchmarkKCore times CoreNumbersBucketed, now level-synchronous peeling
-// on exact degree crossings. The lone arm keeps the algo=bucket name of
-// the bucketed peel it replaced, so the BENCH_*.json series continues.
+// on exact degree crossings. The 10M-edge arms keep the algo=bucket name
+// of the bucketed peel it replaced, so the BENCH_*.json series continues.
+// The dist=rmat18 arm is the power-law graph csrload's lib-pipeline times
+// as kcore_powerlaw_ms: an R-MAT of scale 18 and 2M generated edges, seed
+// 1, loops dropped, symmetrized (3.76M stored edges).
 func BenchmarkKCore(b *testing.B) {
 	graphs := algoBenchSetup(b)
 	for _, dist := range []string{"uniform", "powerlaw"} {
@@ -85,6 +95,23 @@ func BenchmarkKCore(b *testing.B) {
 			}
 		})
 	}
+	kcoreBenchOnce.Do(func() {
+		l, err := gen.RMAT(18, 2_000_000, gen.DefaultRMAT, 1, 4)
+		if err != nil {
+			panic(err)
+		}
+		l = slices.DeleteFunc(l, func(e Edge) bool { return e.U == e.V })
+		g, err := Build(l, WithProcs(4), WithSymmetrize(), WithNumNodes(1<<18))
+		if err != nil {
+			panic(err)
+		}
+		kcoreBench = g.m
+	})
+	b.Run("dist=rmat18/edges=2000000/algo=bucket", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			algo.CoreNumbersBucketed(kcoreBench, algoBenchProcs)
+		}
+	})
 }
 
 var (

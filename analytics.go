@@ -179,7 +179,9 @@ func TopKBetweenness(scores []float64, k int) (nodes []uint32, vals []float64) {
 // CoreNumbers returns the k-core number of every node of a symmetrized
 // graph, computed by level-synchronous peeling: each level jumps to the
 // minimum live degree, and a vertex joins a peel round when a decrement
-// lands exactly on the level. Work is O(m+n).
+// lands exactly on the level. Work is O(m+n). procs parallelises only the
+// degree fill; the peel runs on one goroutine, which measured faster than
+// parallel peel rounds.
 func (g *Graph) CoreNumbers(procs int) []uint32 {
 	return algo.CoreNumbersBucketed(g.m, orDefault(procs, g.procs))
 }
@@ -231,7 +233,8 @@ func (cg *CompressedGraph) TwoHopNeighbors(u NodeID, procs int) []uint32 {
 }
 
 // CoreNumbers returns k-core numbers over the compressed graph
-// (level-synchronous peeling, as Graph.CoreNumbers).
+// (level-synchronous peeling, as Graph.CoreNumbers). procs parallelises
+// only the degree fill.
 func (cg *CompressedGraph) CoreNumbers(procs int) []uint32 {
 	return algo.CoreNumbersBucketed(cg.pk, orDefault(procs, cg.procs))
 }

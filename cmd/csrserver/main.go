@@ -11,8 +11,9 @@
 // Every graph file is a container (csrconvert -out g.csrc), or a shard
 // manifest (csrconvert -partition K), the one sharded form: K edge-balanced
 // vertex ranges cut offline, each shard a container mapped on its own and
-// served by -replicas engines. The container's header says whether it
-// holds a static or a temporal graph, and that picks the endpoints.
+// served by -replicas engines (a single container refuses -replicas above
+// 1). The container's header says whether it holds a static or a temporal
+// graph, and that picks the endpoints.
 // Without -mmap the container is read into memory and verified — section
 // checksums and neighbor ids — before serving. With -mmap it is
 // memory-mapped and served zero-copy, so startup cost is page-table setup
@@ -188,12 +189,15 @@ type serveConfig struct {
 // manifest is served through the router of its shards; a container is
 // opened once, and its form picks the handler: temporal, or static
 // through the router of one shard over the whole graph, with no copy.
+// A container has no replicas, so -replicas above 1 refuses it.
 func buildHandler(c serveConfig, opts ...server.Option) (http.Handler, string, error) {
 	switch {
 	case c.graphPath == "":
 		return nil, "", fmt.Errorf("-graph is required")
 	case shard.IsManifestPath(c.graphPath):
 		return buildManifestHandler(c, opts...)
+	case c.replicas > 1:
+		return nil, "", fmt.Errorf("-replicas %d applies to a manifest -graph only; %s is a container", c.replicas, c.graphPath)
 	}
 	g, backing, err := openContainer(c.graphPath, c.mmapOn, c.verify)
 	if err != nil {

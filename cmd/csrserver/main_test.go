@@ -292,6 +292,26 @@ func TestBuildHandlerErrors(t *testing.T) {
 	}
 }
 
+// TestBuildHandlerReplicasNeedManifest: a plain container refuses
+// -replicas above 1 rather than serving one replica; 1 (the default) and
+// a manifest still serve.
+func TestBuildHandlerReplicasNeedManifest(t *testing.T) {
+	plain, manifest := writeShardedGraph(t, t.TempDir(), 50, 400, 2)
+	for _, mmapOn := range []bool{false, true} {
+		c := serveConfig{graphPath: plain, procs: 2, mmapOn: mmapOn, replicas: 4}
+		if _, _, err := buildHandler(c); err == nil || !strings.Contains(err.Error(), "-replicas 4 applies to a manifest -graph only") {
+			t.Fatalf("mmap=%v: -replicas 4 on a container: err = %v", mmapOn, err)
+		}
+		c.replicas = 1
+		if _, _, err := buildHandler(c); err != nil {
+			t.Fatalf("mmap=%v: -replicas 1 on a container: %v", mmapOn, err)
+		}
+	}
+	if _, desc, err := buildHandler(serveConfig{graphPath: manifest, procs: 2, replicas: 4}); err != nil || !strings.Contains(desc, "x 4 replicas") {
+		t.Fatalf("manifest with -replicas 4: desc %q, err %v", desc, err)
+	}
+}
+
 func TestBuildHandlerMmap(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "g.csrc")

@@ -125,18 +125,16 @@ func hubsAndLeaves(hubs, leaves int) *csr.Matrix {
 	return buildGraph(edges, hubs+cliq+leaves, true)
 }
 
-// TestCoreNumbersParallelRounds runs peel subrounds above serialPeelEdges,
-// which the small fixtures never reach, on the plain matrix and its packed
-// form.
+// TestCoreNumbersParallelRounds runs heavy peel subrounds, which the small
+// fixtures never reach: a leaf subround of 20000 edges that lands every
+// hub at once, and an R-MAT of scale 13, on the plain matrix and its
+// packed form, at every p.
 func TestCoreNumbersParallelRounds(t *testing.T) {
 	rmat, err := gen.RMAT(13, 60000, gen.DefaultRMAT, 0x6b63, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	const hubs, leaves = 4, 5000
-	if hubs*leaves <= serialPeelEdges {
-		t.Fatalf("the leaf round of %d edges would run serially", hubs*leaves)
-	}
 	hl := hubsAndLeaves(hubs, leaves)
 	want := coreReference(hl)
 	for v, c := range want {
@@ -165,8 +163,7 @@ func TestCoreNumbersParallelRounds(t *testing.T) {
 
 // FuzzCoreNumbers checks the peel at p = 1, 2 and 4 against the sequential
 // reference on an R-MAT graph of scale 4-12 or a uniform random graph of
-// as many nodes, symmetric or directed, with up to 16383 edges: enough
-// that some inputs peel subrounds above serialPeelEdges in parallel.
+// as many nodes, symmetric or directed, with up to 16383 edges.
 func FuzzCoreNumbers(f *testing.F) {
 	f.Add(uint64(1), uint8(0), uint16(3000), true)
 	f.Add(uint64(2), uint8(8), uint16(16000), true)
@@ -193,6 +190,30 @@ func FuzzCoreNumbers(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestCoreNumbersAllocs holds the peel to a fixed number of allocations,
+// its output and state arrays, however many levels and subrounds it runs:
+// the same count on a two-level K4 with a tail as on an R-MAT of scale 13.
+func TestCoreNumbersAllocs(t *testing.T) {
+	rmat, err := gen.RMAT(13, 60000, gen.DefaultRMAT, 0x6b63, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var k4 []edgelist.Edge
+	for u := uint32(0); u < 4; u++ {
+		for v := u + 1; v < 4; v++ {
+			k4 = append(k4, edgelist.Edge{U: u, V: v})
+		}
+	}
+	k4 = append(k4, edgelist.Edge{U: 3, V: 4}, edgelist.Edge{U: 4, V: 5})
+	small, large := buildGraph(k4, 6, true), buildGraph(rmat, 1<<13, true)
+	allocs := func(m *csr.Matrix) float64 {
+		return testing.AllocsPerRun(5, func() { CoreNumbersBucketed(m, 1) })
+	}
+	if a, b := allocs(small), allocs(large); a != b || b > 8 {
+		t.Fatalf("peel allocates %v times on K4+tail and %v on rmat13, want one fixed count of at most 8", a, b)
+	}
 }
 
 func TestLocalClusteringTriangle(t *testing.T) {

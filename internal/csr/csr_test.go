@@ -3,6 +3,7 @@ package csr
 import (
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -73,6 +74,28 @@ func TestFromEdgeListUnsorted(t *testing.T) {
 	// Input must not have been reordered in place.
 	if l[0] != (edgelist.Edge{U: 3, V: 1}) {
 		t.Fatal("FromEdgeList mutated its input")
+	}
+}
+
+// TestBuildRefusesUnsortedRow: Build and BuildPacked copy the destination
+// column in list order, so a list sorted by u but not by v would give an
+// unsorted row that HasEdgeBinary misses; both refuse it at every p.
+func TestBuildRefusesUnsortedRow(t *testing.T) {
+	l := edgelist.List{{U: 0, V: 1}, {U: 0, V: 3}, {U: 1, V: 2}, {U: 1, V: 0}, {U: 2, V: 1}}
+	for _, p := range []int{1, 2, 4} {
+		for name, build := range map[string]func(){
+			"Build":       func() { Build(l, 3, p) },
+			"BuildPacked": func() { BuildPacked(l, 3, p) },
+		} {
+			func() {
+				defer func() {
+					if msg, _ := recover().(string); !strings.Contains(msg, "not sorted by (u, v) at index 3") {
+						t.Fatalf("%s p=%d: panic %q, want one naming index 3", name, p, msg)
+					}
+				}()
+				build()
+			}()
+		}
 	}
 }
 

@@ -30,18 +30,21 @@ func Sequential(l edgelist.List, numNodes int) []uint32 {
 	return deg
 }
 
-// Parallel computes the out-degree array from a source-sorted edge list
-// using p processors, per Algorithms 2-3. It panics if the list is not
-// sorted by source (a precondition the paper states for its inputs); use
-// edgelist.List.SortByUV first.
+// key orders edges by (u, v): one comparison of two keys checks both the
+// source order the degree count relies on and the destination order within
+// a source that the CSR's column fill copies as is.
+func key(e edgelist.Edge) uint64 { return uint64(e.U)<<32 | uint64(e.V) }
+
+// Parallel computes the out-degree array from an edge list sorted by
+// (u, v) using p processors, per Algorithms 2-3. It panics if the list is
+// not so sorted (a precondition the paper states for its inputs, and csr's
+// builders rely on it for sorted rows); use edgelist.List.Prepared or
+// SortByUV first. Equal pairs are allowed.
 func Parallel(l edgelist.List, numNodes, p int) []uint32 {
 	deg := make([]uint32, numNodes)
 	chunks := parallel.Chunks(len(l), p)
 	if len(chunks) == 0 {
 		return deg
-	}
-	if len(chunks) == 1 {
-		return Sequential(l, numNodes)
 	}
 	// globalTempDegree: one slot per processor for the count of the run that
 	// starts its chunk, plus the node that run belongs to.
@@ -70,25 +73,28 @@ func Parallel(l edgelist.List, numNodes, p int) []uint32 {
 		r := chunks[w.ID()]
 		i := r.Start
 		// Algorithm 2, first phase: count consecutive occurrences of the
-		// chunk's first node into the secondary array.
+		// chunk's first node into the secondary array. Every edge but the
+		// list's first is checked against the one before it, across the
+		// chunk start too.
 		first := l[i].U
-		if w.ID() > 0 && l[i].U < l[i-1].U {
-			noteUnsorted(i)
-		}
 		tempNode[w.ID()] = first
 		for i < r.End && l[i].U == first {
+			if i > 0 && key(l[i]) < key(l[i-1]) {
+				noteUnsorted(i)
+			}
 			tempCount[w.ID()]++
 			i++
 		}
 		// Remaining runs start inside this chunk; count them directly into
 		// the global degree array. No other processor writes these nodes.
-		for i < r.End {
-			u := l[i].U
-			if u < l[i-1].U {
-				noteUnsorted(i)
+		prev := key(l[i-1])
+		for j, e := range l[i:r.End] {
+			k := key(e)
+			if k < prev {
+				noteUnsorted(i + j)
 			}
-			deg[u]++
-			i++
+			prev = k
+			deg[e.U]++
 		}
 		w.Sync()
 		// Algorithm 3 merge: fold the first-run counts back in. Two chunks
@@ -102,7 +108,7 @@ func Parallel(l edgelist.List, numNodes, p int) []uint32 {
 		}
 	})
 	if i := unsorted.Load(); i >= 0 {
-		panic(fmt.Sprintf("degree: edge list not sorted by source at index %d", i))
+		panic(fmt.Sprintf("degree: edge list not sorted by (u, v) at index %d", i))
 	}
 	return deg
 }

@@ -3,6 +3,7 @@ package degree
 import (
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -73,6 +74,27 @@ func TestParallelUnsortedPanics(t *testing.T) {
 		}
 	}()
 	Parallel(l, 6, 2)
+}
+
+// TestParallelUnsortedDestinationPanics: a list sorted by u but with a
+// descending v inside one source's run is refused at every p, and the
+// panic names the first such index; equal pairs are accepted.
+func TestParallelUnsortedDestinationPanics(t *testing.T) {
+	l := edgelist.List{{U: 0, V: 1}, {U: 1, V: 2}, {U: 1, V: 2}, {U: 1, V: 5}, {U: 1, V: 3}, {U: 2, V: 0}, {U: 3, V: 4}, {U: 3, V: 1}}
+	for _, p := range []int{1, 2, 3, 4, 8} {
+		func() {
+			defer func() {
+				msg, _ := recover().(string)
+				if !strings.Contains(msg, "not sorted by (u, v) at index 4") {
+					t.Fatalf("p=%d: panic %q, want one naming index 4", p, msg)
+				}
+			}()
+			Parallel(l, 4, p)
+		}()
+	}
+	if got := Parallel(l[:4], 4, 2); !reflect.DeepEqual(got, []uint32{1, 3, 0, 0}) {
+		t.Fatalf("sorted list with a repeated pair: deg = %v", got)
+	}
 }
 
 func TestMaxDegree(t *testing.T) {
