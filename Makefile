@@ -39,13 +39,14 @@ test:
 	$(GO) test ./...
 
 # Race-detect the concurrency hot spots on every verify pass: the parallel
-# worker pool, the batched query dispatch, Pack's processors writing
-# word-aligned chunks of one shared array, the radix sort's chunked
-# histogram/scatter passes, and the parallel construction/stream paths
-# behind csr and tcsr are exactly the code the detector should be watching. `race` below covers the whole tree but is
-# too slow for the default loop.
+# worker pool and the Algorithm 1-3 scan and degree count that run on it,
+# the batched query dispatch, Pack's processors writing word-aligned chunks
+# of one shared array, the radix sort's chunked histogram/scatter passes,
+# and the parallel construction/stream paths behind csr and tcsr are
+# exactly the code the detector should be watching. `race` below covers the
+# whole tree but is too slow for the default loop.
 test-race:
-	$(GO) test -race ./internal/parallel/... ./internal/query/... ./internal/bitpack/... ./internal/radix/... ./internal/edgelist/... ./internal/obs/... ./internal/server/... ./internal/tcsr/... ./internal/csr/... ./internal/stream/... ./internal/mgraph/... ./internal/frontier/... ./internal/algo/... ./internal/shard/... ./internal/trace/...
+	$(GO) test -race ./internal/parallel/... ./internal/query/... ./internal/bitpack/... ./internal/radix/... ./internal/edgelist/... ./internal/obs/... ./internal/server/... ./internal/tcsr/... ./internal/csr/... ./internal/stream/... ./internal/mgraph/... ./internal/frontier/... ./internal/algo/... ./internal/shard/... ./internal/trace/... ./internal/prefixsum/... ./internal/degree/...
 
 race:
 	$(GO) test -race ./...

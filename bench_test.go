@@ -162,8 +162,8 @@ func BenchmarkPackedRowDecode(b *testing.B) {
 	}
 }
 
-// BenchmarkScanAblation compares Algorithm 1's chunked scan against the
-// two-level alternative (DESIGN.md §5 item 1).
+// BenchmarkScanAblation times Algorithm 1's chunked scan, copy included,
+// across processor counts (DESIGN.md §5 item 1).
 func BenchmarkScanAblation(b *testing.B) {
 	xs := make([]uint32, 1<<20)
 	for i := range xs {
@@ -175,18 +175,6 @@ func BenchmarkScanAblation(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				copy(buf, xs)
 				prefixsum.Inclusive(buf, p)
-			}
-		})
-		b.Run(fmt.Sprintf("twolevel/p=%d", p), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				copy(buf, xs)
-				prefixsum.InclusiveTwoLevel(buf, p)
-			}
-		})
-		b.Run(fmt.Sprintf("blelloch/p=%d", p), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				copy(buf, xs)
-				prefixsum.InclusiveBlelloch(buf, p)
 			}
 		})
 	}

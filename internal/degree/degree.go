@@ -6,10 +6,10 @@
 // chunk boundary. Every processor therefore counts the run that *starts* its
 // chunk into a private slot of a secondary array (the pseudocode's
 // globalTempDegree) and counts all later runs — which are guaranteed to
-// start inside the chunk — directly into the shared degree array. After a
-// barrier the per-processor first-run counts are merged in (Algorithm 3,
-// Figure 3). At most one run overlaps each boundary, so the merge touches p
-// entries.
+// start inside the chunk — directly into the shared degree array. After the
+// join (the pseudocode's sync()) the per-processor first-run counts are
+// merged in serially (Algorithm 3, Figure 3). At most one run overlaps each
+// boundary, so the merge touches p entries.
 package degree
 
 import (
@@ -50,8 +50,8 @@ func Parallel(l edgelist.List, numNodes, p int) []uint32 {
 	// starts its chunk, plus the node that run belongs to.
 	tempCount := make([]uint32, len(chunks))
 	tempNode := make([]edgelist.NodeID, len(chunks))
-	// First unsorted position seen by any worker; -1 when none. Workers must
-	// not panic themselves — a panic on a spawned goroutine cannot be
+	// First unsorted position seen by any chunk; -1 when none. Chunk bodies
+	// must not panic themselves — a panic on a pool worker cannot be
 	// recovered by the caller — so the violation is recorded and raised
 	// after the join.
 	var unsorted atomic.Int64
@@ -68,23 +68,21 @@ func Parallel(l edgelist.List, numNodes, p int) []uint32 {
 		}
 	}
 
-	team := parallel.NewTeam(len(chunks))
-	team.Run(func(w *parallel.Worker) {
-		r := chunks[w.ID()]
+	parallel.For(len(l), p, func(c int, r parallel.Range) {
 		i := r.Start
 		// Algorithm 2, first phase: count consecutive occurrences of the
 		// chunk's first node into the secondary array. Every edge but the
 		// list's first is checked against the one before it, across the
 		// chunk start too.
 		first := l[i].U
-		tempNode[w.ID()] = first
+		tempNode[c] = first
 		for i < r.End && l[i].U == first {
 			if i > 0 && key(l[i]) < key(l[i-1]) {
 				noteUnsorted(i)
 			}
-			tempCount[w.ID()]++
 			i++
 		}
+		tempCount[c] = uint32(i - r.Start)
 		// Remaining runs start inside this chunk; count them directly into
 		// the global degree array. No other processor writes these nodes.
 		prev := key(l[i-1])
@@ -96,17 +94,14 @@ func Parallel(l edgelist.List, numNodes, p int) []uint32 {
 			prev = k
 			deg[e.U]++
 		}
-		w.Sync()
-		// Algorithm 3 merge: fold the first-run counts back in. Two chunks
-		// may share a first node when a run spans whole chunks, so the merge
-		// is done once, serially, by processor 0 (the pseudocode's post-sync
-		// update over pid-indexed slots).
-		if w.ID() == 0 {
-			for c := range chunks {
-				deg[tempNode[c]] += tempCount[c]
-			}
-		}
 	})
+	// Algorithm 3 merge, after the join (the pseudocode's sync()): fold the
+	// first-run counts back in. Two chunks may share a first node when a
+	// run spans whole chunks, so the merge is one serial pass over the
+	// pid-indexed slots.
+	for c := range chunks {
+		deg[tempNode[c]] += tempCount[c]
+	}
 	if i := unsorted.Load(); i >= 0 {
 		panic(fmt.Sprintf("degree: edge list not sorted by (u, v) at index %d", i))
 	}

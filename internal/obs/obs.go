@@ -61,7 +61,7 @@ type paddedInt64 struct {
 
 // Counter is a monotonically increasing cumulative metric. A single padded
 // atomic: the right shape for events recorded by one goroutine at a time or
-// rarely (jobs submitted, encode failures). Worker-team hot paths use
+// rarely (jobs submitted, encode failures). Pool hot paths use
 // WorkerCounter instead.
 type Counter struct {
 	v paddedInt64

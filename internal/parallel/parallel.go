@@ -1,25 +1,24 @@
 // Package parallel provides the "p processors" execution substrate the
 // paper's algorithms are written against: balanced chunk partitioning of an
-// index space, a fork-join worker team with barriers (the pseudocode's
-// sync()) and a critical section (the pseudocode's Lock()/Unlock()), and
-// simple parallel-for helpers.
+// index space and parallel-for helpers on one persistent worker pool.
 //
-// The paper runs on a 32-core machine with explicit processors; here each
-// "processor" is a goroutine. All helpers degrade gracefully to sequential
-// execution when p == 1, so correctness tests can compare p=1 against p>1
-// outputs directly.
+// The paper writes Algorithms 1-3 as "each processor does its chunk,
+// sync(), one serial step". Here each processor's chunk is one body call of
+// For, sync() is the join at For's return, and the serial step (the
+// pseudocode's Lock()/Unlock() region) is plain code after the join. All
+// helpers run inline when p == 1, so correctness tests can compare p = 1
+// against p > 1 outputs directly.
 //
 // Execution substrate: For and ForEach with p > 1 dispatch onto a lazily
 // started package-level Pool — a persistent set of GOMAXPROCS workers
 // parked on a channel — instead of spawning goroutines per call, so the
-// ~30 batched-query and construction call sites pay wake-ups, not spawns.
+// batched-query and construction call sites pay wake-ups, not spawns.
 // Pool.For uses caller-participates scheduling (the submitting goroutine
 // claims chunks alongside the workers), which keeps nested parallel-for
 // calls deadlock-free and preserves the p == 1 inline fast path; NewPool
 // builds private pools for callers that want isolation. Bodies must not
-// assume all chunks run concurrently — a body that blocks waiting on a
-// sibling chunk needs Team, whose barrier semantics guarantee one
-// goroutine per worker.
+// assume all chunks run concurrently: the caller may run every chunk
+// itself, so a body never waits on a sibling chunk.
 //
 // ForDynamic adds work-stealing scheduling on the same pool: instead of a
 // static p-way split, participants claim small grain-sized index ranges
@@ -30,7 +29,6 @@ package parallel
 import (
 	"fmt"
 	"runtime"
-	"sync"
 )
 
 // Range is a half-open index interval [Start, End).
@@ -78,18 +76,6 @@ func Chunks(n, p int) []Range {
 	return out
 }
 
-// ChunkOf returns the index of the chunk (as produced by Chunks(n, p)) that
-// contains index i.
-func ChunkOf(i, n, p int) int {
-	chunks := Chunks(n, p)
-	for c, r := range chunks {
-		if i >= r.Start && i < r.End {
-			return c
-		}
-	}
-	panic(fmt.Sprintf("parallel: index %d not in [0,%d)", i, n))
-}
-
 // For runs body over [0, n) split into at most p chunks and waits for all
 // of them. body receives the chunk index and range. With p == 1 (or n
 // small) it runs inline on the calling goroutine; otherwise the chunks are
@@ -97,35 +83,14 @@ func ChunkOf(i, n, p int) int {
 // goroutine spawn and WaitGroup teardown per call.
 func For(n, p int, body func(chunk int, r Range)) {
 	if p <= 1 || n <= 1 {
-		// Inline fast path that never touches (or lazily creates) the pool.
-		for c, r := range Chunks(n, p) {
-			body(c, r)
+		// Inline fast path that never touches (or lazily creates) the pool
+		// and allocates nothing.
+		if n > 0 {
+			body(0, Range{0, n})
 		}
 		return
 	}
 	defaultPool().For(n, p, body)
-}
-
-// forSpawn is the pre-pool implementation — one goroutine spawned per chunk
-// per call. Kept as the baseline BenchmarkParallelForOverhead measures the
-// pool against.
-func forSpawn(n, p int, body func(chunk int, r Range)) {
-	chunks := Chunks(n, p)
-	if len(chunks) <= 1 {
-		for c, r := range chunks {
-			body(c, r)
-		}
-		return
-	}
-	var wg sync.WaitGroup
-	wg.Add(len(chunks))
-	for c, r := range chunks {
-		go func(c int, r Range) {
-			defer wg.Done()
-			body(c, r)
-		}(c, r)
-	}
-	wg.Wait()
 }
 
 // ForDynamic runs body over [0, n) with work-stealing scheduling on the
@@ -152,105 +117,4 @@ func ForEach(n, p int, body func(i int)) {
 			body(i)
 		}
 	})
-}
-
-// Team is a fixed-size group of workers executing one SPMD function, with
-// barrier synchronization and a shared critical section. It models the
-// paper's processor team: Algorithm 1's sync() is Worker.Sync and its
-// Lock()/Unlock() block is Worker.Critical.
-type Team struct {
-	p       int
-	barrier *Barrier
-	mu      sync.Mutex
-}
-
-// NewTeam creates a team of p workers. p <= 0 is treated as 1.
-func NewTeam(p int) *Team {
-	if p <= 0 {
-		p = 1
-	}
-	return &Team{p: p, barrier: NewBarrier(p)}
-}
-
-// Size returns the number of workers in the team.
-func (t *Team) Size() int { return t.p }
-
-// Run invokes body once per worker concurrently and returns when every
-// worker has finished. Workers are numbered 0..p-1.
-func (t *Team) Run(body func(w *Worker)) {
-	if t.p == 1 {
-		body(&Worker{team: t, id: 0})
-		return
-	}
-	var wg sync.WaitGroup
-	wg.Add(t.p)
-	for id := 0; id < t.p; id++ {
-		go func(id int) {
-			defer wg.Done()
-			body(&Worker{team: t, id: id})
-		}(id)
-	}
-	wg.Wait()
-}
-
-// Worker is one member of a Team, passed to the SPMD body.
-type Worker struct {
-	team *Team
-	id   int
-}
-
-// ID returns the worker index in [0, team size).
-func (w *Worker) ID() int { return w.id }
-
-// Procs returns the team size.
-func (w *Worker) Procs() int { return w.team.p }
-
-// Sync blocks until every worker in the team has called Sync. It is the
-// pseudocode's sync() barrier and may be called repeatedly.
-func (w *Worker) Sync() { w.team.barrier.Wait() }
-
-// Critical runs fn while holding the team's mutual-exclusion lock — the
-// pseudocode's Lock()/Unlock() region.
-func (w *Worker) Critical(fn func()) {
-	w.team.mu.Lock()
-	defer w.team.mu.Unlock()
-	fn()
-}
-
-// Barrier is a reusable synchronization barrier for a fixed number of
-// parties.
-type Barrier struct {
-	mu      sync.Mutex
-	cond    *sync.Cond
-	parties int
-	waiting int
-	phase   uint64
-}
-
-// NewBarrier returns a barrier for n parties; n <= 0 is treated as 1.
-func NewBarrier(n int) *Barrier {
-	if n <= 0 {
-		n = 1
-	}
-	b := &Barrier{parties: n}
-	b.cond = sync.NewCond(&b.mu)
-	return b
-}
-
-// Wait blocks until all parties have called Wait, then releases them all.
-// The barrier resets automatically for reuse.
-func (b *Barrier) Wait() {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	phase := b.phase
-	b.waiting++
-	if b.waiting == b.parties {
-		b.waiting = 0
-		b.phase++
-		b.cond.Broadcast()
-		return
-	}
-	for phase == b.phase {
-		b.cond.Wait()
-	}
 }

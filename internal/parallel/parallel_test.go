@@ -1,7 +1,6 @@
 package parallel
 
 import (
-	"sync"
 	"sync/atomic"
 	"testing"
 	"testing/quick"
@@ -68,18 +67,6 @@ func TestQuickChunksTile(t *testing.T) {
 	}
 }
 
-func TestChunkOf(t *testing.T) {
-	n, p := 103, 7
-	chunks := Chunks(n, p)
-	for c, r := range chunks {
-		for i := r.Start; i < r.End; i++ {
-			if got := ChunkOf(i, n, p); got != c {
-				t.Fatalf("ChunkOf(%d) = %d, want %d", i, got, c)
-			}
-		}
-	}
-}
-
 func TestForCoversAllIndices(t *testing.T) {
 	for _, p := range []int{1, 2, 3, 8, 100} {
 		n := 1000
@@ -105,82 +92,15 @@ func TestForEach(t *testing.T) {
 	}
 }
 
-func TestTeamRunAllWorkers(t *testing.T) {
-	for _, p := range []int{1, 2, 7} {
-		team := NewTeam(p)
-		ids := make([]bool, p)
-		var mu sync.Mutex
-		team.Run(func(w *Worker) {
-			if w.Procs() != p {
-				t.Errorf("Procs = %d, want %d", w.Procs(), p)
-			}
-			mu.Lock()
-			ids[w.ID()] = true
-			mu.Unlock()
-		})
-		for id, ok := range ids {
-			if !ok {
-				t.Fatalf("p=%d worker %d never ran", p, id)
-			}
+// TestForInlineNoAlloc: the inline path (p <= 1 or n <= 1) calls body
+// once with the whole range and allocates nothing.
+func TestForInlineNoAlloc(t *testing.T) {
+	noop := func(int, Range) {}
+	for _, c := range []struct{ n, p int }{{1000, 1}, {1, 4}} {
+		if got := testing.AllocsPerRun(100, func() { For(c.n, c.p, noop) }); got != 0 {
+			t.Errorf("For(%d, %d, noop) allocs = %v, want 0", c.n, c.p, got)
 		}
 	}
-}
-
-func TestTeamSyncOrdersPhases(t *testing.T) {
-	const p = 4
-	team := NewTeam(p)
-	var phase1 atomic.Int32
-	fail := make(chan string, p)
-	team.Run(func(w *Worker) {
-		phase1.Add(1)
-		w.Sync()
-		if phase1.Load() != p {
-			fail <- "worker passed barrier before all arrived"
-		}
-		w.Sync() // barrier must be reusable
-	})
-	select {
-	case msg := <-fail:
-		t.Fatal(msg)
-	default:
-	}
-}
-
-func TestTeamCriticalIsMutuallyExclusive(t *testing.T) {
-	const p = 8
-	team := NewTeam(p)
-	counter := 0 // intentionally unsynchronized; Critical must protect it
-	team.Run(func(w *Worker) {
-		for i := 0; i < 1000; i++ {
-			w.Critical(func() { counter++ })
-		}
-	})
-	if counter != p*1000 {
-		t.Fatalf("counter = %d, want %d", counter, p*1000)
-	}
-}
-
-func TestBarrierReusableManyRounds(t *testing.T) {
-	const parties, rounds = 3, 50
-	b := NewBarrier(parties)
-	var stage atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(parties)
-	for i := 0; i < parties; i++ {
-		go func() {
-			defer wg.Done()
-			for r := 0; r < rounds; r++ {
-				stage.Add(1)
-				b.Wait()
-				// After the barrier every party of this round has bumped stage.
-				if got := stage.Load(); got < int64((r+1)*parties) {
-					t.Errorf("round %d: stage = %d, want >= %d", r, got, (r+1)*parties)
-				}
-				b.Wait()
-			}
-		}()
-	}
-	wg.Wait()
 }
 
 func TestChunksNegativePanics(t *testing.T) {

@@ -8,9 +8,8 @@ import (
 	"csrgraph/internal/obs"
 )
 
-// Pool is a persistent team of worker goroutines that executes parallel-for
-// jobs without the per-call goroutine spawn and WaitGroup teardown of the
-// fork-join For. Workers park on a channel receive between jobs, so an idle
+// Pool is a persistent set of worker goroutines that executes parallel-for
+// jobs without a goroutine spawn or WaitGroup teardown per call. Workers park on a channel receive between jobs, so an idle
 // pool costs nothing but p blocked goroutines.
 //
 // Scheduling is caller-participates: For enqueues a job descriptor (a body,
@@ -236,15 +235,6 @@ wake:
 	}
 	j.run(callerStripe)
 	<-j.fin
-}
-
-// ForEach runs body(i) for every i in [0, n) using at most p chunks.
-func (pl *Pool) ForEach(n, p int, body func(i int)) {
-	pl.For(n, p, func(_ int, r Range) {
-		for i := r.Start; i < r.End; i++ {
-			body(i)
-		}
-	})
 }
 
 // Close parks no new work and lets the workers exit. Jobs already enqueued

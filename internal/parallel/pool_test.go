@@ -9,7 +9,7 @@ import (
 )
 
 // TestPoolForCoversIndexSpace: every index is visited exactly once, with
-// the same chunk labelling as the fork-join For.
+// the chunk labelling of Chunks(n, p).
 func TestPoolForCoversIndexSpace(t *testing.T) {
 	pl := NewPool(4)
 	defer pl.Close()
@@ -35,21 +35,19 @@ func TestPoolForCoversIndexSpace(t *testing.T) {
 	}
 }
 
-// TestForMatchesForSpawn: the pool-backed package For computes the same
-// result as the spawn-per-call baseline.
-func TestForMatchesForSpawn(t *testing.T) {
+// TestForMatchesPlainLoop: the pool-backed package For computes the same
+// result as a serial loop over the index space.
+func TestForMatchesPlainLoop(t *testing.T) {
 	const n = 10000
+	want := make([]uint64, n)
+	for i := range want {
+		want[i] = uint64(i) * 3
+	}
 	for _, p := range []int{1, 2, 4, 16} {
 		got := make([]uint64, n)
-		want := make([]uint64, n)
 		For(n, p, func(_ int, r Range) {
 			for i := r.Start; i < r.End; i++ {
 				got[i] = uint64(i) * 3
-			}
-		})
-		forSpawn(n, p, func(_ int, r Range) {
-			for i := r.Start; i < r.End; i++ {
-				want[i] = uint64(i) * 3
 			}
 		})
 		for i := range got {
@@ -121,20 +119,6 @@ func TestPoolConcurrentCallers(t *testing.T) {
 	}
 }
 
-// TestPoolForEach mirrors the ForEach contract on a private pool.
-func TestPoolForEach(t *testing.T) {
-	pl := NewPool(3)
-	defer pl.Close()
-	const n = 257
-	visits := make([]int32, n)
-	pl.ForEach(n, 5, func(i int) { atomic.AddInt32(&visits[i], 1) })
-	for i, v := range visits {
-		if v != 1 {
-			t.Fatalf("index %d visited %d times", i, v)
-		}
-	}
-}
-
 // TestPoolCloseIdempotent: double Close must not panic.
 func TestPoolCloseIdempotent(t *testing.T) {
 	pl := NewPool(2)
@@ -144,8 +128,8 @@ func TestPoolCloseIdempotent(t *testing.T) {
 }
 
 // BenchmarkParallelForOverhead measures dispatch cost of the persistent
-// pool against the spawn-per-call baseline across body sizes, from pure
-// overhead (n=1, which runs inline) to real work amortizing it (n=1e6).
+// pool across body sizes, from pure overhead (n=1, which runs inline) to
+// real work amortizing it (n=1e6).
 func BenchmarkParallelForOverhead(b *testing.B) {
 	sink := make([]uint64, 1<<20)
 	for _, n := range []int{1, 100, 10_000, 1_000_000} {
@@ -158,11 +142,6 @@ func BenchmarkParallelForOverhead(b *testing.B) {
 		b.Run(fmt.Sprintf("pool/n=%d", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				For(n, p, body)
-			}
-		})
-		b.Run(fmt.Sprintf("spawn/n=%d", n), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				forSpawn(n, p, body)
 			}
 		})
 	}

@@ -1,18 +1,19 @@
 // Package prefixsum implements the paper's Algorithm 1, the parallel
-// prefix-sum (scan) used to turn a degree array into CSR row offsets, plus a
-// sequential reference and an alternative two-level scan used as an ablation
-// baseline.
+// prefix-sum (scan) used to turn a degree array into CSR row offsets, plus
+// the sequential reference it is tested against.
 //
-// Algorithm 1 proceeds in three phases over p chunks of the input:
+// Algorithm 1 proceeds in three phases over p chunks of the input, each
+// phase ending in the pseudocode's sync(), which here is the join at the
+// end of one parallel.For:
 //
 //  1. every processor computes an in-place inclusive scan of its chunk;
-//  2. after a barrier, the chunk-boundary carries are propagated
-//     sequentially: the last element of chunk c receives the (updated) last
-//     element of chunk c-1 — the pseudocode wraps this in Lock()/Unlock()
-//     because it is the inherently serial step;
-//  3. after another barrier, every processor except the first adds the final
-//     value of its predecessor chunk to all of its elements but the last
-//     (the last already received the carry in phase 2).
+//  2. the chunk-boundary carries are propagated serially: the last element
+//     of chunk c receives the (updated) last element of chunk c-1 — the
+//     pseudocode wraps this in Lock()/Unlock() because it is the
+//     inherently serial step;
+//  3. every processor except the first adds the final value of its
+//     predecessor chunk to all of its elements but the last (the last
+//     already received the carry in phase 2).
 package prefixsum
 
 import "csrgraph/internal/parallel"
@@ -24,8 +25,8 @@ type Integer interface {
 }
 
 // InclusiveSequential computes the inclusive prefix sum of xs in place and
-// returns xs. It is the reference implementation all parallel variants are
-// tested against.
+// returns xs. It is the reference implementation Inclusive is tested
+// against.
 func InclusiveSequential[T Integer](xs []T) []T {
 	for i := 1; i < len(xs); i++ {
 		xs[i] += xs[i-1]
@@ -37,71 +38,31 @@ func InclusiveSequential[T Integer](xs []T) []T {
 // processors, following Algorithm 1, and returns xs.
 func Inclusive[T Integer](xs []T, p int) []T {
 	chunks := parallel.Chunks(len(xs), p)
-	if len(chunks) <= 1 {
-		return InclusiveSequential(xs)
-	}
-	team := parallel.NewTeam(len(chunks))
-	team.Run(func(w *parallel.Worker) {
-		r := chunks[w.ID()]
-		// Phase 1: in-chunk inclusive scan (pseudocode lines 2-3).
-		for i := r.Start + 1; i < r.End; i++ {
-			xs[i] += xs[i-1]
-		}
-		w.Sync()
-		// Phase 2: sequential carry across chunk boundaries (lines 6-9).
-		// The pseudocode guards this with Lock()/Unlock(); the updates must
-		// additionally happen in chunk order because chunk c's carry depends
-		// on chunk c-1's updated last element, so worker 0 performs the
-		// ordered walk inside the critical section.
-		if w.ID() == 0 {
-			w.Critical(func() {
-				for c := 1; c < len(chunks); c++ {
-					xs[chunks[c].End-1] += xs[chunks[c-1].End-1]
-				}
-			})
-		}
-		w.Sync()
-		// Phase 3: every chunk but the first adds its predecessor's final
-		// value to its interior elements (lines 11-13).
-		if w.ID() > 0 {
-			carry := xs[r.Start-1]
-			for i := r.Start; i < r.End-1; i++ {
-				xs[i] += carry
-			}
-		}
-	})
-	return xs
-}
-
-// InclusiveTwoLevel is the ablation alternative to Algorithm 1: a classic
-// two-level scan. Each processor first sums its chunk, the chunk totals are
-// scanned sequentially, and each processor then rescans its chunk seeded
-// with the incoming offset. Unlike Algorithm 1 it writes each element once
-// but reads each element twice.
-func InclusiveTwoLevel[T Integer](xs []T, p int) []T {
-	chunks := parallel.Chunks(len(xs), p)
-	if len(chunks) <= 1 {
-		return InclusiveSequential(xs)
-	}
-	totals := make([]T, len(chunks))
-	parallel.For(len(xs), len(chunks), func(c int, r parallel.Range) {
+	// Phase 1: in-chunk inclusive scan (pseudocode lines 2-3), the running
+	// sum carried in a register rather than reloaded from the element just
+	// stored.
+	parallel.For(len(xs), p, func(_ int, r parallel.Range) {
 		var s T
 		for i := r.Start; i < r.End; i++ {
 			s += xs[i]
+			xs[i] = s
 		}
-		totals[c] = s
 	})
-	// Exclusive scan of chunk totals: totals[c] becomes the offset entering
-	// chunk c.
-	var run T
-	for c := range totals {
-		run, totals[c] = run+totals[c], run
+	// Phase 2: sequential carry across chunk boundaries (lines 6-9), the
+	// pseudocode's Lock()/Unlock() region. Chunk c's carry depends on chunk
+	// c-1's updated last element, so the walk runs in chunk order.
+	for c := 1; c < len(chunks); c++ {
+		xs[chunks[c].End-1] += xs[chunks[c-1].End-1]
 	}
-	parallel.For(len(xs), len(chunks), func(c int, r parallel.Range) {
-		carry := totals[c]
-		for i := r.Start; i < r.End; i++ {
-			carry += xs[i]
-			xs[i] = carry
+	// Phase 3: every chunk but the first adds its predecessor's final value
+	// to its interior elements (lines 11-13).
+	parallel.For(len(xs), p, func(c int, r parallel.Range) {
+		if c == 0 {
+			return
+		}
+		carry := xs[r.Start-1]
+		for i := r.Start; i < r.End-1; i++ {
+			xs[i] += carry
 		}
 	})
 	return xs

@@ -47,55 +47,8 @@ func TestInclusiveMatchesSequentialAcrossP(t *testing.T) {
 	}
 }
 
-func TestInclusiveTwoLevelMatchesSequential(t *testing.T) {
-	rng := rand.New(rand.NewSource(43))
-	for _, n := range []int{0, 1, 5, 100, 2048} {
-		base := make([]int, n)
-		for i := range base {
-			base[i] = rng.Intn(50) - 10 // include negatives for signed types
-		}
-		want := append([]int(nil), base...)
-		InclusiveSequential(want)
-		for _, p := range []int{1, 3, 8, 33} {
-			got := append([]int(nil), base...)
-			InclusiveTwoLevel(got, p)
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("n=%d p=%d: two-level scan diverges", n, p)
-			}
-		}
-	}
-}
-
-func TestInclusiveBlellochMatchesSequential(t *testing.T) {
-	rng := rand.New(rand.NewSource(44))
-	for _, n := range []int{0, 1, 2, 3, 5, 8, 100, 1023, 1024, 1025, 5000} {
-		base := make([]uint64, n)
-		for i := range base {
-			base[i] = uint64(rng.Intn(100))
-		}
-		want := append([]uint64(nil), base...)
-		InclusiveSequential(want)
-		for _, p := range []int{1, 2, 4, 16, 100} {
-			got := append([]uint64(nil), base...)
-			InclusiveBlelloch(got, p)
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("n=%d p=%d: Blelloch scan diverges", n, p)
-			}
-		}
-	}
-}
-
-func TestNextPow2(t *testing.T) {
-	cases := map[int]int{1: 1, 2: 2, 3: 4, 4: 4, 5: 8, 1000: 1024, 1024: 1024}
-	for n, want := range cases {
-		if got := nextPow2(n); got != want {
-			t.Errorf("nextPow2(%d) = %d, want %d", n, got, want)
-		}
-	}
-}
-
-// Property: all three parallel scan variants agree with the sequential
-// reference.
+// Property: Algorithm 1 at a random processor count agrees with the
+// sequential reference.
 func TestQuickAllScansAgree(t *testing.T) {
 	f := func(xs []uint16, p uint8) bool {
 		a := make([]uint64, len(xs))
@@ -105,7 +58,7 @@ func TestQuickAllScansAgree(t *testing.T) {
 			b[i] = uint64(x)
 		}
 		InclusiveSequential(a)
-		InclusiveBlelloch(b, int(p))
+		Inclusive(b, int(p))
 		return reflect.DeepEqual(a, b)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
@@ -149,22 +102,19 @@ func TestOffsets(t *testing.T) {
 	}
 }
 
-// Property: for arbitrary inputs and processor counts, both parallel scans
-// agree with the sequential scan.
+// Property: for arbitrary signed inputs and processor counts, Algorithm 1
+// agrees with the sequential scan.
 func TestQuickParallelEqualsSequential(t *testing.T) {
-	f := func(xs []uint16, p uint8) bool {
-		a := make([]uint64, len(xs))
-		b := make([]uint64, len(xs))
-		c := make([]uint64, len(xs))
+	f := func(xs []int16, p uint8) bool {
+		a := make([]int64, len(xs))
+		b := make([]int64, len(xs))
 		for i, x := range xs {
-			a[i] = uint64(x)
-			b[i] = uint64(x)
-			c[i] = uint64(x)
+			a[i] = int64(x)
+			b[i] = int64(x)
 		}
 		InclusiveSequential(a)
 		Inclusive(b, int(p))
-		InclusiveTwoLevel(c, int(p))
-		return reflect.DeepEqual(a, b) && reflect.DeepEqual(a, c)
+		return reflect.DeepEqual(a, b)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)

@@ -18,10 +18,9 @@
 //     frames that straddle a chunk boundary are merged afterwards ("merge
 //     overflowing CSRs between chunks") — see BuildFromEvents;
 //   - from a series of absolute snapshots, the differential pass runs over
-//     chunks of frames exactly like the chunked prefix sum (Figure 5): each
-//     chunk differences its interior frame pairs locally, and the one
-//     boundary pair per chunk is handled after the barrier — see
-//     BuildFromSnapshots.
+//     chunks of frames like the chunked prefix sum (Figure 5): each chunk
+//     differences its frame pairs, including the one boundary pair that
+//     reads the previous chunk's last snapshot — see BuildFromSnapshots.
 package tcsr
 
 import (
@@ -104,52 +103,38 @@ func frameBounds(events edgelist.TemporalList, numFrames, p int) []int {
 
 // BuildFromSnapshots constructs the bit-packed differential TCSR from a
 // series of absolute per-frame edge sets (each sorted by (u, v)). This is the
-// Figure 5 pipeline: frames are divided into p chunks; each processor
-// differences the consecutive frame pairs interior to its chunk; the first
-// frame of every chunk is differenced against the last frame of the
-// previous chunk after the barrier (the carry propagation step); chunk 0's
-// first frame is kept absolute.
+// Figure 5 pipeline: frames are divided into p chunks and each processor
+// differences every frame of its chunk against its predecessor; chunk 0's
+// first frame is kept absolute. A chunk's first frame is its boundary pair:
+// it reads the previous chunk's last snapshot, which is read-only input, so
+// unlike the prefix sum's carry it needs no step after the join.
 func BuildFromSnapshots(snapshots []edgelist.List, numNodes, p int) *Packed {
 	frames := make([]*csr.Packed, len(snapshots))
 	if len(snapshots) == 0 {
 		return newPacked(numNodes, nil)
 	}
-	chunks := parallel.Chunks(len(snapshots), p)
-	team := parallel.NewTeam(len(chunks))
 	start := obs.Now()
-	// Per-worker busy time (barrier wait excluded) feeds the differential
-	// pass's imbalance gauge; zero-length when metrics are off.
-	var workerNS []int64
+	// Per-chunk busy time feeds the differential pass's imbalance gauge;
+	// nil when metrics are off.
+	var chunkNS []int64
 	if !start.IsZero() {
-		workerNS = make([]int64, len(chunks))
+		chunkNS = make([]int64, len(parallel.Chunks(len(snapshots), p)))
 	}
-	team.Run(func(w *parallel.Worker) {
+	parallel.For(len(snapshots), p, func(c int, r parallel.Range) {
 		t0 := time.Now()
-		r := chunks[w.ID()]
-		// Interior pairs: frame i differenced against frame i-1.
-		for t := r.Start + 1; t < r.End; t++ {
-			frames[t] = packFrame(symmetricDiff(snapshots[t-1], snapshots[t]), numNodes)
+		for t := r.Start; t < r.End; t++ {
+			if t == 0 {
+				frames[0] = packFrame(snapshots[0], numNodes)
+			} else {
+				frames[t] = packFrame(symmetricDiff(snapshots[t-1], snapshots[t]), numNodes)
+			}
 		}
-		if workerNS != nil {
-			workerNS[w.ID()] += time.Since(t0).Nanoseconds()
-		}
-		w.Sync()
-		t1 := time.Now()
-		// Boundary: the chunk's first frame. Chunk 0 keeps it absolute; the
-		// rest difference it against the predecessor chunk's last snapshot,
-		// which is read-only input, so no further synchronization is needed
-		// after the barrier.
-		if w.ID() == 0 {
-			frames[0] = packFrame(snapshots[0], numNodes)
-		} else {
-			frames[r.Start] = packFrame(symmetricDiff(snapshots[r.Start-1], snapshots[r.Start]), numNodes)
-		}
-		if workerNS != nil {
-			workerNS[w.ID()] += time.Since(t1).Nanoseconds()
+		if chunkNS != nil {
+			chunkNS[c] = time.Since(t0).Nanoseconds()
 		}
 	})
-	if workerNS != nil {
-		diffImbalance.Set(obs.ImbalanceRatio(workerNS))
+	if chunkNS != nil {
+		diffImbalance.Set(obs.ImbalanceRatio(chunkNS))
 	}
 	obs.Tick(stageDiff, start)
 	return newPacked(numNodes, frames)

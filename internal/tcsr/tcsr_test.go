@@ -226,17 +226,20 @@ func TestBuildFromSnapshotsMatchesEvents(t *testing.T) {
 		l.SortByUV(1)
 		snaps[tf] = l
 	}
-	tcS := BuildFromSnapshots(snaps, numNodes, 4)
 	tcE, err := BuildFromEvents(events, numNodes, numFrames, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// The two construction paths must agree on every reconstruction, even
 	// though their internal frame CSRs may differ (events within one frame
-	// may cancel pairwise).
-	for tf := 0; tf < numFrames; tf++ {
-		if !reflect.DeepEqual(tcS.Snapshot(tf, 1), tcE.Snapshot(tf, 1)) {
-			t.Fatalf("t=%d: snapshot mismatch between construction paths", tf)
+	// may cancel pairwise). The sweep runs from one chunk to more chunks
+	// than frames.
+	for _, p := range []int{1, 2, 3, 4, 10, 11} {
+		tcS := BuildFromSnapshots(snaps, numNodes, p)
+		for tf := 0; tf < numFrames; tf++ {
+			if !reflect.DeepEqual(tcS.Snapshot(tf, 1), tcE.Snapshot(tf, 1)) {
+				t.Fatalf("p=%d t=%d: snapshot mismatch between construction paths", p, tf)
+			}
 		}
 	}
 }

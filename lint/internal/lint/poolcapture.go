@@ -21,8 +21,8 @@ import (
 //     writes, or writes through a captured pointer). Chunk results must
 //     go through disjoint slice elements (results[i] = v), sync/atomic,
 //     or a held sync.Mutex — the mu.Lock(); x += local; mu.Unlock()
-//     reduction and parallel.Worker.Critical both count as synchronized;
-//     anything else is a data race between chunks.
+//     reduction counts as synchronized; anything else is a data race
+//     between chunks.
 //
 // Only closure literals passed directly at the call site are analyzed.
 var PoolCapture = &analysis.Analyzer{
@@ -98,9 +98,6 @@ func checkPoolBody(pass *analysis.Pass, fnName string, body *ast.FuncLit, loopVa
 		// A variable is captured if it is not declared inside the closure.
 		return !(body.Pos() <= v.Pos() && v.Pos() <= body.End())
 	}
-	guarded := func(stack []ast.Node, n ast.Node) bool {
-		return mutexGuarded(info, stack, n) || insideCriticalClosure(info, stack)
-	}
 	reportWrite := func(n ast.Node, what string) {
 		pass.Reportf(n.Pos(), "closure passed to parallel.%s %s without synchronization; write through a disjoint slice element or use sync/atomic", fnName, what)
 	}
@@ -138,14 +135,14 @@ func checkPoolBody(pass *analysis.Pass, fnName string, body *ast.FuncLit, loopVa
 				pass.Reportf(n.Pos(), "closure passed to parallel.%s captures loop variable %s of an enclosing loop; derive state from the closure's own arguments", fnName, v.Name())
 			}
 		case *ast.AssignStmt:
-			if guarded(stack, n) {
+			if mutexGuarded(info, stack, n) {
 				return true
 			}
 			for _, lhs := range n.Lhs {
 				checkTarget(n, lhs)
 			}
 		case *ast.IncDecStmt:
-			if guarded(stack, n) {
+			if mutexGuarded(info, stack, n) {
 				return true
 			}
 			checkTarget(n, n.X)
@@ -208,21 +205,6 @@ func mutexMethodName(info *types.Info, call *ast.CallExpr) string {
 		return fn.Name()
 	}
 	return ""
-}
-
-// insideCriticalClosure reports whether n sits in a closure passed to
-// parallel.Worker.Critical, the substrate's mutual-exclusion region.
-func insideCriticalClosure(info *types.Info, stack []ast.Node) bool {
-	for i := len(stack) - 1; i >= 0; i-- {
-		call, ok := stack[i].(*ast.CallExpr)
-		if !ok {
-			continue
-		}
-		if fn := calleeFunc(info, call); fn != nil && fn.Name() == "Critical" && isPkgFunc(fn, parallelPath, "Critical") {
-			return true
-		}
-	}
-	return false
 }
 
 // rootIdentVar walks x[i].y style chains down to the base identifier's

@@ -27,12 +27,6 @@ type Pool struct{}
 
 func (pl *Pool) For(n, p int, body func(chunk int, r Range)) { For(n, p, body) }
 
-func (pl *Pool) ForEach(n, p int, body func(i int)) { ForEach(n, p, body) }
-
 func (pl *Pool) ForDynamic(n, p, grain int, body func(worker int, r Range)) {
 	ForDynamic(n, p, grain, body)
 }
-
-type Worker struct{}
-
-func (w *Worker) Critical(fn func()) { fn() }

@@ -119,17 +119,6 @@ func unlockedAfter(n, p int) int {
 	return total
 }
 
-// criticalOK routes the write through the substrate's own critical region.
-func criticalOK(n, p int, w *parallel.Worker) int {
-	total := 0
-	parallel.ForEach(n, p, func(i int) {
-		w.Critical(func() {
-			total += i
-		})
-	})
-	return total
-}
-
 func atomicOK(n, p int) int64 {
 	var total atomic.Int64
 	parallel.ForEach(n, p, func(i int) {
@@ -141,8 +130,8 @@ func atomicOK(n, p int) int64 {
 // poolMethodsChecked: the Pool methods are the same API surface.
 func poolMethodsChecked(pl *parallel.Pool, n, p int) int {
 	total := 0
-	pl.ForEach(n, p, func(i int) {
-		total += i // want `writes captured variable total`
+	pl.For(n, p, func(c int, r parallel.Range) {
+		total += r.End - r.Start // want `writes captured variable total`
 	})
 	return total
 }
