@@ -3,11 +3,7 @@
 
 GO ?= go
 
-# Benchmark time per sub-benchmark for the bench-json snapshot; raise for
-# lower-variance trajectory points.
-BENCHTIME ?= 100ms
-
-.PHONY: all build build-cross generate generate-check test test-race race vet fmt fmt-check lint lint-timing lint-json bench-test bench bench-quick bench-json bench-obs bench-algo bench-trace bench-compare bench-compare-query bench-compare-shard bench-startup bench-shard fuzz fuzz-smoke experiments clean
+.PHONY: all build build-cross generate generate-check test test-race race vet fmt fmt-check lint lint-timing lint-json bench-test bench bench-quick bench-obs bench-trace bench-compare bench-compare-query bench-compare-shard fuzz fuzz-smoke experiments clean
 
 all: build generate-check vet lint test test-race bench-test
 
@@ -97,80 +93,34 @@ bench:
 bench-quick:
 	$(GO) test -bench=. -benchtime=1x ./...
 
-# Snapshot the tier-1 benchmark suite (root package: Table II, Fig 6/7,
-# query throughput, ablations) as BENCH_<date>.json — one file per run, the
-# perf trajectory this repo accumulates. cmd/benchjson filters the -json
-# event stream down to benchmark results with all metrics.
-bench-json:
-	$(GO) test -run '^$$' -bench . -benchmem -benchtime $(BENCHTIME) -json . \
-		| $(GO) run ./cmd/benchjson > BENCH_$$(date +%Y-%m-%d)$(BENCH_SUFFIX).json
-
-# Observability overhead snapshot: the metric-core microbenchmarks plus
-# the query acceptance benchmarks under obs=off|on, appended to the same
-# BENCH_<date>.json trajectory as bench-json. The obs=on variants gate the
-# <5% overhead budget; pair them with `go run ./cmd/benchcompare -key obs
-# -baseline off -new on`.
+# Variant pairs: each target runs cmd/benchpair's ten runs of one binary
+# and pairs the sub-benchmarks that differ only in the -key element (see
+# `go run ./cmd/benchpair -h`; -ref pairs a git ref against the tree).
+#
+# Observability overhead: the query acceptance benchmarks with metric
+# collection off and on; obs=on gates the <5% budget (DESIGN.md §10).
 bench-obs:
-	$(GO) test -run '^$$' -bench Obs -benchmem -benchtime $(BENCHTIME) -json . ./internal/obs \
-		| $(GO) run ./cmd/benchjson > BENCH_$$(date +%Y-%m-%d)$(BENCH_SUFFIX).json
+	$(GO) run ./cmd/benchpair -key obs -baseline off -new on . -test.bench Obs -test.benchtime 100ms
 
-# Traversal-analytics snapshot: the frontier core's BFS (sparse↔dense
-# switching) and level-peel k-core at 10M edges, appended to the
-# BENCH_<date>.json trajectory. Compare two snapshots with
-# `go run ./cmd/benchcompare -filter 'BFSFrontier|KCore' old.json new.json`.
-bench-algo:
-	$(GO) test -run '^$$' -bench 'BenchmarkBFSFrontier|BenchmarkKCore' -benchmem -benchtime $(BENCHTIME) -json . \
-		| $(GO) run ./cmd/benchjson > BENCH_$$(date +%Y-%m-%d)$(BENCH_SUFFIX).json
-
-# Tracing overhead snapshot: the recorder microbenchmarks plus the 8-shard
-# existence-probe acceptance benchmark under trace=off|sampled|always,
-# appended to the BENCH_<date>.json trajectory like bench-json. The sampled
-# variant gates the <=5% overhead budget at the production 1/256 rate; pair
-# with `go run ./cmd/benchcompare -key trace -baseline off -new sampled`.
+# Tracing overhead: the 8-shard existence probes with the span recorder
+# off and head-sampling 1 in 256; sampled gates the <=5% budget (DESIGN.md
+# §15).
 bench-trace:
-	$(GO) test -run '^$$' -bench 'BenchmarkTrace|BenchmarkRecorder' -benchmem -benchtime $(BENCHTIME) -json . ./internal/trace \
-		| $(GO) run ./cmd/benchjson > BENCH_$$(date +%Y-%m-%d)$(BENCH_SUFFIX).json
+	$(GO) run ./cmd/benchpair -key trace -baseline off -new sampled . -test.bench BenchmarkTrace -test.benchtime 100ms
 
-# Radix-vs-merge construction-sort delta table: runs BenchmarkSortByUV's
-# algo= variants and pairs them through cmd/benchcompare.
+# Construction sort: radix against the retained merge baseline.
 bench-compare:
-	$(GO) test -run '^$$' -bench BenchmarkSortByUV -benchtime $(BENCHTIME) . \
-		| $(GO) run ./cmd/benchcompare
+	$(GO) run ./cmd/benchpair -key algo -baseline merge -new radix . -test.bench BenchmarkSortByUV -test.benchtime 100ms
 
-# Query-engine delta table: zero-decode search vs the linear baseline
-# (algo= variants of BenchmarkEdgesExistBatch).
+# Query engine: zero-decode search against the linear baseline.
 bench-compare-query:
-	$(GO) test -run '^$$' -bench 'BenchmarkEdgesExistBatch' \
-		-benchtime $(BENCHTIME) . \
-		| $(GO) run ./cmd/benchcompare -baseline linear -new search
+	$(GO) run ./cmd/benchpair -key algo -baseline linear -new search . -test.bench BenchmarkEdgesExistBatch -test.benchtime 100ms
 
-# Sharded serving-tier snapshot: the scatter-gather router's aggregate
-# batch throughput across shard counts (shards=1|2|4|8) against the
-# single-engine baseline (shards=single), appended to the BENCH_<date>.json
-# trajectory like bench-json. Each K is cut the way csrconvert -partition
-# cuts offline (CutByEdges, Split, one packed container per shard). The
-# powerlaw EdgesExistBatch pairing is the tier's acceptance number
-# (DESIGN.md §14).
-bench-shard:
-	$(GO) test -run '^$$' -bench 'BenchmarkShardEdgesExistBatch|BenchmarkShardNeighborsBatch' \
-		-benchmem -benchtime $(BENCHTIME) -json . \
-		| $(GO) run ./cmd/benchjson > BENCH_$$(date +%Y-%m-%d)$(BENCH_SUFFIX).json
-
-# Sharded-vs-single delta tables: pairs the shards= variants of the
-# serving-tier suites (single-engine baseline vs the router over the
-# offline 8-shard cut).
+# Serving tier: the router over the offline 8-shard cut against the
+# single-engine baseline (DESIGN.md §14).
 bench-compare-shard:
-	$(GO) test -run '^$$' -bench 'BenchmarkShardEdgesExistBatch|BenchmarkShardNeighborsBatch' \
-		-benchtime $(BENCHTIME) . \
-		| $(GO) run ./cmd/benchcompare -key shards -baseline single -new 8
-
-# Cold-start delta table: mmap-backed container load vs verified heap read
-# of the same container vs full rebuild at 10M edges, appended to the BENCH_<date>.json
-# trajectory like bench-json. Startup iterations are seconds-long, so the
-# benchtime is an iteration count.
-bench-startup:
-	$(GO) test -run '^$$' -bench BenchmarkStartup -benchmem -benchtime 5x -json . \
-		| $(GO) run ./cmd/benchjson > BENCH_$$(date +%Y-%m-%d)$(BENCH_SUFFIX).json
+	$(GO) run ./cmd/benchpair -key shards -baseline single -new 8 . \
+		-test.bench 'BenchmarkShardEdgesExistBatch|BenchmarkShardNeighborsBatch' -test.benchtime 100ms
 
 # Short fuzzing pass over every fuzz target.
 FUZZTIME ?= 15s

@@ -10,8 +10,8 @@
 //	    CountTriangles (arm=count) and LocalClustering (arm=clustering)
 //	    on a scale-18 symmetrized R-MAT, over the host's processor sweep.
 //
-// `make bench-algo` snapshots exactly these into the BENCH_<date>.json
-// trajectory.
+// Pair a change against its parent with
+// `go run ./cmd/benchpair -ref <parent> . -test.bench 'BenchmarkBFSFrontier|BenchmarkKCore'`.
 package csrgraph
 
 import (
@@ -61,7 +61,7 @@ func algoBenchSetup(b *testing.B) map[string]*csr.Matrix {
 
 // BenchmarkBFSFrontier times the frontier core's direction-switching
 // traversal from a fixed source. The arm keeps its algo=frontier name so
-// the BENCH_*.json series continues.
+// pairs against older commits match it by name.
 func BenchmarkBFSFrontier(b *testing.B) {
 	graphs := algoBenchSetup(b)
 	for _, dist := range []string{"uniform", "powerlaw"} {
@@ -81,7 +81,7 @@ var (
 
 // BenchmarkKCore times CoreNumbersBucketed, now level-synchronous peeling
 // on exact degree crossings. The 10M-edge arms keep the algo=bucket name
-// of the bucketed peel it replaced, so the BENCH_*.json series continues.
+// of the bucketed peel it replaced, so pairs against older commits match.
 // The dist=rmat18 arm is the power-law graph csrload's lib-pipeline times
 // as kcore_powerlaw_ms: an R-MAT of scale 18 and 2M generated edges, seed
 // 1, loops dropped, symmetrized (3.76M stored edges).

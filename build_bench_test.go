@@ -1,10 +1,10 @@
-// Construction-side benchmarks: the radix-sort ingest pipeline this repo's
-// perf trajectory tracks alongside the decode-side suite in bench_test.go.
+// Construction-side benchmarks: the radix-sort ingest pipeline, beside
+// the decode-side suite in bench_test.go.
 //
 //	BenchmarkSortByUV — the tentpole sort itself, radix vs the retained
 //	    merge baseline, over uniform (Erdős-Rényi) and power-law (R-MAT)
-//	    edge lists up to 10M edges. `make bench-compare` prints the delta
-//	    table from exactly these sub-benchmarks.
+//	    edge lists up to 10M edges. `make bench-compare` pairs the
+//	    algo=radix and algo=merge forms of exactly these sub-benchmarks.
 //	BenchmarkBuild — end-to-end Build (fused pack/symmetrize → radix →
 //	    dedup-unpack → CSR fill).
 //	BenchmarkBuildTemporal — end-to-end BuildTemporal over the 128-bit

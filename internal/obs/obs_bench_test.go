@@ -1,8 +1,8 @@
 // Overhead benchmarks — the gate behind the package's "a handful of
 // nanoseconds" contract. state=off measures the disabled fast path every
 // instrumented hot path pays unconditionally (one atomic load + branch);
-// state=on measures an enabled record. `make bench-obs` snapshots these
-// alongside the obs=off|on variants of the root query benchmarks.
+// state=on measures an enabled record. Pair the two with
+// `go run ./cmd/benchpair -key state -baseline off -new on ./internal/obs -test.bench .`.
 package obs
 
 import (

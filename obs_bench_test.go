@@ -8,8 +8,7 @@
 //	BenchmarkNeighborsBatchObs  — Algorithm 6 batch decodes, obs=off|on
 //	BenchmarkEdgesExistBatchObs — zero-decode existence probes, obs=off|on
 //
-// `make bench-obs` snapshots these (plus the internal/obs microbenchmarks)
-// into BENCH_<date><suffix>.json.
+// `make bench-obs` pairs the obs=on and obs=off forms of these.
 package csrgraph
 
 import (

@@ -16,8 +16,8 @@
 //	    packed decode) vs cache=warm (hot-row cache, pre-warmed), on a
 //	    hub-heavy batch and a uniform batch.
 //
-// `make bench-compare-query` prints the delta tables from exactly these
-// sub-benchmarks.
+// `make bench-compare-query` pairs the algo=search and algo=linear forms
+// of exactly these sub-benchmarks.
 package csrgraph
 
 import (

@@ -11,8 +11,8 @@
 //	    single/router split; here each shard's byte-budgeted row table
 //	    serves repeated hub rows decoded.
 //
-// `make bench-compare-shard` prints the delta tables from exactly these
-// sub-benchmarks (-key shards -baseline single -new 8).
+// `make bench-compare-shard` pairs exactly these sub-benchmarks
+// (-key shards -baseline single -new 8).
 package csrgraph
 
 import (

@@ -10,7 +10,7 @@
 //	    from the raw edge list — what every server start cost before the
 //	    container format existed.
 //
-// `make bench-startup` snapshots exactly these sub-benchmarks.
+// Iterations take seconds: run them at -benchtime 5x.
 package csrgraph
 
 import (

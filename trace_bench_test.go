@@ -8,8 +8,8 @@
 //	BenchmarkTraceEdgesExistBatch/dist=powerlaw/.../trace=always
 //
 // The acceptance budget is <= 5% regression for trace=sampled against
-// trace=off; pair the `make bench-trace` snapshot with
-// `go run ./cmd/benchcompare -key trace -baseline off -new sampled`.
+// trace=off; `make bench-trace` pairs the two
+// (`cmd/benchpair -key trace -baseline off -new sampled`).
 package csrgraph
 
 import (
